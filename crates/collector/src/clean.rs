@@ -8,7 +8,7 @@
 //! dropped from the main analysis dataset.
 
 use mobitrace_model::{
-    ApEntry, ApRef, AppBin, BinRecord, CampaignMeta, Dataset, DeviceInfo, OsVersion, Record,
+    ApEntry, ApRef, AppBin, BinRecord, CampaignMeta, Dataset, DeviceInfo, Essid, OsVersion, Record,
     TrafficCounters, WifiAssoc, WifiBinState, WifiState,
 };
 use std::collections::HashMap;
@@ -62,7 +62,9 @@ pub fn clean(
 ) -> (Dataset, CleanStats) {
     let mut stats = CleanStats { records_in: records.len() as u64, ..CleanStats::default() };
     let mut aps: Vec<ApEntry> = Vec::new();
-    let mut ap_index: HashMap<(u64, String), ApRef> = HashMap::new();
+    // Keyed by the shared `Essid` (an `Arc` bump per lookup, hashed and
+    // compared by contents), not an owned copy of the name.
+    let mut ap_index: HashMap<(u64, Essid), ApRef> = HashMap::new();
     let mut bins: Vec<BinRecord> = Vec::new();
 
     let mut i = 0;
@@ -132,7 +134,7 @@ pub fn clean(
                 WifiState::Off => WifiBinState::Off,
                 WifiState::OnUnassociated => WifiBinState::OnUnassociated,
                 WifiState::Associated(a) => {
-                    let key = (a.bssid.as_u64(), a.essid.as_str().to_owned());
+                    let key = (a.bssid.as_u64(), a.essid.clone());
                     let ap = *ap_index.entry(key).or_insert_with(|| {
                         let r = ApRef(aps.len() as u32);
                         aps.push(ApEntry { bssid: a.bssid, essid: a.essid.clone() });

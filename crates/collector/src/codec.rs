@@ -10,9 +10,26 @@
 //! ```
 //!
 //! The payload encodes integers as LEB128 varints and strings with a
-//! varint length prefix. The CRC-32 (IEEE, table-driven) covers the
-//! payload; the server rejects frames whose checksum fails (the transport
-//! may corrupt bytes in flight).
+//! varint length prefix. The CRC-32 (IEEE, slicing-by-8: eight 256-entry
+//! tables fold eight bytes per step) covers the payload; the server
+//! rejects frames whose checksum fails (the transport may corrupt bytes in
+//! flight).
+//!
+//! Decoding parses the borrowed byte slice in place through one private
+//! bounds-checked cursor: the payload is a sub-slice of the upload, an
+//! ESSID is read as `&str` and allocated only the first time a stream's
+//! table sees it, and the caller's [`Bytes`] advances once per frame.
+//! Frames are untrusted input, so the decoder never panics and never
+//! narrows silently:
+//!
+//! - a `payload_len` (or string length) larger than the bytes that remain
+//!   is [`CodecError::Truncated`] — a length is compared with what remains
+//!   before anything is sliced, never added to, so no value can wrap past
+//!   the check;
+//! - a varint wider than its field (device, seq and minute are `u32`,
+//!   boot epoch and scan counts `u16`, geo cells `i16`) is
+//!   [`CodecError::Malformed`] rather than a truncated value. The encoder
+//!   never emits one, so every valid stream decodes as before.
 //!
 //! Version 2 adds a **per-stream ESSID dictionary**: within one contiguous
 //! upload buffer ([`encode_batch`] → [`decode_batch_into`]) each distinct
@@ -28,7 +45,7 @@ use mobitrace_model::{
     AppCategory, AppCounter, AssocInfo, Band, Bssid, CellId, Channel, CounterSnapshot, Dbm,
     DeviceId, Essid, Os, OsVersion, Record, ScanSummary, SimTime, TrafficCounters, WifiState,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Frame magic bytes.
 pub const MAGIC: [u8; 4] = *b"MTRC";
@@ -56,16 +73,16 @@ pub struct EssidDict {
 #[derive(Debug, Default)]
 pub struct EssidTable {
     table: Vec<Essid>,
-    interner: HashMap<String, Essid>,
+    interner: HashSet<Essid>,
 }
 
 impl EssidTable {
-    fn intern(&mut self, s: String, inline_in_stream: bool) -> Essid {
-        let essid = match self.interner.get(&s) {
+    fn intern(&mut self, s: &str, inline_in_stream: bool) -> Essid {
+        let essid = match self.interner.get(s) {
             Some(e) => e.clone(),
             None => {
-                let e = Essid::new(s.as_str());
-                self.interner.insert(s, e.clone());
+                let e = Essid::new(s);
+                self.interner.insert(e.clone());
                 e
             }
         };
@@ -108,25 +125,117 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// CRC-32 (IEEE 802.3), table-driven.
+/// CRC-32 (IEEE 802.3), slicing-by-8.
+///
+/// Table `k` holds the CRC of a byte followed by `k` zero bytes, so one
+/// step XORs eight independent lookups to fold eight input bytes; the
+/// sub-8-byte tail runs the classic byte-at-a-time loop over table 0.
+/// Polynomial, initial value and final XOR are the standard ones.
 pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, e) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             }
             *e = c;
         }
+        for k in 1..8 {
+            let (done, rest) = t.split_at_mut(k);
+            for (e, &prev) in rest[0].iter_mut().zip(&done[k - 1]) {
+                *e = (prev >> 8) ^ done[0][(prev & 0xFF) as usize];
+            }
+        }
         t
     });
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut blocks = data.chunks_exact(8);
+    for b in &mut blocks {
+        let x =
+            u64::from(crc) ^ u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+        crc = (0..8).fold(0, |acc, j| acc ^ t[7 - j][((x >> (8 * j)) & 0xFF) as usize]);
+    }
+    for &b in blocks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
+}
+
+/// Bounds-checked read cursor over one borrowed frame or payload: the
+/// unread bytes. Every read either lands in range or returns
+/// [`CodecError::Truncated`], so untrusted bytes cannot drive it out of
+/// bounds.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        if n > self.0.len() {
+            return Err(CodecError::Truncated);
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
+    fn u8(&mut self) -> Result<u8, CodecError> {
+        let (&b, rest) = self.0.split_first().ok_or(CodecError::Truncated)?;
+        self.0 = rest;
+        Ok(b)
+    }
+
+    fn varint(&mut self) -> Result<u64, CodecError> {
+        let mut v = 0u64;
+        for (i, &byte) in self.0.iter().take(10).enumerate() {
+            v |= u64::from(byte & 0x7F) << (7 * i);
+            if byte & 0x80 == 0 {
+                self.0 = &self.0[i + 1..];
+                return Ok(v);
+            }
+        }
+        Err(if self.0.len() < 10 {
+            CodecError::Truncated
+        } else {
+            CodecError::Malformed("varint too long")
+        })
+    }
+
+    /// A varint that must fit the field type `T`; wider values are
+    /// `Malformed(what)`, never truncated.
+    fn varint_as<T: TryFrom<u64>>(&mut self, what: &'static str) -> Result<T, CodecError> {
+        T::try_from(self.varint()?).map_err(|_| CodecError::Malformed(what))
+    }
+
+    /// A zig-zag varint that must fit an `i16` geo cell coordinate.
+    fn cell_coord(&mut self) -> Result<i16, CodecError> {
+        i16::try_from(unzigzag(self.varint()?))
+            .map_err(|_| CodecError::Malformed("geo cell out of range"))
+    }
+
+    fn counters(&mut self) -> Result<TrafficCounters, CodecError> {
+        Ok(TrafficCounters {
+            rx_bytes: self.varint()?,
+            tx_bytes: self.varint()?,
+            rx_pkts: self.varint()?,
+            tx_pkts: self.varint()?,
+        })
+    }
+
+    fn string(&mut self) -> Result<&'a str, CodecError> {
+        let len = self.varint()?;
+        if len > 1024 {
+            return Err(CodecError::Malformed("string too long"));
+        }
+        std::str::from_utf8(self.take(len as usize)?)
+            .map_err(|_| CodecError::Malformed("invalid utf-8"))
+    }
 }
 
 fn put_varint(buf: &mut BytesMut, mut v: u64) {
@@ -141,36 +250,9 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
     }
 }
 
-fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
-    let mut v = 0u64;
-    for shift in (0..10).map(|i| i * 7) {
-        if !buf.has_remaining() {
-            return Err(CodecError::Truncated);
-        }
-        let byte = buf.get_u8();
-        v |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(CodecError::Malformed("varint too long"))
-}
-
 fn put_string(buf: &mut BytesMut, s: &str) {
     put_varint(buf, s.len() as u64);
     buf.put_slice(s.as_bytes());
-}
-
-fn get_string(buf: &mut Bytes) -> Result<String, CodecError> {
-    let len = get_varint(buf)? as usize;
-    if len > 1024 {
-        return Err(CodecError::Malformed("string too long"));
-    }
-    if buf.remaining() < len {
-        return Err(CodecError::Truncated);
-    }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| CodecError::Malformed("invalid utf-8"))
 }
 
 fn put_counters(buf: &mut BytesMut, c: &TrafficCounters) {
@@ -178,15 +260,6 @@ fn put_counters(buf: &mut BytesMut, c: &TrafficCounters) {
     put_varint(buf, c.tx_bytes);
     put_varint(buf, c.rx_pkts);
     put_varint(buf, c.tx_pkts);
-}
-
-fn get_counters(buf: &mut Bytes) -> Result<TrafficCounters, CodecError> {
-    Ok(TrafficCounters {
-        rx_bytes: get_varint(buf)?,
-        tx_bytes: get_varint(buf)?,
-        rx_pkts: get_varint(buf)?,
-        tx_pkts: get_varint(buf)?,
-    })
 }
 
 /// Zig-zag encode a signed value.
@@ -336,13 +409,13 @@ pub fn encode_batch<'a>(
 
 /// Decode one framed record.
 pub fn decode_frame(frame: &Bytes) -> Result<Record, CodecError> {
-    decode_frame_from(&mut frame.clone())
+    read_frame(&mut Cursor(frame), None)
 }
 
 /// Decode one framed record, interning ESSIDs through `table` (shared
 /// across the frames of one delivery so equal ESSIDs share one `Arc<str>`).
 pub fn decode_frame_with(frame: &Bytes, table: &mut EssidTable) -> Result<Record, CodecError> {
-    decode_frame_from_with(&mut frame.clone(), Some(table))
+    read_frame(&mut Cursor(frame), Some(table))
 }
 
 /// Decode one frame from the front of `buf`, consuming exactly that frame
@@ -360,28 +433,12 @@ pub fn decode_frame_from_with(
     buf: &mut Bytes,
     table: Option<&mut EssidTable>,
 ) -> Result<Record, CodecError> {
-    if buf.remaining() < 5 {
-        return Err(CodecError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if magic != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = buf.get_u8();
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(CodecError::BadVersion(version));
-    }
-    let len = get_varint(buf)? as usize;
-    if buf.remaining() < len + 4 {
-        return Err(CodecError::Truncated);
-    }
-    let payload = buf.copy_to_bytes(len);
-    let crc = buf.get_u32();
-    if crc != crc32(&payload) {
-        return Err(CodecError::BadChecksum);
-    }
-    parse_payload(payload, version, table)
+    let chunk = buf.chunk();
+    let mut c = Cursor(chunk);
+    let res = read_frame(&mut c, table);
+    let consumed = chunk.len() - c.0.len();
+    buf.advance(consumed);
+    res
 }
 
 /// Decode a concatenation of frames, appending the records to `out`
@@ -398,63 +455,70 @@ pub fn decode_batch_into(buf: &mut Bytes, out: &mut Vec<Record>) -> Result<usize
     Ok(n)
 }
 
+/// Parse one frame off the front of `c`: header, bounded payload slice,
+/// checksum, then the payload fields.
+fn read_frame(c: &mut Cursor<'_>, table: Option<&mut EssidTable>) -> Result<Record, CodecError> {
+    if c.0.len() < 5 {
+        return Err(CodecError::Truncated);
+    }
+    if c.array::<4>()? != MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    let version = c.u8()?;
+    if !(MIN_VERSION..=VERSION).contains(&version) {
+        return Err(CodecError::BadVersion(version));
+    }
+    // `take` bounds the untrusted length against what remains, so even a
+    // length near `u64::MAX` is `Truncated` rather than a wrapped check.
+    let len = usize::try_from(c.varint()?).unwrap_or(usize::MAX);
+    let payload = c.take(len)?;
+    let crc = u32::from_be_bytes(c.array()?);
+    if crc != crc32(payload) {
+        return Err(CodecError::BadChecksum);
+    }
+    parse_payload(&mut Cursor(payload), version, table)
+}
+
 fn parse_payload(
-    payload: Bytes,
+    p: &mut Cursor<'_>,
     version: u8,
     mut table: Option<&mut EssidTable>,
 ) -> Result<Record, CodecError> {
-    let mut p = payload;
-    let device = DeviceId(get_varint(&mut p)? as u32);
-    let os = match p_get_u8(&mut p)? {
+    let device = DeviceId(p.varint_as("device id out of range")?);
+    let os = match p.u8()? {
         0 => Os::Android,
         1 => Os::Ios,
         _ => return Err(CodecError::Malformed("os tag")),
     };
-    let seq = get_varint(&mut p)? as u32;
-    let time = SimTime::from_minutes(get_varint(&mut p)? as u32);
-    let boot_epoch = get_varint(&mut p)? as u16;
-    let counters = CounterSnapshot {
-        cell3g: get_counters(&mut p)?,
-        lte: get_counters(&mut p)?,
-        wifi: get_counters(&mut p)?,
-    };
-    let wifi = match p_get_u8(&mut p)? {
+    let seq = p.varint_as("sequence number out of range")?;
+    let time = SimTime::from_minutes(p.varint_as("minute out of range")?);
+    let boot_epoch = p.varint_as("boot epoch out of range")?;
+    let counters =
+        CounterSnapshot { cell3g: p.counters()?, lte: p.counters()?, wifi: p.counters()? };
+    let wifi = match p.u8()? {
         0 => WifiState::Off,
         1 => WifiState::OnUnassociated,
         2 => {
-            let mut mac = [0u8; 6];
-            if p.remaining() < 6 {
-                return Err(CodecError::Truncated);
-            }
-            p.copy_to_slice(&mut mac);
+            let mac = p.array()?;
             // v1: bare string. v2: varint tag — 0 = inline string (claims
             // the next table index), n > 0 = table entry n − 1.
-            let essid = if version < 2 {
-                match table.as_deref_mut() {
-                    Some(t) => t.intern(get_string(&mut p)?, false),
-                    None => Essid::new(get_string(&mut p)?),
-                }
-            } else {
-                match get_varint(&mut p)? {
-                    0 => match table.as_deref_mut() {
-                        Some(t) => t.intern(get_string(&mut p)?, true),
-                        None => Essid::new(get_string(&mut p)?),
-                    },
-                    n => {
-                        let idx = (n - 1) as usize;
-                        table
-                            .and_then(|t| t.table.get(idx).cloned())
-                            .ok_or(CodecError::Malformed("essid dictionary reference"))?
-                    }
-                }
+            let tag = if version < 2 { 0 } else { p.varint()? };
+            let essid = match tag {
+                0 => match table.as_deref_mut() {
+                    Some(t) => t.intern(p.string()?, version >= 2),
+                    None => Essid::new(p.string()?),
+                },
+                n => table
+                    .and_then(|t| t.table.get(usize::try_from(n - 1).ok()?).cloned())
+                    .ok_or(CodecError::Malformed("essid dictionary reference"))?,
             };
-            let band = match p_get_u8(&mut p)? {
+            let band = match p.u8()? {
                 0 => Band::Ghz24,
                 1 => Band::Ghz5,
                 _ => return Err(CodecError::Malformed("band tag")),
             };
-            let channel = Channel(p_get_u8(&mut p)?);
-            let rssi = Dbm::from_f64(unzigzag(get_varint(&mut p)?) as f64 / 10.0);
+            let channel = Channel(p.u8()?);
+            let rssi = Dbm::from_f64(unzigzag(p.varint()?) as f64 / 10.0);
             WifiState::Associated(AssocInfo { bssid: Bssid(mac), essid, band, channel, rssi })
         }
         _ => return Err(CodecError::Malformed("wifi tag")),
@@ -470,23 +534,22 @@ fn parse_payload(
         &mut scan.n5_public_all,
         &mut scan.n5_public_strong,
     ] {
-        *slot = get_varint(&mut p)? as u16;
+        *slot = p.varint_as("scan count out of range")?;
     }
-    let n_apps = get_varint(&mut p)? as usize;
+    let n_apps = p.varint()?;
     if n_apps > 64 {
         return Err(CodecError::Malformed("too many app entries"));
     }
-    let mut apps = Vec::with_capacity(n_apps);
+    let mut apps = Vec::with_capacity(n_apps as usize);
     for _ in 0..n_apps {
-        let cat = AppCategory::from_index(p_get_u8(&mut p)? as usize)
+        let cat = AppCategory::from_index(usize::from(p.u8()?))
             .ok_or(CodecError::Malformed("app category"))?;
-        apps.push(AppCounter { category: cat, counters: get_counters(&mut p)? });
+        apps.push(AppCounter { category: cat, counters: p.counters()? });
     }
-    let geo =
-        CellId::new(unzigzag(get_varint(&mut p)?) as i16, unzigzag(get_varint(&mut p)?) as i16);
-    let battery_pct = p_get_u8(&mut p)?;
-    let tethering = p_get_u8(&mut p)? != 0;
-    let os_version = OsVersion::new(p_get_u8(&mut p)?, p_get_u8(&mut p)?);
+    let geo = CellId::new(p.cell_coord()?, p.cell_coord()?);
+    let battery_pct = p.u8()?;
+    let tethering = p.u8()? != 0;
+    let os_version = OsVersion::new(p.u8()?, p.u8()?);
 
     Ok(Record {
         device,
@@ -503,13 +566,6 @@ fn parse_payload(
         tethering,
         os_version,
     })
-}
-
-fn p_get_u8(p: &mut Bytes) -> Result<u8, CodecError> {
-    if !p.has_remaining() {
-        return Err(CodecError::Truncated);
-    }
-    Ok(p.get_u8())
 }
 
 #[cfg(test)]
@@ -732,13 +788,18 @@ mod tests {
         payload.put_u8(r.os_version.major);
         payload.put_u8(r.os_version.minor);
 
+        frame_of(1, &payload)
+    }
+
+    /// Frame an arbitrary payload under `version` with a correct length
+    /// and checksum, so the payload parser itself is what gets tested.
+    fn frame_of(version: u8, payload: &[u8]) -> Bytes {
         let mut out = BytesMut::new();
         out.put_slice(&MAGIC);
-        out.put_u8(1);
+        out.put_u8(version);
         put_varint(&mut out, payload.len() as u64);
-        let crc = crc32(&payload);
-        out.put_slice(&payload);
-        out.put_u32(crc);
+        out.put_slice(payload);
+        out.put_u32(crc32(payload));
         out.freeze()
     }
 
@@ -832,9 +893,9 @@ mod tests {
         fn varint_roundtrip(v in any::<u64>()) {
             let mut buf = BytesMut::new();
             put_varint(&mut buf, v);
-            let mut b = buf.freeze();
-            prop_assert_eq!(get_varint(&mut b).unwrap(), v);
-            prop_assert!(!b.has_remaining());
+            let mut c = Cursor(&buf);
+            prop_assert_eq!(c.varint().unwrap(), v);
+            prop_assert!(c.0.is_empty());
         }
 
         #[test]
@@ -870,8 +931,198 @@ mod tests {
         }
 
         #[test]
-        fn random_garbage_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = decode_frame(&Bytes::from(data));
+        fn random_garbage_never_panics(
+            header in any::<bool>(),
+            version in 0u8..4,
+            data in proptest::collection::vec(any::<u8>(), 0..256),
+        ) {
+            // With a valid magic + version in front, the random bytes reach
+            // the length and checksum paths instead of dying at the magic.
+            let mut raw = Vec::new();
+            if header {
+                raw.extend_from_slice(&MAGIC);
+                raw.push(version);
+            }
+            raw.extend_from_slice(&data);
+            let raw = Bytes::from(raw);
+            let _ = decode_frame(&raw);
+            let _ = decode_batch_into(&mut raw.clone(), &mut Vec::new());
+        }
+
+        #[test]
+        fn checksummed_garbage_payload_never_panics(
+            version in MIN_VERSION..=VERSION,
+            payload in proptest::collection::vec(any::<u8>(), 0..200),
+        ) {
+            // A correct length and CRC around random bytes fuzzes the
+            // payload parser.
+            let _ = decode_frame(&frame_of(version, &payload));
+        }
+
+        #[test]
+        fn crc32_slicing_matches_bytewise_oracle(
+            data in proptest::collection::vec(any::<u8>(), 308),
+            start in 0usize..8,
+            len in 0usize..=300,
+        ) {
+            let s = &data[start..start + len];
+            prop_assert_eq!(crc32(s), crc32_bytewise(s));
+        }
+    }
+
+    /// Textbook CRC-32, one byte and one bit at a time: the oracle for the
+    /// slicing-by-8 implementation.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact bytes of a standalone frame and of a dictionary batch:
+    /// any change to the wire format shows up here.
+    #[test]
+    fn wire_format_golden_bytes() {
+        let frame = concat!(
+            "4d545243024c2a0007cc260100000000c08db701a0c21e861aac04000000000202000000",
+            "beef000c617465726d2d3132616233340006f3080903020104010100010280897ae0d403",
+            "d00fac021c035800040449125559",
+        );
+        assert_eq!(hex(&encode_frame(&sample_record(7))), frame);
+
+        // Frame 0 inlines the ESSID (tag 0); frames 1-4 reference it (tag 1).
+        let inline = concat!(
+            "4d545243024c2a0000cc260100000000c08db701a0c21e861aac04000000000202000000",
+            "beef000c617465726d2d3132616233340006f3080903020104010100010280897ae0d403",
+            "d00fac021c0358000404906ef91b",
+        );
+        let referenced = |seq: &str, crc: &str| {
+            format!(
+                "4d545243023f2a00{seq}cc260100000000c08db701a0c21e861aac0400000000020200\
+                 0000beef010006f3080903020104010100010280897ae0d403d00fac021c0358000404{crc}"
+            )
+        };
+        let batch = [
+            inline.to_string(),
+            referenced("01", "834a9a79"),
+            referenced("02", "051d4d38"),
+            referenced("03", "78d00007"),
+            referenced("04", "d2c3e5fb"),
+        ]
+        .concat();
+        let records: Vec<Record> = (0..5).map(sample_record).collect();
+        let mut out = BytesMut::new();
+        assert_eq!(encode_batch(&records, &mut out), 5);
+        assert_eq!(hex(&out), batch);
+    }
+
+    /// Five frames covering every WiFi state, an inline and a referenced
+    /// ESSID, and a second inline ESSID; returns the stream and the offset
+    /// at which each frame ends.
+    fn varied_stream() -> (Vec<Record>, Bytes, Vec<usize>) {
+        let mut records: Vec<Record> = (0..5).map(sample_record).collect();
+        records[1].wifi = WifiState::Off;
+        records[2].wifi = WifiState::OnUnassociated;
+        if let WifiState::Associated(a) = &mut records[4].wifi {
+            a.essid = Essid::new("eduroam");
+        }
+        let mut out = BytesMut::new();
+        let mut dict = EssidDict::default();
+        let mut ends = Vec::new();
+        for r in &records {
+            encode_frame_dict_into(r, &mut out, Some(&mut dict));
+            ends.push(out.len());
+        }
+        (records, out.freeze(), ends)
+    }
+
+    #[test]
+    fn every_truncation_decodes_a_prefix() {
+        let (records, stream, ends) = varied_stream();
+        for cut in 0..=stream.len() {
+            let mut s = stream.slice(..cut);
+            let mut back = Vec::new();
+            let res = decode_batch_into(&mut s, &mut back);
+            let whole = ends.iter().filter(|&&e| e <= cut).count();
+            assert_eq!(back[..], records[..whole], "cut at {cut}");
+            assert_eq!(res.is_ok(), cut == 0 || ends.contains(&cut), "cut at {cut}: {res:?}");
+        }
+    }
+
+    #[test]
+    fn every_byte_corruption_decodes_a_prefix() {
+        let (records, stream, ends) = varied_stream();
+        for pos in 0..stream.len() {
+            let frame = ends.iter().filter(|&&e| e <= pos).count();
+            for mask in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+                let mut raw = stream.to_vec();
+                raw[pos] ^= mask;
+                let mut back = Vec::new();
+                let res = decode_batch_into(&mut Bytes::from(raw), &mut back);
+                assert!(res.is_err(), "xor {mask:#04x} at {pos} undetected");
+                assert_eq!(back[..], records[..frame], "xor {mask:#04x} at {pos}");
+            }
+        }
+    }
+
+    /// A payload spelled out field by field from raw varints, so a test
+    /// can put a value the encoder would never emit into any field.
+    fn raw_payload(head: [u64; 4], scan: [u64; 8], geo: [u64; 2]) -> Vec<u8> {
+        let [device, seq, minute, boot_epoch] = head;
+        let mut p = BytesMut::new();
+        put_varint(&mut p, device);
+        p.put_u8(0); // Android
+        for v in [seq, minute, boot_epoch] {
+            put_varint(&mut p, v);
+        }
+        for _ in 0..12 {
+            put_varint(&mut p, 0); // three zero counter blocks
+        }
+        p.put_u8(0); // WiFi off
+        for v in scan {
+            put_varint(&mut p, v);
+        }
+        put_varint(&mut p, 0); // no apps
+        for v in geo {
+            put_varint(&mut p, v);
+        }
+        p.put_slice(&[50, 0, 4, 4]); // battery, tethering, OS version
+        p.to_vec()
+    }
+
+    #[test]
+    fn out_of_range_varints_rejected() {
+        let head = [7, 1, 100, 2];
+        let scan = [3; 8];
+        let geo = [zigzag(-5), zigzag(9)];
+        let ok = decode_frame(&frame_of(VERSION, &raw_payload(head, scan, geo))).unwrap();
+        assert_eq!((ok.device, ok.seq, ok.time.minute, ok.boot_epoch), (DeviceId(7), 1, 100, 2));
+        assert_eq!(ok.geo, CellId::new(-5, 9));
+
+        let u32_over = (1u64 << 32) + 5;
+        let u16_over = 1u64 << 16;
+        let i16_over = zigzag(i64::from(i16::MAX) + 1);
+        let i16_under = zigzag(i64::from(i16::MIN) - 1);
+        let cases = [
+            ([u32_over, 1, 100, 2], scan, geo, "device id out of range"),
+            ([7, u32_over, 100, 2], scan, geo, "sequence number out of range"),
+            ([7, 1, u32_over, 2], scan, geo, "minute out of range"),
+            ([7, 1, 100, u16_over], scan, geo, "boot epoch out of range"),
+            (head, [3, 3, 3, 3, 3, 3, 3, u16_over], geo, "scan count out of range"),
+            (head, scan, [i16_over, zigzag(9)], "geo cell out of range"),
+            (head, scan, [zigzag(-5), i16_under], "geo cell out of range"),
+        ];
+        for (head, scan, geo, what) in cases {
+            let frame = frame_of(VERSION, &raw_payload(head, scan, geo));
+            assert_eq!(decode_frame(&frame), Err(CodecError::Malformed(what)));
         }
     }
 }

@@ -150,10 +150,14 @@ impl IngestTap {
     /// streams never span shards, so per-device order is preserved).
     pub fn drain_into(&self, out: &mut Vec<TapBatch>) {
         for slot in self.shards.iter() {
+            // Hold the spill lock across both steps. Publishers need it to
+            // send or to spill, so the channel cannot refill and overflow
+            // between them; otherwise a later batch taken from the spill
+            // would be handed out ahead of an earlier one still queued.
+            let mut spill = slot.spill.lock();
             while let Ok(batch) = slot.rx.try_recv() {
                 out.push(batch);
             }
-            let mut spill = slot.spill.lock();
             out.append(&mut spill);
         }
     }

@@ -2,7 +2,11 @@
 //! up in the server's counters one-for-one — a corrupted frame becomes
 //! exactly one CRC rejection, a duplicated delivery exactly one dedup hit.
 
-use mobitrace_collector::{CollectionServer, DeviceAgent, FaultPlan, LossyTransport, Observation};
+use bytes::{BufMut, Bytes, BytesMut};
+use mobitrace_collector::{
+    decode_batch_into, decode_frame, CodecError, CollectionServer, DeviceAgent, FaultPlan,
+    LossyTransport, Observation,
+};
 use mobitrace_model::{
     AppBin, AppCategory, CellId, DeviceId, Os, OsVersion, ScanSummary, SimTime, WifiState,
 };
@@ -114,4 +118,42 @@ fn mixed_duplicate_and_corrupt_accounting_closes() {
     assert_eq!(stats.rejected, transport.corrupted);
     // Every delivery is rejected, stored new, or deduplicated.
     assert_eq!(stats.rejected + stats.duplicates + server.len() as u64, deliveries);
+}
+
+/// `MTRC` v2, a `payload_len` varint of `u64::MAX - 1`, then 4 or 8 zero
+/// bytes. `len + 4` once wrapped past the decoder's length check and
+/// panicked it; every entry point must now reject and count the frame.
+#[test]
+fn wrapping_length_frame_rejected_by_every_entry_point() {
+    for tail in [4, 8] {
+        let mut raw = b"MTRC\x02".to_vec();
+        raw.push(0xFE);
+        raw.extend([0xFF; 8]);
+        raw.push(0x01);
+        raw.resize(raw.len() + tail, 0);
+        let bad = Bytes::from(raw);
+
+        assert_eq!(decode_frame(&bad), Err(CodecError::Truncated));
+        let mut out = Vec::new();
+        assert_eq!(decode_batch_into(&mut bad.clone(), &mut out), Err(CodecError::Truncated));
+        assert!(out.is_empty());
+
+        let server = CollectionServer::new();
+        assert_eq!(server.ingest(&bad), Err(CodecError::Truncated));
+        assert_eq!(server.ingest_batch([bad.clone()]), 0);
+        assert_eq!(server.ingest_stream(bad.clone()), 0);
+
+        // A good frame ahead of the bad one in a stream is still stored.
+        let mut agent = DeviceAgent::new(DeviceId(0), Os::Android, OsVersion::new(4, 4));
+        agent.observe(&obs(10, 1_000));
+        let mut stream = BytesMut::new();
+        assert_eq!(agent.take_stream_into(SimTime::from_minutes(10), &mut stream), 1);
+        stream.put_slice(&bad);
+        assert_eq!(server.ingest_stream(stream.freeze()), 1);
+
+        let stats = server.stats();
+        assert_eq!(stats.rejected, 4, "each bad frame counted once");
+        assert_eq!(stats.frames, 5);
+        assert_eq!(server.len(), 1);
+    }
 }

@@ -87,6 +87,14 @@ impl Essid {
     }
 }
 
+/// Hashes and compares as its contents, so string-keyed sets of `Essid`
+/// can be probed with a borrowed `&str`.
+impl std::borrow::Borrow<str> for Essid {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl std::fmt::Display for Essid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.0)

@@ -8,8 +8,8 @@
 //! dropped from the main analysis dataset.
 
 use mobitrace_model::{
-    ApEntry, ApRef, AppBin, BinRecord, CampaignMeta, Dataset, DeviceInfo, Essid, OsVersion, Record,
-    TrafficCounters, WifiAssoc, WifiBinState, WifiState,
+    ApEntry, ApRef, AppBin, AppCategory, AppCounter, BinRecord, CampaignMeta, Dataset, DeviceInfo,
+    Essid, OsVersion, Record, TrafficCounters, WifiAssoc, WifiBinState, WifiState,
 };
 use std::collections::HashMap;
 
@@ -209,18 +209,29 @@ fn delta(now: &TrafficCounters, before: &TrafficCounters) -> TrafficCounters {
     now.delta_since(before).unwrap_or_default()
 }
 
-fn app_deltas(r: &Record, prev: Option<&Record>) -> Vec<AppBin> {
-    let mut out = Vec::new();
-    for app in &r.apps {
-        let base = prev
-            .and_then(|p| p.apps.iter().find(|a| a.category == app.category))
-            .map(|a| a.counters)
-            .unwrap_or_default();
-        let d = delta(&app.counters, &base);
-        if d.rx_bytes > 0 || d.tx_bytes > 0 {
-            out.push(AppBin { category: app.category, rx_bytes: d.rx_bytes, tx_bytes: d.tx_bytes });
+/// Per-app byte deltas of `r` against `prev`, the device's previous
+/// record in the same boot epoch (`None` after a reboot or for a first
+/// record: everything counted so far belongs to this bin). Apps without
+/// new bytes are dropped. When a category repeats in `prev`, its first
+/// entry is the base. The live engine folds records with this same
+/// function, so batch and streaming app volumes cannot drift apart.
+pub fn app_deltas(r: &Record, prev: Option<&Record>) -> Vec<AppBin> {
+    let mut base = [None::<TrafficCounters>; AppCategory::ALL.len()];
+    if let Some(p) = prev {
+        for app in &p.apps {
+            base[app.category.index()].get_or_insert(app.counters);
         }
     }
+    let delta_of = |app: &AppCounter| {
+        let d = delta(&app.counters, &base[app.category.index()].unwrap_or_default());
+        (d.rx_bytes > 0 || d.tx_bytes > 0).then_some(AppBin {
+            category: app.category,
+            rx_bytes: d.rx_bytes,
+            tx_bytes: d.tx_bytes,
+        })
+    };
+    let mut out = Vec::with_capacity(r.apps.iter().filter(|a| delta_of(a).is_some()).count());
+    out.extend(r.apps.iter().filter_map(delta_of));
     out
 }
 

@@ -35,7 +35,7 @@ pub mod transport;
 
 pub use agent::{DeviceAgent, Observation, DEFAULT_CACHE_CAP};
 pub use chaos::{run_convergence, ChaosRunConfig, ConvergenceReport};
-pub use clean::{clean, strip_update_days, CleanOptions, CleanStats};
+pub use clean::{app_deltas, clean, strip_update_days, CleanOptions, CleanStats};
 pub use codec::{
     decode_batch_into, decode_frame, decode_frame_from, decode_frame_from_with, decode_frame_with,
     encode_batch, encode_frame, encode_frame_dict_into, encode_frame_into, CodecError, EssidDict,

@@ -14,12 +14,14 @@
 //! reports the precision/recall of the paper's home heuristic — an
 //! evaluation the original study could not perform.
 
+use crate::ctx::AnalysisContext;
 use crate::daily::TrafficClass;
 use mobitrace_model::{
     is_public_essid, ApRef, Dataset, DatasetColumns, DeviceId, SimTime, Weekday,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Inferred class of one (BSSID, ESSID) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -266,64 +268,54 @@ pub fn score_home_inference(ds: &Dataset, cls: &ApClassification) -> HomeInferen
 }
 
 /// Breakdown of the number of associated pairs per user-day (Fig. 12): how
-/// many user-days associated with 1, 2, 3, ≥4 distinct pairs, for a
-/// traffic-class filter.
-pub fn aps_per_user_day(
-    ds: &Dataset,
-    filter: Option<(&[crate::daily::UserDay], &[TrafficClass], TrafficClass)>,
-) -> [u64; 4] {
-    // (device, day) → distinct pairs.
-    let mut per_day: HashMap<(DeviceId, u32), HashSet<ApRef>> = HashMap::new();
-    for b in &ds.bins {
-        if let Some(a) = b.wifi.assoc() {
-            per_day.entry((b.device, b.time.day())).or_default().insert(a.ap);
-        }
-    }
-    let allowed: Option<HashSet<(DeviceId, u32)>> = filter.map(|(days, classes, want)| {
-        days.iter()
-            .zip(classes)
-            .filter(|(_, c)| **c == want)
-            .map(|(d, _)| (d.device, d.day))
-            .collect()
-    });
+/// many user-days associated with 1, 2, 3, ≥4 distinct pairs, optionally
+/// restricted to one traffic class.
+///
+/// One walk over the context's user-day runs; each run's associated pairs
+/// are collected into a reused buffer, sorted and deduplicated.
+pub fn aps_per_user_day(ctx: &AnalysisContext<'_>, class: Option<TrafficClass>) -> [u64; 4] {
     let mut out = [0u64; 4];
-    for (key, aps) in per_day {
-        if let Some(allowed) = &allowed {
-            if !allowed.contains(&key) {
-                continue;
-            }
+    let mut aps: Vec<ApRef> = Vec::new();
+    for run in ctx.user_day_runs() {
+        if class.is_some_and(|want| run.class != want) {
+            continue;
         }
-        let n = aps.len().min(4);
-        out[n - 1] += 1;
+        distinct_assoc_aps(&ctx.cols, run.rows, &mut aps);
+        if let Some(n) = aps.len().checked_sub(1) {
+            out[n.min(3)] += 1;
+        }
     }
     out
 }
 
 /// Table 5: breakdown of user-days by (home, public, other) ESSID-count
-/// pattern. Keys are (h, p, o) with counts clamped at 4.
-pub fn hpo_breakdown(ds: &Dataset, cls: &ApClassification) -> HashMap<(u8, u8, u8), u64> {
-    let mut per_day: HashMap<(DeviceId, u32), HashSet<ApRef>> = HashMap::new();
-    for b in &ds.bins {
-        if let Some(a) = b.wifi.assoc() {
-            per_day.entry((b.device, b.time.day())).or_default().insert(a.ap);
-        }
-    }
+/// pattern. Keys are (h, p, o) with counts clamped at 4. Walks the
+/// user-day runs like [`aps_per_user_day`].
+pub fn hpo_breakdown(ctx: &AnalysisContext<'_>) -> HashMap<(u8, u8, u8), u64> {
+    let (ds, cls) = (ctx.ds, &ctx.aps);
     let mut out: HashMap<(u8, u8, u8), u64> = HashMap::new();
-    for ((device, _day), aps) in per_day {
+    let mut aps: Vec<ApRef> = Vec::new();
+    let mut seen_essids: Vec<(&str, ApClass)> = Vec::new();
+    for run in ctx.user_day_runs() {
+        distinct_assoc_aps(&ctx.cols, run.rows, &mut aps);
+        if aps.is_empty() {
+            continue;
+        }
         let (mut h, mut p, mut o) = (0u8, 0u8, 0u8);
         // Distinct ESSIDs per class, per the paper's Table 5 wording.
-        let mut seen_essids: HashSet<(&str, ApClass)> = HashSet::new();
-        for ap in aps {
+        seen_essids.clear();
+        for &ap in &aps {
             // A pair only counts as home for its own device; somebody
             // else's home AP is "other" from this device's perspective.
             let class = match cls.class(ap) {
-                ApClass::Home if !cls.is_device_home(device, ap) => ApClass::Other,
+                ApClass::Home if !cls.is_device_home(run.device, ap) => ApClass::Other,
                 c => c,
             };
-            let essid = ds.ap(ap).essid.as_str();
-            if !seen_essids.insert((essid, class)) {
+            let key = (ds.ap(ap).essid.as_str(), class);
+            if seen_essids.contains(&key) {
                 continue;
             }
+            seen_essids.push(key);
             match class {
                 ApClass::Home => h = h.saturating_add(1),
                 ApClass::Public => p = p.saturating_add(1),
@@ -333,6 +325,14 @@ pub fn hpo_breakdown(ds: &Dataset, cls: &ApClassification) -> HashMap<(u8, u8, u
         *out.entry((h.min(4), p.min(4), o.min(4))).or_default() += 1;
     }
     out
+}
+
+/// The distinct associated pairs among `rows`, sorted, into `aps`.
+fn distinct_assoc_aps(cols: &DatasetColumns, rows: Range<usize>, aps: &mut Vec<ApRef>) {
+    aps.clear();
+    aps.extend(rows.filter_map(|i| cols.assoc_ap_of(i)));
+    aps.sort_unstable();
+    aps.dedup();
 }
 
 #[cfg(test)]
@@ -535,7 +535,7 @@ mod tests {
         b.assoc(1, 0, 10, a1);
         b.assoc(1, 1, 10, a1);
         let ds = b.finish();
-        let hist = aps_per_user_day(&ds, None);
+        let hist = aps_per_user_day(&AnalysisContext::new(&ds), None);
         assert_eq!(hist, [2, 0, 1, 0]); // two 1-AP days, one 3-AP day
     }
 
@@ -548,8 +548,7 @@ mod tests {
         full_night(&mut b, 0, 1, home);
         b.assoc(0, 0, 80, public);
         let ds = b.finish();
-        let cls = classify(&ds);
-        let hpo = hpo_breakdown(&ds, &cls);
+        let hpo = hpo_breakdown(&AnalysisContext::new(&ds));
         // Day 0: home + public = (1, 1, 0).
         assert_eq!(hpo.get(&(1, 1, 0)), Some(&1));
         // Days 1/2: home only (night spillover into day 2).
@@ -578,8 +577,7 @@ mod tests {
         // Device 1 visits device 0's home AP one afternoon.
         b.assoc(1, 0, 90, home0);
         let ds = b.finish();
-        let cls = classify(&ds);
-        let hpo = hpo_breakdown(&ds, &cls);
+        let hpo = hpo_breakdown(&AnalysisContext::new(&ds));
         assert_eq!(hpo.get(&(0, 0, 1)), Some(&1), "visitor day should be O=1: {hpo:?}");
     }
 }

@@ -2,9 +2,10 @@
 //! venue class.
 
 use crate::apclass::{ApClass, ApClassification};
+use crate::ctx::modal_cell;
 use mobitrace_model::{CellId, Dataset};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// One density map: cell → number of unique associated APs of a class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -27,7 +28,8 @@ impl ApDensityMap {
 }
 
 /// Compute Fig. 10's maps for home and public APs. An AP is attributed to
-/// the cell where its associations were most often reported.
+/// the cell where its associations were most often reported, ties going
+/// to the smaller cell.
 pub fn density_maps(ds: &Dataset, cls: &ApClassification) -> (ApDensityMap, ApDensityMap) {
     // Most-frequent report cell per AP.
     let mut cell_votes: HashMap<usize, HashMap<CellId, u32>> = HashMap::new();
@@ -38,13 +40,8 @@ pub fn density_maps(ds: &Dataset, cls: &ApClassification) -> (ApDensityMap, ApDe
     }
     let mut home = ApDensityMap::default();
     let mut public = ApDensityMap::default();
-    let mut seen: HashSet<usize> = HashSet::new();
     for (idx, votes) in cell_votes {
-        if !seen.insert(idx) {
-            continue;
-        }
-        let cell =
-            votes.into_iter().max_by_key(|&(_, n)| n).map(|(c, _)| c).expect("votes nonempty");
+        let cell = modal_cell(&votes).expect("votes nonempty");
         match cls.class_of[idx] {
             ApClass::Home => *home.cells.entry(cell).or_default() += 1,
             ApClass::Public => *public.cells.entry(cell).or_default() += 1,
@@ -59,17 +56,19 @@ mod tests {
     use super::*;
     use mobitrace_model::*;
 
-    #[test]
-    fn aps_attributed_to_modal_cell() {
+    /// One device reporting an association with `ap` from `cell` per
+    /// entry, ten minutes apart; AP 0 is a home-pattern ESSID, AP 1 public.
+    fn reports(entries: &[(u32, CellId)]) -> Dataset {
         let aps = vec![
             ApEntry { bssid: Bssid::from_u64(1), essid: Essid::new("0000carrier-a") },
             ApEntry { bssid: Bssid::from_u64(2), essid: Essid::new("7SPOT") },
         ];
-        let mut bins = Vec::new();
-        let mut push = |t: u32, ap: u32, cell: CellId| {
-            bins.push(BinRecord {
+        let bins = entries
+            .iter()
+            .enumerate()
+            .map(|(t, &(ap, cell))| BinRecord {
                 device: DeviceId(0),
-                time: SimTime::from_minutes(t * 10),
+                time: SimTime::from_minutes(t as u32 * 10),
                 rx_3g: 0,
                 tx_3g: 0,
                 rx_lte: 0,
@@ -86,15 +85,9 @@ mod tests {
                 apps: vec![],
                 geo: cell,
                 os_version: OsVersion::new(4, 4),
-            });
-        };
-        let downtown = CellId::new(10, 10);
-        let edge = CellId::new(11, 10);
-        push(0, 0, downtown);
-        push(1, 0, downtown);
-        push(2, 0, edge); // minority report
-        push(3, 1, downtown);
-        let ds = Dataset {
+            })
+            .collect();
+        Dataset {
             meta: CampaignMeta {
                 year: Year::Y2013,
                 start: Year::Y2013.campaign_start(),
@@ -111,7 +104,15 @@ mod tests {
             }],
             aps,
             bins,
-        };
+        }
+    }
+
+    #[test]
+    fn aps_attributed_to_modal_cell() {
+        let downtown = CellId::new(10, 10);
+        let edge = CellId::new(11, 10);
+        // AP 0's third report is a minority one.
+        let ds = reports(&[(0, downtown), (0, downtown), (0, edge), (1, downtown)]);
         let cls = crate::apclass::classify(&ds);
         let (home, public) = density_maps(&ds, &cls);
         assert_eq!(public.cells.get(&downtown), Some(&2));
@@ -120,5 +121,18 @@ mod tests {
         assert_eq!(public.cells_with_at_least(1), 1);
         assert_eq!(public.cells_with_at_least(3), 0);
         assert_eq!(public.max_cell(), 2);
+    }
+
+    #[test]
+    fn tied_votes_go_to_the_smaller_cell_on_every_call() {
+        let (lo, hi) = (CellId::new(4, 9), CellId::new(5, 0));
+        // AP 1 reported from both cells equally often: an exact tie.
+        let ds = reports(&[(1, hi), (1, lo), (1, hi), (1, lo)]);
+        let cls = crate::apclass::classify(&ds);
+        // Each call tallies into freshly seeded hash maps.
+        for _ in 0..32 {
+            let (_, public) = density_maps(&ds, &cls);
+            assert_eq!(public.cells, HashMap::from([(lo, 1)]));
+        }
     }
 }

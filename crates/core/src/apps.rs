@@ -83,56 +83,52 @@ fn top(volumes: &[u64; 26], n: usize) -> Vec<(AppCategory, f64)> {
 /// Compute the Tables 6/7 breakdown, optionally restricted to a traffic
 /// class (the paper also reports light-user mixes in §3.6).
 ///
-/// Walks the context's bin-range index: non-Android devices are skipped
-/// wholesale and the traffic class is resolved once per (device, day) run
-/// instead of binary-searching per bin. Within a range it scans the CSR
-/// app column: bins without app entries cost one offset compare, and the
-/// entries themselves stream from one flat allocation.
+/// Walks the context's user-day runs: non-Android devices and runs of
+/// other classes are skipped wholesale, with the class resolved once per
+/// run. Within a run it scans the CSR app column: bins without app
+/// entries cost one offset compare, and the entries themselves stream
+/// from one flat allocation.
 pub fn app_breakdown(ctx: &AnalysisContext<'_>, class: Option<TrafficClass>) -> AppBreakdown {
     let cols = &ctx.cols;
     let mut out = AppBreakdown::default();
-    for dev in &ctx.ds.devices {
-        if dev.os != Os::Android {
+    for run in ctx.user_day_runs() {
+        if ctx.ds.devices[run.device.index()].os != Os::Android
+            || class.is_some_and(|want| run.class != want)
+        {
             continue;
         }
-        for (day, range) in ctx.index.day_spans(dev.device) {
-            if let Some(want) = class {
-                if ctx.class_of(dev.device, day) != Some(want) {
-                    continue;
-                }
+        let home_cell = ctx.home_cell.get(&run.device);
+        for i in run.rows {
+            let apps = cols.apps_of(i);
+            if apps.is_empty() {
+                continue;
             }
-            for i in range {
-                let apps = cols.apps_of(i);
-                if apps.is_empty() {
-                    continue;
-                }
-                // Which context does this bin belong to?
-                let table_ctx = match cols.assoc_ap_of(i) {
-                    Some(ap) => match ctx.aps.class(ap) {
-                        ApClass::Home if ctx.aps.is_device_home(cols.device[i], ap) => {
-                            TableContext::WifiHome
-                        }
-                        ApClass::Public => TableContext::WifiPublic,
-                        // Office/other/foreign-home WiFi is outside the four
-                        // table columns, as in the paper.
-                        _ => continue,
-                    },
-                    None => {
-                        if cols.rx_cell(i) + cols.tx_cell(i) == 0 {
-                            continue;
-                        }
-                        if ctx.is_at_home_cell(cols.device[i], cols.geo[i]) {
-                            TableContext::CellHome
-                        } else {
-                            TableContext::CellOther
-                        }
+            // Which context does this bin belong to?
+            let table_ctx = match cols.assoc_ap_of(i) {
+                Some(ap) => match ctx.aps.class(ap) {
+                    ApClass::Home if ctx.aps.is_device_home(run.device, ap) => {
+                        TableContext::WifiHome
                     }
-                };
-                let slot = table_ctx as usize;
-                for app in apps {
-                    out.rx[slot][app.category.index()] += app.rx_bytes;
-                    out.tx[slot][app.category.index()] += app.tx_bytes;
+                    ApClass::Public => TableContext::WifiPublic,
+                    // Office/other/foreign-home WiFi is outside the four
+                    // table columns, as in the paper.
+                    _ => continue,
+                },
+                None => {
+                    if cols.rx_cell(i) + cols.tx_cell(i) == 0 {
+                        continue;
+                    }
+                    if home_cell == Some(&cols.geo[i]) {
+                        TableContext::CellHome
+                    } else {
+                        TableContext::CellOther
+                    }
                 }
+            };
+            let slot = table_ctx as usize;
+            for app in apps {
+                out.rx[slot][app.category.index()] += app.rx_bytes;
+                out.tx[slot][app.category.index()] += app.tx_bytes;
             }
         }
     }

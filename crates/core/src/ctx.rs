@@ -3,11 +3,27 @@
 use crate::apclass::{classify_cols, ApClassification};
 use crate::daily::{classify_user_days, user_days_cols, TrafficClass, UserDay};
 use mobitrace_model::{CellId, Dataset, DatasetColumns, DatasetIndex, DeviceId};
+use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Below this bin count the context is built sequentially: the passes are
 /// cheap enough that thread spawn/join overhead dominates.
 const PARALLEL_BUILD_THRESHOLD: usize = 50_000;
+
+/// One user-day's bins: a maximal (device, day) run of rows in the
+/// dataset, with the traffic class of that user-day.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UserDayRun {
+    /// Device.
+    pub device: DeviceId,
+    /// Campaign day.
+    pub day: u32,
+    /// The run's rows (indices into `ds.bins` and the columnar view).
+    pub rows: Range<usize>,
+    /// Traffic class of the user-day.
+    pub class: TrafficClass,
+}
 
 /// Precomputed products shared by the individual analyses: per-user-day
 /// aggregates with their light/heavy classes, the AP classification, and
@@ -90,6 +106,23 @@ impl<'a> AnalysisContext<'a> {
         Some(self.classes[idx])
     }
 
+    /// Every user-day's bin run with its class, in (device, day) order.
+    /// Bins and `days` share that order ([`Dataset::validate`] enforces
+    /// it), so the k-th indexed day span *is* the k-th user-day: class-
+    /// filtered passes resolve the class once per run from here instead
+    /// of calling [`class_of`](Self::class_of) per bin.
+    pub fn user_day_runs(&self) -> impl Iterator<Item = UserDayRun> + '_ {
+        let index = &self.index;
+        index
+            .devices_with_bins()
+            .flat_map(move |dev| index.day_spans(dev).map(move |(day, rows)| (dev, day, rows)))
+            .zip(self.days.iter().zip(&self.classes))
+            .map(|((device, day, rows), (user_day, &class))| {
+                debug_assert_eq!((user_day.device, user_day.day), (device, day));
+                UserDayRun { device, day, rows, class }
+            })
+    }
+
     /// Is the device at its inferred home cell in this bin?
     pub fn is_at_home_cell(&self, device: DeviceId, cell: CellId) -> bool {
         self.home_cell.get(&device) == Some(&cell)
@@ -97,9 +130,8 @@ impl<'a> AnalysisContext<'a> {
 }
 
 /// Modal night-time (22:00–06:00) cell per device. Walks each device's
-/// indexed range over the time/geo columns with one reused tally map; ties
-/// break to the smaller [`CellId`] so the result never depends on hash-map
-/// iteration order.
+/// indexed range over the time/geo columns with one reused tally map,
+/// picking the winner with [`modal_cell`].
 fn infer_home_cells(cols: &DatasetColumns, index: &DatasetIndex) -> HashMap<DeviceId, CellId> {
     let mut home = HashMap::new();
     let mut tally: HashMap<CellId, u32> = HashMap::new();
@@ -112,21 +144,17 @@ fn infer_home_cells(cols: &DatasetColumns, index: &DatasetIndex) -> HashMap<Devi
             }
             *tally.entry(cols.geo[i]).or_default() += 1;
         }
-        let mut best: Option<(CellId, u32)> = None;
-        for (&cell, &n) in &tally {
-            let better = match best {
-                None => true,
-                Some((bc, bn)) => n > bn || (n == bn && cell < bc),
-            };
-            if better {
-                best = Some((cell, n));
-            }
-        }
-        if let Some((cell, _)) = best {
+        if let Some(cell) = modal_cell(&tally) {
             home.insert(dev, cell);
         }
     }
     home
+}
+
+/// The most-voted cell of a tally. Ties break to the smaller [`CellId`],
+/// so the pick never depends on hash-map iteration order.
+pub(crate) fn modal_cell(votes: &HashMap<CellId, u32>) -> Option<CellId> {
+    votes.iter().max_by_key(|&(&cell, &n)| (n, Reverse(cell))).map(|(&cell, _)| cell)
 }
 
 #[cfg(test)]
@@ -212,6 +240,16 @@ mod tests {
         let ctx = AnalysisContext::new(&ds);
         assert_eq!(ctx.class_of(DeviceId(0), 1), Some(crate::daily::TrafficClass::Heavy));
         assert_eq!(ctx.class_of(DeviceId(0), 7), None);
+        // The run walk agrees with the point lookups and covers every bin.
+        let runs: Vec<UserDayRun> = ctx.user_day_runs().collect();
+        assert_eq!(runs.len(), ctx.days.len());
+        assert_eq!(runs.iter().map(|r| r.rows.len()).sum::<usize>(), ds.bins.len());
+        for r in &runs {
+            assert_eq!(ctx.class_of(r.device, r.day), Some(r.class));
+            assert!(ds.bins[r.rows.clone()]
+                .iter()
+                .all(|b| b.device == r.device && b.time.day() == r.day));
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! normalised by the pairs possible.
 
 use crate::apclass::{ApClass, ApClassification};
+use crate::ctx::modal_cell;
 use mobitrace_model::{Band, CellId, Channel, Dataset};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -38,7 +39,8 @@ pub fn interference_pressure(
     ds: &Dataset,
     cls: &ApClassification,
 ) -> HashMap<ApClass, InterferencePressure> {
-    // Channel of each associated 2.4 GHz AP and its modal cell.
+    // Channel of each associated 2.4 GHz AP and its modal cell (ties to
+    // the smaller cell).
     let mut chan: HashMap<usize, Channel> = HashMap::new();
     let mut cell_votes: HashMap<usize, HashMap<CellId, u32>> = HashMap::new();
     for b in &ds.bins {
@@ -52,7 +54,7 @@ pub fn interference_pressure(
     // Group channels by (class, cell).
     let mut per_cell: HashMap<(ApClass, CellId), Vec<Channel>> = HashMap::new();
     for (idx, votes) in cell_votes {
-        let cell = votes.into_iter().max_by_key(|&(_, n)| n).map(|(c, _)| c).expect("nonempty");
+        let cell = modal_cell(&votes).expect("nonempty");
         let class = cls.class_of[idx];
         per_cell.entry((class, cell)).or_default().push(chan[&idx]);
     }
@@ -146,6 +148,34 @@ mod tests {
         let cls = crate::apclass::classify(&ds);
         let p = interference_pressure(&ds, &cls);
         assert_eq!(p[&ApClass::Public].overlap_share(), 1.0);
+    }
+
+    #[test]
+    fn tied_modal_cells_resolve_the_same_on_every_call() {
+        // Four public APs on channel 1. AP 0 is reported once from each of
+        // two cells (an exact tie); APs 1 and 2 sit in the smaller cell,
+        // AP 3 in the larger. The tie going to the smaller cell yields 3
+        // co-located pairs; the other way would yield 2.
+        let mut ds = ds_with(vec![
+            ("0000carrier-a", 1),
+            ("0001carrier-c", 1),
+            ("7SPOT", 1),
+            ("0000carrier-a", 1),
+        ]);
+        let (lo, hi) = (CellId::new(1, 1), CellId::new(1, 2));
+        for (b, cell) in ds.bins.iter_mut().zip([hi, lo, lo, hi]) {
+            b.geo = cell;
+        }
+        let mut extra = ds.bins[0].clone();
+        extra.time = SimTime::from_minutes(100);
+        extra.geo = lo;
+        ds.bins.push(extra);
+        let cls = crate::apclass::classify(&ds);
+        // Each call tallies into freshly seeded hash maps.
+        for _ in 0..32 {
+            let p = interference_pressure(&ds, &cls);
+            assert_eq!(p[&ApClass::Public].total_pairs, 3);
+        }
     }
 
     #[test]

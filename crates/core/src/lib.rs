@@ -64,6 +64,6 @@ pub mod volume;
 pub mod wifistate;
 
 pub use apclass::{ApClass, ApClassification};
-pub use ctx::AnalysisContext;
+pub use ctx::{AnalysisContext, UserDayRun};
 pub use daily::UserDay;
 pub use stats::{ccdf_points, cdf_points, linear_fit, mean, median, percentile, Histogram};

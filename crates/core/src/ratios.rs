@@ -47,20 +47,20 @@ impl ClassFilter {
     }
 }
 
-/// WiFi-traffic ratio per hour of week (Figs. 6a, 7). Streams the columnar
-/// view: only the device/time columns and two counters come through cache.
+/// WiFi-traffic ratio per hour of week (Figs. 6a, 7). Walks the
+/// user-day runs, skipping filtered-out runs wholesale, and streams the
+/// time column and two counters of the admitted rows.
 pub fn wifi_traffic_ratio(ctx: &AnalysisContext<'_>, filter: ClassFilter) -> RatioSeries {
     let cols = &ctx.cols;
     let mut wifi = vec![0.0; WEEK_HOURS];
     let mut total = vec![0.0; WEEK_HOURS];
-    for i in 0..cols.len() {
-        let t = cols.time[i];
-        if !filter.admits(ctx.class_of(cols.device[i], t.day())) {
-            continue;
+    for run in ctx.user_day_runs().filter(|r| filter.admits(Some(r.class))) {
+        let week_day = (run.day % 7) * 24;
+        for i in run.rows {
+            let slot = (week_day + cols.time[i].hour()) as usize;
+            wifi[slot] += cols.rx_wifi[i] as f64;
+            total[slot] += cols.rx_total(i) as f64;
         }
-        let slot = ((t.day() % 7) * 24 + t.hour()) as usize;
-        wifi[slot] += cols.rx_wifi[i] as f64;
-        total[slot] += cols.rx_total(i) as f64;
     }
     finish(wifi, total)
 }
@@ -86,42 +86,29 @@ pub fn wifi_traffic_ratio_rows(ctx: &AnalysisContext<'_>, filter: ClassFilter) -
 pub fn wifi_user_ratio(ctx: &AnalysisContext<'_>, filter: ClassFilter) -> RatioSeries {
     // Count distinct (device, slot-instance) pairs. One device appears
     // once per hour: 6 bins — it counts as a WiFi user if any of them is
-    // associated. Exploit the per-device time ordering: bins of one hour
-    // of one device are adjacent. Columnar scan: device, time and the
-    // one-byte WiFi tag.
+    // associated. An admitted user-day run is time-ordered, so each of
+    // its hours is one adjacent group of rows; only the time column and
+    // the one-byte WiFi tag are read.
     let cols = &ctx.cols;
     let mut users = vec![0.0; WEEK_HOURS];
     let mut wifi_users = vec![0.0; WEEK_HOURS];
-    let mut current: Option<(mobitrace_model::DeviceId, u32, bool, usize, bool)> = None;
-    // (device, absolute-hour, associated, slot, admitted)
-    let mut flush = |c: Option<(mobitrace_model::DeviceId, u32, bool, usize, bool)>| {
-        if let Some((_, _, assoc, slot, admitted)) = c {
-            if admitted {
-                users[slot] += 1.0;
-                if assoc {
-                    wifi_users[slot] += 1.0;
-                }
+    for run in ctx.user_day_runs().filter(|r| filter.admits(Some(r.class))) {
+        let week_day = (run.day % 7) * 24;
+        let mut i = run.rows.start;
+        while i < run.rows.end {
+            let hour = cols.time[i].hour();
+            let mut assoc = false;
+            while i < run.rows.end && cols.time[i].hour() == hour {
+                assoc |= cols.wifi_tag[i] == mobitrace_model::WifiTag::Associated;
+                i += 1;
             }
-        }
-    };
-    for i in 0..cols.len() {
-        let device = cols.device[i];
-        let t = cols.time[i];
-        let abs_hour = t.minute / 60;
-        let slot = ((t.day() % 7) * 24 + t.hour()) as usize;
-        let assoc = cols.wifi_tag[i] == mobitrace_model::WifiTag::Associated;
-        match &mut current {
-            Some((dev, hour, acc_assoc, _, _)) if *dev == device && *hour == abs_hour => {
-                *acc_assoc |= assoc;
-            }
-            other => {
-                let admitted = filter.admits(ctx.class_of(device, t.day()));
-                flush(other.take());
-                current = Some((device, abs_hour, assoc, slot, admitted));
+            let slot = (week_day + hour) as usize;
+            users[slot] += 1.0;
+            if assoc {
+                wifi_users[slot] += 1.0;
             }
         }
     }
-    flush(current.take());
     finish(wifi_users, users)
 }
 

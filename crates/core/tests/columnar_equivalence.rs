@@ -4,7 +4,8 @@
 //! that lets the hot paths scan [`mobitrace_model::DatasetColumns`] while
 //! `Dataset::bins` stays the source of truth.
 
-use mobitrace_core::daily::TrafficClass;
+use mobitrace_core::apclass::{ApClass, ApClassification};
+use mobitrace_core::daily::{TrafficClass, UserDay};
 use mobitrace_core::ratios::ClassFilter;
 use mobitrace_core::{
     apclass, apps, availability, daily, overview, quality, ratios, timeseries, AnalysisContext,
@@ -15,9 +16,13 @@ use mobitrace_model::{
     WifiAssoc, WifiBinState, Year,
 };
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 const N_DEV: u32 = 4;
 const N_APS: u32 = 3;
+/// One public ESSID, and two pairs sharing an ESSID (so per-ESSID
+/// deduplication in the Table 5 pass has something to merge).
+const ESSIDS: [&str; N_APS as usize] = ["ap-0", "7SPOT", "ap-0"];
 
 fn wifi_strategy() -> impl Strategy<Value = WifiBinState> {
     prop_oneof![
@@ -102,11 +107,74 @@ fn dataset(mut bins: Vec<BinRecord>) -> Dataset {
         aps: (0..N_APS)
             .map(|i| ApEntry {
                 bssid: Bssid::from_u64(u64::from(i) + 1),
-                essid: Essid::new(format!("ap-{i}")),
+                essid: Essid::new(ESSIDS[i as usize]),
             })
             .collect(),
         bins,
     }
+}
+
+/// Hash-map reference for [`apclass::aps_per_user_day`]: distinct pairs
+/// per (device, day) gathered over all rows, then filtered by an allowed
+/// set of user-days of the wanted class.
+fn aps_per_user_day_reference(
+    ds: &Dataset,
+    filter: Option<(&[UserDay], &[TrafficClass], TrafficClass)>,
+) -> [u64; 4] {
+    let mut per_day: HashMap<(DeviceId, u32), HashSet<ApRef>> = HashMap::new();
+    for b in &ds.bins {
+        if let Some(a) = b.wifi.assoc() {
+            per_day.entry((b.device, b.time.day())).or_default().insert(a.ap);
+        }
+    }
+    let allowed: Option<HashSet<(DeviceId, u32)>> = filter.map(|(days, classes, want)| {
+        days.iter()
+            .zip(classes)
+            .filter(|(_, c)| **c == want)
+            .map(|(d, _)| (d.device, d.day))
+            .collect()
+    });
+    let mut out = [0u64; 4];
+    for (key, aps) in per_day {
+        if let Some(allowed) = &allowed {
+            if !allowed.contains(&key) {
+                continue;
+            }
+        }
+        out[aps.len().min(4) - 1] += 1;
+    }
+    out
+}
+
+/// Hash-map reference for [`apclass::hpo_breakdown`].
+fn hpo_breakdown_reference(ds: &Dataset, cls: &ApClassification) -> HashMap<(u8, u8, u8), u64> {
+    let mut per_day: HashMap<(DeviceId, u32), HashSet<ApRef>> = HashMap::new();
+    for b in &ds.bins {
+        if let Some(a) = b.wifi.assoc() {
+            per_day.entry((b.device, b.time.day())).or_default().insert(a.ap);
+        }
+    }
+    let mut out: HashMap<(u8, u8, u8), u64> = HashMap::new();
+    for ((device, _day), aps) in per_day {
+        let (mut h, mut p, mut o) = (0u8, 0u8, 0u8);
+        let mut seen_essids: HashSet<(&str, ApClass)> = HashSet::new();
+        for ap in aps {
+            let class = match cls.class(ap) {
+                ApClass::Home if !cls.is_device_home(device, ap) => ApClass::Other,
+                c => c,
+            };
+            if !seen_essids.insert((ds.ap(ap).essid.as_str(), class)) {
+                continue;
+            }
+            match class {
+                ApClass::Home => h = h.saturating_add(1),
+                ApClass::Public => p = p.saturating_add(1),
+                ApClass::Office | ApClass::Other => o = o.saturating_add(1),
+            }
+        }
+        *out.entry((h.min(4), p.min(4), o.min(4))).or_default() += 1;
+    }
+    out
 }
 
 /// Run every columnar pass against its row-scan reference, asserting
@@ -134,7 +202,11 @@ fn assert_passes_match(ds: &Dataset) {
         availability::detected_public_aps_rows(ds)
     );
     assert_eq!(availability::offload_potential(ds, cols), availability::offload_potential_rows(ds));
-    for filter in [ClassFilter::All, ClassFilter::Only(TrafficClass::Heavy)] {
+    for filter in [
+        ClassFilter::All,
+        ClassFilter::Only(TrafficClass::Heavy),
+        ClassFilter::Only(TrafficClass::Light),
+    ] {
         assert_eq!(
             ratios::wifi_traffic_ratio(&ctx, filter),
             ratios::wifi_traffic_ratio_rows(&ctx, filter)
@@ -149,10 +221,24 @@ fn assert_passes_match(ds: &Dataset) {
         apps::app_breakdown(&ctx, Some(TrafficClass::Light)),
         apps::app_breakdown_rows(&ctx, Some(TrafficClass::Light))
     );
+    assert_eq!(apclass::aps_per_user_day(&ctx, None), aps_per_user_day_reference(ds, None));
+    for class in [TrafficClass::Light, TrafficClass::Heavy, TrafficClass::Middle] {
+        assert_eq!(
+            apclass::aps_per_user_day(&ctx, Some(class)),
+            aps_per_user_day_reference(ds, Some((&ctx.days, &ctx.classes, class)))
+        );
+    }
+    assert_eq!(apclass::hpo_breakdown(&ctx), hpo_breakdown_reference(ds, &ctx.aps));
+}
+
+/// Case count: 48 by default, raised through `PROPTEST_CASES` (CI runs
+/// an elevated-case step).
+fn proptest_cases() -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(48)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig { cases: proptest_cases(), ..ProptestConfig::default() })]
 
     #[test]
     fn columnar_passes_match_row_references(

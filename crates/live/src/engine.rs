@@ -37,10 +37,10 @@
 //! `dup_dropped`, which is what makes crash replay safe: a replayed batch
 //! re-offers everything, the engine keeps only what it has never seen.
 
-use mobitrace_collector::{clean, CleanOptions, CleanStats, TapBatch};
+use mobitrace_collector::{app_deltas, clean, CleanOptions, CleanStats, TapBatch};
 use mobitrace_model::{
-    AppBin, CampaignMeta, Carrier, Dataset, DatasetColumns, DatasetIndex, DeviceId, DeviceInfo,
-    LiveRow, LiveSnapshot, LiveTableBuilder, Os, OsVersion, Record, SimTime, TrafficCounters,
+    CampaignMeta, Carrier, Dataset, DatasetColumns, DatasetIndex, DeviceId, DeviceInfo, LiveRow,
+    LiveSnapshot, LiveTableBuilder, Os, OsVersion, Record, SimTime, TrafficCounters,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -445,22 +445,6 @@ fn delta(now: &TrafficCounters, before: &TrafficCounters) -> TrafficCounters {
     now.delta_since(before).unwrap_or_default()
 }
 
-/// Per-app deltas, exactly as the batch cleaner computes them.
-fn app_deltas(r: &Record, prev: Option<&Record>) -> Vec<AppBin> {
-    let mut out = Vec::new();
-    for app in &r.apps {
-        let base = prev
-            .and_then(|p| p.apps.iter().find(|a| a.category == app.category))
-            .map(|a| a.counters)
-            .unwrap_or_default();
-        let d = delta(&app.counters, &base);
-        if d.rx_bytes > 0 || d.tx_bytes > 0 {
-            out.push(AppBin { category: app.category, rx_bytes: d.rx_bytes, tx_bytes: d.tx_bytes });
-        }
-    }
-    out
-}
-
 /// The convergence reference: a batch clean over `records` minus the late
 /// keys the engine refused. The live snapshot must equal this exactly.
 pub fn batch_reference(
@@ -736,26 +720,44 @@ mod tests {
     #[test]
     fn app_deltas_replicate_batch_rules() {
         use mobitrace_model::{AppCategory, AppCounter};
+        let app = |category: AppCategory, rx_bytes: u64| AppCounter {
+            category,
+            counters: TrafficCounters { rx_bytes, tx_bytes: rx_bytes / 10, rx_pkts: 0, tx_pkts: 0 },
+        };
         let mut engine = LiveEngine::new(meta(1), 1, LiveOptions::default());
         let mut records = Vec::new();
         for seq in 0..4u32 {
             let mut r = rec(0, seq, u64::from(seq) * 1_000);
             r.os = Os::Android;
-            r.apps = vec![AppCounter {
-                category: AppCategory::Video,
-                counters: TrafficCounters {
-                    rx_bytes: u64::from(seq) * 5_000,
-                    tx_bytes: u64::from(seq) * 500,
-                    rx_pkts: u64::from(seq) * 6,
-                    tx_pkts: u64::from(seq),
-                },
-            }];
+            r.apps = vec![app(AppCategory::Video, u64::from(seq) * 5_000)];
             records.push(r);
         }
+        // Categories listed twice: every entry gets its own delta, and the
+        // first entry of a repeated category is the next record's base.
+        let mut r4 = rec(0, 4, 4_000);
+        r4.os = Os::Android;
+        r4.apps = vec![
+            app(AppCategory::Video, 20_000),
+            app(AppCategory::Video, 99_000),
+            app(AppCategory::Social, 1_000),
+        ];
+        let mut r5 = rec(0, 5, 5_000);
+        r5.os = Os::Android;
+        r5.apps = vec![
+            app(AppCategory::Video, 26_000),
+            app(AppCategory::Social, 1_500),
+            app(AppCategory::Social, 3_000),
+        ];
+        records.extend([r4, r5]);
         engine.ingest_batch(&batch(records.clone()));
         let (fin, _) = finish_and_check(engine, &records);
+        let bins = &fin.snapshot.ds.bins;
         // Seq 0 has zero app delta → no AppBin; the rest carry 5 kB each.
-        assert!(fin.snapshot.ds.bins[0].apps.is_empty());
-        assert_eq!(fin.snapshot.ds.bins[1].apps[0].rx_bytes, 5_000);
+        assert!(bins[0].apps.is_empty());
+        assert_eq!(bins[1].apps[0].rx_bytes, 5_000);
+        let rx = |i: usize| bins[i].apps.iter().map(|a| a.rx_bytes).collect::<Vec<_>>();
+        assert_eq!(rx(4), [5_000, 84_000, 1_000]);
+        assert_eq!(rx(5), [6_000, 500, 2_000]);
+        assert_eq!(bins[5].apps[0].tx_bytes, 600);
     }
 }

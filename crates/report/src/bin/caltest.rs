@@ -17,7 +17,7 @@ fn main() {
         let off_bh = core_::wifistate::business_hours_mean(&f9a.off);
         let score = core_::apclass::score_home_inference(&ds, &ctx.aps);
         let counts = &ctx.aps.counts;
-        let apd = core_::apclass::aps_per_user_day(&ds, None);
+        let apd = core_::apclass::aps_per_user_day(&ctx, None);
         let total_apd: u64 = apd.iter().sum();
         let wtr = core_::ratios::wifi_traffic_ratio(&ctx, core_::ratios::ClassFilter::All);
         let wur = core_::ratios::wifi_user_ratio(&ctx, core_::ratios::ClassFilter::All);

@@ -127,15 +127,29 @@ impl CampaignSet {
     /// is mmap-analyzing neither corrupts their view nor loses the old
     /// pool if this process dies mid-export.
     pub fn save_pool(&self, path: &Path) -> Result<(), PoolError> {
+        // The four index + column builds are independent, so they run
+        // concurrently (as `load_pool`'s decodes do); the appends then
+        // go in stream order, keeping the file bytes unchanged.
         let mut w = PoolWriter::replace(path)?;
-        for (i, ds) in self.years.iter().enumerate() {
-            let index = DatasetIndex::build(ds);
-            let cols = DatasetColumns::build(ds);
-            w.append_dataset(YEAR_STREAMS[i], ds, &index, &cols)?;
+        let parts = |ds: &Dataset| (DatasetIndex::build(ds), DatasetColumns::build(ds));
+        let [y0, y1, y2] = &self.years;
+        let built = std::thread::scope(|scope| {
+            let h0 = scope.spawn(|| parts(y0));
+            let h1 = scope.spawn(|| parts(y1));
+            let h3 = scope.spawn(|| parts(&self.update_2015));
+            let p2 = parts(y2);
+            [
+                h0.join().expect("2013 build"),
+                h1.join().expect("2014 build"),
+                p2,
+                h3.join().expect("2015-with-updates build"),
+            ]
+        });
+        let datasets = [y0, y1, y2, &self.update_2015];
+        let streams = [YEAR_STREAMS[0], YEAR_STREAMS[1], YEAR_STREAMS[2], UPDATE_STREAM];
+        for ((stream, ds), (index, cols)) in streams.into_iter().zip(datasets).zip(&built) {
+            w.append_dataset(stream, ds, index, cols)?;
         }
-        let index = DatasetIndex::build(&self.update_2015);
-        let cols = DatasetColumns::build(&self.update_2015);
-        w.append_dataset(UPDATE_STREAM, &self.update_2015, &index, &cols)?;
         w.finish()?;
         Ok(())
     }

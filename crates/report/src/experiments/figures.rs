@@ -376,22 +376,17 @@ pub(super) fn fig11(set: &CampaignSet, ctxs: &[AnalysisContext<'_>; 3]) -> Exper
     }
 }
 
-pub(super) fn fig12(set: &CampaignSet, ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
+pub(super) fn fig12(ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
     let mut t = Table::new(vec!["year", "class", "1 AP %", "2 APs %", "3 APs %", "4+ APs %"]);
     let mut metrics = Vec::new();
     let paper_one_ap = [70.0, 65.0, 60.0];
-    for (y, year) in Year::ALL.iter().enumerate() {
-        let ds = set.year(*year);
-        let ctx = &ctxs[y];
+    for (y, ctx) in ctxs.iter().enumerate() {
         for (label, filter) in [
             ("all", None),
             ("heavy", Some(TrafficClass::Heavy)),
             ("light", Some(TrafficClass::Light)),
         ] {
-            let hist = mobitrace_core::apclass::aps_per_user_day(
-                ds,
-                filter.map(|f| (&ctx.days[..], &ctx.classes[..], f)),
-            );
+            let hist = mobitrace_core::apclass::aps_per_user_day(ctx, filter);
             let total: u64 = hist.iter().sum();
             if total == 0 {
                 continue;

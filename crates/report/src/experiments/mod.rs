@@ -130,7 +130,7 @@ pub fn run_experiment(
         "table2" => tables::table2(set),
         "table3" => tables::table3(ctxs),
         "table4" => tables::table4(set, ctxs),
-        "table5" => tables::table5(set, ctxs),
+        "table5" => tables::table5(ctxs),
         "table6" => tables::table6(ctxs),
         "table7" => tables::table7(ctxs),
         "table8" => tables::table8(set),
@@ -146,7 +146,7 @@ pub fn run_experiment(
         "fig9" => figures::fig9(set),
         "fig10" => figures::fig10(set, ctxs),
         "fig11" => figures::fig11(set, ctxs),
-        "fig12" => figures::fig12(set, ctxs),
+        "fig12" => figures::fig12(ctxs),
         "fig13" => figures::fig13(set, ctxs),
         "fig14" => figures::fig14(set, ctxs),
         "fig15" => figures::fig15(ctxs),

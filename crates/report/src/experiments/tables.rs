@@ -4,11 +4,11 @@ use super::{ExperimentReport, Metric, YEAR_LABELS};
 use crate::data::CampaignSet;
 use crate::render::Table;
 use mobitrace_core::apclass::{aps_per_user_day, hpo_breakdown, score_home_inference};
-use mobitrace_core::apps::{app_breakdown, TableContext};
+use mobitrace_core::apps::{app_breakdown, AppBreakdown, TableContext};
 use mobitrace_core::daily::TrafficClass;
 use mobitrace_core::stats::annual_growth_rate;
 use mobitrace_core::{overview, AnalysisContext};
-use mobitrace_model::{Occupation, SurveyReason, Year};
+use mobitrace_model::{AppCategory, Occupation, SurveyReason, Year};
 
 pub(super) fn table1(set: &CampaignSet, ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
     let mut t = Table::new(vec!["year", "duration", "#And", "#iOS", "#total", "%LTE traffic"]);
@@ -164,10 +164,9 @@ pub(super) fn table4(set: &CampaignSet, ctxs: &[AnalysisContext<'_>; 3]) -> Expe
     }
 }
 
-pub(super) fn table5(set: &CampaignSet, ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
+pub(super) fn table5(ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
     let mut t = Table::new(vec!["HPO", "2013 %", "2014 %", "2015 %"]);
-    let breakdowns: Vec<_> =
-        Year::ALL.iter().zip(ctxs).map(|(y, c)| hpo_breakdown(set.year(*y), &c.aps)).collect();
+    let breakdowns: Vec<_> = ctxs.iter().map(hpo_breakdown).collect();
     let totals: Vec<f64> = breakdowns.iter().map(|b| b.values().sum::<u64>() as f64).collect();
     let pct = |b: &std::collections::HashMap<(u8, u8, u8), u64>, total: f64, key: (u8, u8, u8)| {
         b.get(&key).copied().unwrap_or(0) as f64 / total * 100.0
@@ -208,15 +207,14 @@ pub(super) fn table5(set: &CampaignSet, ctxs: &[AnalysisContext<'_>; 3]) -> Expe
 }
 
 fn app_table(
-    ctxs: &[AnalysisContext<'_>; 3],
+    breakdowns: &[AppBreakdown; 3],
     tx: bool,
     id: &'static str,
     title: &'static str,
     spot_checks: Vec<Metric>,
 ) -> ExperimentReport {
     let mut rendering = String::new();
-    for (y, ctx) in ctxs.iter().enumerate() {
-        let b = app_breakdown(ctx, None);
+    for (y, b) in breakdowns.iter().enumerate() {
         let mut t = Table::new(vec!["rank", "Cell home", "Cell other", "WiFi home", "WiFi public"]);
         let tops: Vec<Vec<(mobitrace_model::AppCategory, f64)>> = TableContext::ALL
             .iter()
@@ -236,71 +234,52 @@ fn app_table(
     ExperimentReport { id, title, metrics: spot_checks, rendering }
 }
 
+/// Share (percent) of one category in a context's ranked volumes.
+fn category_share(ranked: Vec<(mobitrace_model::AppCategory, f64)>, cat: AppCategory) -> f64 {
+    ranked.into_iter().find(|(c, _)| *c == cat).map(|(_, p)| p).unwrap_or(0.0)
+}
+
 pub(super) fn table6(ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
     use mobitrace_model::AppCategory::*;
+    let b = ctxs.each_ref().map(|ctx| app_breakdown(ctx, None));
     // Spot-check the paper's most diagnostic RX shares.
-    let share = |ctx: &AnalysisContext<'_>,
-                 table_ctx: TableContext,
-                 cat: mobitrace_model::AppCategory| {
-        let b = app_breakdown(ctx, None);
-        b.top_rx(table_ctx, 26).into_iter().find(|(c, _)| *c == cat).map(|(_, p)| p).unwrap_or(0.0)
+    let share = |y: usize, table_ctx: TableContext, cat: AppCategory| {
+        category_share(b[y].top_rx(table_ctx, 26), cat)
     };
     let metrics = vec![
         Metric::new(
             "2013 WiFi-public browser RX %",
             44.1,
-            share(&ctxs[0], TableContext::WifiPublic, Browser),
+            share(0, TableContext::WifiPublic, Browser),
         ),
-        Metric::new(
-            "2015 WiFi-home video RX %",
-            25.4,
-            share(&ctxs[2], TableContext::WifiHome, Video),
-        ),
+        Metric::new("2015 WiFi-home video RX %", 25.4, share(2, TableContext::WifiHome, Video)),
         Metric::new(
             "2015 WiFi-home dload RX %",
             11.1,
-            share(&ctxs[2], TableContext::WifiHome, Downloading),
+            share(2, TableContext::WifiHome, Downloading),
         ),
-        Metric::new(
-            "2015 Cell-home browser RX %",
-            28.3,
-            share(&ctxs[2], TableContext::CellHome, Browser),
-        ),
-        Metric::new(
-            "2015 WiFi-public video RX %",
-            19.6,
-            share(&ctxs[2], TableContext::WifiPublic, Video),
-        ),
+        Metric::new("2015 Cell-home browser RX %", 28.3, share(2, TableContext::CellHome, Browser)),
+        Metric::new("2015 WiFi-public video RX %", 19.6, share(2, TableContext::WifiPublic, Video)),
     ];
-    app_table(ctxs, false, "table6", "Top application categories by RX volume", metrics)
+    app_table(&b, false, "table6", "Top application categories by RX volume", metrics)
 }
 
 pub(super) fn table7(ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
     use mobitrace_model::AppCategory::*;
-    let share = |ctx: &AnalysisContext<'_>,
-                 table_ctx: TableContext,
-                 cat: mobitrace_model::AppCategory| {
-        let b = app_breakdown(ctx, None);
-        b.top_tx(table_ctx, 26).into_iter().find(|(c, _)| *c == cat).map(|(_, p)| p).unwrap_or(0.0)
+    let b = ctxs.each_ref().map(|ctx| app_breakdown(ctx, None));
+    let share = |y: usize, table_ctx: TableContext, cat: AppCategory| {
+        category_share(b[y].top_tx(table_ctx, 26), cat)
     };
     let metrics = vec![
         Metric::new(
             "2014 WiFi-home prod TX %",
             39.5,
-            share(&ctxs[1], TableContext::WifiHome, Productivity),
+            share(1, TableContext::WifiHome, Productivity),
         ),
-        Metric::new(
-            "2015 Cell-home browser TX %",
-            33.7,
-            share(&ctxs[2], TableContext::CellHome, Browser),
-        ),
-        Metric::new(
-            "2013 WiFi-home social TX %",
-            24.8,
-            share(&ctxs[0], TableContext::WifiHome, Social),
-        ),
+        Metric::new("2015 Cell-home browser TX %", 33.7, share(2, TableContext::CellHome, Browser)),
+        Metric::new("2013 WiFi-home social TX %", 24.8, share(0, TableContext::WifiHome, Social)),
     ];
-    app_table(ctxs, true, "table7", "Top application categories by TX volume", metrics)
+    app_table(&b, true, "table7", "Top application categories by TX volume", metrics)
 }
 
 pub(super) fn table8(set: &CampaignSet) -> ExperimentReport {
@@ -403,8 +382,8 @@ pub(super) fn home_inference(
     }
     // Bonus context: Fig. 12-adjacent multi-AP shares.
     let mut extra = String::new();
-    for (y, (year, _)) in Year::ALL.iter().zip(ctxs).enumerate() {
-        let hist = aps_per_user_day(set.year(*year), None);
+    for (y, ctx) in ctxs.iter().enumerate() {
+        let hist = aps_per_user_day(ctx, None);
         let total: u64 = hist.iter().sum();
         if total > 0 {
             extra.push_str(&format!(

@@ -78,9 +78,8 @@ fn bench_server_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-/// Contended multi-producer ingest: the scenario the lock-striped shards
-/// target. The single-shard variant is the pre-sharding design (one global
-/// lock) for comparison.
+/// Contended multi-producer ingest: several producers committing into one
+/// server lock.
 fn bench_contended_ingest(c: &mut Criterion) {
     const PER_THREAD: u32 = 500;
     let chunks_for = |n_threads: u32| -> Vec<Vec<_>> {
@@ -113,14 +112,6 @@ fn bench_contended_ingest(c: &mut Criterion) {
             })
         });
     }
-    let chunks = chunks_for(8);
-    group.throughput(Throughput::Elements(8 * u64::from(PER_THREAD)));
-    group.bench_function("ingest_8_threads_single_shard", |b| {
-        b.iter(|| {
-            let server = CollectionServer::with_shards(1);
-            black_box(run(&server, &chunks))
-        })
-    });
     group.finish();
 }
 

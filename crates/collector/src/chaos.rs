@@ -238,7 +238,7 @@ pub fn run_convergence(cfg: &ChaosRunConfig) -> ConvergenceReport {
                 pair.agent_chaos.observe(&obs);
 
                 pair.agent_rel.try_upload(&mut pair.net_rel, t, &mut pair.link_rel);
-                server_rel.ingest_all(pair.link_rel.deliver_due(t));
+                server_rel.ingest_batch(pair.link_rel.deliver_due(t));
 
                 if server_chaos.accepting() {
                     pair.agent_chaos.try_upload(&mut pair.net_chaos, t, &mut pair.link_chaos);
@@ -247,7 +247,7 @@ pub fn run_convergence(cfg: &ChaosRunConfig) -> ConvergenceReport {
                 }
                 // In-flight frames land regardless; a crashed server loses
                 // them (counted), which is exactly what a real outage does.
-                server_chaos.ingest_all(pair.link_chaos.deliver_due(t));
+                server_chaos.ingest_batch(pair.link_chaos.deliver_due(t));
             }
         }
     }
@@ -264,9 +264,9 @@ pub fn run_convergence(cfg: &ChaosRunConfig) -> ConvergenceReport {
         let mut all_idle = true;
         for pair in &mut pairs {
             pair.agent_rel.try_upload(&mut pair.net_rel, t, &mut pair.link_rel);
-            server_rel.ingest_all(pair.link_rel.deliver_due(t));
+            server_rel.ingest_batch(pair.link_rel.deliver_due(t));
             pair.agent_chaos.try_upload(&mut pair.net_chaos, t, &mut pair.link_chaos);
-            server_chaos.ingest_all(pair.link_chaos.deliver_due(t));
+            server_chaos.ingest_batch(pair.link_chaos.deliver_due(t));
             if pair.agent_rel.pending() > 0
                 || pair.agent_chaos.pending() > 0
                 || pair.link_rel.in_flight_len() > 0
@@ -280,8 +280,8 @@ pub fn run_convergence(cfg: &ChaosRunConfig) -> ConvergenceReport {
         }
     }
     for pair in &mut pairs {
-        server_rel.ingest_all(pair.link_rel.drain());
-        server_chaos.ingest_all(pair.link_chaos.drain());
+        server_rel.ingest_batch(pair.link_rel.drain());
+        server_chaos.ingest_batch(pair.link_chaos.drain());
     }
 
     // Aggregate agent/channel counters.

@@ -301,7 +301,7 @@ mod tests {
             let t = SimTime::from_minutes(k as u32 * 10);
             agent.observe(&obs(t.minute, v, false));
             agent.try_upload(&mut rng, t, &mut transport);
-            server.ingest_all(transport.deliver_due(t));
+            server.ingest_batch(transport.deliver_due(t));
         }
         let records = server.into_records();
         let (ds, stats) =
@@ -330,7 +330,7 @@ mod tests {
             let t = SimTime::from_minutes(k as u32 * 10);
             agent.observe(&obs(t.minute, *v, *tether));
             agent.try_upload(&mut rng, t, &mut transport);
-            server.ingest_all(transport.deliver_due(t));
+            server.ingest_batch(transport.deliver_due(t));
         }
         let records = server.into_records();
         let (ds, stats) =
@@ -352,7 +352,7 @@ mod tests {
         agent.reboot();
         agent.observe(&obs(10, 300, false));
         agent.try_upload(&mut rng, SimTime::from_minutes(10), &mut transport);
-        server.ingest_all(transport.deliver_due(SimTime::from_minutes(10)));
+        server.ingest_batch(transport.deliver_due(SimTime::from_minutes(10)));
         let records = server.into_records();
         let (ds, stats) =
             clean(meta(1), device_info(1, Os::Android), &records, CleanOptions::default());
@@ -377,7 +377,7 @@ mod tests {
                 let t = SimTime::from_day_bin(day, bin);
                 agent.observe(&obs(t.minute, 1_000, false));
                 agent.try_upload(&mut rng, t, &mut transport);
-                server.ingest_all(transport.deliver_due(t));
+                server.ingest_batch(transport.deliver_due(t));
             }
         }
         let records = server.into_records();
@@ -420,7 +420,7 @@ mod tests {
             agent.observe(&o);
         }
         agent.try_upload(&mut rng, SimTime::from_minutes(60), &mut transport);
-        server.ingest_all(transport.deliver_due(SimTime::from_minutes(60)));
+        server.ingest_batch(transport.deliver_due(SimTime::from_minutes(60)));
         let records = server.into_records();
         let (ds, _) =
             clean(meta(1), device_info(1, Os::Android), &records, CleanOptions::default());
@@ -510,7 +510,7 @@ mod tests {
                 let t = SimTime::from_minutes(k as u32 * 10);
                 agent.observe(&obs(t.minute, v, false));
                 agent.try_upload(&mut rng, t, &mut transport);
-                server.ingest_all(transport.deliver_due(t));
+                server.ingest_batch(transport.deliver_due(t));
             }
             // End of campaign: retry until the cache is flushed. Time must
             // advance between attempts or the backoff window never closes.
@@ -520,7 +520,7 @@ mod tests {
                 agent.try_upload(&mut rng, end.plus_minutes(k * 10), &mut transport);
             }
             prop_assert_eq!(agent.pending(), 0, "cache never drained");
-            server.ingest_all(transport.drain());
+            server.ingest_batch(transport.drain());
             let records = server.into_records();
             let (ds, _) = clean(meta(30), device_info(1, Os::Android), &records, CleanOptions::default());
             ds.validate().unwrap();

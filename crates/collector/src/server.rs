@@ -3,24 +3,24 @@
 //! Ingests frames from the transport, rejects corrupted ones, deduplicates
 //! by (device, sequence number), and tolerates arbitrary delivery order.
 //!
-//! The store is split into lock-striped shards keyed by a hash of the
-//! device id, and the ingest statistics are plain atomic counters, so
-//! concurrent producers only contend when they hit the same shard — not on
-//! one global write lock plus a stats mutex as the first version did.
-//! [`ingest_batch`](CollectionServer::ingest_batch) amortises further by
-//! decoding a whole delivery outside any lock and taking each shard lock
-//! once per batch.
+//! The store sits behind one lock, and the ingest statistics are plain
+//! atomic counters. Codec work never happens under the lock:
+//! [`ingest_batch`](CollectionServer::ingest_batch) decodes a whole
+//! delivery first and then commits it in a single lock acquisition. The
+//! store is not striped: every fleet cohort server has exactly one writer,
+//! and a 16-way striped store measured no faster than one lock even under
+//! 8 contending producers.
 //!
 //! Because records are keyed by (device, seq), ingest order — and therefore
-//! thread scheduling and shard count — cannot change the stored contents:
+//! thread scheduling — cannot change the stored contents:
 //! [`into_records`](CollectionServer::into_records) always produces the
 //! same (device, time)-sorted output.
 //!
 //! For crash-recovery tests the server can run **journaled**
 //! ([`with_journal`](CollectionServer::with_journal)): every newly stored
-//! record is appended to a per-shard journal that is periodically folded
-//! into a snapshot, so a simulated [`crash`](CollectionServer::crash) —
-//! which wipes the live store — can be healed by
+//! record is appended to a journal that is periodically folded into a
+//! snapshot, so a simulated [`crash`](CollectionServer::crash) — which
+//! wipes the live store — can be healed by
 //! [`recover`](CollectionServer::recover) replaying snapshot + journal.
 //! A soft ingest limit ([`set_soft_limit`](CollectionServer::set_soft_limit))
 //! adds backpressure: agents consult [`accepting`](CollectionServer::accepting)
@@ -33,7 +33,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use mobitrace_model::{DeviceId, Record};
 use mobitrace_pool::{PoolError, PoolReader, PoolWriter};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -53,129 +53,99 @@ pub struct IngestStats {
     pub crashes: u64,
 }
 
-/// Default number of shards: enough stripes that 8–16 producer threads
-/// rarely collide, cheap enough to sum for small servers.
-const DEFAULT_SHARDS: usize = 16;
-
-/// Journal entries per shard before they are folded into the snapshot.
+/// Journal entries before they are folded into the snapshot.
 const JOURNAL_CHECKPOINT: usize = 4096;
 
 type Store = HashMap<DeviceId, BTreeMap<u32, Record>>;
 
-/// Bound on each tap shard's channel, in batches. Past it, publishes spill
-/// into an unbounded side buffer (counted in
-/// [`overflow`](IngestTap::overflow)) instead of blocking ingest.
+/// Bound on the tap channel, in batches. Past it, publishes spill into an
+/// unbounded side buffer (counted in [`overflow`](IngestTap::overflow))
+/// instead of blocking ingest.
 const TAP_CHANNEL_BOUND: usize = 64;
 
 /// One batch of records published through an [`IngestTap`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TapBatch {
-    /// Which server shard accepted the records.
-    pub shard: usize,
     /// True for records re-published by [`CollectionServer::recover`]
     /// (the consumer may already hold some of them).
     pub replay: bool,
-    /// The accepted records, in shard-acceptance order.
+    /// The accepted records, in commit order.
     pub records: Vec<Record>,
 }
 
-#[derive(Debug)]
-struct TapShard {
-    tx: Sender<TapBatch>,
-    rx: Receiver<TapBatch>,
-    /// Overflow past the channel bound; drained after the channel so a
-    /// shard's batches are still consumed in publish order.
-    spill: Mutex<Vec<TapBatch>>,
-}
-
 /// A subscription on server ingest: every *accepted* (newly stored) record
-/// is re-published, per shard, into a bounded channel the live analysis
-/// engine drains in batches. Publishing never blocks and never drops — a
-/// full channel spills to a side buffer — with one deliberate exception:
-/// [`CollectionServer::crash`] discards undrained batches (they were "in
-/// flight" inside the dead process), and the subsequent
+/// is re-published into a bounded channel the live analysis engine drains
+/// in batches. The server publishes while it still holds its store lock, so
+/// batches come out in commit order. Publishing never blocks and never
+/// drops — a full channel spills to a side buffer — with one deliberate
+/// exception: [`CollectionServer::crash`] discards undrained batches (they
+/// were "in flight" inside the dead process), and the subsequent
 /// [`recover`](CollectionServer::recover) re-publishes the whole rebuilt
-/// store as replay batches, so a consumer that deduplicates replays
+/// store as a replay batch, so a consumer that deduplicates replays
 /// converges back to exactly the server's contents.
 #[derive(Debug)]
 pub struct IngestTap {
-    shards: Box<[TapShard]>,
+    tx: Sender<TapBatch>,
+    rx: Receiver<TapBatch>,
+    /// Overflow past the channel bound; drained after the channel so
+    /// batches are still consumed in publish order.
+    spill: Mutex<Vec<TapBatch>>,
     published: AtomicU64,
     overflow: AtomicU64,
     discarded: AtomicU64,
 }
 
 impl IngestTap {
-    fn new(n_shards: usize) -> IngestTap {
+    fn new() -> IngestTap {
+        let (tx, rx) = bounded(TAP_CHANNEL_BOUND);
         IngestTap {
-            shards: (0..n_shards)
-                .map(|_| {
-                    let (tx, rx) = bounded(TAP_CHANNEL_BOUND);
-                    TapShard { tx, rx, spill: Mutex::new(Vec::new()) }
-                })
-                .collect(),
+            tx,
+            rx,
+            spill: Mutex::new(Vec::new()),
             published: AtomicU64::new(0),
             overflow: AtomicU64::new(0),
             discarded: AtomicU64::new(0),
         }
     }
 
-    /// Publish one batch for a shard (records already accepted as new).
-    fn publish(&self, shard: usize, records: Vec<Record>, replay: bool) {
+    /// Publish one batch of records already accepted as new.
+    fn publish(&self, records: Vec<Record>, replay: bool) {
         if records.is_empty() {
             return;
         }
         self.published.fetch_add(records.len() as u64, Ordering::Relaxed);
-        let slot = &self.shards[shard];
-        let batch = TapBatch { shard, replay, records };
+        let batch = TapBatch { replay, records };
         // Keep channel→spill ordering: once anything spilled, later
         // batches must spill too until the consumer drains the backlog.
-        let mut spill = slot.spill.lock();
-        if spill.is_empty() {
-            match slot.tx.try_send(batch) {
-                Ok(()) => (),
-                Err(TrySendError::Full(batch)) | Err(TrySendError::Disconnected(batch)) => {
-                    self.overflow.fetch_add(batch.records.len() as u64, Ordering::Relaxed);
-                    spill.push(batch);
-                }
+        let mut spill = self.spill.lock();
+        let batch = if spill.is_empty() {
+            match self.tx.try_send(batch) {
+                Ok(()) => return,
+                Err(TrySendError::Full(batch)) | Err(TrySendError::Disconnected(batch)) => batch,
             }
         } else {
-            self.overflow.fetch_add(batch.records.len() as u64, Ordering::Relaxed);
-            spill.push(batch);
-        }
+            batch
+        };
+        self.overflow.fetch_add(batch.records.len() as u64, Ordering::Relaxed);
+        spill.push(batch);
     }
 
-    /// Drain every pending batch into `out`. Per shard, batches arrive in
-    /// publish order; across shards the interleaving is arbitrary (device
-    /// streams never span shards, so per-device order is preserved).
+    /// Drain every pending batch into `out`, in publish order.
     pub fn drain_into(&self, out: &mut Vec<TapBatch>) {
-        for slot in self.shards.iter() {
-            // Hold the spill lock across both steps. Publishers need it to
-            // send or to spill, so the channel cannot refill and overflow
-            // between them; otherwise a later batch taken from the spill
-            // would be handed out ahead of an earlier one still queued.
-            let mut spill = slot.spill.lock();
-            while let Ok(batch) = slot.rx.try_recv() {
-                out.push(batch);
-            }
-            out.append(&mut spill);
-        }
+        // Hold the spill lock across both steps. Publishers need it to send
+        // or to spill, so the channel cannot refill and overflow between
+        // them; otherwise a later batch taken from the spill would be
+        // handed out ahead of an earlier one still queued.
+        let mut spill = self.spill.lock();
+        out.extend(self.rx.try_iter());
+        out.append(&mut spill);
     }
 
-    /// Drop everything not yet drained (simulated crash loss) and return
-    /// how many records were discarded.
-    fn discard_pending(&self) -> u64 {
-        let mut n = 0u64;
-        for slot in self.shards.iter() {
-            while let Ok(batch) = slot.rx.try_recv() {
-                n += batch.records.len() as u64;
-            }
-            for batch in slot.spill.lock().drain(..) {
-                n += batch.records.len() as u64;
-            }
-        }
-        self.discarded.fetch_add(n, Ordering::Relaxed);
-        n
+    /// Drop everything not yet drained (simulated crash loss).
+    fn discard_pending(&self) {
+        let mut spill = self.spill.lock();
+        let n: usize = self.rx.try_iter().chain(spill.drain(..)).map(|b| b.records.len()).sum();
+        self.discarded.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Records published since the tap was attached (replays included).
@@ -183,7 +153,7 @@ impl IngestTap {
         self.published.load(Ordering::Relaxed)
     }
 
-    /// Records that had to take the spill path because a channel was full.
+    /// Records that had to take the spill path because the channel was full.
     pub fn overflow(&self) -> u64 {
         self.overflow.load(Ordering::Relaxed)
     }
@@ -194,108 +164,21 @@ impl IngestTap {
     }
 }
 
-/// One stripe of the store. `live` is the volatile working set (lost on
-/// crash); `snapshot` + `journal` are the durable image it is rebuilt
-/// from. Invariant while journaling: `snapshot ∪ journal == live`.
+/// The locked store. `live` is the volatile working set (lost on crash);
+/// `snapshot` + `journal` are the durable image it is rebuilt from.
+/// Invariant while journaling: `snapshot ∪ journal == live`.
 #[derive(Debug, Default)]
-struct ShardState {
+struct State {
     live: Store,
     snapshot: Store,
     journal: Vec<Record>,
 }
 
-type Shard = RwLock<ShardState>;
-
-/// The collection server.
-#[derive(Debug)]
-pub struct CollectionServer {
-    /// Lock-striped store; a device always maps to the same shard.
-    shards: Box<[Shard]>,
-    /// `shards.len() - 1`; shard counts are powers of two so the hash can
-    /// be masked instead of taken modulo.
-    shard_mask: u64,
-    /// Append new records to the per-shard journal (crash-recovery mode).
-    journal_enabled: bool,
-    /// Attached ingest subscription, if any (set once, before ingest).
-    tap: OnceLock<Arc<IngestTap>>,
-    /// A simulated crash is in progress (deliveries are lost).
-    crashed: AtomicBool,
-    /// Soft record limit for backpressure; 0 disables it.
-    soft_limit: AtomicUsize,
-    /// Cheap live-record count for `overloaded` (len() takes every lock).
-    live_records: AtomicUsize,
-    frames: AtomicU64,
-    rejected: AtomicU64,
-    duplicates: AtomicU64,
-    lost_down: AtomicU64,
-    crashes: AtomicU64,
-}
-
-impl Default for CollectionServer {
-    fn default() -> CollectionServer {
-        CollectionServer::with_shards(DEFAULT_SHARDS)
-    }
-}
-
-impl CollectionServer {
-    /// New empty server with the default shard count.
-    pub fn new() -> CollectionServer {
-        CollectionServer::default()
-    }
-
-    /// New empty server with (at least) `shards` stripes. The count is
-    /// rounded up to a power of two and clamped to 1..=1024; the stored
-    /// contents are identical for every shard count.
-    pub fn with_shards(shards: usize) -> CollectionServer {
-        let n = shards.clamp(1, 1024).next_power_of_two();
-        CollectionServer {
-            shards: (0..n).map(|_| Shard::default()).collect(),
-            shard_mask: n as u64 - 1,
-            journal_enabled: false,
-            tap: OnceLock::new(),
-            crashed: AtomicBool::new(false),
-            soft_limit: AtomicUsize::new(0),
-            live_records: AtomicUsize::new(0),
-            frames: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            duplicates: AtomicU64::new(0),
-            lost_down: AtomicU64::new(0),
-            crashes: AtomicU64::new(0),
-        }
-    }
-
-    /// Enable the per-shard journal + snapshot so the server can
-    /// [`crash`](CollectionServer::crash) and
-    /// [`recover`](CollectionServer::recover). Off by default: journaling
-    /// keeps a second copy of every record, which full-scale campaigns —
-    /// which never crash their server — should not pay for.
-    pub fn with_journal(self) -> CollectionServer {
-        CollectionServer { journal_enabled: true, ..self }
-    }
-
-    /// Number of shards the store is striped across.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Attach (or fetch) the ingest tap: from now on every newly stored
-    /// record is also published into the tap's per-shard channels for a
-    /// streaming consumer. Idempotent — repeated calls return the same
-    /// tap. Records stored *before* the first call are not republished
-    /// (attach before ingesting, or call [`recover`] to replay).
-    ///
-    /// [`recover`]: CollectionServer::recover
-    pub fn attach_tap(&self) -> Arc<IngestTap> {
-        Arc::clone(self.tap.get_or_init(|| Arc::new(IngestTap::new(self.shards.len()))))
-    }
-
-    /// Store one record into a locked shard. Returns `true` when new.
-    /// Duplicate check and insert share one walk of the per-device map
-    /// (vacant-entry insert), instead of a lookup followed by a second
-    /// probe-and-insert — the store half of ingest is two map walks per
-    /// record and this halves them.
-    fn store_in(state: &mut ShardState, record: Record, journal: bool) -> bool {
-        let per_device = state.live.entry(record.device).or_default();
+impl State {
+    /// Store one record. Returns `true` when new. Duplicate check and
+    /// insert share one walk of the per-device map (vacant-entry insert).
+    fn store(&mut self, record: Record, journal: bool) -> bool {
+        let per_device = self.live.entry(record.device).or_default();
         let std::collections::btree_map::Entry::Vacant(slot) = per_device.entry(record.seq) else {
             return false;
         };
@@ -304,48 +187,75 @@ impl CollectionServer {
             return true;
         }
         slot.insert(record.clone());
-        state.journal.push(record);
-        if state.journal.len() >= JOURNAL_CHECKPOINT {
-            Self::checkpoint_shard(state);
+        self.journal.push(record);
+        if self.journal.len() >= JOURNAL_CHECKPOINT {
+            // Fold the journal into the snapshot: keeps `snapshot ∪
+            // journal == live` while shrinking the journal back to empty.
+            for record in self.journal.drain(..) {
+                self.snapshot.entry(record.device).or_default().insert(record.seq, record);
+            }
         }
         true
     }
+}
 
-    /// Fold the journal into the snapshot (keeps `snapshot ∪ journal ==
-    /// live` while shrinking the journal back to empty).
-    fn checkpoint_shard(state: &mut ShardState) {
-        for record in state.journal.drain(..) {
-            state.snapshot.entry(record.device).or_default().insert(record.seq, record);
-        }
+/// Flatten a store into records sorted by (device, time).
+fn sorted_records(store: Store) -> Vec<Record> {
+    let mut devices: Vec<(DeviceId, BTreeMap<u32, Record>)> = store.into_iter().collect();
+    devices.sort_unstable_by_key(|(d, _)| *d);
+    let mut out = Vec::with_capacity(devices.iter().map(|(_, m)| m.len()).sum());
+    for (_, per_device) in devices {
+        // BTreeMap iterates in seq order == time order per device.
+        out.extend(per_device.into_values());
+    }
+    out
+}
+
+/// The collection server.
+#[derive(Debug, Default)]
+pub struct CollectionServer {
+    state: Mutex<State>,
+    /// Append new records to the journal (crash-recovery mode).
+    journal_enabled: bool,
+    /// Attached ingest subscription, if any (set once, before ingest).
+    tap: OnceLock<Arc<IngestTap>>,
+    /// A simulated crash is in progress (deliveries are lost).
+    crashed: AtomicBool,
+    /// Soft record limit for backpressure; 0 disables it.
+    soft_limit: AtomicUsize,
+    /// Records in the live store, updated under the store lock.
+    live_records: AtomicUsize,
+    frames: AtomicU64,
+    rejected: AtomicU64,
+    duplicates: AtomicU64,
+    lost_down: AtomicU64,
+    crashes: AtomicU64,
+}
+
+impl CollectionServer {
+    /// New empty server.
+    pub fn new() -> CollectionServer {
+        CollectionServer::default()
     }
 
-    /// Which shard a device's records live in (Fibonacci multiplicative
-    /// hash — device ids are dense small integers, so the multiply spreads
-    /// consecutive ids across stripes).
-    fn shard_index_of(&self, device: DeviceId) -> usize {
-        let h = u64::from(device.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        (h & self.shard_mask) as usize
+    /// Enable the journal + snapshot so the server can
+    /// [`crash`](CollectionServer::crash) and
+    /// [`recover`](CollectionServer::recover). Off by default: journaling
+    /// keeps a second copy of every record, which full-scale campaigns —
+    /// which never crash their server — should not pay for.
+    pub fn with_journal(self) -> CollectionServer {
+        CollectionServer { journal_enabled: true, ..self }
     }
 
-    /// Store one decoded record. Returns `true` when it was new.
-    fn store(&self, record: Record) -> bool {
-        let tap = self.tap.get();
-        let copy = tap.map(|_| record.clone());
-        let k = self.shard_index_of(record.device);
-        let stored = {
-            let mut shard = self.shards[k].write();
-            Self::store_in(&mut shard, record, self.journal_enabled)
-        };
-        if stored {
-            self.live_records.fetch_add(1, Ordering::Relaxed);
-            if let (Some(tap), Some(copy)) = (tap, copy) {
-                tap.publish(k, vec![copy], false);
-            }
-            true
-        } else {
-            self.duplicates.fetch_add(1, Ordering::Relaxed);
-            false
-        }
+    /// Attach (or fetch) the ingest tap: from now on every newly stored
+    /// record is also published into the tap's channel for a streaming
+    /// consumer. Idempotent — repeated calls return the same tap. Records
+    /// stored *before* the first call are not republished (attach before
+    /// ingesting, or call [`recover`] to replay).
+    ///
+    /// [`recover`]: CollectionServer::recover
+    pub fn attach_tap(&self) -> Arc<IngestTap> {
+        Arc::clone(self.tap.get_or_init(|| Arc::new(IngestTap::new())))
     }
 
     /// Simulate a mid-campaign crash: the volatile store is wiped and
@@ -354,9 +264,8 @@ impl CollectionServer {
     pub fn crash(&self) {
         self.crashed.store(true, Ordering::SeqCst);
         self.crashes.fetch_add(1, Ordering::Relaxed);
-        for shard in self.shards.iter() {
-            shard.write().live.clear();
-        }
+        let mut state = self.state.lock();
+        state.live.clear();
         self.live_records.store(0, Ordering::Relaxed);
         // Undrained tap batches were in flight inside the dead process:
         // they are lost too, and only the recovery replay brings their
@@ -366,36 +275,25 @@ impl CollectionServer {
         }
     }
 
-    /// Heal a crash: rebuild every shard's live store from snapshot +
-    /// journal replay and resume accepting deliveries. Without
+    /// Heal a crash: rebuild the live store from snapshot + journal replay
+    /// and resume accepting deliveries. Without
     /// [`with_journal`](CollectionServer::with_journal) there is nothing
     /// to replay and the pre-crash records are simply gone.
     pub fn recover(&self) {
-        let tap = self.tap.get();
-        let mut total = 0usize;
-        for (k, shard) in self.shards.iter().enumerate() {
-            let replay: Option<Vec<Record>>;
-            {
-                let mut state = shard.write();
-                let mut live = state.snapshot.clone();
-                for record in &state.journal {
-                    let per_device = live.entry(record.device).or_default();
-                    per_device.entry(record.seq).or_insert_with(|| record.clone());
-                }
-                total += live.values().map(|m| m.len()).sum::<usize>();
-                // A tapped consumer lost whatever it had not drained at
-                // the crash; replay the shard's full recovered contents
-                // (per device in seq order) and let it deduplicate.
-                replay = tap.map(|_| {
-                    live.values().flat_map(|m| m.values().cloned()).collect::<Vec<Record>>()
-                });
-                state.live = live;
-            }
-            if let (Some(tap), Some(records)) = (tap, replay) {
-                tap.publish(k, records, true);
-            }
+        let mut state = self.state.lock();
+        let mut live = state.snapshot.clone();
+        for record in &state.journal {
+            let per_device = live.entry(record.device).or_default();
+            per_device.entry(record.seq).or_insert_with(|| record.clone());
         }
-        self.live_records.store(total, Ordering::Relaxed);
+        self.live_records.store(live.values().map(|m| m.len()).sum(), Ordering::Relaxed);
+        // A tapped consumer lost whatever it had not drained at the crash;
+        // replay the full recovered contents (per device in seq order) and
+        // let it deduplicate.
+        if let Some(tap) = self.tap.get() {
+            tap.publish(live.values().flat_map(|m| m.values().cloned()).collect(), true);
+        }
+        state.live = live;
         self.crashed.store(false, Ordering::SeqCst);
     }
 
@@ -415,7 +313,7 @@ impl CollectionServer {
     /// Whether the store has reached its soft limit.
     pub fn overloaded(&self) -> bool {
         let limit = self.soft_limit.load(Ordering::Relaxed);
-        limit > 0 && self.live_records.load(Ordering::Relaxed) >= limit
+        limit > 0 && self.len() >= limit
     }
 
     /// Whether agents should attempt an upload right now (not crashed,
@@ -425,9 +323,9 @@ impl CollectionServer {
         !self.is_crashed() && !self.overloaded()
     }
 
-    /// Records waiting in the per-shard journals (not yet checkpointed).
+    /// Records waiting in the journal (not yet checkpointed).
     pub fn journal_len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().journal.len()).sum()
+        self.state.lock().journal.len()
     }
 
     /// Ingest one frame. Returns `Ok(true)` when a new record was stored,
@@ -448,13 +346,13 @@ impl CollectionServer {
                 return Err(e);
             }
         };
-        Ok(self.store(record))
+        Ok(self.store_batch(vec![record]) == 1)
     }
 
     /// Ingest a batch of frames, ignoring individual failures (they are
-    /// counted). All frames are decoded before any shard lock is taken,
-    /// and each touched shard is locked once for the whole batch. Returns
-    /// the number of newly stored records.
+    /// counted). All frames are decoded before the store lock is taken,
+    /// and the lock is taken once for the whole batch. Returns the number
+    /// of newly stored records.
     pub fn ingest_batch(&self, frames: impl IntoIterator<Item = Bytes>) -> usize {
         if self.is_crashed() {
             let lost = frames.into_iter().count() as u64;
@@ -507,62 +405,37 @@ impl CollectionServer {
         self.store_batch(records)
     }
 
-    /// Store decoded records grouped by shard, taking each touched shard
-    /// lock once. Grouping is a stable sort on the shard index — the batch
-    /// becomes contiguous per-shard runs (arrival order preserved within
-    /// each shard) without allocating one buffer per shard — and each run
-    /// commits under a single stripe-lock acquisition. This is the commit
-    /// half of the ingest boundary: decode happens before this call, so no
-    /// shard lock is ever held across codec work. Returns the number of
-    /// newly stored records.
-    pub fn store_batch(&self, mut records: Vec<Record>) -> usize {
+    /// Commit decoded records under one acquisition of the store lock, in
+    /// arrival order. This is the commit half of the ingest boundary:
+    /// decode happens before this call, so the lock is never held across
+    /// codec work. Accepted records are published to the tap before the
+    /// lock is released, so tap order is commit order. Returns the number
+    /// of newly stored records.
+    pub fn store_batch(&self, records: Vec<Record>) -> usize {
+        if records.is_empty() {
+            return 0;
+        }
         let tap = self.tap.get();
-        if self.shards.len() > 1 {
-            records.sort_by_cached_key(|r| self.shard_index_of(r.device));
-        }
+        let offered = records.len();
         let mut stored = 0usize;
-        let mut n_duplicates = 0u64;
-        let mut iter = records.into_iter().peekable();
-        while let Some(first) = iter.next() {
-            let k = self.shard_index_of(first.device);
-            // Accepted records are cloned for the tap under the shard lock
-            // (so acceptance and publication agree) but published after it
-            // is released.
-            let mut accepted: Vec<Record> = Vec::new();
-            let mut shard = self.shards[k].write();
-            let mut run_next = Some(first);
-            while let Some(record) = run_next {
-                let copy = tap.map(|_| record.clone());
-                if Self::store_in(&mut shard, record, self.journal_enabled) {
-                    stored += 1;
-                    if let Some(copy) = copy {
-                        accepted.push(copy);
-                    }
-                } else {
-                    n_duplicates += 1;
-                }
-                run_next = match iter.peek() {
-                    Some(r) if self.shard_index_of(r.device) == k => iter.next(),
-                    _ => None,
-                };
-            }
-            drop(shard);
-            if let Some(tap) = tap {
-                tap.publish(k, accepted, false);
+        let mut accepted = Vec::new();
+        let mut state = self.state.lock();
+        for record in records {
+            let copy = tap.map(|_| record.clone());
+            if state.store(record, self.journal_enabled) {
+                stored += 1;
+                accepted.extend(copy);
             }
         }
-        if stored > 0 {
-            self.live_records.fetch_add(stored, Ordering::Relaxed);
+        self.live_records.fetch_add(stored, Ordering::Relaxed);
+        if let Some(tap) = tap {
+            tap.publish(accepted, false);
         }
-        if n_duplicates > 0 {
-            self.duplicates.fetch_add(n_duplicates, Ordering::Relaxed);
+        drop(state);
+        if stored < offered {
+            self.duplicates.fetch_add((offered - stored) as u64, Ordering::Relaxed);
         }
         stored
-    }
-
-    /// Ingest a batch, ignoring individual failures (they are counted).
-    pub fn ingest_all(&self, frames: impl IntoIterator<Item = Bytes>) {
-        self.ingest_batch(frames);
     }
 
     /// Snapshot the ingest statistics.
@@ -578,20 +451,20 @@ impl CollectionServer {
 
     /// Number of stored records.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().live.values().map(|m| m.len()).sum::<usize>()).sum()
+        self.live_records.load(Ordering::Relaxed)
     }
 
     /// True when nothing has been stored.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().live.values().all(|m| m.is_empty()))
+        self.len() == 0
     }
 
-    /// Durable checkpoint: write every shard's live store into a pool
-    /// file as one codec-framed [`RAW`](mobitrace_pool::kind::RAW)
-    /// segment per shard (devices in id order, records in seq order),
-    /// atomically published. Unlike the in-memory journal — which only
-    /// survives a simulated [`crash`](CollectionServer::crash) — a pool
-    /// checkpoint survives real process death:
+    /// Durable checkpoint: write the live store into a pool file as one
+    /// codec-framed [`RAW`](mobitrace_pool::kind::RAW) segment (devices in
+    /// id order, records in seq order), atomically published. Unlike the
+    /// in-memory journal — which only survives a simulated
+    /// [`crash`](CollectionServer::crash) — a pool checkpoint survives
+    /// real process death:
     /// [`recover_from_pool`](CollectionServer::recover_from_pool)
     /// rebuilds an equivalent server from the file alone. The new
     /// checkpoint is staged in a temp file and atomically renamed over
@@ -614,27 +487,22 @@ impl CollectionServer {
     ) -> Result<u64, PoolError> {
         let mut w = PoolWriter::replace_with(path, shim)?;
         let mut buf = bytes::BytesMut::new();
-        for (k, shard) in self.shards.iter().enumerate() {
-            let state = shard.read();
+        let n = {
+            let state = self.state.lock();
             let mut devices: Vec<_> = state.live.iter().collect();
-            devices.sort_by_key(|(d, _)| **d);
-            buf.clear();
-            let n = encode_batch(devices.iter().flat_map(|(_, m)| m.values()), &mut buf);
-            if n == 0 {
-                continue;
-            }
-            w.append_raw(
-                mobitrace_pool::kind::RAW,
-                u16::try_from(k).expect("shard count fits u16"),
-                n as u64,
-                &buf,
-            )?;
+            devices.sort_unstable_by_key(|(d, _)| **d);
+            encode_batch(devices.iter().flat_map(|(_, m)| m.values()), &mut buf)
+        };
+        if n > 0 {
+            w.append_raw(mobitrace_pool::kind::RAW, 0, n as u64, &buf)?;
         }
         w.finish()
     }
 
     /// Rebuild a journaled server from a pool checkpoint written by
     /// [`checkpoint_to_pool`](CollectionServer::checkpoint_to_pool).
+    /// Every RAW segment is read, so checkpoints written as one segment
+    /// per store stripe by older versions still recover.
     /// Frame corruption inside a (checksummed) segment surfaces as
     /// [`PoolError::Corrupt`]; a structurally valid pool that was never
     /// published (no committed directory slot — the signature of a
@@ -657,19 +525,17 @@ impl CollectionServer {
             let mut buf = Bytes::copy_from_slice(payload);
             let mut records = Vec::with_capacity(rows as usize);
             decode_batch_into(&mut buf, &mut records).map_err(|e| PoolError::Corrupt {
-                what: format!("checkpoint shard {stream}: {e}"),
+                what: format!("checkpoint segment {stream}: {e}"),
             })?;
             if records.len() as u64 != rows {
                 return Err(PoolError::Corrupt {
                     what: format!(
-                        "checkpoint shard {stream}: {} frames decoded, directory says {rows}",
+                        "checkpoint segment {stream}: {} frames decoded, directory says {rows}",
                         records.len()
                     ),
                 });
             }
-            for record in records {
-                server.store(record);
-            }
+            server.store_batch(records);
         }
         Ok(server)
     }
@@ -679,42 +545,14 @@ impl CollectionServer {
     /// reference (e.g. a worker that died without dropping its `Arc`),
     /// and [`into_records`](Self::into_records) cannot take ownership.
     pub fn clone_records(&self) -> Vec<Record> {
-        let mut devices: Vec<(DeviceId, Vec<Record>)> = Vec::new();
-        let mut total = 0usize;
-        for shard in self.shards.iter() {
-            let state = shard.read();
-            for (device, per_device) in &state.live {
-                total += per_device.len();
-                devices.push((*device, per_device.values().cloned().collect()));
-            }
-        }
-        devices.sort_by_key(|(d, _)| *d);
-        let mut out = Vec::with_capacity(total);
-        for (_, per_device) in devices {
-            out.extend(per_device);
-        }
-        out
+        sorted_records(self.state.lock().live.clone())
     }
 
     /// Extract all records sorted by (device, time), consuming the server.
     /// Call [`recover`](CollectionServer::recover) first if a crash is in
     /// progress — this reads the live store.
     pub fn into_records(self) -> Vec<Record> {
-        let mut devices: Vec<(DeviceId, BTreeMap<u32, Record>)> = Vec::new();
-        let mut total = 0usize;
-        for shard in self.shards.into_vec() {
-            for entry in shard.into_inner().live {
-                total += entry.1.len();
-                devices.push(entry);
-            }
-        }
-        devices.sort_by_key(|(d, _)| *d);
-        let mut out = Vec::with_capacity(total);
-        for (_, per_device) in devices {
-            // BTreeMap iterates in seq order == time order per device.
-            out.extend(per_device.into_values());
-        }
-        out
+        sorted_records(self.state.into_inner().live)
     }
 }
 
@@ -768,8 +606,10 @@ mod tests {
 
         // "Process death": the server above is gone; only the file remains.
         let revived = CollectionServer::recover_from_pool(&path).unwrap();
+        let n = revived.len();
         let got: Vec<(u32, u32)> =
             revived.into_records().iter().map(|r| (r.device.0, r.seq)).collect();
+        assert_eq!(got.len(), n);
         assert_eq!(got, expect);
 
         // Corrupting the checkpoint payload must be loud, not lossy.
@@ -784,6 +624,39 @@ mod tests {
             Err(PoolError::ChecksumMismatch { .. }) => {}
             other => panic!("expected checksum mismatch, got {:?}", other.map(|_| ())),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Checkpoints written with one RAW segment per store stripe, as
+    /// older versions of the server did, still recover: every segment is
+    /// read and the records merge into one store.
+    #[test]
+    fn recover_reads_every_raw_segment() {
+        let dir = std::env::temp_dir().join(format!(
+            "mobitrace-ckpt-segs-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("striped.mtpool");
+        let stripes: [(u16, &[u32]); 3] = [(0, &[4, 9]), (3, &[1]), (11, &[0, 7, 12])];
+        let mut w = mobitrace_pool::PoolWriter::replace(&path).unwrap();
+        for (stream, devices) in stripes {
+            let records: Vec<Record> =
+                devices.iter().flat_map(|&d| (0..5u32).map(move |s| record(d, s))).collect();
+            let mut buf = bytes::BytesMut::new();
+            let n = encode_batch(records.iter(), &mut buf);
+            w.append_raw(mobitrace_pool::kind::RAW, stream, n as u64, &buf).unwrap();
+        }
+        w.finish().unwrap();
+
+        let revived = CollectionServer::recover_from_pool(&path).unwrap();
+        assert_eq!(revived.len(), 6 * 5);
+        let got: Vec<(u32, u32)> =
+            revived.into_records().iter().map(|r| (r.device.0, r.seq)).collect();
+        let expect: Vec<(u32, u32)> =
+            [0u32, 1, 4, 7, 9, 12].iter().flat_map(|&d| (0..5u32).map(move |s| (d, s))).collect();
+        assert_eq!(got, expect);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -883,41 +756,43 @@ mod tests {
         assert_eq!(server.stats(), expect);
         // Batch path: same accounting.
         let server = CollectionServer::new();
-        server.ingest_all(vec![bad.clone(), encode_frame(&record(0, 0)), bad]);
+        server.ingest_batch(vec![bad.clone(), encode_frame(&record(0, 0)), bad]);
         let expect = IngestStats { frames: 3, rejected: 2, ..IngestStats::default() };
         assert_eq!(server.stats(), expect);
     }
 
-    /// The stored contents and statistics must be byte-identical for every
-    /// shard count — sharding is a concurrency detail, not a semantic one.
+    /// The stored contents and statistics must be identical for every
+    /// delivery order — records are keyed by (device, seq), so arrival
+    /// order is a scheduling detail, not a semantic one.
     #[test]
-    fn shard_count_invariance() {
-        let mut frames = Vec::new();
+    fn delivery_order_invariance() {
+        let mut sorted = Vec::new();
         for d in 0..23u32 {
             for s in 0..17u32 {
-                frames.push(encode_frame(&record(d, s)));
+                sorted.push(encode_frame(&record(d, s)));
             }
         }
-        // Shuffle deterministically and add duplicates + one bad frame.
-        frames.sort_by_key(|f| f.len().wrapping_mul(2654435761) ^ f[f.len() / 2] as usize);
-        frames.push(encode_frame(&record(3, 3)));
-        frames.push(Bytes::from_static(&[0u8; 4]));
-        let mut reference: Option<(Vec<Record>, IngestStats)> = None;
-        for shards in [1usize, 2, 16, 128] {
-            let server = CollectionServer::with_shards(shards);
-            for f in &frames {
+        sorted.push(encode_frame(&record(3, 3)));
+        sorted.push(encode_frame(&record(22, 16)));
+        sorted.push(Bytes::from_static(&[0u8; 4]));
+        // Shuffle deterministically: duplicates and the bad frame land
+        // somewhere in the middle of the stream.
+        let mut shuffled = sorted.clone();
+        shuffled.sort_by_key(|f| f.len().wrapping_mul(2654435761) ^ f[f.len() / 2] as usize);
+        assert_ne!(shuffled, sorted);
+
+        let run = |frames: &[Bytes]| {
+            let server = CollectionServer::new();
+            for f in frames {
                 let _ = server.ingest(f);
             }
-            let stats = server.stats();
-            let records = server.into_records();
-            match &reference {
-                None => reference = Some((records, stats)),
-                Some((ref_records, ref_stats)) => {
-                    assert_eq!(&stats, ref_stats, "{shards} shards");
-                    assert_eq!(&records, ref_records, "{shards} shards");
-                }
-            }
-        }
+            (server.stats(), server.into_records())
+        };
+        let (stats, records) = run(&sorted);
+        assert_eq!(stats.duplicates, 2);
+        assert_eq!(stats.rejected, 1);
+        assert_eq!(records.len(), 23 * 17);
+        assert_eq!(run(&shuffled), (stats, records));
     }
 
     /// Batch ingest must agree exactly with frame-at-a-time ingest.
@@ -1019,15 +894,17 @@ mod tests {
         server.crash();
         assert!(server.is_crashed());
         assert!(server.is_empty(), "crash wipes the live store");
+        assert_eq!(server.len(), server.clone_records().len());
         // Deliveries while down are lost, not stored, not counted as frames.
         assert_eq!(server.ingest(&encode_frame(&record(0, 99))), Ok(false));
-        server.ingest_all(vec![encode_frame(&record(1, 99))]);
+        server.ingest_batch(vec![encode_frame(&record(1, 99))]);
         assert_eq!(server.stats().lost_down, 2);
         assert_eq!(server.stats().frames, 160);
 
         server.recover();
         assert!(!server.is_crashed());
         assert_eq!(server.len(), 160, "journal replay restores every record");
+        assert_eq!(server.len(), server.clone_records().len());
         // Re-delivered duplicates are still detected after recovery.
         assert_eq!(server.ingest(&encode_frame(&record(3, 3))), Ok(false));
         assert_eq!(server.stats().duplicates, 1);
@@ -1040,15 +917,17 @@ mod tests {
                 reference.ingest(&encode_frame(&record(d, s))).unwrap();
             }
         }
-        assert_eq!(server.into_records(), reference.into_records());
+        let n = server.len();
+        let records = server.into_records();
+        assert_eq!(records.len(), n);
+        assert_eq!(records, reference.into_records());
     }
 
     /// Checkpointing folds the journal into the snapshot without losing
     /// anything across a later crash, including a second crash cycle.
     #[test]
     fn checkpoint_and_double_crash_keep_consistency() {
-        // One shard so the per-shard auto-checkpoint threshold is reached.
-        let server = CollectionServer::with_shards(1).with_journal();
+        let server = CollectionServer::new().with_journal();
         for s in 0..JOURNAL_CHECKPOINT as u32 + 50 {
             server.ingest(&encode_frame(&record(s % 4, s / 4))).unwrap();
         }
@@ -1098,10 +977,10 @@ mod tests {
     }
 
     /// Past the channel bound, publishes spill instead of blocking — and a
-    /// drain still yields every batch of a shard in publish order.
+    /// drain still yields every batch in publish order.
     #[test]
     fn tap_overflow_spills_and_preserves_order() {
-        let server = CollectionServer::with_shards(1);
+        let server = CollectionServer::new();
         let tap = server.attach_tap();
         let n = super::TAP_CHANNEL_BOUND as u32 + 40;
         for s in 0..n {

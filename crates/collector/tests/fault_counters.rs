@@ -41,7 +41,7 @@ fn run(plan: FaultPlan, n: u32, seed: u64) -> (LossyTransport, DeviceAgent, Coll
         let t = SimTime::from_minutes(k * 10);
         agent.observe(&obs(t.minute, 1_000 + u64::from(k)));
         agent.try_upload(&mut rng, t, &mut transport);
-        server.ingest_all(transport.deliver_due(t));
+        server.ingest_batch(transport.deliver_due(t));
     }
     let end = SimTime::from_minutes(n * 10);
     for k in 0..1_000u32 {
@@ -49,9 +49,9 @@ fn run(plan: FaultPlan, n: u32, seed: u64) -> (LossyTransport, DeviceAgent, Coll
             break;
         }
         agent.try_upload(&mut rng, end.plus_minutes(k * 10), &mut transport);
-        server.ingest_all(transport.deliver_due(end.plus_minutes(k * 10)));
+        server.ingest_batch(transport.deliver_due(end.plus_minutes(k * 10)));
     }
-    server.ingest_all(transport.drain());
+    server.ingest_batch(transport.drain());
     (transport, agent, server)
 }
 

@@ -13,12 +13,12 @@
 //!    the cohort's worker over a bounded channel.
 //!
 //! Each worker owns its receive queue outright: it decodes streams with
-//! the zero-alloc [`decode_batch_into`] *outside* any shard lock and
-//! commits via [`store_batch`], which takes each stripe lock once per
-//! contiguous run. Cohort → worker assignment is static (`cohort mod
-//! workers`), so one cohort's batches are never reordered against each
-//! other — the per-device arrival order the dedup/journal path relies on
-//! survives the fan-out.
+//! the zero-alloc [`decode_batch_into`] *outside* the server lock and
+//! commits via [`store_batch`], which takes that lock once per batch.
+//! Cohort → worker assignment is static (`cohort mod workers`), so each
+//! cohort server has exactly one writer and one cohort's batches are
+//! never reordered against each other — the per-device arrival order the
+//! dedup/journal path relies on survives the fan-out.
 //!
 //! [`CollectionServer`]: mobitrace_collector::CollectionServer
 //! [`accepting`]: mobitrace_collector::CollectionServer::accepting
@@ -61,8 +61,6 @@ pub struct FleetConfig {
     pub soft_limit: usize,
     /// Journal cohort servers (required for crash/recover chaos).
     pub journal: bool,
-    /// Shards per cohort server; 0 = server default.
-    pub server_shards: usize,
     /// Pin worker threads to cores (best effort, Linux only).
     pub pin_workers: bool,
     /// Periodic per-cohort durable checkpointing (None disables).
@@ -81,7 +79,6 @@ impl Default for FleetConfig {
             burst: 50_000.0,
             soft_limit: 0,
             journal: false,
-            server_shards: 0,
             pin_workers: true,
             checkpoint: None,
             restart: RestartPolicy::default(),
@@ -242,11 +239,7 @@ impl FleetIngest {
                 Arc::new(
                     (0..cfg.cohorts)
                         .map(|_| {
-                            let s = if cfg.server_shards > 0 {
-                                CollectionServer::with_shards(cfg.server_shards)
-                            } else {
-                                CollectionServer::new()
-                            };
+                            let s = CollectionServer::new();
                             let s = if cfg.journal { s.with_journal() } else { s };
                             s.set_soft_limit(cfg.soft_limit);
                             Arc::new(s)

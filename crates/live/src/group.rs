@@ -148,7 +148,7 @@ mod tests {
             for (c, records) in per_cohort.iter().enumerate() {
                 let chunk: Vec<Record> =
                     records.iter().filter(|r| r.seq as usize == k).cloned().collect();
-                group.ingest_batch(c, &TapBatch { shard: k % 4, replay: false, records: chunk });
+                group.ingest_batch(c, &TapBatch { replay: false, records: chunk });
             }
         }
         let finished = group.finish();

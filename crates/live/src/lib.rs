@@ -1,8 +1,9 @@
 //! # mobitrace-live
 //!
-//! Streaming analysis engine behind the sharded
+//! Streaming analysis engine behind the
 //! [`CollectionServer`](mobitrace_collector::CollectionServer): an
-//! [ingest-tap](mobitrace_collector::IngestTap) consumer that cleans
+//! [ingest-tap](mobitrace_collector::IngestTap) consumer — one tap queue
+//! per server, drained in commit order — that cleans
 //! records *online* (watermarked lateness, dedup, tethering and
 //! iOS-update-day rules) and incrementally maintains the analysis-ready
 //! dataset — bins, AP table, bin-range index and columnar view — behind

@@ -44,7 +44,7 @@
 //! small-dataset noise at `--quick` scale.
 //!
 //! [`TRACKED_FLOOR`] keys are the mirror image: higher-is-better ratios
-//! (`ingest.speedup`, the scan-plan cache hit rate, fleet throughput)
+//! (the scan-plan cache hit rate, fleet throughput)
 //! that fail when they fall below `baseline / tolerance - slack`.
 //!
 //! # Fleet keys are machine-sensitive
@@ -112,10 +112,6 @@ pub const TRACKED: &[(&str, f64)] = &[
 /// slack: these fail when the current value falls below
 /// `baseline / tolerance - slack`.
 pub const TRACKED_FLOOR: &[(&str, f64)] = &[
-    // Sharded-vs-single-shard ingest speedup. On a single-core runner the
-    // two configurations are equal-cost (timeslicing), so the floor must
-    // admit ~1.0 even from a baseline comfortably above it.
-    ("ingest.speedup", 0.25),
     // Effective scan-plan reuse rate (shared + per-device local); a drop
     // means plan caching broke somewhere.
     ("world_scan.plan_cache.hit_rate", 0.10),
@@ -479,17 +475,17 @@ mod tests {
 
     #[test]
     fn floor_keys_fail_downward_not_upward() {
-        let base = entry(&[("ingest.speedup", 1.4)]);
-        // Falling within tolerance passes: 1.4 / 1.75 - 0.25 = 0.55.
-        let dip = entry(&[("ingest.speedup", 0.9)]);
+        let base = entry(&[("world_scan.plan_cache.hit_rate", 0.9)]);
+        // Falling within tolerance passes: 0.9 / 1.75 - 0.10 ≈ 0.41.
+        let dip = entry(&[("world_scan.plan_cache.hit_rate", 0.6)]);
         assert!(!compare(&base, &dip, DEFAULT_TOLERANCE).regressed());
         // Falling below the floor fails...
-        let collapse = entry(&[("ingest.speedup", 0.4)]);
+        let collapse = entry(&[("world_scan.plan_cache.hit_rate", 0.3)]);
         let report = compare(&base, &collapse, DEFAULT_TOLERANCE);
         assert!(report.regressed());
         assert!(report.to_string().contains("FAIL (floor)"));
         // ...and rising can never fail a floor key.
-        let faster = entry(&[("ingest.speedup", 100.0)]);
+        let faster = entry(&[("world_scan.plan_cache.hit_rate", 1.0)]);
         assert!(!compare(&base, &faster, DEFAULT_TOLERANCE).regressed());
     }
 
@@ -505,18 +501,20 @@ mod tests {
 
     #[test]
     fn lookback_merges_mixed_histories_per_key() {
-        let mut bench = entry(&[("analysis.overview.ratio", 0.40), ("ingest.speedup", 1.2)]);
+        let mut bench =
+            entry(&[("analysis.overview.ratio", 0.40), ("world_scan.plan_cache.hit_rate", 0.8)]);
         bench.label = "bench".into();
         let mut fleet = entry(&[("fleet.records_per_s", 150_000.0)]);
         fleet.label = "fleet".into();
-        let mut newer_bench = entry(&[("analysis.overview.ratio", 0.45), ("ingest.speedup", 1.3)]);
+        let mut newer_bench =
+            entry(&[("analysis.overview.ratio", 0.45), ("world_scan.plan_cache.hit_rate", 0.9)]);
         newer_bench.label = "bench2".into();
         let history = vec![bench, fleet, newer_bench];
         let merged = lookback_baseline(&history).unwrap();
         // Each key's baseline is its newest occurrence, regardless of the
         // entry kinds interleaved after it.
         assert_eq!(merged.metrics["fleet.records_per_s"], 150_000.0);
-        assert_eq!(merged.metrics["ingest.speedup"], 1.3);
+        assert_eq!(merged.metrics["world_scan.plan_cache.hit_rate"], 0.9);
         assert_eq!(merged.metrics["analysis.overview.ratio"], 0.45);
         assert!(merged.label.starts_with("lookback[3]"));
         assert!(lookback_baseline(&[]).is_none());

@@ -1227,13 +1227,10 @@ fn run_pipeline_bench(args: &Args) {
         );
     }
 
-    // Contended ingest: 8 producers interleaved across devices, first into
-    // the lock-striped server, then into a single-stripe one (the old
-    // one-global-lock design).
-    // Big enough that one timed pass spans many scheduler quanta (~0.4s,
-    // not ~0.04s): the sharded-vs-single-lock difference is a lock-convoy
-    // effect that accumulates per preemption, and at 48k frames it was
-    // inside run-to-run noise on small machines.
+    // Contended ingest: 8 producers interleaved across devices, all
+    // committing into one server. Big enough that one timed pass spans
+    // many scheduler quanta (~0.4s, not ~0.04s), so lock-convoy effects
+    // that accumulate per preemption show up above run-to-run noise.
     const N_DEVICES: u32 = 200;
     const PER_DEVICE: u32 = 2400;
     const THREADS: usize = 8;
@@ -1274,34 +1271,19 @@ fn run_pipeline_bench(args: &Args) {
         });
         t.elapsed().as_secs_f64()
     };
-    // Whichever configuration runs first pays the allocator-growth and
-    // page-fault bill for both (the shard journals and dedup sets are
-    // built from cold heap), which once pushed the committed
-    // `ingest.speedup` below 1.0 simply because the sharded server was
-    // measured first. One discarded pass per configuration warms the
-    // allocator, then each is timed five times in alternating order and
-    // the minima are compared — min is the standard noise-floor
-    // estimator here, since scheduler preemption and co-tenants only
-    // ever add time.
-    timed(&CollectionServer::new());
-    timed(&CollectionServer::with_shards(1));
+    // The first pass pays the allocator-growth and page-fault bill (the
+    // dedup maps are built from cold heap), so it goes untimed; its
+    // server feeds the clean step below. Then the best of five warm
+    // passes is kept — min is the standard noise-floor estimator here,
+    // since scheduler preemption and co-tenants only ever add time.
+    let server = CollectionServer::new();
+    timed(&server);
     const ROUNDS: usize = 5;
-    let mut ingest_s = f64::INFINITY;
-    let mut ingest_single_shard_s = f64::INFINITY;
-    let mut sharded = None;
-    for _ in 0..ROUNDS {
-        let fresh = CollectionServer::new();
-        ingest_s = ingest_s.min(timed(&fresh));
-        sharded = Some(fresh);
-        ingest_single_shard_s = ingest_single_shard_s.min(timed(&CollectionServer::with_shards(1)));
-    }
-    let sharded = sharded.expect("timed rounds ran");
-    let speedup = ingest_single_shard_s / ingest_s.max(1e-9);
-    let n_shards = sharded.n_shards();
+    let contended_s =
+        (0..ROUNDS).map(|_| timed(&CollectionServer::new())).fold(f64::INFINITY, f64::min);
     eprintln!(
         "  ingest ({THREADS} threads, {n_frames} frames, best of {ROUNDS} warm runs): \
-         {n_shards} shards {ingest_s:.3}s vs single lock {ingest_single_shard_s:.3}s \
-         ({speedup:.2}x)"
+         {contended_s:.3}s"
     );
 
     // Same records as one contiguous upload buffer per producer: the
@@ -1325,12 +1307,10 @@ fn run_pipeline_bench(args: &Args) {
     let ingest_stream_s = t.elapsed().as_secs_f64();
     eprintln!("  ingest ({THREADS} contiguous stream buffers): {ingest_stream_s:.3}s");
     metrics.insert("ingest.encode_s".into(), encode_s);
-    metrics.insert("ingest.sharded_s".into(), ingest_s);
-    metrics.insert("ingest.single_shard_s".into(), ingest_single_shard_s);
-    metrics.insert("ingest.speedup".into(), speedup);
+    metrics.insert("ingest.contended_s".into(), contended_s);
     metrics.insert("ingest.stream_s".into(), ingest_stream_s);
 
-    let records = sharded.into_records();
+    let records = server.into_records();
     let devices: Vec<DeviceInfo> = (0..N_DEVICES)
         .map(|i| DeviceInfo {
             device: DeviceId(i),

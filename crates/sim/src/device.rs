@@ -315,7 +315,7 @@ impl DeviceSim {
                 } else {
                     self.agent.note_server_reject(&mut self.net_rng, t);
                 }
-                server.ingest_all(self.transport.deliver_due(t));
+                server.ingest_batch(self.transport.deliver_due(t));
             }
         }
         // End of campaign: flush the cache and the channel. The clock must
@@ -332,9 +332,9 @@ impl DeviceSim {
             } else {
                 self.agent.note_server_reject(&mut self.net_rng, t);
             }
-            server.ingest_all(self.transport.deliver_due(t));
+            server.ingest_batch(self.transport.deliver_due(t));
         }
-        server.ingest_all(self.transport.drain());
+        server.ingest_batch(self.transport.drain());
     }
 
     fn start_day(&mut self, shared: &SharedWorld<'_>, day: u32) {

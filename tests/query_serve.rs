@@ -2,7 +2,7 @@
 //!
 //! 1. `cohort=` predicates select exactly the devices the fleet frontend's
 //!    [`CohortRouter`] routes to that cohort — the filter language and the
-//!    ingest sharding must never disagree about what a cohort is.
+//!    ingest routing must never disagree about what a cohort is.
 //! 2. `mobitrace pool export --where` round-trips: loading a filtered pool
 //!    and analyzing it is bit-identical to running the same filter as a
 //!    query over the original in-memory campaign set.

@@ -177,28 +177,23 @@ pub fn clean(
 /// the number of removed bins. Lets one simulation serve both the main
 /// analyses (update days removed) and the §3.7 update analysis (retained).
 pub fn strip_update_days(ds: &Dataset) -> (Dataset, u64) {
-    use mobitrace_model::DeviceId;
-    use std::collections::HashMap;
-    let mut update_day: HashMap<DeviceId, u32> = HashMap::new();
-    let mut prev: HashMap<DeviceId, OsVersion> = HashMap::new();
-    for b in &ds.bins {
-        if let Some(&p) = prev.get(&b.device) {
-            if p < OsVersion::IOS_8_2
-                && b.os_version >= OsVersion::IOS_8_2
-                && !update_day.contains_key(&b.device)
-            {
-                update_day.insert(b.device, b.time.day());
-            }
+    // Bins are sorted by (device, time), so each device is one contiguous
+    // run and its first pre-8.2 → ≥ 8.2 step is a window of that run.
+    let mut bins = Vec::with_capacity(ds.bins.len());
+    for run in ds.bins.chunk_by(|a, b| a.device == b.device) {
+        let update_day = run
+            .windows(2)
+            .find(|w| w[0].os_version < OsVersion::IOS_8_2 && w[1].os_version >= OsVersion::IOS_8_2)
+            .map(|w| w[1].time.day());
+        match update_day {
+            Some(d) => bins
+                .extend(run.iter().filter(|b| b.time.day() != d && b.time.day() != d + 1).cloned()),
+            None => bins.extend_from_slice(run),
         }
-        prev.insert(b.device, b.os_version);
     }
-    let mut out = ds.clone();
-    let before = out.bins.len();
-    out.bins.retain(|b| match update_day.get(&b.device) {
-        Some(&d) => b.time.day() != d && b.time.day() != d + 1,
-        None => true,
-    });
-    let removed = (before - out.bins.len()) as u64;
+    let removed = (ds.bins.len() - bins.len()) as u64;
+    let out =
+        Dataset { meta: ds.meta.clone(), devices: ds.devices.clone(), aps: ds.aps.clone(), bins };
     (out, removed)
 }
 

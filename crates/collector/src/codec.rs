@@ -29,7 +29,10 @@
 //! - a varint wider than its field (device, seq and minute are `u32`,
 //!   boot epoch and scan counts `u16`, geo cells `i16`) is
 //!   [`CodecError::Malformed`] rather than a truncated value. The encoder
-//!   never emits one, so every valid stream decodes as before.
+//!   never emits one, so every valid stream decodes as before;
+//! - a 10-byte varint whose last byte sets anything above bit 63 is
+//!   `Malformed("varint too long")`, not a value with those bits shifted
+//!   out.
 //!
 //! Version 2 adds a **per-stream ESSID dictionary**: within one contiguous
 //! upload buffer ([`encode_batch`] → [`decode_batch_into`]) each distinct
@@ -194,6 +197,11 @@ impl<'a> Cursor<'a> {
     fn varint(&mut self) -> Result<u64, CodecError> {
         let mut v = 0u64;
         for (i, &byte) in self.0.iter().take(10).enumerate() {
+            // The 10th byte carries bit 63 only; anything above it would
+            // be shifted out, silently narrowing the value.
+            if i == 9 && byte > 0x01 {
+                return Err(CodecError::Malformed("varint too long"));
+            }
             v |= u64::from(byte & 0x7F) << (7 * i);
             if byte & 0x80 == 0 {
                 self.0 = &self.0[i + 1..];
@@ -873,6 +881,21 @@ mod tests {
         let stream = out.freeze();
         let second = stream.slice(first_len..);
         assert_eq!(decode_frame(&second), Err(CodecError::Malformed("essid dictionary reference")));
+    }
+
+    /// A 10-byte varint may set only bit 63 in its last byte; higher bits
+    /// would be shifted out, so they must be rejected, not narrowed.
+    #[test]
+    fn varint_tenth_byte_overflow_rejected() {
+        let varint = |last: u8| {
+            let mut raw = [0xFFu8; 10];
+            raw[9] = last;
+            Cursor(&raw).varint()
+        };
+        assert_eq!(varint(0x01), Ok(u64::MAX));
+        for last in [0x02, 0x7F, 0x81] {
+            assert_eq!(varint(last), Err(CodecError::Malformed("varint too long")));
+        }
     }
 
     #[test]

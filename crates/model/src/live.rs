@@ -31,7 +31,7 @@ use crate::dataset::{
     ApEntry, ApRef, AppBin, BinRecord, CampaignMeta, Dataset, DeviceInfo, ScanSummary, WifiAssoc,
     WifiBinState,
 };
-use crate::ids::{CellId, DeviceId};
+use crate::ids::{CellId, DeviceId, Essid};
 use crate::index::{DatasetIndex, DatasetIndexBuilder};
 use crate::net::WifiState;
 use crate::record::OsVersion;
@@ -268,7 +268,7 @@ impl LiveTableBuilder {
 
         // Single pass: bins + canonical AP interning + index + columns.
         let mut aps: Vec<ApEntry> = Vec::new();
-        let mut ap_index: HashMap<(u64, String), ApRef> = HashMap::new();
+        let mut ap_index: HashMap<(u64, Essid), ApRef> = HashMap::new();
         let mut bins: Vec<BinRecord> = Vec::with_capacity(self.merged.len());
         let mut index = DatasetIndexBuilder::new();
         let mut cols = DatasetColumns::new_for_push();
@@ -277,7 +277,7 @@ impl LiveTableBuilder {
                 WifiState::Off => WifiBinState::Off,
                 WifiState::OnUnassociated => WifiBinState::OnUnassociated,
                 WifiState::Associated(a) => {
-                    let key = (a.bssid.as_u64(), a.essid.as_str().to_owned());
+                    let key = (a.bssid.as_u64(), a.essid.clone());
                     let ap = *ap_index.entry(key).or_insert_with(|| {
                         let r = ApRef(aps.len() as u32);
                         aps.push(ApEntry { bssid: a.bssid, essid: a.essid.clone() });

@@ -3,6 +3,7 @@
 use crate::apclass::{classify_cols, ApClassification};
 use crate::daily::{classify_user_days, user_days_cols, TrafficClass, UserDay};
 use mobitrace_model::{CellId, Dataset, DatasetColumns, DatasetIndex, DeviceId};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -43,11 +44,13 @@ pub struct AnalysisContext<'a> {
     pub aps: ApClassification,
     /// Inferred home cell per device.
     pub home_cell: HashMap<DeviceId, CellId>,
-    /// Precomputed per-device / per-day bin ranges.
-    pub index: DatasetIndex,
-    /// Columnar (structure-of-arrays) view of `ds.bins`; the hot full-scan
-    /// passes stream these columns instead of the row records.
-    pub cols: DatasetColumns,
+    /// Precomputed per-device / per-day row ranges (owned, or borrowed
+    /// from a snapshot).
+    pub index: Cow<'a, DatasetIndex>,
+    /// Columnar (structure-of-arrays) rows; the hot full-scan passes
+    /// stream these columns instead of the row records. Owned, or
+    /// borrowed from a snapshot.
+    pub cols: Cow<'a, DatasetColumns>,
 }
 
 impl<'a> AnalysisContext<'a> {
@@ -71,29 +74,52 @@ impl<'a> AnalysisContext<'a> {
     /// Build the context from an already-built index and columnar view —
     /// the entry point for incrementally maintained datasets (the live
     /// engine's snapshots carry both), skipping the two full-scan builds.
-    /// `index` and `cols` must describe exactly `ds.bins`; the analysis
-    /// passes here scan only the provided views.
+    /// `index` and `cols` are the rows: `ds` supplies the identifier tables
+    /// and its `bins` may be empty; when it is not, it must hold exactly
+    /// the rows `cols` does. The analysis passes here scan only the
+    /// provided views.
     pub fn from_parts(
         ds: &'a Dataset,
         index: DatasetIndex,
         cols: DatasetColumns,
     ) -> AnalysisContext<'a> {
-        let small = ds.bins.len() < PARALLEL_BUILD_THRESHOLD;
+        AnalysisContext::from_cow_parts(ds, Cow::Owned(index), Cow::Owned(cols), None)
+    }
+
+    /// [`from_parts`](Self::from_parts) over owned or borrowed parts, so a
+    /// caller holding a snapshot's index and columns builds a context
+    /// without cloning them. `aps`, when given, must be the classification
+    /// of exactly these rows ([`classify_cols`] over `ds` and `cols`); the
+    /// context then skips that pass.
+    pub fn from_cow_parts(
+        ds: &'a Dataset,
+        index: Cow<'a, DatasetIndex>,
+        cols: Cow<'a, DatasetColumns>,
+        aps: Option<ApClassification>,
+    ) -> AnalysisContext<'a> {
+        debug_assert!(
+            ds.bins.is_empty() || ds.bins.len() == cols.len(),
+            "row table and columns disagree"
+        );
+        let (c, ix) = (&*cols, &*index);
+        let small = c.len() < PARALLEL_BUILD_THRESHOLD;
         let (days, classes, thresholds, aps, home_cell) = if small {
-            let days = user_days_cols(&cols);
+            let days = user_days_cols(c);
             let (classes, thresholds) = classify_user_days(&days);
-            (days, classes, thresholds, classify_cols(ds, &cols), infer_home_cells(&cols, &index))
+            let aps = aps.unwrap_or_else(|| classify_cols(ds, c));
+            (days, classes, thresholds, aps, infer_home_cells(c, ix))
         } else {
             std::thread::scope(|scope| {
                 let daily = scope.spawn(|| {
-                    let days = user_days_cols(&cols);
+                    let days = user_days_cols(c);
                     let (classes, thresholds) = classify_user_days(&days);
                     (days, classes, thresholds)
                 });
-                let aps = scope.spawn(|| classify_cols(ds, &cols));
-                let home_cell = infer_home_cells(&cols, &index);
+                let aps = aps.ok_or_else(|| scope.spawn(|| classify_cols(ds, c)));
+                let home_cell = infer_home_cells(c, ix);
                 let (days, classes, thresholds) = daily.join().expect("daily pass");
-                (days, classes, thresholds, aps.join().expect("ap pass"), home_cell)
+                let aps = aps.unwrap_or_else(|pass| pass.join().expect("ap pass"));
+                (days, classes, thresholds, aps, home_cell)
             })
         };
         AnalysisContext { ds, days, classes, thresholds, aps, home_cell, index, cols }

@@ -33,8 +33,9 @@ pub type SnapshotObserver = Box<dyn FnMut(&Arc<LiveSnapshot>, &LiveStats) + Send
 /// One published snapshot observed during the run: how much the engine had
 /// folded and what the incremental maintenance had cost by then. The cost
 /// counters are cumulative; deltas between consecutive metrics give the
-/// per-snapshot cost, which stays proportional to the rows folded since
-/// the last snapshot — not to the dataset size.
+/// per-snapshot cost. Every compaction copies the whole merged run, so a
+/// single delta grows with the dataset; only the total (at most 17× the
+/// rows folded) is linear.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotMetric {
     /// Compactions done when the snapshot was taken.
@@ -104,11 +105,12 @@ pub fn run_live_campaign_observed(
     run_live_campaign_inner(config, opts, None, Some(observer)).0
 }
 
-/// [`run_live_campaign`], plus streaming persistence: every snapshot the
-/// engine publishes mid-run is appended to the pool at `path` as its own
-/// generation and committed, so other processes can mmap the file and
-/// analyze the latest complete generation while the campaign is still
-/// uploading. Creating the pool (taking the writer lock) can fail; append
+/// [`run_live_campaign`], plus streaming persistence: snapshots the engine
+/// publishes mid-run are appended to the pool at `path` on the sink's
+/// geometric cadence ([`SnapshotPoolSink::offer`]), each as its own
+/// generation, and the finished snapshot always is, so other processes can
+/// mmap the file and analyze the latest complete generation while the
+/// campaign is still uploading. Creating the pool (taking the writer lock) can fail; append
 /// failures after that degrade persistence only and are reported in the
 /// returned [`PoolSpoolStats`].
 pub fn run_live_campaign_to_pool(
@@ -169,7 +171,7 @@ fn run_live_campaign_inner(
                     seen_compactions = s.compactions;
                     let snap = engine.snapshot();
                     if let Some(sink) = sink.as_mut() {
-                        sink.append(&snap);
+                        sink.offer(&snap);
                     }
                     if let Some(obs) = observer.as_mut() {
                         obs(&snap, &s);
@@ -240,6 +242,7 @@ fn run_live_campaign_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool_sink::PERSIST_GROWTH;
 
     fn tiny(seed: u64) -> CampaignConfig {
         let mut cfg = CampaignConfig::scaled(mobitrace_model::Year::Y2015, 0.02);
@@ -312,9 +315,24 @@ mod tests {
 
         assert!(report.converged(), "diverged: {:?}", report.divergence);
         assert_eq!(spool.error, None, "spool degraded: {:?}", spool.error);
-        // One generation per published snapshot metric (mid-run
-        // compactions plus the final finished snapshot).
-        assert_eq!(spool.generations, report.snapshots.len() as u64);
+        // Mid-run generations persist on the sink's growth cadence; the
+        // finished snapshot (the last metric) always does.
+        let (finished, mid_run) = report.snapshots.split_last().expect("finished snapshot");
+        let persisted_mid_run = {
+            let mut last: Option<usize> = None;
+            mid_run
+                .iter()
+                .filter(|m| {
+                    let keep = last.is_none_or(|l| m.bins as f64 >= l as f64 * PERSIST_GROWTH);
+                    if keep {
+                        last = Some(m.bins);
+                    }
+                    keep
+                })
+                .count() as u64
+        };
+        assert_eq!(finished.compactions, report.finished.stats.compactions);
+        assert_eq!(spool.generations, persisted_mid_run + 1);
         assert!(spool.generations >= 1);
         assert!(spool.epoch >= spool.generations);
 

@@ -57,7 +57,7 @@ pub struct LiveOptions {
     /// convergence reference too.
     pub lateness_minutes: u32,
     /// Additive floor on the compaction trigger (tail rows before a
-    /// compaction is considered); the multiplicative half-of-merged rule
+    /// compaction is considered); the multiplicative 1/16-of-merged rule
     /// on top keeps total compaction work linear.
     pub compact_min_tail: usize,
 }
@@ -208,22 +208,15 @@ impl LiveEngine {
         opts: LiveOptions,
     ) -> LiveEngine {
         let n = devices.len();
-        let empty =
-            Dataset { meta: meta.clone(), devices: devices.clone(), aps: vec![], bins: vec![] };
-        let snapshot = Arc::new(LiveSnapshot {
-            index: DatasetIndex::build(&empty),
-            cols: DatasetColumns::build(&empty),
-            ds: empty,
-            compactions: 0,
-        });
+        let builder =
+            LiveTableBuilder::new(meta, devices).with_compact_min_tail(opts.compact_min_tail);
         LiveEngine {
             opts,
             lanes: (0..n).map(|_| Lane::default()).collect(),
-            builder: LiveTableBuilder::new(meta, devices)
-                .with_compact_min_tail(opts.compact_min_tail),
+            snapshot: builder.snapshot(),
+            builder,
             late: HashSet::new(),
             stats: LiveStats::default(),
-            snapshot,
             touched: Vec::new(),
         }
     }
@@ -268,8 +261,9 @@ impl LiveEngine {
     }
 
     /// End of stream: fold everything still pending (no more arrivals, so
-    /// the watermark is moot), run the final compaction, hand back the
-    /// snapshot, the counters and the late-key set.
+    /// the watermark is moot), run the final compaction, fill the final
+    /// snapshot's row table from its columns, and hand back the snapshot,
+    /// the counters and the late-key set.
     pub fn finish(mut self) -> FinishedLive {
         let t0 = Instant::now();
         for d in 0..self.lanes.len() {
@@ -277,7 +271,12 @@ impl LiveEngine {
         }
         self.stats.fold_nanos += t0.elapsed().as_nanos() as u64;
         self.compact();
-        FinishedLive { snapshot: self.snapshot, stats: self.stats, late: self.late }
+        let LiveEngine { builder, snapshot, stats, late, .. } = self;
+        // The builder holds the other reference to the final snapshot.
+        drop(builder);
+        let mut snap = Arc::unwrap_or_clone(snapshot);
+        snap.ds.bins = snap.cols.to_bins();
+        FinishedLive { snapshot: Arc::new(snap), stats, late }
     }
 
     /// Classify one arrival: duplicate, late, or pending.
@@ -434,7 +433,7 @@ impl LiveEngine {
 
     fn compact(&mut self) {
         let t0 = Instant::now();
-        self.snapshot = Arc::new(self.builder.compact());
+        self.snapshot = self.builder.compact();
         self.stats.compact_nanos += t0.elapsed().as_nanos() as u64;
         self.stats.compactions = self.builder.compactions();
     }

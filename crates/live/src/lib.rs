@@ -6,8 +6,9 @@
 //! per server, drained in commit order — that cleans
 //! records *online* (watermarked lateness, dedup, tethering and
 //! iOS-update-day rules) and incrementally maintains the analysis-ready
-//! dataset — bins, AP table, bin-range index and columnar view — behind
-//! cheap copy-on-write snapshots.
+//! dataset — AP table, bin-range index and columnar rows — behind cheap
+//! copy-on-write snapshots. Mid-run snapshots are columns-only; the
+//! finished one also carries the row table.
 //!
 //! The convergence contract is exact: when the stream ends, the live
 //! snapshot is **bit-identical** to the batch pipeline's output over the

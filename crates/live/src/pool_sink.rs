@@ -1,29 +1,40 @@
 //! Streaming snapshot persistence: the live engine as pool writer.
 //!
 //! Each compaction publishes a fresh [`LiveSnapshot`]; a
-//! [`SnapshotPoolSink`] appends every published generation to one
-//! `.mtpool` file as its own dataset stream and commits, so concurrent
-//! readers (other processes mmap-ing the same file) always see the
-//! latest *complete* generation — the pool's atomic slot flip is the
-//! publication barrier. This is the "one serialized writer, many mmap
-//! readers" half of the pool's concurrency story; the sink holds the
-//! writer lock for its lifetime.
+//! [`SnapshotPoolSink`] appends generations to one `.mtpool` file, each as
+//! its own dataset stream, and commits, so concurrent readers (other
+//! processes mmap-ing the same file) always see the latest *complete*
+//! generation — the pool's atomic slot flip is the publication barrier.
+//! This is the "one serialized writer, many mmap readers" half of the
+//! pool's concurrency story; the sink holds the writer lock for its
+//! lifetime.
 //!
-//! Two costs of this shape are deliberate and worth knowing: every
-//! generation spools the *full* current dataset (not a delta), so the
-//! file grows roughly quadratically in the number of generations over a
-//! long run — size the compaction cadence accordingly — and generation
-//! stream ids are `u16`, so a sink persists at most 65 536 generations;
-//! past that it degrades exactly like a disk error (the error is
-//! reported in [`PoolSpoolStats`], earlier generations stay readable).
+//! Every persisted generation spools the *full* current dataset (not a
+//! delta), and the file keeps all of them. The engine publishes a
+//! generation every time its tails reach 1/16 of the merged run, which is
+//! too often to persist each one, so [`SnapshotPoolSink::offer`] persists
+//! a mid-run generation only once it holds at least
+//! [`PERSIST_GROWTH`]× the rows of the last persisted one; the finished
+//! snapshot is always persisted ([`SnapshotPoolSink::append`]). That
+//! geometric cadence bounds the file at about three times the final
+//! generation. Generation stream ids are `u16`, so a sink persists at most
+//! 65 536 generations; past that it degrades exactly like a disk error
+//! (the error is reported in [`PoolSpoolStats`], earlier generations stay
+//! readable).
 
 use mobitrace_model::LiveSnapshot;
 use mobitrace_pool::{PoolError, PoolReader, PoolWriter};
 use std::path::Path;
 
+/// A mid-run generation is persisted once it holds at least this many
+/// times the rows of the last persisted generation.
+pub const PERSIST_GROWTH: f64 = 1.5;
+
 /// Appends live snapshot generations to a pool file.
 pub struct SnapshotPoolSink {
     writer: PoolWriter,
+    /// Rows in the last persisted generation (`None` before the first).
+    last_rows: Option<usize>,
     /// Next generation's stream id.
     next: u16,
     /// Generations committed (tracked separately from `next` so the
@@ -53,10 +64,19 @@ impl SnapshotPoolSink {
     pub fn create(path: &Path) -> Result<SnapshotPoolSink, PoolError> {
         Ok(SnapshotPoolSink {
             writer: PoolWriter::create(path)?,
+            last_rows: None,
             next: 0,
             generations: 0,
             error: None,
         })
+    }
+
+    /// Persist a mid-run generation if it has grown by [`PERSIST_GROWTH`]
+    /// since the last persisted one (the first is always persisted).
+    pub fn offer(&mut self, snap: &LiveSnapshot) {
+        if self.last_rows.is_none_or(|last| snap.len() as f64 >= last as f64 * PERSIST_GROWTH) {
+            self.append(snap);
+        }
     }
 
     /// Append one snapshot as the next generation and publish it.
@@ -76,6 +96,7 @@ impl SnapshotPoolSink {
         match result {
             Ok(_) => {
                 self.generations += 1;
+                self.last_rows = Some(snap.len());
                 match self.next.checked_add(1) {
                     Some(n) => self.next = n,
                     None => {

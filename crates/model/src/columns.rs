@@ -10,11 +10,14 @@
 //! one flat `Vec<AppBin>`) — so each analysis pass streams exactly the
 //! bytes it needs.
 //!
-//! `Dataset::bins` stays the source of truth: columns are a derived view,
-//! built in O(n) by [`DatasetColumns::build`] and valid for as long as the
-//! dataset's `bins` vector is unmodified. Row index `i` in every column
+//! Batch datasets build their columns in O(n) with
+//! [`DatasetColumns::build`]; row index `i` in every column then
 //! corresponds to `ds.bins[i]`, so [`DatasetIndex`](crate::DatasetIndex)
-//! ranges slice columns directly.
+//! ranges slice columns directly. Columns are also a complete form on
+//! their own: live generations and filtered query views carry *only*
+//! columns (an identifier-only `Dataset` with empty `bins` beside them),
+//! and [`DatasetColumns::to_bins`] rebuilds the row table where a caller
+//! needs rows.
 
 use crate::dataset::{ApRef, AppBin, BinRecord, Dataset, ScanSummary, WifiAssoc, WifiBinState};
 use crate::ids::{CellId, DeviceId};
@@ -22,6 +25,7 @@ use crate::net::{Band, Channel};
 use crate::record::OsVersion;
 use crate::time::SimTime;
 use crate::units::Dbm;
+use std::ops::Range;
 
 /// One-byte discriminant of [`WifiBinState`], stored as its own column so
 /// state filters scan one byte per bin.
@@ -191,43 +195,41 @@ pub struct DatasetColumns {
 impl DatasetColumns {
     /// Transpose `ds.bins` into columns in one pass.
     pub fn build(ds: &Dataset) -> DatasetColumns {
-        let n = ds.bins.len();
         let n_apps = ds.bins.iter().map(|b| b.apps.len()).sum();
-        let mut c = DatasetColumns {
-            device: Vec::with_capacity(n),
-            time: Vec::with_capacity(n),
-            rx_3g: Vec::with_capacity(n),
-            tx_3g: Vec::with_capacity(n),
-            rx_lte: Vec::with_capacity(n),
-            tx_lte: Vec::with_capacity(n),
-            rx_wifi: Vec::with_capacity(n),
-            tx_wifi: Vec::with_capacity(n),
-            wifi_tag: Vec::with_capacity(n),
-            assoc_ap: Vec::with_capacity(n),
-            assoc_band: Vec::with_capacity(n),
-            assoc_channel: Vec::with_capacity(n),
-            assoc_rssi: Vec::with_capacity(n),
-            scan: ScanColumns::with_capacity(n),
-            app_offsets: Vec::with_capacity(n + 1),
-            apps: Vec::with_capacity(n_apps),
-            geo: Vec::with_capacity(n),
-            os_version: Vec::with_capacity(n),
-            sel_associated: Vec::new(),
-            sel_available: Vec::new(),
-        };
-        c.app_offsets.push(0);
+        let mut c = DatasetColumns::with_capacity(ds.bins.len(), n_apps);
         for b in &ds.bins {
             c.push_bin(b);
         }
         c
     }
 
-    /// Empty columns ready for [`push_bin`](DatasetColumns::push_bin)
-    /// appends (the CSR offset array needs its leading zero).
-    pub(crate) fn new_for_push() -> DatasetColumns {
-        let mut c = DatasetColumns::default();
-        c.app_offsets.push(0);
-        c
+    /// Empty columns with room for `rows` bins and `apps` app entries (the
+    /// CSR offset array holds its leading zero).
+    pub(crate) fn with_capacity(rows: usize, apps: usize) -> DatasetColumns {
+        let mut app_offsets = Vec::with_capacity(rows + 1);
+        app_offsets.push(0);
+        DatasetColumns {
+            device: Vec::with_capacity(rows),
+            time: Vec::with_capacity(rows),
+            rx_3g: Vec::with_capacity(rows),
+            tx_3g: Vec::with_capacity(rows),
+            rx_lte: Vec::with_capacity(rows),
+            tx_lte: Vec::with_capacity(rows),
+            rx_wifi: Vec::with_capacity(rows),
+            tx_wifi: Vec::with_capacity(rows),
+            wifi_tag: Vec::with_capacity(rows),
+            assoc_ap: Vec::with_capacity(rows),
+            assoc_band: Vec::with_capacity(rows),
+            assoc_channel: Vec::with_capacity(rows),
+            assoc_rssi: Vec::with_capacity(rows),
+            scan: ScanColumns::with_capacity(rows),
+            app_offsets,
+            apps: Vec::with_capacity(apps),
+            geo: Vec::with_capacity(rows),
+            os_version: Vec::with_capacity(rows),
+            sel_associated: Vec::new(),
+            sel_available: Vec::new(),
+        }
     }
 
     pub(crate) fn push_bin(&mut self, b: &BinRecord) {
@@ -257,6 +259,90 @@ impl DatasetColumns {
         self.app_offsets.push(self.apps.len() as u32);
         self.geo.push(b.geo);
         self.os_version.push(b.os_version);
+    }
+
+    /// Drop every row, keeping the allocations (the live builder reuses
+    /// its per-device tails across compactions).
+    pub(crate) fn clear(&mut self) {
+        self.device.clear();
+        self.time.clear();
+        self.rx_3g.clear();
+        self.tx_3g.clear();
+        self.rx_lte.clear();
+        self.tx_lte.clear();
+        self.rx_wifi.clear();
+        self.tx_wifi.clear();
+        self.wifi_tag.clear();
+        self.assoc_ap.clear();
+        self.assoc_band.clear();
+        self.assoc_channel.clear();
+        self.assoc_rssi.clear();
+        let s = &mut self.scan;
+        s.n24_all.clear();
+        s.n24_strong.clear();
+        s.n5_all.clear();
+        s.n5_strong.clear();
+        s.n24_public_all.clear();
+        s.n24_public_strong.clear();
+        s.n5_public_all.clear();
+        s.n5_public_strong.clear();
+        self.app_offsets.clear();
+        self.app_offsets.push(0);
+        self.apps.clear();
+        self.geo.clear();
+        self.os_version.clear();
+        self.sel_associated.clear();
+        self.sel_available.clear();
+    }
+
+    /// Append the contiguous row range `rows` of `src`: every column is a
+    /// slice copy, the CSR offsets are rebased onto this view's app table
+    /// and the selection vectors are shifted into this view's numbering.
+    /// The live builder's compaction is a sequence of these.
+    pub(crate) fn extend_from_range(&mut self, src: &DatasetColumns, rows: Range<usize>) {
+        if rows.is_empty() {
+            return;
+        }
+        let base = self.len() as u32;
+        let (lo, hi) = (rows.start as u32, rows.end as u32);
+        for (out, sel) in [
+            (&mut self.sel_associated, &src.sel_associated),
+            (&mut self.sel_available, &src.sel_available),
+        ] {
+            let first = sel.partition_point(|&r| r < lo);
+            let last = sel.partition_point(|&r| r < hi);
+            out.extend(sel[first..last].iter().map(|&r| r - lo + base));
+        }
+        let r = rows.clone();
+        self.device.extend_from_slice(&src.device[r.clone()]);
+        self.time.extend_from_slice(&src.time[r.clone()]);
+        self.rx_3g.extend_from_slice(&src.rx_3g[r.clone()]);
+        self.tx_3g.extend_from_slice(&src.tx_3g[r.clone()]);
+        self.rx_lte.extend_from_slice(&src.rx_lte[r.clone()]);
+        self.tx_lte.extend_from_slice(&src.tx_lte[r.clone()]);
+        self.rx_wifi.extend_from_slice(&src.rx_wifi[r.clone()]);
+        self.tx_wifi.extend_from_slice(&src.tx_wifi[r.clone()]);
+        self.wifi_tag.extend_from_slice(&src.wifi_tag[r.clone()]);
+        self.assoc_ap.extend_from_slice(&src.assoc_ap[r.clone()]);
+        self.assoc_band.extend_from_slice(&src.assoc_band[r.clone()]);
+        self.assoc_channel.extend_from_slice(&src.assoc_channel[r.clone()]);
+        self.assoc_rssi.extend_from_slice(&src.assoc_rssi[r.clone()]);
+        let (s, t) = (&mut self.scan, &src.scan);
+        s.n24_all.extend_from_slice(&t.n24_all[r.clone()]);
+        s.n24_strong.extend_from_slice(&t.n24_strong[r.clone()]);
+        s.n5_all.extend_from_slice(&t.n5_all[r.clone()]);
+        s.n5_strong.extend_from_slice(&t.n5_strong[r.clone()]);
+        s.n24_public_all.extend_from_slice(&t.n24_public_all[r.clone()]);
+        s.n24_public_strong.extend_from_slice(&t.n24_public_strong[r.clone()]);
+        s.n5_public_all.extend_from_slice(&t.n5_public_all[r.clone()]);
+        s.n5_public_strong.extend_from_slice(&t.n5_public_strong[r.clone()]);
+        self.geo.extend_from_slice(&src.geo[r.clone()]);
+        self.os_version.extend_from_slice(&src.os_version[r]);
+        let (a0, a1) = (src.app_offsets[rows.start], src.app_offsets[rows.end]);
+        let app_base = self.apps.len() as u32;
+        self.apps.extend_from_slice(&src.apps[a0 as usize..a1 as usize]);
+        self.app_offsets
+            .extend(src.app_offsets[rows.start + 1..=rows.end].iter().map(|&o| o - a0 + app_base));
     }
 
     /// Number of bin rows.
@@ -324,79 +410,95 @@ impl DatasetColumns {
         &self.apps[self.app_offsets[i] as usize..self.app_offsets[i + 1] as usize]
     }
 
+    /// Reconstruct the row table: the inverse of
+    /// [`build`](DatasetColumns::build), so `build(ds).to_bins() ==
+    /// ds.bins`. Views that carry only columns (live generations, pool
+    /// decodes, filtered queries) call this where a caller needs rows.
+    pub fn to_bins(&self) -> Vec<BinRecord> {
+        (0..self.len())
+            .map(|i| BinRecord {
+                device: self.device[i],
+                time: self.time[i],
+                rx_3g: self.rx_3g[i],
+                tx_3g: self.tx_3g[i],
+                rx_lte: self.rx_lte[i],
+                tx_lte: self.tx_lte[i],
+                rx_wifi: self.rx_wifi[i],
+                tx_wifi: self.tx_wifi[i],
+                wifi: self.wifi_state(i),
+                scan: self.scan.summary(i),
+                apps: self.apps_of(i).to_vec(),
+                geo: self.geo[i],
+                os_version: self.os_version[i],
+            })
+            .collect()
+    }
+
     /// Gather a row subset into a new, densely renumbered columnar view.
     ///
     /// `rows` are row indexes into `self` in strictly ascending order (a
-    /// selection vector, as produced by a filter compiler). Every column is
-    /// copied row by row, the CSR app table is re-flattened, and the
+    /// selection vector, as produced by a filter compiler). Each column is
+    /// gathered on its own, the CSR app table is re-flattened, and the
     /// `sel_associated` / `sel_available` selection vectors are rebuilt in
     /// the *new* row numbering — so the result is bit-identical to
     /// [`build`](DatasetColumns::build) over a dataset holding exactly the
-    /// selected bins, and feeds
-    /// `AnalysisContext::from_parts` without any rebuild scan.
+    /// selected bins, and feeds `AnalysisContext::from_parts` without any
+    /// rebuild scan.
     pub fn gather(&self, rows: &[u32]) -> DatasetColumns {
         debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must be ascending");
-        let n = rows.len();
-        let n_apps: usize = rows
-            .iter()
-            .map(|&r| {
-                let i = r as usize;
-                (self.app_offsets[i + 1] - self.app_offsets[i]) as usize
-            })
-            .sum();
-        let mut c = DatasetColumns {
-            device: Vec::with_capacity(n),
-            time: Vec::with_capacity(n),
-            rx_3g: Vec::with_capacity(n),
-            tx_3g: Vec::with_capacity(n),
-            rx_lte: Vec::with_capacity(n),
-            tx_lte: Vec::with_capacity(n),
-            rx_wifi: Vec::with_capacity(n),
-            tx_wifi: Vec::with_capacity(n),
-            wifi_tag: Vec::with_capacity(n),
-            assoc_ap: Vec::with_capacity(n),
-            assoc_band: Vec::with_capacity(n),
-            assoc_channel: Vec::with_capacity(n),
-            assoc_rssi: Vec::with_capacity(n),
-            scan: ScanColumns::with_capacity(n),
-            app_offsets: Vec::with_capacity(n + 1),
-            apps: Vec::with_capacity(n_apps),
-            geo: Vec::with_capacity(n),
-            os_version: Vec::with_capacity(n),
-            sel_associated: Vec::new(),
-            sel_available: Vec::new(),
-        };
-        c.app_offsets.push(0);
-        for (new_row, &r) in rows.iter().enumerate() {
-            let i = r as usize;
-            c.device.push(self.device[i]);
-            c.time.push(self.time[i]);
-            c.rx_3g.push(self.rx_3g[i]);
-            c.tx_3g.push(self.tx_3g[i]);
-            c.rx_lte.push(self.rx_lte[i]);
-            c.tx_lte.push(self.tx_lte[i]);
-            c.rx_wifi.push(self.rx_wifi[i]);
-            c.tx_wifi.push(self.tx_wifi[i]);
-            let tag = self.wifi_tag[i];
-            c.wifi_tag.push(tag);
+        fn pick<T: Copy>(col: &[T], rows: &[u32]) -> Vec<T> {
+            rows.iter().map(|&r| col[r as usize]).collect()
+        }
+        let wifi_tag = pick(&self.wifi_tag, rows);
+        let mut sel_associated = Vec::new();
+        let mut sel_available = Vec::new();
+        for (new_row, tag) in wifi_tag.iter().enumerate() {
             match tag {
-                WifiTag::Associated => c.sel_associated.push(new_row as u32),
-                WifiTag::OnUnassociated => c.sel_available.push(new_row as u32),
+                WifiTag::Associated => sel_associated.push(new_row as u32),
+                WifiTag::OnUnassociated => sel_available.push(new_row as u32),
                 WifiTag::Off => {}
             }
-            c.assoc_ap.push(self.assoc_ap[i]);
-            c.assoc_band.push(self.assoc_band[i]);
-            c.assoc_channel.push(self.assoc_channel[i]);
-            c.assoc_rssi.push(self.assoc_rssi[i]);
-            c.scan.push(&self.scan.summary(i));
-            c.apps.extend_from_slice(
-                &self.apps[self.app_offsets[i] as usize..self.app_offsets[i + 1] as usize],
-            );
-            c.app_offsets.push(c.apps.len() as u32);
-            c.geo.push(self.geo[i]);
-            c.os_version.push(self.os_version[i]);
         }
-        c
+        let n_apps = rows.iter().map(|&r| self.apps_of(r as usize).len()).sum();
+        let mut app_offsets = Vec::with_capacity(rows.len() + 1);
+        app_offsets.push(0);
+        let mut apps = Vec::with_capacity(n_apps);
+        for &r in rows {
+            apps.extend_from_slice(self.apps_of(r as usize));
+            app_offsets.push(apps.len() as u32);
+        }
+        let s = &self.scan;
+        DatasetColumns {
+            device: pick(&self.device, rows),
+            time: pick(&self.time, rows),
+            rx_3g: pick(&self.rx_3g, rows),
+            tx_3g: pick(&self.tx_3g, rows),
+            rx_lte: pick(&self.rx_lte, rows),
+            tx_lte: pick(&self.tx_lte, rows),
+            rx_wifi: pick(&self.rx_wifi, rows),
+            tx_wifi: pick(&self.tx_wifi, rows),
+            wifi_tag,
+            assoc_ap: pick(&self.assoc_ap, rows),
+            assoc_band: pick(&self.assoc_band, rows),
+            assoc_channel: pick(&self.assoc_channel, rows),
+            assoc_rssi: pick(&self.assoc_rssi, rows),
+            scan: ScanColumns {
+                n24_all: pick(&s.n24_all, rows),
+                n24_strong: pick(&s.n24_strong, rows),
+                n5_all: pick(&s.n5_all, rows),
+                n5_strong: pick(&s.n5_strong, rows),
+                n24_public_all: pick(&s.n24_public_all, rows),
+                n24_public_strong: pick(&s.n24_public_strong, rows),
+                n5_public_all: pick(&s.n5_public_all, rows),
+                n5_public_strong: pick(&s.n5_public_strong, rows),
+            },
+            app_offsets,
+            apps,
+            geo: pick(&self.geo, rows),
+            os_version: pick(&self.os_version, rows),
+            sel_associated,
+            sel_available,
+        }
     }
 }
 
@@ -562,6 +664,62 @@ mod tests {
             let sub_ds = dataset(rows.iter().map(|&r| ds.bins[r as usize].clone()).collect());
             let rebuilt = DatasetColumns::build(&sub_ds);
             assert_eq!(gathered, rebuilt, "subset {rows:?}");
+        }
+    }
+
+    /// `to_bins` inverts `build` across every WiFi state and CSR shape
+    /// (empty, single- and multi-entry app rows).
+    #[test]
+    fn to_bins_inverts_build() {
+        let ds = dataset(vec![
+            bin(0, 0, WifiBinState::Off, vec![]),
+            bin(0, 10, assoc(), vec![app(AppCategory::Video, 20), app(AppCategory::Game, 30)]),
+            bin(0, 20, WifiBinState::OnUnassociated, vec![app(AppCategory::Social, 10)]),
+            bin(1, 0, assoc(), vec![]),
+            bin(
+                1,
+                10,
+                WifiBinState::Off,
+                vec![
+                    app(AppCategory::Browser, 1),
+                    app(AppCategory::Browser, 2),
+                    app(AppCategory::Video, 3),
+                ],
+            ),
+            bin(2, 5, WifiBinState::OnUnassociated, vec![]),
+        ]);
+        assert_eq!(DatasetColumns::build(&ds).to_bins(), ds.bins);
+        assert!(DatasetColumns::build(&dataset(vec![])).to_bins().is_empty());
+    }
+
+    /// Concatenating row ranges equals building over the concatenated
+    /// rows — CSR rebasing and shifted selection vectors included.
+    #[test]
+    fn extend_from_range_matches_build_over_concatenation() {
+        let bins = vec![
+            bin(0, 0, WifiBinState::Off, vec![app(AppCategory::Social, 10)]),
+            bin(0, 10, assoc(), vec![app(AppCategory::Video, 20), app(AppCategory::Game, 30)]),
+            bin(0, 20, WifiBinState::OnUnassociated, vec![]),
+            bin(1, 0, assoc(), vec![app(AppCategory::Browser, 5)]),
+            bin(1, 10, WifiBinState::OnUnassociated, vec![]),
+            bin(1, 20, WifiBinState::Off, vec![]),
+        ];
+        let ds = dataset(bins);
+        let full = DatasetColumns::build(&ds);
+        for ranges in [vec![0..6, 6..6], vec![0..2, 3..6], vec![1..1, 2..4, 5..6], vec![4..6, 0..1]]
+        {
+            let mut c = DatasetColumns::with_capacity(0, 0);
+            for r in &ranges {
+                c.extend_from_range(&full, r.clone());
+            }
+            let picked = ranges.iter().flat_map(|r| ds.bins[r.clone()].iter().cloned());
+            let mut want = DatasetColumns::with_capacity(0, 0);
+            for b in picked {
+                want.push_bin(&b);
+            }
+            assert_eq!(c, want, "ranges {ranges:?}");
+            c.clear();
+            assert_eq!(c, DatasetColumns::with_capacity(0, 0));
         }
     }
 

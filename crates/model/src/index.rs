@@ -10,6 +10,7 @@
 //! The index holds plain offsets, not references, so it can be built once
 //! and shared freely across analysis threads.
 
+use crate::columns::DatasetColumns;
 use crate::dataset::{BinRecord, Dataset};
 use crate::error::ModelError;
 use crate::ids::DeviceId;
@@ -69,6 +70,18 @@ impl DatasetIndex {
         day_offsets[n] = day_spans.len() as u32;
         debug_assert_eq!(i, bins.len(), "bins referencing devices outside the table");
         DatasetIndex { device_start, day_offsets, day_spans }
+    }
+
+    /// Build the index from a columnar view's device/time columns, over a
+    /// device table of `n_devices` entries — how views that carry no row
+    /// table (live generations, filtered queries) get theirs. Identical to
+    /// [`build`](Self::build) over the same rows.
+    pub fn build_cols(cols: &DatasetColumns, n_devices: usize) -> DatasetIndex {
+        let mut b = DatasetIndexBuilder::new();
+        for (&device, &time) in cols.device.iter().zip(&cols.time) {
+            b.push(device, time);
+        }
+        b.finish(n_devices)
     }
 
     /// Number of devices the index covers.
@@ -205,9 +218,8 @@ pub struct IndexColumns {
 
 /// Streaming construction of a [`DatasetIndex`]: rows are pushed one at a
 /// time in (device, time) order and the per-device ranges and day spans are
-/// extended in place, so the live pipeline's compaction walk builds the
-/// index in the same single pass that builds the bins and columns —
-/// without a second scan over the dataset.
+/// extended in place, so an index can be built from any (device, time)
+/// stream — [`DatasetIndex::build_cols`] feeds it a view's columns.
 ///
 /// Produces bit-identical output to [`DatasetIndex::build`] over the same
 /// rows (the builder's tests and the live-vs-batch equivalence suite hold
@@ -415,6 +427,8 @@ mod tests {
             assert_eq!(builder.len(), ds.bins.len());
             let streamed = builder.finish(n as usize);
             assert_eq!(streamed, batch, "{n} devices, {} bins", ds.bins.len());
+            let from_cols = DatasetIndex::build_cols(&DatasetColumns::build(&ds), n as usize);
+            assert_eq!(from_cols, batch, "columns, {n} devices");
         }
     }
 }

@@ -4,27 +4,57 @@
 //! and interns everything into a [`Dataset`], then [`DatasetIndex::build`]
 //! and [`DatasetColumns::build`] each re-scan the bin table. A live
 //! consumer cannot afford any of those full scans per update, so this
-//! module keeps the dataset in LSM style instead:
+//! module keeps the dataset in LSM style instead, entirely in columns:
 //!
-//! * appends land in cheap per-device *tail* vectors ([`LiveRow`] keeps the
-//!   association un-interned, because the canonical AP numbering is a
-//!   whole-dataset property);
+//! * appends land in per-device *tail* column runs. The association is
+//!   stored under an **append-time AP id**: each new (BSSID, ESSID) pair
+//!   is interned once, the first time it is seen (its `Essid` is cloned
+//!   only then), because the canonical AP numbering is a whole-dataset
+//!   property that only compaction can decide;
 //! * retroactive removals (the iOS-update-day rule discovers its victim
 //!   days *after* their bins were appended) are recorded as per-device day
 //!   **tombstones** and only counted logically;
-//! * a periodic **compaction** — amortised O(1) per appended row by a
-//!   tail-vs-merged size trigger — folds tails and tombstones into a fresh
-//!   sorted run and emits a [`LiveSnapshot`]: the bins, the canonical
-//!   first-encounter AP table, the bin-range index and the columnar
-//!   transpose, all built in the same single walk via
-//!   [`DatasetIndexBuilder`] and the columnar push path.
+//! * a periodic **compaction** builds the next merged run — a
+//!   [`DatasetColumns`] in (device, time) order with per-device ranges —
+//!   by slice copies: each device's previous merged slice minus its
+//!   tombstoned days (one contiguous span, since a device's rows are
+//!   time-sorted), then that device's tail. One pass over the associated
+//!   rows then **renumbers** every AP to the canonical first-encounter
+//!   [`ApRef`] and emits the AP table, and the index is rebuilt from the
+//!   device/time columns.
 //!
-//! Snapshots are plain owned values; the engine wraps them in `Arc` so
-//! readers get copy-on-write semantics — a snapshot taken between
-//! compactions is a pointer clone, never a rebuild. After the final
+//! The merged run *is* the published [`LiveSnapshot`]'s columns: the
+//! builder keeps an `Arc` of the snapshot it last published, so each
+//! compaction makes exactly one copy of the live rows. Mid-run snapshots
+//! carry no row table — `ds.bins` is empty and `cols` plus `index` are the
+//! rows; the live engine fills `ds.bins` once, through
+//! [`DatasetColumns::to_bins`], when it finishes. A snapshot taken between
+//! compactions is a pointer clone, never a rebuild, and after the final
 //! compaction the snapshot is bit-identical to what the batch pipeline
 //! produces from the same cleaned records, which the live engine's
 //! convergence proof asserts.
+//!
+//! **Cadence.** A compaction fires once the tails hold at least
+//! `compact_min_tail` rows *and* 1/16 of the live merged run. Each
+//! compaction copies the merged run plus the tails, at most 17× the
+//! tails, so total copy work stays linear: at most 17× the rows appended.
+//! The ratio sets how often readers see a new generation, and each
+//! generation also costs the readers a query refresh on the same drain
+//! thread. Measured on the `mtbench` `live_serve` workload (scale 0.04,
+//! 2 vCPUs, six registered queries), with column-run compaction:
+//!
+//! | ratio | generations | staleness p50 / p90 | drain idle | tap spill |
+//! |-------|-------------|---------------------|------------|-----------|
+//! | ½ (row rebuilds) | 14 | 0.46 s / 1.02 s | 3.3 s | ≈40k |
+//! | 1/8   | 37 | 0.16–0.17 s / 0.41 s | 3.1 s | ≈46k |
+//! | 1/16  | 60 | 0.11–0.13 s / 0.25–0.28 s | 2.2 s | ≈81k |
+//! | 1/32  | 96 | 0.09–0.10 s / 0.17–0.18 s | 1.1 s | ≈131k |
+//!
+//! (Generations, idle seconds and records spilled into the tap's
+//! unbounded side buffer are per ≈4.7 s replay.) 1/32 is fresher still on
+//! this workload, but it leaves the drain thread a third of the idle time
+//! ½ left and spills over three times as many records; 1/16 keeps two
+//! thirds of that idle time at twice the spill.
 
 use crate::columns::DatasetColumns;
 use crate::dataset::{
@@ -32,22 +62,27 @@ use crate::dataset::{
     WifiBinState,
 };
 use crate::ids::{CellId, DeviceId, Essid};
-use crate::index::{DatasetIndex, DatasetIndexBuilder};
+use crate::index::DatasetIndex;
 use crate::net::WifiState;
 use crate::record::OsVersion;
 use crate::time::SimTime;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Compaction trigger: compact once the tails hold at least this many rows
-/// *and* at least half as many as the merged run. The multiplicative part
-/// makes total compaction work linear in the final row count; the additive
-/// floor stops tiny datasets from compacting after every batch.
+/// *and* at least 1/[`COMPACT_RATIO`] of the live merged run. The
+/// multiplicative part makes total compaction work linear in the final row
+/// count; the additive floor stops tiny datasets from compacting after
+/// every batch.
 const COMPACT_MIN_TAIL: usize = 1024;
 
-/// One cleaned bin awaiting compaction. Identical to [`BinRecord`] except
-/// that the WiFi association still carries the raw (BSSID, ESSID) identity:
-/// AP references are only assigned at compaction time, where the canonical
+/// Tails must reach `merged / COMPACT_RATIO` rows before a compaction.
+const COMPACT_RATIO: usize = 16;
+
+/// One cleaned bin to append. Identical to [`BinRecord`] except that the
+/// WiFi association still carries the raw (BSSID, ESSID) identity: AP
+/// references are only assigned at compaction time, where the canonical
 /// first-encounter order over the *surviving* rows is known.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LiveRow {
@@ -79,17 +114,19 @@ pub struct LiveRow {
     pub os_version: OsVersion,
 }
 
-/// One published state of the live dataset: the cleaned [`Dataset`] plus
-/// the two derived views every columnar analysis pass needs, all consistent
-/// with each other. The engine hands these out behind an `Arc`, so taking a
-/// snapshot costs a reference count, not a copy.
+/// One published state of the live dataset: the identifier tables plus the
+/// two views every columnar analysis pass needs, all consistent with each
+/// other. The engine hands these out behind an `Arc`, so taking a snapshot
+/// costs a reference count, not a copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LiveSnapshot {
-    /// The cleaned dataset as of the last compaction.
+    /// Campaign metadata, device table and canonical AP table. `bins` is
+    /// empty in mid-run generations (`cols` holds the rows); the finished
+    /// snapshot fills it.
     pub ds: Dataset,
-    /// Per-device / per-day bin ranges over `ds.bins`.
+    /// Per-device / per-day row ranges over `cols`.
     pub index: DatasetIndex,
-    /// Columnar transpose of `ds.bins`.
+    /// The rows, in (device, time) order.
     pub cols: DatasetColumns,
     /// Compactions performed so far (including the one that produced this).
     pub compactions: u64,
@@ -98,12 +135,12 @@ pub struct LiveSnapshot {
 impl LiveSnapshot {
     /// Bin rows in this snapshot.
     pub fn len(&self) -> usize {
-        self.ds.bins.len()
+        self.cols.len()
     }
 
     /// True when the snapshot holds no bins.
     pub fn is_empty(&self) -> bool {
-        self.ds.bins.is_empty()
+        self.cols.is_empty()
     }
 }
 
@@ -117,23 +154,38 @@ impl LiveSnapshot {
 pub struct LiveTableBuilder {
     meta: CampaignMeta,
     devices: Vec<DeviceInfo>,
-    /// Rows already compacted, sorted by (device, time), tombstones applied.
-    merged: Vec<LiveRow>,
-    /// Per-device range into `merged`.
+    /// The last published snapshot. Its columns are the merged run: sorted
+    /// by (device, time), tombstones applied as of that compaction, APs
+    /// numbered canonically.
+    merged: Arc<LiveSnapshot>,
+    /// Per-device range into the merged run.
     merged_ranges: Vec<Range<usize>>,
-    /// Per-device uncompacted appends, each in ascending time order.
-    tails: Vec<Vec<LiveRow>>,
+    /// The merged run's canonical AP ids → append-time ids.
+    canon_to_intern: Vec<u32>,
+    /// Per-device uncompacted appends, each in ascending time order, APs
+    /// under append-time ids.
+    tails: Vec<DatasetColumns>,
     /// Rows across all tails.
     tail_rows: usize,
+    /// Append-time AP table: id → entry.
+    interned: Vec<ApEntry>,
+    /// Append-time AP ids by (BSSID, ESSID).
+    intern_ids: HashMap<(u64, Essid), u32>,
     /// Update day per device: bins on `d` and `d + 1` are dead. Applied
     /// logically on registration, physically at the next compaction.
     tombs: Vec<Option<u32>>,
-    /// Rows in `merged` that tombstones have logically removed (they stop
-    /// counting toward `len`, and compaction will drop them).
+    /// Rows in the merged run that tombstones have logically removed (they
+    /// stop counting toward `len`, and compaction will drop them).
     dead_merged: usize,
     compactions: u64,
     /// Additive compaction floor (tests shrink it to force compactions).
     compact_min_tail: usize,
+}
+
+/// The rows of a time-sorted slice that fall on `day` or `day + 1` — one
+/// contiguous span.
+fn dead_span(time: &[SimTime], day: u32) -> Range<usize> {
+    time.partition_point(|t| t.day() < day)..time.partition_point(|t| t.day() <= day + 1)
 }
 
 impl LiveTableBuilder {
@@ -141,13 +193,23 @@ impl LiveTableBuilder {
     /// must index into `devices`.
     pub fn new(meta: CampaignMeta, devices: Vec<DeviceInfo>) -> LiveTableBuilder {
         let n = devices.len();
+        let cols = DatasetColumns::with_capacity(0, 0);
+        let merged = Arc::new(LiveSnapshot {
+            index: DatasetIndex::build_cols(&cols, n),
+            cols,
+            ds: Dataset { meta: meta.clone(), devices: devices.clone(), aps: vec![], bins: vec![] },
+            compactions: 0,
+        });
         LiveTableBuilder {
             meta,
             devices,
-            merged: Vec::new(),
+            merged,
             merged_ranges: vec![0..0; n],
-            tails: (0..n).map(|_| Vec::new()).collect(),
+            canon_to_intern: Vec::new(),
+            tails: (0..n).map(|_| DatasetColumns::with_capacity(0, 0)).collect(),
             tail_rows: 0,
+            interned: Vec::new(),
+            intern_ids: HashMap::new(),
             tombs: vec![None; n],
             dead_merged: 0,
             compactions: 0,
@@ -191,14 +253,53 @@ impl LiveTableBuilder {
         self.compactions
     }
 
+    /// The last published snapshot (an empty one before the first
+    /// compaction) — an `Arc` clone.
+    pub fn snapshot(&self) -> Arc<LiveSnapshot> {
+        Arc::clone(&self.merged)
+    }
+
     /// Append one cleaned row to its device tail.
     pub fn append(&mut self, row: LiveRow) {
-        let d = row.device.index();
+        let tail = &mut self.tails[row.device.index()];
         debug_assert!(
-            self.tails[d].last().is_none_or(|p| p.time < row.time),
+            tail.time.last().is_none_or(|&t| t < row.time),
             "tail appends must be in ascending time order"
         );
-        self.tails[d].push(row);
+        let wifi = match row.wifi {
+            WifiState::Off => WifiBinState::Off,
+            WifiState::OnUnassociated => WifiBinState::OnUnassociated,
+            WifiState::Associated(a) => {
+                let interned = &mut self.interned;
+                let id = *self.intern_ids.entry((a.bssid.as_u64(), a.essid)).or_insert_with_key(
+                    |(_, essid)| {
+                        interned.push(ApEntry { bssid: a.bssid, essid: essid.clone() });
+                        (interned.len() - 1) as u32
+                    },
+                );
+                WifiBinState::Associated(WifiAssoc {
+                    ap: ApRef(id),
+                    band: a.band,
+                    channel: a.channel,
+                    rssi: a.rssi,
+                })
+            }
+        };
+        tail.push_bin(&BinRecord {
+            device: row.device,
+            time: row.time,
+            rx_3g: row.rx_3g,
+            tx_3g: row.tx_3g,
+            rx_lte: row.rx_lte,
+            tx_lte: row.tx_lte,
+            rx_wifi: row.rx_wifi,
+            tx_wifi: row.tx_wifi,
+            wifi,
+            scan: row.scan,
+            apps: row.apps,
+            geo: row.geo,
+            os_version: row.os_version,
+        });
         self.tail_rows += 1;
     }
 
@@ -209,114 +310,91 @@ impl LiveTableBuilder {
         let d = device.index();
         debug_assert!(self.tombs[d].is_none(), "one update day per device");
         self.tombs[d] = Some(day);
-        let dead = |r: &LiveRow| {
-            let rd = r.time.day();
-            rd == day || rd == day + 1
-        };
-        let in_merged =
-            self.merged[self.merged_ranges[d].clone()].iter().filter(|r| dead(r)).count();
-        let in_tail = self.tails[d].iter().filter(|r| dead(r)).count();
+        let in_merged = dead_span(&self.merged.cols.time[self.merged_ranges[d].clone()], day).len();
         self.dead_merged += in_merged;
-        // Dead tail rows are filtered at compaction; stop counting them now.
-        self.tails[d].retain(|r| !dead(r));
-        self.tail_rows -= in_tail;
-        (in_merged + in_tail) as u64
+        // Dead tail rows are cut now; every later append is filtered by the
+        // engine's cleaner.
+        let tail = &mut self.tails[d];
+        let dead = dead_span(&tail.time, day);
+        if !dead.is_empty() {
+            let cap = (tail.len(), tail.apps.len());
+            let old = std::mem::replace(tail, DatasetColumns::with_capacity(cap.0, cap.1));
+            tail.extend_from_range(&old, 0..dead.start);
+            tail.extend_from_range(&old, dead.end..old.len());
+            self.tail_rows -= dead.len();
+        }
+        (in_merged + dead.len()) as u64
     }
 
     /// Whether enough tail rows have piled up to amortise a compaction.
     pub fn should_compact(&self) -> bool {
         self.tail_rows >= self.compact_min_tail
-            && self.tail_rows * 2 >= self.merged.len() - self.dead_merged
+            && self.tail_rows * COMPACT_RATIO >= self.merged.len() - self.dead_merged
     }
 
-    /// Fold tails and tombstones into a fresh sorted run and publish a
-    /// snapshot. One walk over the surviving rows builds the bins, the
-    /// canonical first-encounter AP table, the index and the columns.
-    pub fn compact(&mut self) -> LiveSnapshot {
-        let n_rows = self.len();
-        let mut new_merged: Vec<LiveRow> = Vec::with_capacity(n_rows);
-        let old_merged = std::mem::take(&mut self.merged);
-        let mut old_iter = old_merged.into_iter();
-        let mut consumed = 0usize;
+    /// Merge the tails and tombstones into a fresh run and publish it as
+    /// the next snapshot (see the [module docs](self)).
+    pub fn compact(&mut self) -> Arc<LiveSnapshot> {
+        let src = &self.merged.cols;
+        let tail_apps: usize = self.tails.iter().map(|t| t.apps.len()).sum();
+        let mut cols = DatasetColumns::with_capacity(self.len(), src.apps.len() + tail_apps);
         for d in 0..self.devices.len() {
-            let start = new_merged.len();
+            let start = cols.len();
             let range = self.merged_ranges[d].clone();
-            debug_assert_eq!(range.start, consumed, "merged ranges must tile the run");
-            let tomb = self.tombs[d];
-            let dead = |r: &LiveRow| match tomb {
+            let keep = match self.tombs[d] {
                 Some(day) => {
-                    let rd = r.time.day();
-                    rd == day || rd == day + 1
+                    let dead = dead_span(&src.time[range.clone()], day);
+                    [range.start..range.start + dead.start, range.start + dead.end..range.end]
                 }
-                None => false,
+                None => [range, 0..0],
             };
-            for row in old_iter.by_ref().take(range.len()) {
-                if !dead(&row) {
-                    new_merged.push(row);
+            for rows in keep {
+                // Merged rows carry last compaction's canonical ids; map
+                // them back to append-time ids like the tail's.
+                let from = cols.sel_associated.len();
+                cols.extend_from_range(src, rows);
+                for &r in &cols.sel_associated[from..] {
+                    let ap = &mut cols.assoc_ap[r as usize];
+                    *ap = ApRef(self.canon_to_intern[ap.index()]);
                 }
             }
-            consumed = range.end;
-            // Tails were already tombstone-filtered on registration, and
-            // every later append is filtered by the engine's cleaner.
-            new_merged.append(&mut self.tails[d]);
-            self.merged_ranges[d] = start..new_merged.len();
+            let tail = &mut self.tails[d];
+            cols.extend_from_range(tail, 0..tail.len());
+            tail.clear();
+            self.merged_ranges[d] = start..cols.len();
         }
-        self.merged = new_merged;
+        debug_assert_eq!(cols.len(), self.len());
+
+        // Canonical renumbering: first encounter in (device, time) order.
+        let mut canon = vec![u32::MAX; self.interned.len()];
+        let mut aps = Vec::new();
+        self.canon_to_intern.clear();
+        for &r in &cols.sel_associated {
+            let ap = &mut cols.assoc_ap[r as usize];
+            let id = ap.index();
+            if canon[id] == u32::MAX {
+                canon[id] = aps.len() as u32;
+                aps.push(self.interned[id].clone());
+                self.canon_to_intern.push(id as u32);
+            }
+            *ap = ApRef(canon[id]);
+        }
+
         self.tail_rows = 0;
         self.dead_merged = 0;
         self.compactions += 1;
-
-        // Single pass: bins + canonical AP interning + index + columns.
-        let mut aps: Vec<ApEntry> = Vec::new();
-        let mut ap_index: HashMap<(u64, Essid), ApRef> = HashMap::new();
-        let mut bins: Vec<BinRecord> = Vec::with_capacity(self.merged.len());
-        let mut index = DatasetIndexBuilder::new();
-        let mut cols = DatasetColumns::new_for_push();
-        for row in &self.merged {
-            let wifi = match &row.wifi {
-                WifiState::Off => WifiBinState::Off,
-                WifiState::OnUnassociated => WifiBinState::OnUnassociated,
-                WifiState::Associated(a) => {
-                    let key = (a.bssid.as_u64(), a.essid.clone());
-                    let ap = *ap_index.entry(key).or_insert_with(|| {
-                        let r = ApRef(aps.len() as u32);
-                        aps.push(ApEntry { bssid: a.bssid, essid: a.essid.clone() });
-                        r
-                    });
-                    WifiBinState::Associated(WifiAssoc {
-                        ap,
-                        band: a.band,
-                        channel: a.channel,
-                        rssi: a.rssi,
-                    })
-                }
-            };
-            let bin = BinRecord {
-                device: row.device,
-                time: row.time,
-                rx_3g: row.rx_3g,
-                tx_3g: row.tx_3g,
-                rx_lte: row.rx_lte,
-                tx_lte: row.tx_lte,
-                rx_wifi: row.rx_wifi,
-                tx_wifi: row.tx_wifi,
-                wifi,
-                scan: row.scan,
-                apps: row.apps.clone(),
-                geo: row.geo,
-                os_version: row.os_version,
-            };
-            index.push(bin.device, bin.time);
-            cols.push_bin(&bin);
-            bins.push(bin);
-        }
-        let ds = Dataset { meta: self.meta.clone(), devices: self.devices.clone(), aps, bins };
-        LiveSnapshot {
-            index: index.finish(ds.devices.len()),
+        self.merged = Arc::new(LiveSnapshot {
+            index: DatasetIndex::build_cols(&cols, self.devices.len()),
             cols,
-            ds,
+            ds: Dataset {
+                meta: self.meta.clone(),
+                devices: self.devices.clone(),
+                aps,
+                bins: Vec::new(),
+            },
             compactions: self.compactions,
-        }
+        });
+        Arc::clone(&self.merged)
     }
 }
 
@@ -373,6 +451,11 @@ mod tests {
             channel: Channel(6),
             rssi: Dbm::new(-60),
         })
+    }
+
+    /// The snapshot's dataset with its row table filled from the columns.
+    fn with_rows(snap: &LiveSnapshot) -> Dataset {
+        Dataset { bins: snap.cols.to_bins(), ..snap.ds.clone() }
     }
 
     /// The reference: what the snapshot must equal, computed the batch way
@@ -451,10 +534,11 @@ mod tests {
         }
         let snap = b.compact();
         let want = batch_reference(meta(5), devices(3), &rows);
-        assert_eq!(snap.ds, want.ds);
+        assert_eq!(with_rows(&snap), want.ds);
         assert_eq!(snap.index, want.index);
         assert_eq!(snap.cols, want.cols);
-        snap.ds.validate().unwrap();
+        assert!(snap.ds.bins.is_empty(), "mid-run generations carry no rows");
+        with_rows(&snap).validate().unwrap();
         // Device 1 never appeared; its range must still be addressable.
         assert!(snap.index.device_range(DeviceId(1)).is_empty());
     }
@@ -478,7 +562,7 @@ mod tests {
             devices(2),
             &[row(1, 0, 0, assoc("late", 9)), row(0, 0, 0, assoc("early", 5))],
         );
-        assert_eq!(snap.ds, want.ds);
+        assert_eq!(with_rows(&snap), want.ds);
     }
 
     #[test]
@@ -497,14 +581,14 @@ mod tests {
         assert_eq!(killed, 2);
         assert_eq!(b.len(), 7, "logical removal is immediate");
         let snap = b.compact();
-        assert_eq!(snap.ds.bins.len(), 7);
+        assert_eq!(snap.len(), 7);
         let want_rows: Vec<LiveRow> = (0..4u32)
             .flat_map(|day| [row(0, day, 0, WifiState::Off), row(1, day, 0, WifiState::Off)])
             .chain([row(0, 4, 0, WifiState::Off)])
             .filter(|r| !(r.device == DeviceId(0) && (r.time.day() == 1 || r.time.day() == 2)))
             .collect();
         let want = batch_reference(meta(5), devices(2), &want_rows);
-        assert_eq!(snap.ds, want.ds);
+        assert_eq!(with_rows(&snap), want.ds);
         assert_eq!(snap.index, want.index);
         assert_eq!(snap.cols, want.cols);
     }
@@ -520,24 +604,27 @@ mod tests {
         assert_eq!(killed, 2);
         assert_eq!(b.len(), 2);
         let snap = b.compact();
-        let days: Vec<u32> = snap.ds.bins.iter().map(|x| x.time.day()).collect();
+        let days: Vec<u32> = snap.cols.time.iter().map(|t| t.day()).collect();
         assert_eq!(days, vec![0, 1]);
     }
 
+    /// Every compaction copies the live merged run plus the tails, and the
+    /// 1/16 trigger fires only once the tails reach 1/16 of the run — so
+    /// each copy is at most 17× its tails and the total stays linear.
     #[test]
     fn compaction_trigger_amortises() {
-        let mut b = LiveTableBuilder::new(meta(30), devices(1)).with_compact_min_tail(8);
-        let mut compactions = 0u64;
-        for k in 0..1_000u32 {
-            b.append(row(0, k / 144, k % 144, WifiState::Off));
+        let n = 4_000usize;
+        let mut b = LiveTableBuilder::new(meta(30), devices(2)).with_compact_min_tail(8);
+        let mut copied = 0usize;
+        for k in 0..n as u32 {
+            b.append(row(k % 2, k / 288, (k / 2) % 144, WifiState::Off));
             if b.should_compact() {
-                b.compact();
-                compactions += 1;
+                copied += b.compact().len();
             }
         }
-        assert!(compactions >= 2, "trigger never fired");
-        assert!(compactions <= 16, "trigger fired {compactions} times for 1000 rows");
-        assert_eq!(b.compactions(), compactions);
+        assert!(b.compactions() >= 2, "trigger never fired");
+        assert!(copied <= 17 * n, "compactions copied {copied} rows for {n} appended");
+        assert_eq!(b.len(), n);
     }
 
     #[test]

@@ -22,9 +22,9 @@ use crate::le::{Cursor, Enc};
 use crate::reader::{PoolDataset, PoolReader};
 use crate::writer::PoolWriter;
 use mobitrace_model::{
-    ApRef, AppBin, AppCategory, Band, BinRecord, Bssid, CampaignMeta, CellId, Channel, Dataset,
+    ApRef, AppBin, AppCategory, Band, Bssid, CampaignMeta, CellId, Channel, Dataset,
     DatasetColumns, DatasetIndex, Dbm, DeviceId, DeviceInfo, Essid, IndexColumns, OsVersion,
-    ScanColumns, ScanSummary, SimTime, WifiAssoc, WifiBinState, WifiTag,
+    ScanColumns, SimTime, WifiTag,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -64,11 +64,12 @@ pub fn encode_dataset(
     index: &DatasetIndex,
     cols: &DatasetColumns,
 ) -> Result<(), PoolError> {
-    let n = ds.bins.len();
-    if cols.device.len() != n {
+    // The columns are the rows; a row table, when present, must agree.
+    let n = cols.len();
+    if !ds.bins.is_empty() && ds.bins.len() != n {
         return Err(corrupt(format!(
-            "columns cover {} rows but dataset has {n} bins",
-            cols.device.len()
+            "columns cover {n} rows but dataset has {} bins",
+            ds.bins.len()
         )));
     }
     let nr = n as u64;
@@ -417,47 +418,6 @@ pub fn decode_dataset(r: &PoolReader, stream: u16) -> Result<PoolDataset, PoolEr
         )));
     }
 
-    // Materialize the row table (the retained row-scan reference passes
-    // and the serde-equality tests still read `Dataset::bins`).
-    let mut bins = Vec::with_capacity(n);
-    for i in 0..n {
-        let wifi = match wifi_tag[i] {
-            WifiTag::Off => WifiBinState::Off,
-            WifiTag::OnUnassociated => WifiBinState::OnUnassociated,
-            WifiTag::Associated => WifiBinState::Associated(WifiAssoc {
-                ap: assoc_ap[i],
-                band: assoc_band[i],
-                channel: assoc_channel[i],
-                rssi: assoc_rssi[i],
-            }),
-        };
-        let (a, b) = (app_offsets[i] as usize, app_offsets[i + 1] as usize);
-        bins.push(BinRecord {
-            device: device[i],
-            time: time[i],
-            rx_3g: rx_3g[i],
-            tx_3g: tx_3g[i],
-            rx_lte: rx_lte[i],
-            tx_lte: tx_lte[i],
-            rx_wifi: rx_wifi[i],
-            tx_wifi: tx_wifi[i],
-            wifi,
-            scan: ScanSummary {
-                n24_all: scan.n24_all[i],
-                n24_strong: scan.n24_strong[i],
-                n5_all: scan.n5_all[i],
-                n5_strong: scan.n5_strong[i],
-                n24_public_all: scan.n24_public_all[i],
-                n24_public_strong: scan.n24_public_strong[i],
-                n5_public_all: scan.n5_public_all[i],
-                n5_public_strong: scan.n5_public_strong[i],
-            },
-            apps: apps[a..b].to_vec(),
-            geo: geo[i],
-            os_version: os_version[i],
-        });
-    }
-
     let cols = DatasetColumns {
         device,
         time,
@@ -481,6 +441,9 @@ pub fn decode_dataset(r: &PoolReader, stream: u16) -> Result<PoolDataset, PoolEr
         sel_available,
     };
 
+    // Materialize the row table (the retained row-scan reference passes
+    // and the serde-equality tests still read `Dataset::bins`).
+    let bins = cols.to_bins();
     let ds = Dataset { meta: meta.meta, devices: meta.devices, aps, bins };
     ds.validate().map_err(|e| corrupt(format!("dataset invariants: {e}")))?;
     Ok(PoolDataset { ds, index, cols })

@@ -240,7 +240,8 @@ impl PoolWriter {
 
     /// Append a full dataset stream (all columnar segments + metadata +
     /// persisted index) under stream id `stream`. The stream must not
-    /// already exist in the pool.
+    /// already exist in the pool. `cols` are the rows: `ds.bins` may be
+    /// empty (a columns-only live generation) and otherwise must match.
     pub fn append_dataset(
         &mut self,
         stream: u16,

@@ -242,6 +242,65 @@ fn multi_stream_append_and_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A columns-only dataset (identifier tables, empty `bins`) persists from
+/// its columns and decodes with its row table rebuilt; a row table that
+/// disagrees with the columns is still refused.
+#[test]
+fn columns_only_dataset_persists_and_mismatched_rows_are_refused() {
+    let mut bins = Vec::new();
+    for d in 0..N_DEV {
+        for (k, wifi) in [
+            WifiBinState::Off,
+            WifiBinState::OnUnassociated,
+            WifiBinState::Associated(WifiAssoc {
+                ap: ApRef(d % N_APS),
+                band: Band::Ghz5,
+                channel: Channel(36),
+                rssi: Dbm::new(-55),
+            }),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            bins.push(BinRecord {
+                device: DeviceId(d),
+                time: SimTime::from_day_minute(k as u32, 30 * d),
+                rx_3g: u64::from(d),
+                tx_3g: 1,
+                rx_lte: 2,
+                tx_lte: 3,
+                rx_wifi: 4,
+                tx_wifi: 5,
+                wifi,
+                scan: ScanSummary::default(),
+                apps: vec![AppBin { category: AppCategory::ALL[k], rx_bytes: 7, tx_bytes: 8 }; k],
+                geo: CellId::new(0, 0),
+                os_version: OsVersion::new(4, 4),
+            });
+        }
+    }
+    let full = dataset(bins);
+    let (index, cols) = (DatasetIndex::build(&full), DatasetColumns::build(&full));
+    let ids_only = Dataset { bins: vec![], ..full.clone() };
+    let dir = scratch("cols-only");
+    let path = dir.join("cols.mtpool");
+    {
+        let mut w = PoolWriter::create(&path).expect("create");
+        w.append_dataset(0, &ids_only, &index, &cols).expect("columns-only append");
+        let mut short = full.clone();
+        short.bins.pop();
+        assert!(w.append_dataset(1, &short, &index, &cols).is_err(), "row mismatch accepted");
+        w.commit().expect("commit");
+    }
+    let r = PoolReader::open(&path).expect("open");
+    let pd = r.decode_dataset(0).expect("decode");
+    assert_eq!(pd.ds, full);
+    assert_eq!(pd.index, index);
+    assert_eq!(pd.cols, cols);
+    drop(r);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn replace_keeps_old_pool_until_finish() {
     let dir = scratch("replace");

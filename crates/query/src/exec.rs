@@ -4,16 +4,25 @@
 //! A [`QuerySet`] holds the parsed queries from the CLI's repeated
 //! `--where` flags (plus the implicit unfiltered query). Each snapshot
 //! generation — a live-engine compaction, a `.mtpool` epoch, or a batch
-//! dataset — is evaluated by compiling every query's selection vector
-//! against the snapshot's columns, materializing the filtered view, and
-//! running the unchanged analysis passes through
-//! `AnalysisContext::from_parts`. The unfiltered query skips selection
-//! entirely and reuses the snapshot's own index/columns, so its payload
-//! is bit-identical to the batch pipeline over the same dataset — the
-//! invariant the serve gate asserts at end of campaign.
+//! dataset — is evaluated without touching a row table, so columns-only
+//! live generations (empty `ds.bins`) serve exactly like batch datasets:
+//!
+//! * the unfiltered query borrows the snapshot's own index and columns
+//!   (`AnalysisContext::from_cow_parts`), so its payload is bit-identical
+//!   to the batch pipeline over the same dataset — the invariant the serve
+//!   gate asserts at end of campaign;
+//! * each filtered query compiles its selection vector against the
+//!   snapshot's columns, gathers a columns-only view and rebuilds its
+//!   index ([`filtered_parts`]); all filtered views of one generation
+//!   share one identifier-only `Dataset` (the snapshot's own when it
+//!   carries no rows);
+//! * the snapshot's AP classification is computed at most once per
+//!   generation and shared by every venue predicate and the unfiltered
+//!   context.
 
 use crate::expr::{parse, FilterExpr, ParseError};
-use crate::filter::{materialize, select_rows, CompileOptions};
+use crate::filter::{filtered_parts, select_rows_with, CompileOptions};
+use mobitrace_core::apclass::{classify_cols, ApClassification};
 use mobitrace_core::availability::{offload_potential, OffloadPotential};
 use mobitrace_core::cap::cap_analysis;
 use mobitrace_core::quality::{rssi_analysis, RssiAnalysis};
@@ -21,6 +30,7 @@ use mobitrace_core::timeseries::{aggregate_series, venue_series};
 use mobitrace_core::AnalysisContext;
 use mobitrace_model::{Dataset, DatasetColumns, DatasetIndex};
 use serde::Serialize;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// One registered query: an id for the output stream plus the parsed
@@ -80,7 +90,7 @@ pub fn evaluate_payload(ctx: &AnalysisContext<'_>) -> MetricPayload {
     let venues = venue_series(ctx.ds, &ctx.cols, &ctx.aps);
     let cap = cap_analysis(&ctx.days);
     MetricPayload {
-        bins: ctx.ds.bins.len(),
+        bins: ctx.cols.len(),
         devices: ctx.index.devices_with_bins().count(),
         wifi_share: series.wifi_share(),
         offload: offload_potential(ctx.ds, &ctx.cols),
@@ -154,7 +164,8 @@ impl QuerySet {
     /// Evaluate every registered query against one snapshot generation.
     /// The snapshot arrives as (dataset, index, columns) — exactly what a
     /// `LiveSnapshot`, a decoded pool generation, or a batch dataset
-    /// provides — and each query returns one [`ServeRecord`].
+    /// provides; `cols` are the rows and `ds.bins` may be empty — and
+    /// each query returns one [`ServeRecord`].
     pub fn evaluate(
         &self,
         ds: &Dataset,
@@ -163,21 +174,34 @@ impl QuerySet {
         generation: u64,
         watermark: Option<u32>,
     ) -> Vec<ServeRecord> {
+        debug_assert!(ds.bins.is_empty() || ds.bins.len() == cols.len());
+        // Shared across this generation's queries, each built on first use.
+        let mut classification: Option<ApClassification> = None;
+        let mut identifiers: Option<Cow<'_, Dataset>> = None;
         let mut out = Vec::with_capacity(self.queries.len());
         for q in &self.queries {
             let start = Instant::now();
-            let (rows, payload) = match &q.expr {
+            let metrics = match &q.expr {
                 None => {
-                    // Unfiltered: reuse the snapshot's own prebuilt parts.
-                    let ctx = AnalysisContext::from_parts(ds, index.clone(), cols.clone());
-                    (ds.bins.len(), evaluate_payload(&ctx))
+                    let aps = classification.take().unwrap_or_else(|| classify_cols(ds, cols));
+                    let ctx = AnalysisContext::from_cow_parts(
+                        ds,
+                        Cow::Borrowed(index),
+                        Cow::Borrowed(cols),
+                        Some(aps),
+                    );
+                    let payload = evaluate_payload(&ctx);
+                    classification = Some(ctx.aps);
+                    payload
                 }
                 Some(expr) => {
-                    let sel = select_rows(expr, ds, cols, self.opts);
-                    let n = sel.len();
-                    let view = materialize(ds, cols, &sel);
-                    let ctx = view.context();
-                    (n, evaluate_payload(&ctx))
+                    if expr.uses_venue() && classification.is_none() {
+                        classification = Some(classify_cols(ds, cols));
+                    }
+                    let sel = select_rows_with(expr, ds, cols, classification.as_ref(), self.opts);
+                    let (findex, fcols) = filtered_parts(cols, &sel, ds.devices.len());
+                    let ids = identifiers.get_or_insert_with(|| identifier_tables(ds));
+                    evaluate_payload(&AnalysisContext::from_parts(ids, findex, fcols))
                 }
             };
             out.push(ServeRecord {
@@ -185,12 +209,27 @@ impl QuerySet {
                 filter: q.source.clone(),
                 generation,
                 watermark,
-                rows,
+                rows: metrics.bins,
                 elapsed_s: start.elapsed().as_secs_f64(),
-                metrics: payload,
+                metrics,
             });
         }
         out
+    }
+}
+
+/// The identifier tables of `ds` with no rows: `ds` itself when it is
+/// already columns-only, otherwise a copy without `bins`.
+fn identifier_tables(ds: &Dataset) -> Cow<'_, Dataset> {
+    if ds.bins.is_empty() {
+        Cow::Borrowed(ds)
+    } else {
+        Cow::Owned(Dataset {
+            meta: ds.meta.clone(),
+            devices: ds.devices.clone(),
+            aps: ds.aps.clone(),
+            bins: Vec::new(),
+        })
     }
 }
 

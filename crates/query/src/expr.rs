@@ -23,6 +23,14 @@
 //! what was found, and what the parser expected there. User input never
 //! panics — the fuzz test in this module feeds the parser garbage and
 //! expects `Err`, not unwinding.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] levels, twice over: at most that
+//! many `(` / `!` may be open at once (the parser's own recursion), and
+//! the parsed tree may be at most that many nodes tall (a left-deep
+//! `a && b && …` chain is as tall as it is long). The second cap bounds
+//! every recursive walk over a [`FilterExpr`] — evaluation,
+//! [`FilterExpr::uses_venue`], `Display`, `Drop`. Deeper input is a
+//! [`ParseError`] at the token that crossed a cap, not a stack overflow.
 
 use mobitrace_core::ApClass;
 use mobitrace_model::Os;
@@ -335,6 +343,9 @@ fn lex(src: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
     Ok(toks)
 }
 
+/// Deepest nesting a filter may reach (see the [module docs](self)).
+pub const MAX_DEPTH: usize = 256;
+
 /// Known field names, for the unknown-field error hint.
 const FIELDS: &str = "one of the fields device, cohort, day, hour, os, wifi, venue";
 
@@ -343,6 +354,8 @@ struct Parser<'a> {
     pos: usize,
     /// Byte length of the source, for end-of-input offsets.
     end: usize,
+    /// `(` / `!` levels open at the cursor (the parser's recursion).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -357,44 +370,77 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expr(&mut self) -> Result<FilterExpr, ParseError> {
-        let mut lhs = self.and()?;
-        while matches!(self.peek(), Some((_, Tok::OrOr))) {
-            self.pos += 1;
-            let rhs = self.and()?;
-            lhs = FilterExpr::Or(Box::new(lhs), Box::new(rhs));
+    /// Step over the `(` or `!` at the cursor, one more level of parser
+    /// recursion.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err_here(format!("at most {MAX_DEPTH} levels of nesting")));
         }
-        Ok(lhs)
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
     }
 
-    fn and(&mut self) -> Result<FilterExpr, ParseError> {
-        let mut lhs = self.unary()?;
-        while matches!(self.peek(), Some((_, Tok::AndAnd))) {
-            self.pos += 1;
-            let rhs = self.unary()?;
-            lhs = FilterExpr::And(Box::new(lhs), Box::new(rhs));
+    /// Height (in edges) of a node over children of heights `h`, or an
+    /// error at the token that built it when that exceeds the cap.
+    fn node_height(&self, off: usize, tok: &Tok, h: usize) -> Result<usize, ParseError> {
+        if h >= MAX_DEPTH {
+            return Err(ParseError::new(
+                off,
+                tok.render(),
+                format!("at most {MAX_DEPTH} levels of nesting"),
+            ));
         }
-        Ok(lhs)
+        Ok(h + 1)
     }
 
-    fn unary(&mut self) -> Result<FilterExpr, ParseError> {
+    /// One `||` / `&&` chain (left-associative) over `operand`s. Returns
+    /// the tree and its height.
+    fn chain(
+        &mut self,
+        op: Tok,
+        operand: fn(&mut Self) -> Result<(FilterExpr, usize), ParseError>,
+        node: fn(Box<FilterExpr>, Box<FilterExpr>) -> FilterExpr,
+    ) -> Result<(FilterExpr, usize), ParseError> {
+        let (mut lhs, mut h) = operand(self)?;
+        while let Some(&(off, _)) = self.peek().filter(|(_, t)| *t == op) {
+            self.pos += 1;
+            let (rhs, rh) = operand(self)?;
+            h = self.node_height(off, &op, h.max(rh))?;
+            lhs = node(Box::new(lhs), Box::new(rhs));
+        }
+        Ok((lhs, h))
+    }
+
+    fn expr(&mut self) -> Result<(FilterExpr, usize), ParseError> {
+        self.chain(Tok::OrOr, Self::and, FilterExpr::Or)
+    }
+
+    fn and(&mut self) -> Result<(FilterExpr, usize), ParseError> {
+        self.chain(Tok::AndAnd, Self::unary, FilterExpr::And)
+    }
+
+    fn unary(&mut self) -> Result<(FilterExpr, usize), ParseError> {
         match self.peek() {
-            Some((_, Tok::Bang)) => {
-                self.pos += 1;
-                Ok(FilterExpr::Not(Box::new(self.unary()?)))
+            Some(&(off, Tok::Bang)) => {
+                self.descend()?;
+                let (inner, h) = self.unary()?;
+                self.depth -= 1;
+                Ok((FilterExpr::Not(Box::new(inner)), self.node_height(off, &Tok::Bang, h)?))
             }
             Some((_, Tok::LParen)) => {
-                self.pos += 1;
+                self.descend()?;
                 let inner = self.expr()?;
                 match self.peek() {
                     Some((_, Tok::RParen)) => {
                         self.pos += 1;
+                        self.depth -= 1;
                         Ok(inner)
                     }
                     _ => Err(self.err_here("')'")),
                 }
             }
-            _ => self.comparison(),
+            _ => Ok((self.comparison()?, 0)),
         }
     }
 
@@ -516,8 +562,8 @@ pub fn parse(src: &str) -> Result<FilterExpr, ParseError> {
     if toks.is_empty() {
         return Err(ParseError::new(0, "end of input", format!("{FIELDS} (or '(', '!')")));
     }
-    let mut p = Parser { toks: &toks, pos: 0, end: src.len() };
-    let expr = p.expr()?;
+    let mut p = Parser { toks: &toks, pos: 0, end: src.len(), depth: 0 };
+    let (expr, _) = p.expr()?;
     if let Some((off, tok)) = p.peek() {
         return Err(ParseError::new(*off, tok.render(), "'&&', '||' or end of input"));
     }
@@ -666,6 +712,59 @@ mod tests {
             assert!(err.offset <= src.len(), "{src}: offset {} out of bounds", err.offset);
             assert!(!err.expected.is_empty());
         }
+    }
+
+    /// Hostile nesting is an error, never a stack overflow.
+    #[test]
+    fn deep_nesting_errors_instead_of_overflowing() {
+        let n = 100_000;
+        let parens = format!("{}day=1{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(parse(&parens).unwrap_err().offset, MAX_DEPTH);
+        let bangs = format!("{}day=1", "!".repeat(n));
+        assert_eq!(parse(&bangs).unwrap_err().offset, MAX_DEPTH);
+        let chain = vec!["day=1"; n].join("&&");
+        let e = parse(&chain).unwrap_err();
+        assert_eq!(e.offset, "day=1&&".len() * MAX_DEPTH + "day=1".len());
+        assert!(e.expected.contains("levels of nesting"), "{e}");
+    }
+
+    /// Exactly [`MAX_DEPTH`] levels parse; one more fails at the token
+    /// that crossed the cap.
+    #[test]
+    fn nesting_cap_is_exact() {
+        let at_cap = format!("{}day=1{}", "(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+        assert_eq!(parse(&at_cap).unwrap(), pred_expr("day=1"));
+        let over = format!("{}day=1{}", "(".repeat(MAX_DEPTH + 1), ")".repeat(MAX_DEPTH + 1));
+        let e = parse(&over).unwrap_err();
+        assert_eq!((e.offset, e.found.as_str()), (MAX_DEPTH, "'('"));
+        assert!(parse(&format!("{}day=1", "!".repeat(MAX_DEPTH))).is_ok());
+        let e = parse(&format!("{}day=1", "!".repeat(MAX_DEPTH + 1))).unwrap_err();
+        assert_eq!((e.offset, e.found.as_str()), (MAX_DEPTH, "'!'"));
+        // Mixed: levels add up across kinds, and closing a group frees
+        // its levels for the next one.
+        let half = MAX_DEPTH / 2;
+        let mixed = format!("{}({}day=1)", "!".repeat(half), "!".repeat(half - 1));
+        assert!(parse(&mixed).is_ok());
+        // Closed groups free their levels: two full-depth groups side by
+        // side parse.
+        assert!(parse(&format!("{at_cap} && {at_cap}")).is_ok());
+        // Tree height: a `!` run at the cap under one more `&&` is too tall,
+        // and the error lands on that operator.
+        let tall = format!("{}day=1 && day=2", "!".repeat(MAX_DEPTH));
+        let e = parse(&tall).unwrap_err();
+        assert_eq!((e.offset, e.found.as_str()), (MAX_DEPTH + 6, "'&&'"));
+        // Left-grouped `&&`: each group adds one `(` level and one tree
+        // level, so both caps bind at the same count.
+        let mut grouped = String::from("day=1");
+        for _ in 0..MAX_DEPTH {
+            grouped = format!("({grouped} && day=1)");
+        }
+        assert!(parse(&grouped).is_ok());
+        assert!(parse(&format!("({grouped} && day=1)")).is_err());
+    }
+
+    fn pred_expr(src: &str) -> FilterExpr {
+        FilterExpr::Pred(pred(src))
     }
 
     #[test]

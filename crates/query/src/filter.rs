@@ -1,28 +1,32 @@
 //! Predicate compiler: [`FilterExpr`] → ascending row-selection vector →
-//! materialized filtered view.
+//! filtered columns-only view.
 //!
 //! Compilation is a single scan of the columnar view: each row is tested
 //! against the expression tree and selected rows are collected in order,
 //! so the output is an ascending selection vector in the same sense as
 //! `DatasetColumns::sel_associated`. Venue predicates need the AP
-//! classification; it is built at most once per compile and only when the
-//! expression actually mentions `venue` ([`FilterExpr::uses_venue`]).
+//! classification; [`select_rows`] builds it at most once per compile and
+//! only when the expression actually mentions `venue`
+//! ([`FilterExpr::uses_venue`]), and [`select_rows_with`] takes one the
+//! caller already holds (the query executor shares one per generation).
 //!
-//! [`materialize`] then turns the selection into a self-consistent
-//! [`FilteredDataset`]: columns gathered by `DatasetColumns::gather`
-//! (bit-identical to rebuilding from the filtered bins), the bin-range
-//! index rebuilt by the streaming `DatasetIndexBuilder`, and the selected
-//! bin records cloned so the whole analysis library — which takes
-//! `&Dataset` — runs unchanged over the view. The device/AP tables and
-//! campaign metadata are kept whole: row filtering narrows *observations*,
-//! never the identifier space, so `ApRef`/`DeviceId` indexes stay valid.
+//! A selection becomes a view in two steps, both row-free: the columns are
+//! gathered by `DatasetColumns::gather` (bit-identical to rebuilding from
+//! the filtered bins) and the bin-range index is rebuilt from the gathered
+//! device/time columns ([`filtered_parts`]). The analysis passes read only
+//! those columns, so the query executor evaluates every filtered view over
+//! one identifier-only `Dataset` — campaign metadata, device and AP tables
+//! kept whole, `bins` empty. Row filtering narrows *observations*, never
+//! the identifier space, so `ApRef`/`DeviceId` indexes stay valid.
+//! [`materialize`] additionally rebuilds the selected rows
+//! (`DatasetColumns::to_bins`) for callers that want a self-contained
+//! [`FilteredDataset`].
 
 use crate::expr::{FilterExpr, Predicate, WifiClass};
 use mobitrace_core::apclass::{classify_cols, ApClassification};
 use mobitrace_core::AnalysisContext;
-use mobitrace_model::{
-    Dataset, DatasetColumns, DatasetIndex, DatasetIndexBuilder, DeviceId, WifiTag,
-};
+use mobitrace_model::{Dataset, DatasetColumns, DatasetIndex, DeviceId, WifiTag};
+use std::borrow::Cow;
 
 /// Knobs the compiler needs beyond the dataset itself.
 #[derive(Debug, Clone, Copy)]
@@ -121,13 +125,39 @@ pub fn select_rows(
     opts: CompileOptions,
 ) -> Vec<u32> {
     let aps = expr.uses_venue().then(|| classify_cols(ds, cols));
+    select_rows_with(expr, ds, cols, aps.as_ref(), opts)
+}
+
+/// [`select_rows`] with the snapshot's AP classification supplied by the
+/// caller. `aps` must be `classify_cols(ds, cols)` and must be present
+/// when the expression mentions venue.
+pub fn select_rows_with(
+    expr: &FilterExpr,
+    ds: &Dataset,
+    cols: &DatasetColumns,
+    aps: Option<&ApClassification>,
+    opts: CompileOptions,
+) -> Vec<u32> {
     let mut rows = Vec::new();
-    for i in 0..cols.device.len() {
-        if eval_expr(expr, i, ds, cols, aps.as_ref(), opts) {
+    for i in 0..cols.len() {
+        if eval_expr(expr, i, ds, cols, aps, opts) {
             rows.push(i as u32);
         }
     }
     rows
+}
+
+/// The columns-only view of a selection: the gathered columns and the
+/// index rebuilt from them, both bit-identical to building from the
+/// filtered bins (the property tests pin it). `n_devices` is the source
+/// device table's length.
+pub fn filtered_parts(
+    cols: &DatasetColumns,
+    rows: &[u32],
+    n_devices: usize,
+) -> (DatasetIndex, DatasetColumns) {
+    let fcols = cols.gather(rows);
+    (DatasetIndex::build_cols(&fcols, n_devices), fcols)
 }
 
 /// A filtered snapshot view: the selected bins as a self-consistent
@@ -147,30 +177,28 @@ pub struct FilteredDataset {
 
 impl FilteredDataset {
     /// Build the analysis context over the filtered view without
-    /// re-scanning: `from_parts` on the prebuilt index and columns.
-    /// (Both are cloned — `from_parts` takes them by value — so the view
-    /// can serve repeated evaluations.)
+    /// re-scanning or copying: the context borrows the prebuilt index and
+    /// columns, so the view can serve repeated evaluations.
     pub fn context(&self) -> AnalysisContext<'_> {
-        AnalysisContext::from_parts(&self.ds, self.index.clone(), self.cols.clone())
+        AnalysisContext::from_cow_parts(
+            &self.ds,
+            Cow::Borrowed(&self.index),
+            Cow::Borrowed(&self.cols),
+            None,
+        )
     }
 }
 
-/// Materialize a selection into a [`FilteredDataset`]. Columns are
-/// gathered (not rebuilt) from the source columns; the index is rebuilt
-/// by streaming the gathered device/time pairs — both bit-identical to
-/// building from the filtered bins, which the property tests pin.
+/// Materialize a selection into a [`FilteredDataset`]: the columns-only
+/// view of [`filtered_parts`] plus the selected rows rebuilt from the
+/// gathered columns. Works on columns-only sources too.
 pub fn materialize(ds: &Dataset, cols: &DatasetColumns, rows: &[u32]) -> FilteredDataset {
-    let fcols = cols.gather(rows);
-    let mut builder = DatasetIndexBuilder::new();
-    for i in 0..fcols.device.len() {
-        builder.push(fcols.device[i], fcols.time[i]);
-    }
-    let index = builder.finish(ds.devices.len());
+    let (index, fcols) = filtered_parts(cols, rows, ds.devices.len());
     let fds = Dataset {
         meta: ds.meta.clone(),
         devices: ds.devices.clone(),
         aps: ds.aps.clone(),
-        bins: rows.iter().map(|&r| ds.bins[r as usize].clone()).collect(),
+        bins: fcols.to_bins(),
     };
     FilteredDataset { ds: fds, index, cols: fcols, rows: rows.to_vec() }
 }

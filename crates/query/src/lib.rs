@@ -13,14 +13,13 @@
 //!    hint; malformed user input never panics.
 //! 2. **Compile** ([`filter`]): a [`FilterExpr`] is evaluated over
 //!    [`DatasetColumns`](mobitrace_model::DatasetColumns) into an
-//!    ascending row-selection vector, then
-//!    [`materialize`](filter::materialize)d once per snapshot generation:
-//!    columns are gathered ([`DatasetColumns::gather`]
-//!    (mobitrace_model::DatasetColumns::gather)), the bin-range index is
-//!    rebuilt by the streaming
-//!    [`DatasetIndexBuilder`](mobitrace_model::DatasetIndexBuilder), and
-//!    the filtered bins are cloned into a self-consistent [`Dataset`]
-//!    (mobitrace_model::Dataset).
+//!    ascending row-selection vector, which becomes a columns-only view
+//!    once per snapshot generation: columns are gathered
+//!    ([`DatasetColumns::gather`](mobitrace_model::DatasetColumns::gather))
+//!    and the bin-range index is rebuilt from the gathered device/time
+//!    columns ([`filtered_parts`](filter::filtered_parts)). No row is
+//!    cloned; [`materialize`](filter::materialize) rebuilds the selected
+//!    rows only for callers that want a self-contained dataset.
 //! 3. **Execute** ([`exec`]): the filtered view feeds
 //!    `AnalysisContext::from_parts` and the unchanged columnar passes
 //!    (offload potential, RSSI PDFs, venue shares, cap throttling,

@@ -23,6 +23,7 @@ use mobitrace_model::{
     Dbm, DeviceId, DeviceInfo, Essid, Os, OsVersion, Record, ScanSummary, SimTime, WifiState, Year,
 };
 use mobitrace_report::{all_experiment_ids, run_experiment, CampaignSet};
+use std::borrow::Cow;
 use std::io::Write;
 
 struct Args {
@@ -533,7 +534,12 @@ fn run_live(args: &Args) {
     // snapshot's prebuilt index/columns and cross-check them against a
     // context derived from scratch.
     let snap = &report.finished.snapshot;
-    let live_ctx = AnalysisContext::from_parts(&snap.ds, snap.index.clone(), snap.cols.clone());
+    let live_ctx = AnalysisContext::from_cow_parts(
+        &snap.ds,
+        Cow::Borrowed(&snap.index),
+        Cow::Borrowed(&snap.cols),
+        None,
+    );
     let batch_ctx = AnalysisContext::new(&snap.ds);
     if live_ctx.days != batch_ctx.days
         || live_ctx.classes != batch_ctx.classes
@@ -908,10 +914,11 @@ fn serve_live(args: &Args, set: mobitrace_query::QuerySet, sink: ServeSink) {
     // from the final snapshot's prebuilt parts, exactly as the observer
     // did) must equal the batch pipeline's payload over the same dataset.
     let snap = &report.finished.snapshot;
-    let served = evaluate_payload(&AnalysisContext::from_parts(
+    let served = evaluate_payload(&AnalysisContext::from_cow_parts(
         &snap.ds,
-        snap.index.clone(),
-        snap.cols.clone(),
+        Cow::Borrowed(&snap.index),
+        Cow::Borrowed(&snap.cols),
+        None,
     ));
     let batch = evaluate_payload(&AnalysisContext::new(&snap.ds));
     if served != batch {

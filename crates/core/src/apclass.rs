@@ -17,7 +17,7 @@
 use crate::ctx::AnalysisContext;
 use crate::daily::TrafficClass;
 use mobitrace_model::{
-    is_public_essid, ApRef, Dataset, DatasetColumns, DeviceId, SimTime, Weekday,
+    is_public_essid, AllRows, ApRef, Dataset, DatasetColumns, DeviceId, RowSet, SimTime,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -90,20 +90,38 @@ impl ApClassification {
 /// Run the classifier over a dataset (row scan; the reference
 /// implementation for [`classify_cols`]).
 pub fn classify(ds: &Dataset) -> ApClassification {
-    classify_impl(ds, ds.bins.iter().map(|b| (b.device, b.time, b.wifi.assoc().map(|a| a.ap))))
+    classify_impl(
+        ds,
+        ds.bins.iter().filter_map(|b| b.wifi.assoc().map(|a| (b.device, b.time, a.ap))),
+    )
 }
 
 /// Columnar variant of [`classify`]: identical output, but streams the
-/// device/time/association columns instead of the row records. The shared
-/// core is generic over the scan, so both entry points monomorphize the
-/// same logic.
+/// device/time/association columns of the associated rows instead of the
+/// row records. The shared core is generic over the scan, so every entry
+/// point monomorphizes the same logic.
 pub fn classify_cols(ds: &Dataset, cols: &DatasetColumns) -> ApClassification {
-    classify_impl(ds, (0..cols.len()).map(|i| (cols.device[i], cols.time[i], cols.assoc_ap_of(i))))
+    classify_over(ds, cols, &AllRows)
 }
 
+/// [`classify_cols`] over the rows of `rows` only, read in place: the
+/// classification a view holding just those rows would get.
+pub fn classify_over(ds: &Dataset, cols: &DatasetColumns, rows: &impl RowSet) -> ApClassification {
+    classify_impl(
+        ds,
+        rows.associated(cols).iter().map(|&r| {
+            let i = r as usize;
+            (cols.device[i], cols.time[i], cols.assoc_ap[i])
+        }),
+    )
+}
+
+/// The classifier over the associated bins, in (device, time) order —
+/// only associations carry evidence, so unassociated bins are never
+/// scanned.
 fn classify_impl(
     ds: &Dataset,
-    bins: impl Iterator<Item = (DeviceId, SimTime, Option<ApRef>)>,
+    assoc_bins: impl Iterator<Item = (DeviceId, SimTime, ApRef)>,
 ) -> ApClassification {
     let n_aps = ds.aps.len();
     // Per-pair usage tallies.
@@ -111,35 +129,28 @@ fn classify_impl(
     let mut office_window_bins = vec![0u64; n_aps];
     // Home inference: per device, per pair, number of qualifying nights.
     let mut nights_qualified: HashMap<(DeviceId, ApRef), u32> = HashMap::new();
-    // Scratch: (device, night-day, pair) → bins in window.
-    let mut night_bins: HashMap<(u32, ApRef), u32> = HashMap::new();
-    let mut current_device: Option<DeviceId> = None;
+    // Scratch: bins per pair in the current (device, night) window. A
+    // device's bins are time-sorted, so its night numbers never decrease
+    // and each night is complete when the next one (or device) starts.
+    let mut night_bins: Vec<(ApRef, u32)> = Vec::new();
+    let mut current_night: Option<(DeviceId, u32)> = None;
 
-    let mut flush_device =
-        |device: Option<DeviceId>, night_bins: &mut HashMap<(u32, ApRef), u32>| {
-            let Some(device) = device else {
-                return;
-            };
-            for (&(_night, ap), &count) in night_bins.iter() {
-                if f64::from(count) >= HOME_COVERAGE * f64::from(NIGHT_WINDOW_BINS) {
-                    *nights_qualified.entry((device, ap)).or_default() += 1;
-                }
+    let mut flush_night = |night: Option<(DeviceId, u32)>, night_bins: &mut Vec<(ApRef, u32)>| {
+        let Some((device, _)) = night else {
+            return;
+        };
+        for &(ap, count) in night_bins.iter() {
+            if f64::from(count) >= HOME_COVERAGE * f64::from(NIGHT_WINDOW_BINS) {
+                *nights_qualified.entry((device, ap)).or_default() += 1;
             }
-            night_bins.clear();
-        };
-
-    for (device, time, assoc) in bins {
-        if current_device != Some(device) {
-            flush_device(current_device, &mut night_bins);
-            current_device = Some(device);
         }
-        let Some(ap) = assoc else {
-            continue;
-        };
+        night_bins.clear();
+    };
+
+    for (device, time, ap) in assoc_bins {
         total_bins[ap.index()] += 1;
         let hour = time.hour();
-        let weekday: Weekday = time.weekday(ds.meta.start);
-        if (11..17).contains(&hour) && !weekday.is_weekend() {
+        if (11..17).contains(&hour) && !time.weekday(ds.meta.start).is_weekend() {
             office_window_bins[ap.index()] += 1;
         }
         // Night window: 22:00–24:00 belongs to tonight; 00:00–06:00 to
@@ -152,10 +163,17 @@ fn classify_impl(
             None
         };
         if let Some(nd) = night_day {
-            *night_bins.entry((nd, ap)).or_default() += 1;
+            if current_night != Some((device, nd)) {
+                flush_night(current_night, &mut night_bins);
+                current_night = Some((device, nd));
+            }
+            match night_bins.iter_mut().find(|(a, _)| *a == ap) {
+                Some((_, count)) => *count += 1,
+                None => night_bins.push((ap, 1)),
+            }
         }
     }
-    flush_device(current_device, &mut night_bins);
+    flush_night(current_night, &mut night_bins);
 
     // Per device: home = pair with the most qualifying nights; equal
     // counts break to the smaller pair index so the winner never depends

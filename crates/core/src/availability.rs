@@ -6,7 +6,7 @@
 //! much of its cellular traffic it could therefore have offloaded.
 
 use crate::stats::ccdf_points;
-use mobitrace_model::{Dataset, DatasetColumns, DeviceId, WifiBinState};
+use mobitrace_model::{AllRows, Dataset, DatasetColumns, DeviceId, RowSet, WifiBinState};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -93,18 +93,27 @@ pub struct OffloadPotential {
 }
 
 /// Estimate how much cellular traffic WiFi-available users could offload
-/// to public WiFi (the paper concludes 15–20%). The per-device tallies
-/// live in a dense vector sized from `ds.devices.len()` — device ids index
-/// the device table directly, so no hash map (and no iteration-order
-/// dependence) is involved.
+/// to public WiFi (the paper concludes 15–20%).
 pub fn offload_potential(ds: &Dataset, cols: &DatasetColumns) -> OffloadPotential {
+    offload_potential_over(ds, cols, &AllRows)
+}
+
+/// [`offload_potential`] over the rows of `rows` only, read in place. The
+/// per-device tallies live in a dense vector sized from
+/// `ds.devices.len()` — device ids index the device table directly, so no
+/// hash map (and no iteration-order dependence) is involved.
+pub fn offload_potential_over(
+    ds: &Dataset,
+    cols: &DatasetColumns,
+    rows: &impl RowSet,
+) -> OffloadPotential {
     // Per device: (cellular rx in available bins with a strong public AP,
     // total cellular rx in available bins, saw an opportunity, seen at all).
     let mut per_dev: Vec<(u64, u64, bool, bool)> = vec![(0, 0, false, false); ds.devices.len()];
-    // The `sel_available` selection vector walks exactly the
-    // WiFi-available rows in ascending order; per-device tallies are
-    // integer sums, so the result is identical to the full scan.
-    for &ri in &cols.sel_available {
+    // The set's WiFi-available rows, in ascending order; per-device
+    // tallies are integer sums, so the result is identical to the full
+    // scan.
+    for &ri in rows.available(cols) {
         let i = ri as usize;
         let cell_rx = cols.rx_3g[i] + cols.rx_lte[i];
         let e = &mut per_dev[cols.device[i].index()];

@@ -83,19 +83,16 @@ impl<'a> AnalysisContext<'a> {
         index: DatasetIndex,
         cols: DatasetColumns,
     ) -> AnalysisContext<'a> {
-        AnalysisContext::from_cow_parts(ds, Cow::Owned(index), Cow::Owned(cols), None)
+        AnalysisContext::from_cow_parts(ds, Cow::Owned(index), Cow::Owned(cols))
     }
 
     /// [`from_parts`](Self::from_parts) over owned or borrowed parts, so a
     /// caller holding a snapshot's index and columns builds a context
-    /// without cloning them. `aps`, when given, must be the classification
-    /// of exactly these rows ([`classify_cols`] over `ds` and `cols`); the
-    /// context then skips that pass.
+    /// without cloning them.
     pub fn from_cow_parts(
         ds: &'a Dataset,
         index: Cow<'a, DatasetIndex>,
         cols: Cow<'a, DatasetColumns>,
-        aps: Option<ApClassification>,
     ) -> AnalysisContext<'a> {
         debug_assert!(
             ds.bins.is_empty() || ds.bins.len() == cols.len(),
@@ -106,7 +103,7 @@ impl<'a> AnalysisContext<'a> {
         let (days, classes, thresholds, aps, home_cell) = if small {
             let days = user_days_cols(c);
             let (classes, thresholds) = classify_user_days(&days);
-            let aps = aps.unwrap_or_else(|| classify_cols(ds, c));
+            let aps = classify_cols(ds, c);
             (days, classes, thresholds, aps, infer_home_cells(c, ix))
         } else {
             std::thread::scope(|scope| {
@@ -115,10 +112,10 @@ impl<'a> AnalysisContext<'a> {
                     let (classes, thresholds) = classify_user_days(&days);
                     (days, classes, thresholds)
                 });
-                let aps = aps.ok_or_else(|| scope.spawn(|| classify_cols(ds, c)));
+                let aps = scope.spawn(|| classify_cols(ds, c));
                 let home_cell = infer_home_cells(c, ix);
                 let (days, classes, thresholds) = daily.join().expect("daily pass");
-                let aps = aps.unwrap_or_else(|pass| pass.join().expect("ap pass"));
+                let aps = aps.join().expect("ap pass");
                 (days, classes, thresholds, aps, home_cell)
             })
         };

@@ -5,7 +5,7 @@
 //! — and "one user may be a light user one day and heavy hitter on
 //! another" (§2).
 
-use mobitrace_model::{Dataset, DatasetColumns, DeviceId};
+use mobitrace_model::{AllRows, Dataset, DatasetColumns, DeviceId, RowSet};
 use serde::{Deserialize, Serialize};
 
 /// Daily traffic of one device on one campaign day (bytes).
@@ -54,33 +54,43 @@ impl UserDay {
 /// Columnar variant of [`user_days`]: identical output, but streams the
 /// device/time/counter columns instead of pulling whole `BinRecord`s
 /// (plus their app vectors) through cache.
+pub fn user_days_cols(cols: &DatasetColumns) -> Vec<UserDay> {
+    user_days_over(cols, &AllRows)
+}
+
+/// [`user_days_cols`] over the rows of `rows` only, read in place.
 ///
-/// Rows are segmented into maximal runs of one (device, day) — the same
+/// The set is segmented into maximal runs of one (device, day) — the same
 /// grouping [`user_days`]'s `last_mut()` merge produces, including a fresh
 /// entry for any non-consecutive repeat of a pair — and each run's six
-/// counters reduce through lane-chunked sums (integer addition is
-/// associative, so the reassociated totals are bit-identical).
-pub fn user_days_cols(cols: &DatasetColumns) -> Vec<UserDay> {
-    use mobitrace_model::lanes;
-    let n = cols.len();
+/// counters reduce through [`RowSet::sum`] (lane-chunked slice sums over
+/// all rows; integer addition is associative, so the totals are
+/// bit-identical either way).
+pub fn user_days_over(cols: &DatasetColumns, rows: &impl RowSet) -> Vec<UserDay> {
+    let n = rows.len(cols);
     let mut out: Vec<UserDay> = Vec::new();
     let mut start = 0usize;
     while start < n {
-        let device = cols.device[start];
-        let day = cols.time[start].day();
+        let first = rows.row(start);
+        let device = cols.device[first];
+        let day = cols.time[first].day();
         let mut end = start + 1;
-        while end < n && cols.device[end] == device && cols.time[end].day() == day {
+        while end < n {
+            let i = rows.row(end);
+            if cols.device[i] != device || cols.time[i].day() != day {
+                break;
+            }
             end += 1;
         }
         out.push(UserDay {
             device,
             day,
-            rx_3g: lanes::sum(&cols.rx_3g[start..end]),
-            tx_3g: lanes::sum(&cols.tx_3g[start..end]),
-            rx_lte: lanes::sum(&cols.rx_lte[start..end]),
-            tx_lte: lanes::sum(&cols.tx_lte[start..end]),
-            rx_wifi: lanes::sum(&cols.rx_wifi[start..end]),
-            tx_wifi: lanes::sum(&cols.tx_wifi[start..end]),
+            rx_3g: rows.sum(&cols.rx_3g, start..end),
+            tx_3g: rows.sum(&cols.tx_3g, start..end),
+            rx_lte: rows.sum(&cols.rx_lte, start..end),
+            tx_lte: rows.sum(&cols.tx_lte, start..end),
+            rx_wifi: rows.sum(&cols.rx_wifi, start..end),
+            tx_wifi: rows.sum(&cols.tx_wifi, start..end),
         });
         start = end;
     }

@@ -3,7 +3,7 @@
 
 use crate::apclass::{ApClass, ApClassification};
 use crate::stats::Histogram;
-use mobitrace_model::{Band, Dataset, DatasetColumns, Dbm};
+use mobitrace_model::{AllRows, Band, Dataset, DatasetColumns, Dbm, RowSet};
 use serde::{Deserialize, Serialize};
 
 /// Fig. 15: per-class PDF of the *maximum* RSSI observed for each
@@ -22,15 +22,24 @@ pub struct RssiAnalysis {
     pub weak_shares: (f64, f64, f64),
 }
 
-/// Compute Fig. 15 (2.4 GHz associations only, as in the paper). Iterates
-/// the `sel_associated` selection vector — only the associated rows, in
-/// ascending row order — gathering band/AP/RSSI into a dense per-AP
-/// max-RSSI table (no hash map; max is order-independent and the per-class
-/// sums accumulate in AP-table order, so the floating-point result is
-/// deterministic and identical to [`rssi_analysis_rows`]).
+/// Compute Fig. 15 (2.4 GHz associations only, as in the paper).
 pub fn rssi_analysis(cols: &DatasetColumns, cls: &ApClassification) -> RssiAnalysis {
+    rssi_analysis_over(cols, &AllRows, cls)
+}
+
+/// [`rssi_analysis`] over the rows of `rows` only, read in place. Iterates
+/// the set's associated rows ([`RowSet::associated`]), gathering
+/// band/AP/RSSI into a dense per-AP max-RSSI table (no hash map; max is
+/// order-independent and the per-class sums accumulate in AP-table order,
+/// so the floating-point result is deterministic and identical to
+/// [`rssi_analysis_rows`]).
+pub fn rssi_analysis_over(
+    cols: &DatasetColumns,
+    rows: &impl RowSet,
+    cls: &ApClassification,
+) -> RssiAnalysis {
     let mut max_rssi: Vec<Option<Dbm>> = vec![None; cls.class_of.len()];
-    for &ri in &cols.sel_associated {
+    for &ri in rows.associated(cols) {
         let i = ri as usize;
         if cols.assoc_band[i] == Band::Ghz24 {
             let rssi = cols.assoc_rssi[i];

@@ -6,7 +6,7 @@
 //! truth shows the precision/recall trade-off around that choice.
 
 use crate::apclass::HomeInferenceScore;
-use mobitrace_model::{ApRef, Dataset, DeviceId, Weekday};
+use mobitrace_model::{ApRef, Dataset, DeviceId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -36,9 +36,6 @@ pub fn home_rule_sweep(ds: &Dataset, thresholds: &[f64]) -> Vec<SweepPoint> {
         } else {
             None
         };
-        // Weekday irrelevant for the home rule; silence unused-import
-        // lints in downstream builds that re-expand this module.
-        let _: Weekday = b.time.weekday(ds.meta.start);
         if let Some(nd) = night_day {
             *night_cover.entry((b.device, nd, a.ap)).or_default() += 1;
         }

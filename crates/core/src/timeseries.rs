@@ -6,7 +6,7 @@
 //! rescale to Mbps.
 
 use crate::apclass::{ApClass, ApClassification};
-use mobitrace_model::{Dataset, DatasetColumns, SimTime};
+use mobitrace_model::{AllRows, Dataset, DatasetColumns, RowSet, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Hours in the weekly grid (Sat 00:00 → Fri 23:00, campaign-start
@@ -85,19 +85,29 @@ fn weekly_slot(ds: &Dataset, t: SimTime) -> usize {
     ((t.day() % 7) * 24 + t.hour()) as usize
 }
 
-/// Compute Fig. 2's four series. Streams the time column and the six
-/// counter columns in fixed-size blocks: per block, the weekly slots and
-/// the paired cellular totals are precomputed into stack buffers (branch-
-/// free lane loops the optimizer vectorizes), then a scalar pass scatters
-/// them into the slot accumulators. Row order — and therefore every
-/// integer accumulation — is identical to [`aggregate_series_rows`].
+/// Compute Fig. 2's four series.
 pub fn aggregate_series(ds: &Dataset, cols: &DatasetColumns) -> AggregateSeries {
+    aggregate_series_over(ds, cols, &AllRows)
+}
+
+/// [`aggregate_series`] over the rows of `rows` only, read in place.
+/// Streams the time column and the six counter columns in fixed-size
+/// blocks: per block, the weekly slots and the paired cellular totals are
+/// precomputed into stack buffers (branch-free lane loops the optimizer
+/// vectorizes over all rows), then a scalar pass scatters them into the
+/// slot accumulators. Row order — and therefore every integer
+/// accumulation — is identical to [`aggregate_series_rows`].
+pub fn aggregate_series_over(
+    ds: &Dataset,
+    cols: &DatasetColumns,
+    rows: &impl RowSet,
+) -> AggregateSeries {
     const BLOCK: usize = 128;
     let mut cell_rx = vec![0u64; WEEK_HOURS];
     let mut cell_tx = vec![0u64; WEEK_HOURS];
     let mut wifi_rx = vec![0u64; WEEK_HOURS];
     let mut wifi_tx = vec![0u64; WEEK_HOURS];
-    let n = cols.len();
+    let n = rows.len(cols);
     let mut slots = [0u16; BLOCK];
     let mut crx = [0u64; BLOCK];
     let mut ctx = [0u64; BLOCK];
@@ -105,18 +115,20 @@ pub fn aggregate_series(ds: &Dataset, cols: &DatasetColumns) -> AggregateSeries 
     while start < n {
         let m = BLOCK.min(n - start);
         for (k, s) in slots.iter_mut().take(m).enumerate() {
-            *s = weekly_slot(ds, cols.time[start + k]) as u16;
+            *s = weekly_slot(ds, cols.time[rows.row(start + k)]) as u16;
         }
         for k in 0..m {
-            crx[k] = cols.rx_3g[start + k] + cols.rx_lte[start + k];
-            ctx[k] = cols.tx_3g[start + k] + cols.tx_lte[start + k];
+            let i = rows.row(start + k);
+            crx[k] = cols.rx_3g[i] + cols.rx_lte[i];
+            ctx[k] = cols.tx_3g[i] + cols.tx_lte[i];
         }
         for k in 0..m {
             let slot = usize::from(slots[k]);
+            let i = rows.row(start + k);
             cell_rx[slot] += crx[k];
             cell_tx[slot] += ctx[k];
-            wifi_rx[slot] += cols.rx_wifi[start + k];
-            wifi_tx[slot] += cols.tx_wifi[start + k];
+            wifi_rx[slot] += cols.rx_wifi[i];
+            wifi_tx[slot] += cols.tx_wifi[i];
         }
         start += m;
     }
@@ -165,16 +177,26 @@ pub struct VenueSeries {
     pub shares: (f64, f64, f64),
 }
 
-/// Compute Fig. 11's series. Iterates the `sel_associated` selection
-/// vector — the associated rows in ascending order, so every accumulation
-/// happens in the same order as [`venue_series_rows`] — instead of
-/// re-testing the WiFi tag on every row.
+/// Compute Fig. 11's series.
 pub fn venue_series(ds: &Dataset, cols: &DatasetColumns, cls: &ApClassification) -> VenueSeries {
+    venue_series_over(ds, cols, &AllRows, cls)
+}
+
+/// [`venue_series`] over the rows of `rows` only, read in place. Iterates
+/// the set's associated rows ([`RowSet::associated`]) in ascending order,
+/// so every accumulation happens in the same order as
+/// [`venue_series_rows`], instead of re-testing the WiFi tag on every row.
+pub fn venue_series_over(
+    ds: &Dataset,
+    cols: &DatasetColumns,
+    rows: &impl RowSet,
+    cls: &ApClassification,
+) -> VenueSeries {
     let mut rx = [vec![0u64; WEEK_HOURS], vec![0u64; WEEK_HOURS], vec![0u64; WEEK_HOURS]];
     let mut tx = [vec![0u64; WEEK_HOURS], vec![0u64; WEEK_HOURS], vec![0u64; WEEK_HOURS]];
     let mut totals = [0u64; 4]; // home, public, office, other
     let mut wifi_total = 0u64;
-    for &ri in &cols.sel_associated {
+    for &ri in rows.associated(cols) {
         let i = ri as usize;
         let ap = cols.assoc_ap[i];
         let slot = weekly_slot(ds, cols.time[i]);

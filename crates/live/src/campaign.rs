@@ -34,7 +34,7 @@ pub type SnapshotObserver = Box<dyn FnMut(&Arc<LiveSnapshot>, &LiveStats) + Send
 /// folded and what the incremental maintenance had cost by then. The cost
 /// counters are cumulative; deltas between consecutive metrics give the
 /// per-snapshot cost. Every compaction copies the whole merged run, so a
-/// single delta grows with the dataset; only the total (at most 17× the
+/// single delta grows with the dataset; only the total (at most 33× the
 /// rows folded) is linear.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotMetric {

@@ -57,7 +57,7 @@ pub struct LiveOptions {
     /// convergence reference too.
     pub lateness_minutes: u32,
     /// Additive floor on the compaction trigger (tail rows before a
-    /// compaction is considered); the multiplicative 1/16-of-merged rule
+    /// compaction is considered); the multiplicative 1/32-of-merged rule
     /// on top keeps total compaction work linear.
     pub compact_min_tail: usize,
 }

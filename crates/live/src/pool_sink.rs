@@ -11,7 +11,7 @@
 //!
 //! Every persisted generation spools the *full* current dataset (not a
 //! delta), and the file keeps all of them. The engine publishes a
-//! generation every time its tails reach 1/16 of the merged run, which is
+//! generation every time its tails reach 1/32 of the merged run, which is
 //! too often to persist each one, so [`SnapshotPoolSink::offer`] persists
 //! a mid-run generation only once it holds at least
 //! [`PERSIST_GROWTH`]× the rows of the last persisted one; the finished

@@ -14,10 +14,15 @@
 //! [`DatasetColumns::build`]; row index `i` in every column then
 //! corresponds to `ds.bins[i]`, so [`DatasetIndex`](crate::DatasetIndex)
 //! ranges slice columns directly. Columns are also a complete form on
-//! their own: live generations and filtered query views carry *only*
-//! columns (an identifier-only `Dataset` with empty `bins` beside them),
-//! and [`DatasetColumns::to_bins`] rebuilds the row table where a caller
-//! needs rows.
+//! their own: live generations carry *only* columns (an identifier-only
+//! `Dataset` with empty `bins` beside them), and
+//! [`DatasetColumns::to_bins`] rebuilds the row table where a caller needs
+//! rows.
+//!
+//! A pass that can run on part of a view takes a [`RowSet`]: [`AllRows`],
+//! or a [`Selection`] — an ascending selection vector, as a filter
+//! compiler produces — read in place, so a filtered query never copies
+//! the columns it reads.
 
 use crate::dataset::{ApRef, AppBin, BinRecord, Dataset, ScanSummary, WifiAssoc, WifiBinState};
 use crate::ids::{CellId, DeviceId};
@@ -502,6 +507,119 @@ impl DatasetColumns {
     }
 }
 
+/// The rows of a [`DatasetColumns`] an analysis pass reads: every row
+/// ([`AllRows`]) or an ascending selection vector ([`Selection`]).
+///
+/// A pass is written once, generic over its row set. The set's `k`-th row
+/// is [`row(k)`](RowSet::row); for [`AllRows`] that is `k` itself, so the
+/// all-rows instantiation compiles to the same contiguous loops as a
+/// whole-view scan, while a selection reads the selected rows where they
+/// lie. Over a selection every pass returns exactly what it returns on
+/// [`DatasetColumns::gather`] of that selection: rows are visited in the
+/// same order, and the WiFi selection vectors are the view's own
+/// restricted to the set.
+pub trait RowSet {
+    /// Number of rows in the set.
+    fn len(&self, cols: &DatasetColumns) -> usize;
+
+    /// Row index (into the columns) of the set's `k`-th row; ascending
+    /// in `k`.
+    fn row(&self, k: usize) -> usize;
+
+    /// `Σ col[row(k)]` over the set positions `ks`.
+    fn sum(&self, col: &[u64], ks: Range<usize>) -> u64;
+
+    /// The set's associated rows, ascending: `cols.sel_associated`
+    /// restricted to the set.
+    fn associated<'s>(&'s self, cols: &'s DatasetColumns) -> &'s [u32];
+
+    /// The set's WiFi-available rows, ascending: `cols.sel_available`
+    /// restricted to the set.
+    fn available<'s>(&'s self, cols: &'s DatasetColumns) -> &'s [u32];
+}
+
+/// Every row of the view.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AllRows;
+
+impl RowSet for AllRows {
+    #[inline]
+    fn len(&self, cols: &DatasetColumns) -> usize {
+        cols.len()
+    }
+
+    #[inline]
+    fn row(&self, k: usize) -> usize {
+        k
+    }
+
+    #[inline]
+    fn sum(&self, col: &[u64], ks: Range<usize>) -> u64 {
+        crate::lanes::sum(&col[ks])
+    }
+
+    fn associated<'s>(&'s self, cols: &'s DatasetColumns) -> &'s [u32] {
+        &cols.sel_associated
+    }
+
+    fn available<'s>(&'s self, cols: &'s DatasetColumns) -> &'s [u32] {
+        &cols.sel_available
+    }
+}
+
+/// An ascending selection of rows of one [`DatasetColumns`], with its own
+/// associated and WiFi-available selection vectors (split out of the
+/// selection once, by one pass over the WiFi tag column).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Selection {
+    rows: Vec<u32>,
+    associated: Vec<u32>,
+    available: Vec<u32>,
+}
+
+impl Selection {
+    /// Select `rows` (strictly ascending row indexes) of `cols`. The
+    /// selection must only be read with these columns.
+    pub fn new(cols: &DatasetColumns, rows: Vec<u32>) -> Selection {
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must be ascending");
+        let mut associated = Vec::new();
+        let mut available = Vec::new();
+        for &r in &rows {
+            match cols.wifi_tag[r as usize] {
+                WifiTag::Associated => associated.push(r),
+                WifiTag::OnUnassociated => available.push(r),
+                WifiTag::Off => {}
+            }
+        }
+        Selection { rows, associated, available }
+    }
+}
+
+impl RowSet for Selection {
+    #[inline]
+    fn len(&self, _cols: &DatasetColumns) -> usize {
+        self.rows.len()
+    }
+
+    #[inline]
+    fn row(&self, k: usize) -> usize {
+        self.rows[k] as usize
+    }
+
+    #[inline]
+    fn sum(&self, col: &[u64], ks: Range<usize>) -> u64 {
+        self.rows[ks].iter().map(|&r| col[r as usize]).sum()
+    }
+
+    fn associated<'s>(&'s self, _cols: &'s DatasetColumns) -> &'s [u32] {
+        &self.associated
+    }
+
+    fn available<'s>(&'s self, _cols: &'s DatasetColumns) -> &'s [u32] {
+        &self.available
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,6 +783,35 @@ mod tests {
             let rebuilt = DatasetColumns::build(&sub_ds);
             assert_eq!(gathered, rebuilt, "subset {rows:?}");
         }
+    }
+
+    /// A selection's sums and WiFi selection vectors equal those of the
+    /// gathered view, renumbered back into source rows.
+    #[test]
+    fn selection_reads_what_gather_copies() {
+        let ds = dataset(vec![
+            bin(0, 0, WifiBinState::Off, vec![]),
+            bin(0, 10, assoc(), vec![]),
+            bin(0, 20, WifiBinState::OnUnassociated, vec![]),
+            bin(1, 0, assoc(), vec![]),
+            bin(1, 10, WifiBinState::OnUnassociated, vec![]),
+            bin(1, 20, assoc(), vec![]),
+        ]);
+        let full = DatasetColumns::build(&ds);
+        for rows in [vec![], vec![0], vec![1, 2, 5], vec![0, 3, 4], vec![0, 1, 2, 3, 4, 5]] {
+            let g = full.gather(&rows);
+            let sel = Selection::new(&full, rows.clone());
+            let back = |v: &[u32]| -> Vec<u32> { v.iter().map(|&k| rows[k as usize]).collect() };
+            assert_eq!((0..sel.len(&full)).map(|k| sel.row(k) as u32).collect::<Vec<_>>(), rows);
+            assert_eq!(sel.len(&full), g.len());
+            assert_eq!(sel.associated(&full), back(&g.sel_associated), "{rows:?}");
+            assert_eq!(sel.available(&full), back(&g.sel_available), "{rows:?}");
+            for k in 0..=rows.len() {
+                assert_eq!(sel.sum(&full.rx_3g, 0..k), crate::lanes::sum(&g.rx_3g[..k]));
+            }
+        }
+        assert_eq!(AllRows.associated(&full), full.sel_associated.as_slice());
+        assert_eq!(AllRows.sum(&full.tx_wifi, 1..4), 18);
     }
 
     /// `to_bins` inverts `build` across every WiFi state and CSR shape

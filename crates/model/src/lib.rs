@@ -34,7 +34,7 @@ pub mod units;
 pub mod wellknown;
 
 pub use apps::AppCategory;
-pub use columns::{DatasetColumns, ScanColumns, WifiTag};
+pub use columns::{AllRows, DatasetColumns, RowSet, ScanColumns, Selection, WifiTag};
 pub use dataset::{
     ApEntry, ApRef, AppBin, BinRecord, CampaignMeta, Carrier, Dataset, DeviceInfo, GroundTruth,
     Occupation, ScanSummary, SurveyLocation, SurveyReason, SurveyResponse, WifiAssoc, WifiBinState,

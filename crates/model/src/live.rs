@@ -35,26 +35,29 @@
 //! convergence proof asserts.
 //!
 //! **Cadence.** A compaction fires once the tails hold at least
-//! `compact_min_tail` rows *and* 1/16 of the live merged run. Each
-//! compaction copies the merged run plus the tails, at most 17× the
-//! tails, so total copy work stays linear: at most 17× the rows appended.
+//! `compact_min_tail` rows *and* 1/32 of the live merged run. Each
+//! compaction copies the merged run plus the tails, at most 33× the
+//! tails, so total copy work stays linear: at most 33× the rows appended.
 //! The ratio sets how often readers see a new generation, and each
 //! generation also costs the readers a query refresh on the same drain
 //! thread. Measured on the `mtbench` `live_serve` workload (scale 0.04,
-//! 2 vCPUs, six registered queries), with column-run compaction:
+//! 2 vCPUs, six registered queries), with column-run compaction and the
+//! filtered queries read in place:
 //!
 //! | ratio | generations | staleness p50 / p90 | drain idle | tap spill |
 //! |-------|-------------|---------------------|------------|-----------|
-//! | ½ (row rebuilds) | 14 | 0.46 s / 1.02 s | 3.3 s | ≈40k |
-//! | 1/8   | 37 | 0.16–0.17 s / 0.41 s | 3.1 s | ≈46k |
-//! | 1/16  | 60 | 0.11–0.13 s / 0.25–0.28 s | 2.2 s | ≈81k |
-//! | 1/32  | 96 | 0.09–0.10 s / 0.17–0.18 s | 1.1 s | ≈131k |
+//! | ½     | 14  | 0.35 s / 0.92 s | 4.1 s | ≈3k |
+//! | 1/16  | 60  | 0.079 s / 0.198 s | 3.6 s | ≈17k |
+//! | 1/32  | 96  | 0.050–0.052 s / 0.118–0.120 s | 2.6–3.2 s | ≈27–48k |
+//! | 1/64  | 145 | 0.040 s / 0.079 s | 2.15–2.17 s | ≈60–65k |
 //!
 //! (Generations, idle seconds and records spilled into the tap's
-//! unbounded side buffer are per ≈4.7 s replay.) 1/32 is fresher still on
-//! this workload, but it leaves the drain thread a third of the idle time
-//! ½ left and spills over three times as many records; 1/16 keeps two
-//! thirds of that idle time at twice the spill.
+//! unbounded side buffer are per ≈4.7 s replay.) When every filtered
+//! query gathered its own copy of the columns, 1/16 measured
+//! 0.110 s / 0.247 s with 2.5–2.6 s idle and ≈67–71k spilled. 1/32 beats
+//! that on staleness and still leaves at least that much idle time; 1/64
+//! is fresher again, but leaves the drain thread less idle time than
+//! that and spills about as much.
 
 use crate::columns::DatasetColumns;
 use crate::dataset::{
@@ -78,7 +81,11 @@ use std::sync::Arc;
 const COMPACT_MIN_TAIL: usize = 1024;
 
 /// Tails must reach `merged / COMPACT_RATIO` rows before a compaction.
-const COMPACT_RATIO: usize = 16;
+/// Each compaction then copies at most `COMPACT_RATIO + 1` times its
+/// tails. 32 is the freshest ratio measured that still leaves the drain
+/// thread as much idle time as 1/16 did when filtered queries gathered
+/// their columns (see the cadence table in the module docs).
+const COMPACT_RATIO: usize = 32;
 
 /// One cleaned bin to append. Identical to [`BinRecord`] except that the
 /// WiFi association still carries the raw (BSSID, ESSID) identity: AP
@@ -609,8 +616,8 @@ mod tests {
     }
 
     /// Every compaction copies the live merged run plus the tails, and the
-    /// 1/16 trigger fires only once the tails reach 1/16 of the run — so
-    /// each copy is at most 17× its tails and the total stays linear.
+    /// 1/32 trigger fires only once the tails reach 1/32 of the run — so
+    /// each copy is at most 33× its tails and the total stays linear.
     #[test]
     fn compaction_trigger_amortises() {
         let n = 4_000usize;
@@ -623,7 +630,7 @@ mod tests {
             }
         }
         assert!(b.compactions() >= 2, "trigger never fired");
-        assert!(copied <= 17 * n, "compactions copied {copied} rows for {n} appended");
+        assert!(copied <= 33 * n, "compactions copied {copied} rows for {n} appended");
         assert_eq!(b.len(), n);
     }
 

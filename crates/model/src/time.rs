@@ -266,9 +266,11 @@ impl SimTime {
         campaign_start.plus_days(i64::from(self.day()))
     }
 
-    /// Weekday of this time given the campaign start date.
+    /// Weekday of this time given the campaign start date: the start's
+    /// weekday advanced by the campaign day, with no civil-date round trip
+    /// per call.
     pub fn weekday(self, campaign_start: CivilDate) -> Weekday {
-        self.date(campaign_start).weekday()
+        Weekday::from_index(campaign_start.weekday().index() + self.day())
     }
 }
 
@@ -336,6 +338,26 @@ mod tests {
         assert_eq!(SimTime::from_day_minute(2, 0).weekday(start), Weekday::Mon);
         // 2015-03-10 is day 10 of the 2015 campaign.
         assert_eq!(SimTime::from_day_minute(10, 0).date(start), CivilDate::new(2015, 3, 10));
+    }
+
+    /// The day-offset weekday equals the civil date's own weekday across
+    /// leap and non-leap Jan/Feb, a year boundary and every campaign.
+    #[test]
+    fn simtime_weekday_matches_civil_date() {
+        let mut starts = vec![
+            CivilDate::new(2012, 1, 15),
+            CivilDate::new(2012, 2, 28),
+            CivilDate::new(2013, 2, 1),
+            CivilDate::new(2015, 12, 30),
+            CivilDate::new(2016, 2, 29),
+        ];
+        starts.extend(Year::ALL.map(Year::campaign_start));
+        for start in starts {
+            for day in 0..1500 {
+                let t = SimTime::from_day_minute(day, 0);
+                assert_eq!(t.weekday(start), t.date(start).weekday(), "{start} + {day}");
+            }
+        }
     }
 
     #[test]

@@ -4,33 +4,33 @@
 //! A [`QuerySet`] holds the parsed queries from the CLI's repeated
 //! `--where` flags (plus the implicit unfiltered query). Each snapshot
 //! generation — a live-engine compaction, a `.mtpool` epoch, or a batch
-//! dataset — is evaluated without touching a row table, so columns-only
-//! live generations (empty `ds.bins`) serve exactly like batch datasets:
+//! dataset — is evaluated without touching a row table and without
+//! copying a column, so columns-only live generations (empty `ds.bins`)
+//! serve exactly like batch datasets:
 //!
-//! * the unfiltered query borrows the snapshot's own index and columns
-//!   (`AnalysisContext::from_cow_parts`), so its payload is bit-identical
-//!   to the batch pipeline over the same dataset — the invariant the serve
-//!   gate asserts at end of campaign;
-//! * each filtered query compiles its selection vector against the
-//!   snapshot's columns, gathers a columns-only view and rebuilds its
-//!   index ([`filtered_parts`]); all filtered views of one generation
-//!   share one identifier-only `Dataset` (the snapshot's own when it
-//!   carries no rows);
+//! * every query runs the payload passes over the snapshot's own columns
+//!   and a row set ([`RowSet`]): [`AllRows`] for the unfiltered query,
+//!   the compiled selection vector ([`Selection`]) for a filtered one.
+//!   Each query classifies the APs and aggregates the user-days of its
+//!   own row set, so a filtered payload is bit-identical to the batch
+//!   pipeline over the filtered rows, and the unfiltered payload to the
+//!   batch pipeline over the snapshot — the invariant the serve gate
+//!   asserts at end of campaign;
 //! * the snapshot's AP classification is computed at most once per
 //!   generation and shared by every venue predicate and the unfiltered
-//!   context.
+//!   query.
 
 use crate::expr::{parse, FilterExpr, ParseError};
-use crate::filter::{filtered_parts, select_rows_with, CompileOptions};
-use mobitrace_core::apclass::{classify_cols, ApClassification};
-use mobitrace_core::availability::{offload_potential, OffloadPotential};
+use crate::filter::{select_rows_with, CompileOptions};
+use mobitrace_core::apclass::{classify_cols, classify_over, ApClassification};
+use mobitrace_core::availability::{offload_potential_over, OffloadPotential};
 use mobitrace_core::cap::cap_analysis;
-use mobitrace_core::quality::{rssi_analysis, RssiAnalysis};
-use mobitrace_core::timeseries::{aggregate_series, venue_series};
+use mobitrace_core::daily::{user_days_cols, user_days_over, UserDay};
+use mobitrace_core::quality::{rssi_analysis_over, RssiAnalysis};
+use mobitrace_core::timeseries::{aggregate_series_over, venue_series_over};
 use mobitrace_core::AnalysisContext;
-use mobitrace_model::{Dataset, DatasetColumns, DatasetIndex};
+use mobitrace_model::{AllRows, Dataset, DatasetColumns, DatasetIndex, RowSet, Selection};
 use serde::Serialize;
-use std::borrow::Cow;
 use std::time::Instant;
 
 /// One registered query: an id for the output stream plus the parsed
@@ -60,8 +60,8 @@ impl Query {
 }
 
 /// The metric payload of one (query, generation) evaluation: the
-/// paper's headline live-watchable figures, computed by the unchanged
-/// batch passes over the (possibly filtered) view.
+/// paper's headline live-watchable figures, computed by the batch passes
+/// over the (possibly filtered) rows.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetricPayload {
     /// Bins in the evaluated view.
@@ -86,15 +86,29 @@ pub struct MetricPayload {
 /// function the batch pipeline calls, so payload equality against batch
 /// output is equality of the underlying figures.
 pub fn evaluate_payload(ctx: &AnalysisContext<'_>) -> MetricPayload {
-    let series = aggregate_series(ctx.ds, &ctx.cols);
-    let venues = venue_series(ctx.ds, &ctx.cols, &ctx.aps);
-    let cap = cap_analysis(&ctx.days);
+    payload_over(ctx.ds, &ctx.cols, &AllRows, &ctx.aps, &ctx.days)
+}
+
+/// The payload of the rows `rows` of `cols`, given their AP
+/// classification and user-days (each computed over the same row set).
+fn payload_over(
+    ds: &Dataset,
+    cols: &DatasetColumns,
+    rows: &impl RowSet,
+    aps: &ApClassification,
+    days: &[UserDay],
+) -> MetricPayload {
+    let series = aggregate_series_over(ds, cols, rows);
+    let venues = venue_series_over(ds, cols, rows, aps);
+    let cap = cap_analysis(days);
     MetricPayload {
-        bins: ctx.cols.len(),
-        devices: ctx.index.devices_with_bins().count(),
+        bins: rows.len(cols),
+        // User-days are in device order, one run of days per device.
+        devices: days.windows(2).filter(|w| w[0].device != w[1].device).count()
+            + usize::from(!days.is_empty()),
         wifi_share: series.wifi_share(),
-        offload: offload_potential(ctx.ds, &ctx.cols),
-        rssi: rssi_analysis(&ctx.cols, &ctx.aps),
+        offload: offload_potential_over(ds, cols, rows),
+        rssi: rssi_analysis_over(cols, rows, aps),
         venue_shares: venues.shares,
         cap_capped_user_share: cap.capped_user_share,
         cap_median_gap: cap.median_gap,
@@ -128,8 +142,7 @@ pub struct ServeRecord {
     pub watermark: Option<u32>,
     /// Rows selected by the filter (bins in the evaluated view).
     pub rows: usize,
-    /// Wall-clock seconds this evaluation took (compile + materialize +
-    /// passes).
+    /// Wall-clock seconds this evaluation took (compile + passes).
     pub elapsed_s: f64,
     /// The metric payload.
     pub metrics: MetricPayload,
@@ -165,7 +178,8 @@ impl QuerySet {
     /// The snapshot arrives as (dataset, index, columns) — exactly what a
     /// `LiveSnapshot`, a decoded pool generation, or a batch dataset
     /// provides; `cols` are the rows and `ds.bins` may be empty — and
-    /// each query returns one [`ServeRecord`].
+    /// each query returns one [`ServeRecord`]. The passes read only the
+    /// columns; `index` must describe the same rows.
     pub fn evaluate(
         &self,
         ds: &Dataset,
@@ -175,33 +189,26 @@ impl QuerySet {
         watermark: Option<u32>,
     ) -> Vec<ServeRecord> {
         debug_assert!(ds.bins.is_empty() || ds.bins.len() == cols.len());
-        // Shared across this generation's queries, each built on first use.
-        let mut classification: Option<ApClassification> = None;
-        let mut identifiers: Option<Cow<'_, Dataset>> = None;
+        debug_assert_eq!(index.n_bins(), cols.len(), "index and columns disagree");
+        // The whole snapshot's classification, shared by the unfiltered
+        // query and every venue predicate; built on first use.
+        let mut snapshot_aps: Option<ApClassification> = None;
         let mut out = Vec::with_capacity(self.queries.len());
         for q in &self.queries {
             let start = Instant::now();
             let metrics = match &q.expr {
                 None => {
-                    let aps = classification.take().unwrap_or_else(|| classify_cols(ds, cols));
-                    let ctx = AnalysisContext::from_cow_parts(
-                        ds,
-                        Cow::Borrowed(index),
-                        Cow::Borrowed(cols),
-                        Some(aps),
-                    );
-                    let payload = evaluate_payload(&ctx);
-                    classification = Some(ctx.aps);
-                    payload
+                    let aps = snapshot_aps.get_or_insert_with(|| classify_cols(ds, cols));
+                    payload_over(ds, cols, &AllRows, aps, &user_days_cols(cols))
                 }
                 Some(expr) => {
-                    if expr.uses_venue() && classification.is_none() {
-                        classification = Some(classify_cols(ds, cols));
+                    if expr.uses_venue() && snapshot_aps.is_none() {
+                        snapshot_aps = Some(classify_cols(ds, cols));
                     }
-                    let sel = select_rows_with(expr, ds, cols, classification.as_ref(), self.opts);
-                    let (findex, fcols) = filtered_parts(cols, &sel, ds.devices.len());
-                    let ids = identifiers.get_or_insert_with(|| identifier_tables(ds));
-                    evaluate_payload(&AnalysisContext::from_parts(ids, findex, fcols))
+                    let sel = select_rows_with(expr, ds, cols, snapshot_aps.as_ref(), self.opts);
+                    let rows = Selection::new(cols, sel);
+                    let aps = classify_over(ds, cols, &rows);
+                    payload_over(ds, cols, &rows, &aps, &user_days_over(cols, &rows))
                 }
             };
             out.push(ServeRecord {
@@ -215,21 +222,6 @@ impl QuerySet {
             });
         }
         out
-    }
-}
-
-/// The identifier tables of `ds` with no rows: `ds` itself when it is
-/// already columns-only, otherwise a copy without `bins`.
-fn identifier_tables(ds: &Dataset) -> Cow<'_, Dataset> {
-    if ds.bins.is_empty() {
-        Cow::Borrowed(ds)
-    } else {
-        Cow::Owned(Dataset {
-            meta: ds.meta.clone(),
-            devices: ds.devices.clone(),
-            aps: ds.aps.clone(),
-            bins: Vec::new(),
-        })
     }
 }
 
@@ -275,8 +267,8 @@ mod tests {
     fn empty_rssi() -> RssiAnalysis {
         let ds = empty_dataset();
         let cols = DatasetColumns::build(&ds);
-        let cls = mobitrace_core::apclass::classify_cols(&ds, &cols);
-        rssi_analysis(&cols, &cls)
+        let cls = classify_cols(&ds, &cols);
+        mobitrace_core::quality::rssi_analysis(&cols, &cls)
     }
 
     fn empty_dataset() -> Dataset {

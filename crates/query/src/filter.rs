@@ -1,28 +1,26 @@
-//! Predicate compiler: [`FilterExpr`] → ascending row-selection vector →
-//! filtered columns-only view.
+//! Predicate compiler: [`FilterExpr`] → ascending row-selection vector.
 //!
-//! Compilation is a single scan of the columnar view: each row is tested
-//! against the expression tree and selected rows are collected in order,
-//! so the output is an ascending selection vector in the same sense as
-//! `DatasetColumns::sel_associated`. Venue predicates need the AP
-//! classification; [`select_rows`] builds it at most once per compile and
-//! only when the expression actually mentions `venue`
+//! Compilation works a column at a time: each predicate becomes a per-row
+//! mask from one scan of the column it tests, the masks combine
+//! element-wise under the boolean operators, and the rows left set are
+//! collected in order, so the output is an ascending selection vector in
+//! the same sense as `DatasetColumns::sel_associated`. Venue predicates
+//! need the AP classification; [`select_rows`] builds it at most once per
+//! compile and only when the expression actually mentions `venue`
 //! ([`FilterExpr::uses_venue`]), and [`select_rows_with`] takes one the
 //! caller already holds (the query executor shares one per generation).
 //!
-//! A selection becomes a view in two steps, both row-free: the columns are
-//! gathered by `DatasetColumns::gather` (bit-identical to rebuilding from
-//! the filtered bins) and the bin-range index is rebuilt from the gathered
-//! device/time columns ([`filtered_parts`]). The analysis passes read only
-//! those columns, so the query executor evaluates every filtered view over
-//! one identifier-only `Dataset` — campaign metadata, device and AP tables
-//! kept whole, `bins` empty. Row filtering narrows *observations*, never
+//! The query executor reads a selection in place: the payload passes take
+//! it as a `Selection` row set over the snapshot's own columns, so serving
+//! a filter copies no column. Row filtering narrows *observations*, never
 //! the identifier space, so `ApRef`/`DeviceId` indexes stay valid.
-//! [`materialize`] additionally rebuilds the selected rows
-//! (`DatasetColumns::to_bins`) for callers that want a self-contained
-//! [`FilteredDataset`].
+//! [`materialize`] is for callers that want a self-contained
+//! [`FilteredDataset`]: it gathers the selected columns
+//! (`DatasetColumns::gather`, bit-identical to rebuilding from the
+//! filtered bins), rebuilds the index from them and the rows from those
+//! (`DatasetColumns::to_bins`).
 
-use crate::expr::{FilterExpr, Predicate, WifiClass};
+use crate::expr::{CmpOp, FilterExpr, Predicate, WifiClass};
 use mobitrace_core::apclass::{classify_cols, ApClassification};
 use mobitrace_core::AnalysisContext;
 use mobitrace_model::{Dataset, DatasetColumns, DatasetIndex, DeviceId, WifiTag};
@@ -54,64 +52,88 @@ pub fn cohort_of(device: DeviceId, n_cohorts: u32) -> u32 {
     (x % u64::from(n_cohorts.max(1))) as u32
 }
 
-/// Evaluate one predicate at row `i`. `aps` is `Some` iff the expression
-/// mentions venue.
-fn eval_pred(
+/// The per-row truth of one predicate over every row of `cols`: one scan
+/// of the column the predicate tests. Device and AP properties (OS,
+/// venue class) are decided once per table entry and looked up per row.
+/// `aps` is `Some` iff the expression mentions venue.
+fn pred_mask(
     p: &Predicate,
-    i: usize,
     ds: &Dataset,
     cols: &DatasetColumns,
     aps: Option<&ApClassification>,
     opts: CompileOptions,
-) -> bool {
+) -> Vec<bool> {
+    // op is Eq or Ne for the categorical predicates (parser-enforced);
+    // Ne flips.
+    let eq = |op: CmpOp, matches: bool| matches == (op == CmpOp::Eq);
     match *p {
-        Predicate::Device(op, v) => op.eval(cols.device[i].0, v),
-        Predicate::Cohort(op, v) => op.eval(cohort_of(cols.device[i], opts.n_cohorts), v),
-        Predicate::Day(op, v) => op.eval(cols.time[i].day(), v),
-        Predicate::Hour(op, v) => op.eval(cols.time[i].hour(), v),
-        Predicate::Os(op, os) => op.eval(ds.devices[cols.device[i].index()].os, os),
-        Predicate::Wifi(op, w) => {
-            let tag = cols.wifi_tag[i];
-            let matches = match w {
-                WifiClass::Off => tag == WifiTag::Off,
-                WifiClass::On => tag.is_on(),
-                WifiClass::Assoc => tag == WifiTag::Associated,
-                WifiClass::Available => tag == WifiTag::OnUnassociated,
-            };
-            // op is Eq or Ne (parser-enforced); Ne flips.
-            matches == (op == crate::expr::CmpOp::Eq)
+        Predicate::Device(op, v) => cols.device.iter().map(|d| op.eval(d.0, v)).collect(),
+        Predicate::Cohort(op, v) => {
+            cols.device.iter().map(|&d| op.eval(cohort_of(d, opts.n_cohorts), v)).collect()
         }
+        Predicate::Day(op, v) => cols.time.iter().map(|t| op.eval(t.day(), v)).collect(),
+        Predicate::Hour(op, v) => cols.time.iter().map(|t| op.eval(t.hour(), v)).collect(),
+        Predicate::Os(op, os) => {
+            let of_device: Vec<bool> = ds.devices.iter().map(|d| op.eval(d.os, os)).collect();
+            cols.device.iter().map(|d| of_device[d.index()]).collect()
+        }
+        Predicate::Wifi(op, w) => cols
+            .wifi_tag
+            .iter()
+            .map(|&tag| {
+                eq(
+                    op,
+                    match w {
+                        WifiClass::Off => tag == WifiTag::Off,
+                        WifiClass::On => tag.is_on(),
+                        WifiClass::Assoc => tag == WifiTag::Associated,
+                        WifiClass::Available => tag == WifiTag::OnUnassociated,
+                    },
+                )
+            })
+            .collect(),
         Predicate::Venue(op, v) => {
+            let aps = aps.expect("venue predicate without classification");
+            let of_ap: Vec<bool> = aps.class_of.iter().map(|&class| eq(op, class == v)).collect();
             // Venue predicates range over *associated* rows only: an
             // unassociated bin has no venue, so it matches neither
             // `venue=home` nor `venue!=home`.
-            if cols.wifi_tag[i] != WifiTag::Associated {
-                return false;
-            }
-            let class =
-                aps.expect("venue predicate without classification").class(cols.assoc_ap[i]);
-            (class == v) == (op == crate::expr::CmpOp::Eq)
+            cols.wifi_tag
+                .iter()
+                .zip(&cols.assoc_ap)
+                .map(|(&tag, ap)| tag == WifiTag::Associated && of_ap[ap.index()])
+                .collect()
         }
     }
 }
 
-fn eval_expr(
+/// The per-row truth of an expression: predicate masks combined
+/// element-wise under the boolean operators.
+fn expr_mask(
     e: &FilterExpr,
-    i: usize,
     ds: &Dataset,
     cols: &DatasetColumns,
     aps: Option<&ApClassification>,
     opts: CompileOptions,
-) -> bool {
+) -> Vec<bool> {
+    let combine = |a: &FilterExpr, b: &FilterExpr, op: fn(bool, bool) -> bool| {
+        let mut m = expr_mask(a, ds, cols, aps, opts);
+        for (x, y) in m.iter_mut().zip(expr_mask(b, ds, cols, aps, opts)) {
+            *x = op(*x, y);
+        }
+        m
+    };
     match e {
-        FilterExpr::Pred(p) => eval_pred(p, i, ds, cols, aps, opts),
-        FilterExpr::And(a, b) => {
-            eval_expr(a, i, ds, cols, aps, opts) && eval_expr(b, i, ds, cols, aps, opts)
+        FilterExpr::Pred(p) => pred_mask(p, ds, cols, aps, opts),
+        FilterExpr::And(a, b) => combine(a, b, |x, y| x && y),
+        FilterExpr::Or(a, b) => combine(a, b, |x, y| x || y),
+        FilterExpr::Not(a) => {
+            let mut m = expr_mask(a, ds, cols, aps, opts);
+            for x in &mut m {
+                *x = !*x;
+            }
+            m
         }
-        FilterExpr::Or(a, b) => {
-            eval_expr(a, i, ds, cols, aps, opts) || eval_expr(b, i, ds, cols, aps, opts)
-        }
-        FilterExpr::Not(a) => !eval_expr(a, i, ds, cols, aps, opts),
     }
 }
 
@@ -138,26 +160,8 @@ pub fn select_rows_with(
     aps: Option<&ApClassification>,
     opts: CompileOptions,
 ) -> Vec<u32> {
-    let mut rows = Vec::new();
-    for i in 0..cols.len() {
-        if eval_expr(expr, i, ds, cols, aps, opts) {
-            rows.push(i as u32);
-        }
-    }
-    rows
-}
-
-/// The columns-only view of a selection: the gathered columns and the
-/// index rebuilt from them, both bit-identical to building from the
-/// filtered bins (the property tests pin it). `n_devices` is the source
-/// device table's length.
-pub fn filtered_parts(
-    cols: &DatasetColumns,
-    rows: &[u32],
-    n_devices: usize,
-) -> (DatasetIndex, DatasetColumns) {
-    let fcols = cols.gather(rows);
-    (DatasetIndex::build_cols(&fcols, n_devices), fcols)
+    let mask = expr_mask(expr, ds, cols, aps, opts);
+    mask.iter().enumerate().filter(|&(_, &keep)| keep).map(|(i, _)| i as u32).collect()
 }
 
 /// A filtered snapshot view: the selected bins as a self-consistent
@@ -184,16 +188,18 @@ impl FilteredDataset {
             &self.ds,
             Cow::Borrowed(&self.index),
             Cow::Borrowed(&self.cols),
-            None,
         )
     }
 }
 
-/// Materialize a selection into a [`FilteredDataset`]: the columns-only
-/// view of [`filtered_parts`] plus the selected rows rebuilt from the
-/// gathered columns. Works on columns-only sources too.
+/// Materialize a selection into a [`FilteredDataset`]: the gathered
+/// columns, the index rebuilt from their device/time columns (both
+/// bit-identical to building from the filtered bins; the property tests
+/// pin it) and the selected rows rebuilt from the gathered columns. Works
+/// on columns-only sources too.
 pub fn materialize(ds: &Dataset, cols: &DatasetColumns, rows: &[u32]) -> FilteredDataset {
-    let (index, fcols) = filtered_parts(cols, rows, ds.devices.len());
+    let fcols = cols.gather(rows);
+    let index = DatasetIndex::build_cols(&fcols, ds.devices.len());
     let fds = Dataset {
         meta: ds.meta.clone(),
         devices: ds.devices.clone(),

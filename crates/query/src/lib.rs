@@ -2,9 +2,10 @@
 //!
 //! The streaming query layer: a small filter language over the columnar
 //! dataset layout, a predicate compiler producing row-selection vectors,
-//! and a query executor that serves the existing analysis passes from
-//! filtered views of any snapshot — live engine generations, `.mtpool`
-//! generations, or batch datasets — without rewriting a single pass.
+//! and a query executor that serves the existing analysis passes over
+//! filtered rows of any snapshot — live engine generations, `.mtpool`
+//! generations, or batch datasets — read in place, with one body per
+//! pass.
 //!
 //! The pipeline is deliberately three small stages:
 //!
@@ -13,19 +14,18 @@
 //!    hint; malformed user input never panics.
 //! 2. **Compile** ([`filter`]): a [`FilterExpr`] is evaluated over
 //!    [`DatasetColumns`](mobitrace_model::DatasetColumns) into an
-//!    ascending row-selection vector, which becomes a columns-only view
-//!    once per snapshot generation: columns are gathered
-//!    ([`DatasetColumns::gather`](mobitrace_model::DatasetColumns::gather))
-//!    and the bin-range index is rebuilt from the gathered device/time
-//!    columns ([`filtered_parts`](filter::filtered_parts)). No row is
-//!    cloned; [`materialize`](filter::materialize) rebuilds the selected
-//!    rows only for callers that want a self-contained dataset.
-//! 3. **Execute** ([`exec`]): the filtered view feeds
-//!    `AnalysisContext::from_parts` and the unchanged columnar passes
-//!    (offload potential, RSSI PDFs, venue shares, cap throttling,
-//!    aggregate WiFi share) produce one serializable
+//!    ascending row-selection vector, once per snapshot generation.
+//!    [`materialize`](filter::materialize) turns a selection into a
+//!    self-contained dataset for callers that want one; serving never
+//!    does.
+//! 3. **Execute** ([`exec`]): the selection is read in place — a
+//!    [`Selection`](mobitrace_model::Selection) row set over the
+//!    snapshot's own columns — by the columnar passes (offload potential,
+//!    RSSI PDFs, venue shares, cap throttling, aggregate WiFi share),
+//!    which produce one serializable
 //!    [`MetricPayload`](exec::MetricPayload) per registered query per
-//!    generation — the JSONL records `mobitrace serve` streams.
+//!    generation — the JSONL records `mobitrace serve` streams. No
+//!    gathered view is built on the serve path.
 //!
 //! The contract the property tests pin: a filtered query is
 //! **bit-identical** to eagerly materializing the filtered dataset and

@@ -1,13 +1,14 @@
 //! Filtered-query ≡ eager-filtered-batch equivalence.
 //!
-//! The property the serve layer stands on: compiling a filter into a
-//! selection vector, gathering columns / rebuilding the index from the
-//! selection, and running the analysis passes through
-//! `AnalysisContext::from_parts` is **bit-identical** — every context
-//! product and every metric in the payload — to eagerly cloning the
-//! selected bins into a fresh `Dataset` and running the whole batch
-//! pipeline (`AnalysisContext::new`) over that copy. Filtering is a view,
-//! never an approximation.
+//! The properties the serve layer stands on: compiling a filter into a
+//! selection vector and either materializing it (gathered columns,
+//! rebuilt index, `AnalysisContext::from_parts`) or serving it in place
+//! (`QuerySet::evaluate`, the passes reading the selection over the
+//! snapshot's own columns) is **bit-identical** — every context product
+//! and every metric in the payload — to eagerly cloning the selected bins
+//! into a fresh `Dataset` and running the whole batch pipeline
+//! (`AnalysisContext::new`) over that copy. Filtering is a view, never an
+//! approximation.
 //!
 //! Adversarial shapes are generated on purpose: empty filter results
 //! (`device=99` matches nothing), single-device datasets, and row counts
@@ -17,10 +18,12 @@
 use mobitrace_core::AnalysisContext;
 use mobitrace_model::{
     ApEntry, ApRef, AppBin, AppCategory, Band, BinRecord, Bssid, CampaignMeta, Carrier, CellId,
-    Channel, Dataset, DatasetColumns, Dbm, DeviceId, DeviceInfo, Essid, Os, OsVersion, ScanSummary,
-    SimTime, WifiAssoc, WifiBinState, Year,
+    Channel, Dataset, DatasetColumns, DatasetIndex, Dbm, DeviceId, DeviceInfo, Essid, Os,
+    OsVersion, ScanSummary, SimTime, WifiAssoc, WifiBinState, Year,
 };
-use mobitrace_query::{evaluate_payload, materialize, parse, select_rows, CompileOptions};
+use mobitrace_query::{
+    evaluate_payload, materialize, parse, select_rows, CompileOptions, Query, QuerySet,
+};
 use proptest::prelude::*;
 
 /// Expression pool: every field, both adversarial extremes (`device=99`
@@ -169,6 +172,62 @@ proptest! {
         prop_assert_eq!(&lazy.aps, &eager.aps);
         prop_assert_eq!(&lazy.home_cell, &eager.home_cell);
         prop_assert_eq!(evaluate_payload(&lazy), evaluate_payload(&eager));
+    }
+}
+
+/// The eager reference for one selection: the selected bins cloned into a
+/// fresh dataset.
+fn eager_copy(ds: &Dataset, rows: &[u32]) -> Dataset {
+    Dataset {
+        meta: ds.meta.clone(),
+        devices: ds.devices.clone(),
+        aps: ds.aps.clone(),
+        bins: rows.iter().map(|&r| ds.bins[r as usize].clone()).collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: proptest_cases(), ..ProptestConfig::default() })]
+
+    /// The serve path reads each selection in place. For every pool
+    /// expression, each `QuerySet::evaluate` record — on the dataset with
+    /// its rows and on its columns-only form — equals the batch payload
+    /// over the eagerly copied selection in `metrics`, `rows` and
+    /// `devices`.
+    #[test]
+    fn served_records_equal_eager_payload(
+        n_devices in 1u32..4,
+        raw in prop::collection::vec(
+            (0u32..4, 0u32..6, 0u32..16, 0u8..3, 0u32..4, 0u64..50_000),
+            0..13,
+        ),
+    ) {
+        let ds = make_dataset(n_devices, &raw);
+        let cols = DatasetColumns::build(&ds);
+        let index = DatasetIndex::build(&ds);
+        let opts = CompileOptions::default();
+        let queries = EXPRS
+            .iter()
+            .enumerate()
+            .map(|(i, src)| Query::parse(format!("q{i}"), src).unwrap())
+            .collect();
+        let set = QuerySet { queries, opts };
+        let columns_only = Dataset { bins: Vec::new(), ..ds.clone() };
+        for snapshot in [&ds, &columns_only] {
+            let recs = set.evaluate(snapshot, &index, &cols, 1, None);
+            prop_assert_eq!(recs.len(), EXPRS.len());
+            for (rec, src) in recs.iter().zip(EXPRS) {
+                let rows = select_rows(&parse(src).unwrap(), &ds, &cols, opts);
+                let eager_ds = eager_copy(&ds, &rows);
+                let eager = AnalysisContext::new(&eager_ds);
+                // Row and device counts straight from the eager copy, so
+                // they do not lean on the payload code both sides share.
+                prop_assert_eq!(rec.rows, eager_ds.bins.len(), "{}", src);
+                let devices = eager.index.devices_with_bins().count();
+                prop_assert_eq!(rec.metrics.devices, devices, "{}", src);
+                prop_assert_eq!(&rec.metrics, &evaluate_payload(&eager), "{}", src);
+            }
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! table: `cols` plus `index` are the rows, and `ds` holds only the
 //! identifier tables. This suite drives random interleaved appends,
 //! update-day tombstones and compactions (with a small compaction floor,
-//! so the 1/16 trigger fires often) and checks, after every compaction:
+//! so the 1/32 trigger fires often) and checks, after every compaction:
 //!
 //! * the generation's AP table, index and columns equal the canonical
 //!   first-encounter AP table, `DatasetIndex::build` and

@@ -538,7 +538,6 @@ fn run_live(args: &Args) {
         &snap.ds,
         Cow::Borrowed(&snap.index),
         Cow::Borrowed(&snap.cols),
-        None,
     );
     let batch_ctx = AnalysisContext::new(&snap.ds);
     if live_ctx.days != batch_ctx.days
@@ -910,15 +909,15 @@ fn serve_live(args: &Args, set: mobitrace_query::QuerySet, sink: ServeSink) {
         eprintln!("error: live snapshot diverged from the batch pipeline: {why}");
         std::process::exit(1);
     }
-    // The serve gate proper: the last streamed unfiltered payload (computed
-    // from the final snapshot's prebuilt parts, exactly as the observer
-    // did) must equal the batch pipeline's payload over the same dataset.
+    // The serve gate proper: the unfiltered payload over the final
+    // snapshot's prebuilt parts (the passes the observer's unfiltered query
+    // runs, over all rows) must equal the batch pipeline's payload over the
+    // same dataset.
     let snap = &report.finished.snapshot;
     let served = evaluate_payload(&AnalysisContext::from_cow_parts(
         &snap.ds,
         Cow::Borrowed(&snap.index),
         Cow::Borrowed(&snap.cols),
-        None,
     ));
     let batch = evaluate_payload(&AnalysisContext::new(&snap.ds));
     if served != batch {

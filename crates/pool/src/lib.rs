@@ -3,16 +3,17 @@
 //! The memory-mapped single-file columnar pool: `.mtpool`.
 //!
 //! Re-analysis is the dominant workload of the longitudinal study — the
-//! same three campaign years are analyzed many ways — yet JSON
-//! persistence pays a full parse + transpose on every load. A pool
-//! stores datasets in the exact [`DatasetColumns`] structure-of-arrays
-//! shapes with explicit little-endian fixed-width encoding, so loading
-//! is an mmap plus one bulk `from_le_bytes` sweep per column (a
-//! memcpy-class loop on LE targets) — no serde on the hot columns, no
-//! per-record parse, no transpose, and the persisted
-//! [`DatasetIndex`] means no re-index either. `mobitrace bench` records
-//! the result: analyze-from-pool beats both JSON load and full
-//! resimulation (see README "Persistence").
+//! same three campaign years are analyzed many ways — so loading must
+//! not pay a parse + transpose every time. A pool stores datasets in
+//! the exact [`DatasetColumns`] structure-of-arrays shapes with explicit
+//! little-endian fixed-width encoding, so loading is an mmap plus one
+//! bulk `from_le_bytes` sweep per column (a memcpy-class loop on LE
+//! targets) — no serde on the hot columns, no per-record parse, no
+//! transpose, and the persisted [`DatasetIndex`] means no re-index
+//! either. It is the only persisted form of a campaign set: it beat the
+//! JSON dataset files it replaced 14× and full resimulation 5× (see
+//! README "Persistence"), and `mtbench`'s `pool_reopen` workload times
+//! save and reopen end to end.
 //!
 //! Format in one breath (details in `format` and DESIGN.md §3i): a
 //! 128-byte header with two checksummed publication slots, append-only

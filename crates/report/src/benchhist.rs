@@ -5,30 +5,27 @@
 //! UTC timestamp, run label and the full flat metric map — to a JSONL
 //! history file that is committed per PR, so the perf trajectory of the
 //! repo lives in the repo. `--compare <baseline.jsonl>` checks the current
-//! run against the last committed entry and fails (exit 1, via
-//! [`CompareReport::regressed`]) when a tracked stage regresses beyond
-//! tolerance.
+//! run against the committed entries and fails (exit 1, via [`gate`]) when
+//! a tracked metric regresses beyond tolerance or goes missing.
 //!
 //! # Metric namespace
 //!
 //! Metrics are flat dotted keys, the stable — and only — interface of
-//! `BENCH_pipeline.json` and this history (the nested per-stage aliases
-//! that once shadowed this map were removed after their one-release
-//! deprecation window):
+//! `BENCH_pipeline.json` and this history. `mobitrace bench` measures
+//! exactly what the gate tracks plus the raw timings its ratios come
+//! from:
 //!
-//! - `sim.*` — simulator stage (`cached_s`, `uncached_s`, `speedup`,
-//!   and `total_s` = cached sim + context build, the resimulation
-//!   path's time to analysis-ready contexts)
-//! - `ingest.*` — encode/ingest/clean stages
 //! - `analysis.<pass>.*` — per-pass `rows_s`, `cols_s` and their
-//!   `ratio` (= `cols_s / rows_s`)
-//! - `live.*` — streaming engine stages
-//! - `world_scan.*` — per-call scan/replay micro-timings
-//! - `pool.*` — `.mtpool` persistence (`save_s`, `load_s`, `analyze_s`;
-//!   the pool's exit criterion is `pool.load_s + pool.analyze_s <
-//!   sim.total_s`)
-//! - `json.*` — JSON dataset persistence (`save_s`, `load_s`,
-//!   `analyze_s`), the baseline the pool replaces
+//!   `ratio` (= `cols_s / rows_s`) for the nine gated kernels
+//! - `world_scan.*` — per-call refill/replay/build micro-timings, their
+//!   ratios, and the campaign-wide `plan_cache.hit_rate`
+//! - `serve.query_refresh_p99_s` — per-query refresh latency over the
+//!   snapshot generations of a live campaign
+//!
+//! `mobitrace fleet` writes `fleet.*` keys. Older history entries also
+//! carry keys no current run produces (`sim.*`, `ingest.*`, `live.*`,
+//! `pool.*`, `json.*`, ungated passes); they stay in the file as the
+//! record of those runs and are ignored by the gate.
 //!
 //! # What the gate tracks
 //!
@@ -68,6 +65,15 @@
 //! shared keys half the time; [`lookback_baseline`] merges the history
 //! newest-last so each key's baseline is *the most recent entry that has
 //! that key*, and the gate compares against the merge.
+//!
+//! # A dropped key fails
+//!
+//! A tracked key the baseline has must come back: a run that stops
+//! producing a gated metric would otherwise pass by omission. Which keys a
+//! run owes depends on its kind — a run carrying `fleet.*` keys owes the
+//! tracked `fleet.*` keys, any other run owes every other tracked key —
+//! and a missing one is a FAIL row. A tracked key the baseline lacks is a
+//! fresh metric with no history yet, reported as skipped.
 
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -141,6 +147,30 @@ pub struct BenchEntry {
 }
 
 impl BenchEntry {
+    /// A run recorded now: `HEAD`'s SHA ([`git_head_sha`]) and the current
+    /// UTC time.
+    pub fn now(
+        label: String,
+        scale: f64,
+        seed: u64,
+        quick: bool,
+        metrics: BTreeMap<String, f64>,
+    ) -> BenchEntry {
+        let unix_secs = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_secs())
+            .unwrap_or(0);
+        BenchEntry {
+            git_sha: git_head_sha(),
+            timestamp: utc_timestamp(unix_secs),
+            label,
+            scale,
+            seed,
+            quick,
+            metrics,
+        }
+    }
+
     /// Serialise to the JSONL line shape.
     pub fn to_value(&self) -> Value {
         let metrics: serde_json::Map =
@@ -260,11 +290,12 @@ pub struct CompareRow {
     pub key: String,
     /// Baseline value.
     pub baseline: f64,
-    /// Current value.
-    pub current: f64,
-    /// Failure threshold (`baseline * tolerance + slack`).
+    /// Current value; `None` when the run did not produce the key.
+    pub current: Option<f64>,
+    /// Failure threshold (`baseline * tolerance + slack`, or `baseline /
+    /// tolerance - slack` for a [`TRACKED_FLOOR`] key).
     pub limit: f64,
-    /// Whether the current value stayed within the threshold.
+    /// Whether the current value exists and stayed within the threshold.
     pub pass: bool,
 }
 
@@ -275,9 +306,10 @@ pub struct CompareReport {
     pub baseline: String,
     /// Multiplicative tolerance applied.
     pub tolerance: f64,
-    /// Verdicts for every tracked metric present in both entries.
+    /// Verdicts for every tracked metric the baseline has and this kind
+    /// of run owes (see "A dropped key fails" in the module docs).
     pub rows: Vec<CompareRow>,
-    /// Tracked metrics absent from the baseline or the current run
+    /// Tracked metrics this kind of run owes but the baseline lacks
     /// (reported, never failed: a fresh metric has no history yet).
     pub missing: Vec<String>,
     /// Ungated metrics shared by both entries that moved by more than 25%
@@ -303,20 +335,22 @@ impl fmt::Display for CompareReport {
         for r in &self.rows {
             // Ceiling limits sit above their baseline, floor limits below;
             // mark the floors so the table reads unambiguously.
-            let verdict = match (r.pass, r.limit < r.baseline) {
-                (true, false) => "pass",
-                (false, false) => "FAIL",
-                (true, true) => "pass (floor)",
-                (false, true) => "FAIL (floor)",
+            let verdict = match (r.current.is_some(), r.pass, r.limit < r.baseline) {
+                (false, ..) => "FAIL (not produced)",
+                (true, true, false) => "pass",
+                (true, false, false) => "FAIL",
+                (true, true, true) => "pass (floor)",
+                (true, false, true) => "FAIL (floor)",
             };
+            let current = r.current.map_or_else(|| "-".to_string(), |c| format!("{c:.4}"));
             writeln!(
                 f,
-                "  {:<34} {:>10.4} {:>10.4} {:>10.4}  {verdict}",
-                r.key, r.baseline, r.current, r.limit
+                "  {:<34} {:>10.4} {current:>10} {:>10.4}  {verdict}",
+                r.key, r.baseline, r.limit
             )?;
         }
         for key in &self.missing {
-            writeln!(f, "  {key:<34} (not in both entries; skipped)")?;
+            writeln!(f, "  {key:<34} (not in the baseline; skipped)")?;
         }
         if !self.moved.is_empty() {
             writeln!(f, "  ungated metrics moved >25%:")?;
@@ -350,42 +384,30 @@ pub fn lookback_baseline(history: &[BenchEntry]) -> Option<BenchEntry> {
     Some(merged)
 }
 
-/// Gate a run against a baseline entry: every [`TRACKED`] metric present
-/// in both must stay within `baseline * tolerance + slack`, and every
-/// [`TRACKED_FLOOR`] metric must stay above `baseline / tolerance -
-/// slack`.
+/// Gate a run against a baseline entry: every [`TRACKED`] metric must stay
+/// within `baseline * tolerance + slack`, and every [`TRACKED_FLOOR`]
+/// metric above `baseline / tolerance - slack`. A tracked key the baseline
+/// has and this kind of run owes fails when the run did not produce it;
+/// one the baseline lacks is skipped (module docs, "A dropped key fails").
 pub fn compare(baseline: &BenchEntry, current: &BenchEntry, tolerance: f64) -> CompareReport {
+    let fleet_run = current.metrics.keys().any(|k| k.starts_with("fleet."));
+    let gated = TRACKED.iter().map(|&(k, s)| (k, s, false));
+    let gated = gated.chain(TRACKED_FLOOR.iter().map(|&(k, s)| (k, s, true)));
     let mut rows = Vec::new();
     let mut missing = Vec::new();
-    for &(key, slack) in TRACKED {
-        match (baseline.metrics.get(key), current.metrics.get(key)) {
-            (Some(&base), Some(&cur)) => {
-                let limit = base * tolerance + slack;
-                rows.push(CompareRow {
-                    key: key.into(),
-                    baseline: base,
-                    current: cur,
-                    limit,
-                    pass: cur <= limit,
-                });
-            }
-            _ => missing.push(key.to_string()),
+    for (key, slack, floor) in gated {
+        if key.starts_with("fleet.") != fleet_run {
+            continue;
         }
-    }
-    for &(key, slack) in TRACKED_FLOOR {
-        match (baseline.metrics.get(key), current.metrics.get(key)) {
-            (Some(&base), Some(&cur)) => {
-                let limit = (base / tolerance - slack).max(0.0);
-                rows.push(CompareRow {
-                    key: key.into(),
-                    baseline: base,
-                    current: cur,
-                    limit,
-                    pass: cur >= limit,
-                });
-            }
-            _ => missing.push(key.to_string()),
-        }
+        let Some(&base) = baseline.metrics.get(key) else {
+            missing.push(key.to_string());
+            continue;
+        };
+        let limit =
+            if floor { (base / tolerance - slack).max(0.0) } else { base * tolerance + slack };
+        let cur = current.metrics.get(key).copied();
+        let pass = cur.is_some_and(|c| if floor { c >= limit } else { c <= limit });
+        rows.push(CompareRow { key: key.into(), baseline: base, current: cur, limit, pass });
     }
     let tracked_keys: Vec<&str> = TRACKED.iter().chain(TRACKED_FLOOR).map(|&(k, _)| k).collect();
     let mut moved = Vec::new();
@@ -410,6 +432,81 @@ pub fn compare(baseline: &BenchEntry, current: &BenchEntry, tolerance: f64) -> C
         missing,
         moved,
     }
+}
+
+/// Why [`gate`] failed.
+#[derive(Debug)]
+pub enum GateError {
+    /// The `--compare` history is unreadable or has no entries.
+    Baseline(String),
+    /// A tracked metric regressed or was not produced.
+    Regressed {
+        /// The `--compare` history path, for the re-baselining hint.
+        history: String,
+        /// The subcommand that appends a fresh entry (`bench` or `fleet`).
+        command: String,
+    },
+    /// Appending to the `--history` file failed.
+    History(String),
+}
+
+impl GateError {
+    /// The CLI's exit status: 2 for an unusable baseline (no verdict was
+    /// reached), 1 for a regression or a failed append.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            GateError::Baseline(_) => 2,
+            GateError::Regressed { .. } | GateError::History(_) => 1,
+        }
+    }
+}
+
+impl fmt::Display for GateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GateError::Baseline(e) | GateError::History(e) => f.write_str(e),
+            GateError::Regressed { history, command } => write!(
+                f,
+                "regression gate FAILED. If this perf change is intentional, append a fresh \
+                 entry with `mobitrace {command} --history {history} --label <why>` and commit \
+                 the updated history."
+            ),
+        }
+    }
+}
+
+/// The `--compare` / `--history` tail of `mobitrace bench` and `mobitrace
+/// fleet`: gate `entry` against the [`lookback_baseline`] of the history
+/// at `baseline`, printing the report to stderr, then append `entry` to the
+/// history at `history`. A failed gate returns before the append.
+/// `command` names the subcommand in the re-baselining hint.
+pub fn gate(
+    entry: &BenchEntry,
+    baseline: Option<&Path>,
+    history: Option<&Path>,
+    tolerance: f64,
+    command: &str,
+) -> Result<(), GateError> {
+    if let Some(path) = baseline {
+        let entries = load_history(path).map_err(GateError::Baseline)?;
+        let merged = lookback_baseline(&entries).ok_or_else(|| {
+            GateError::Baseline(format!("baseline {} has no entries", path.display()))
+        })?;
+        let report = compare(&merged, entry, tolerance);
+        eprint!("{report}");
+        if report.regressed() {
+            return Err(GateError::Regressed {
+                history: path.display().to_string(),
+                command: command.to_string(),
+            });
+        }
+        eprintln!("regression gate passed");
+    }
+    if let Some(path) = history {
+        append_history(path, entry).map_err(GateError::History)?;
+        eprintln!("appended entry '{}' ({}) to {}", entry.label, entry.git_sha, path.display());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -455,13 +552,74 @@ mod tests {
     }
 
     #[test]
-    fn gate_skips_metrics_missing_from_either_side() {
+    fn gate_fails_dropped_metrics_and_skips_fresh_ones() {
         let base = entry(&[("analysis.overview.ratio", 0.40)]);
         let cur = entry(&[("analysis.rssi.ratio", 0.30)]);
         let report = compare(&base, &cur, DEFAULT_TOLERANCE);
-        assert!(!report.regressed());
-        assert!(report.missing.contains(&"analysis.overview.ratio".to_string()));
+        // The baseline's key went missing from the run: a FAIL row...
+        assert!(report.regressed());
+        let dropped = report.rows.iter().find(|r| r.key == "analysis.overview.ratio").unwrap();
+        assert_eq!(dropped.current, None);
+        assert!(!dropped.pass);
+        assert!(report.to_string().contains("FAIL (not produced)"));
+        // ...while the run's key the baseline lacks is fresh, so skipped.
         assert!(report.missing.contains(&"analysis.rssi.ratio".to_string()));
+        assert!(!report.missing.contains(&"analysis.overview.ratio".to_string()));
+    }
+
+    #[test]
+    fn each_run_kind_owes_only_its_own_tracked_keys() {
+        let base = entry(&[
+            ("analysis.overview.ratio", 0.40),
+            ("fleet.records_per_s", 200_000.0),
+            ("fleet.enqueue_commit_p99_s", 0.01),
+        ]);
+        // A bench run never produces fleet keys, and a fleet run never
+        // produces bench keys: neither fails for the other's.
+        let bench = entry(&[("analysis.overview.ratio", 0.41)]);
+        let report = compare(&base, &bench, DEFAULT_TOLERANCE);
+        assert!(!report.regressed());
+        assert!(report.rows.iter().all(|r| !r.key.starts_with("fleet.")));
+        let fleet =
+            entry(&[("fleet.records_per_s", 190_000.0), ("fleet.enqueue_commit_p99_s", 0.01)]);
+        let report = compare(&base, &fleet, DEFAULT_TOLERANCE);
+        assert!(!report.regressed());
+        assert!(report.rows.iter().all(|r| r.key.starts_with("fleet.")));
+        assert_eq!(report.rows.len(), 2);
+    }
+
+    #[test]
+    fn fleet_run_that_drops_a_fleet_key_fails() {
+        let base =
+            entry(&[("fleet.records_per_s", 200_000.0), ("fleet.enqueue_commit_p99_s", 0.01)]);
+        let cur = entry(&[("fleet.records_per_s", 200_000.0)]);
+        let report = compare(&base, &cur, DEFAULT_TOLERANCE);
+        assert!(report.regressed());
+        let failed: Vec<&str> =
+            report.rows.iter().filter(|r| !r.pass).map(|r| r.key.as_str()).collect();
+        assert_eq!(failed, ["fleet.enqueue_commit_p99_s"]);
+    }
+
+    #[test]
+    fn gate_maps_outcomes_to_exit_codes() {
+        let dir = std::env::temp_dir().join(format!("benchhist-gate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let hist = dir.join("hist.jsonl");
+        let _ = std::fs::remove_file(&hist);
+        let cur = entry(&[("analysis.overview.ratio", 0.40)]);
+        // No history file yet: no verdict, exit 2.
+        let err = gate(&cur, Some(&hist), None, DEFAULT_TOLERANCE, "bench").unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        // Recording works without a comparison, and then gates the next run.
+        gate(&cur, None, Some(&hist), DEFAULT_TOLERANCE, "bench").unwrap();
+        gate(&cur, Some(&hist), None, DEFAULT_TOLERANCE, "bench").unwrap();
+        // A regression is exit 1 and is not appended.
+        let slow = entry(&[("analysis.overview.ratio", 0.90)]);
+        let err = gate(&slow, Some(&hist), Some(&hist), DEFAULT_TOLERANCE, "bench").unwrap_err();
+        assert_eq!(err.exit_code(), 1);
+        assert!(err.to_string().contains("mobitrace bench --history"));
+        assert_eq!(load_history(&hist).unwrap().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -5,25 +5,27 @@
 //! mobitrace list
 //! mobitrace run <id>... [--scale S] [--seed N]
 //! mobitrace all [--scale S] [--seed N] [--json PATH]
-//! mobitrace simulate --out DIR [--scale S] [--seed N]
-//! mobitrace analyze --data DIR [<id>...]
+//! mobitrace pool export --out FILE.mtpool [--scale S] [--seed N] [--where EXPR]...
+//! mobitrace pool analyze --data FILE.mtpool [<id>...]
+//! mobitrace pool verify --data FILE.mtpool
 //! mobitrace bench [--quick] [--scale S] [--seed N] [--json PATH]
+//!                 [--compare HIST.jsonl] [--history HIST.jsonl] [--label NAME]
 //! mobitrace chaos [--quick] [--scale S] [--seed N]
 //! mobitrace live [--quick] [--chaos] [--scale S] [--seed N]
 //! mobitrace fleet [--devices N[k|M]] [--cohorts K] [--duration S] [--chaos]
 //!                 [--faults] [--checkpoint DIR] [--resume DIR]
-//! mobitrace serve [--live | --data FILE.mtpool | --data DIR]
+//! mobitrace serve [--live | --data FILE.mtpool]
 //!                 [--where EXPR]... [--json PATH | --listen ADDR]
 //!                 [--interval S] [--duration S] [--min-generations N]
 //! ```
+//!
+//! Campaigns persist only as `.mtpool` files: `pool export` writes one and
+//! `pool analyze` serves the experiments from it.
 
-use mobitrace_collector::{clean, encode_batch, encode_frame_into, CleanOptions, CollectionServer};
-use mobitrace_model::{
-    AssocInfo, Band, Bssid, ByteCount, CampaignMeta, Carrier, CellId, Channel, CounterSnapshot,
-    Dbm, DeviceId, DeviceInfo, Essid, Os, OsVersion, Record, ScanSummary, SimTime, WifiState, Year,
-};
-use mobitrace_report::{all_experiment_ids, run_experiment, CampaignSet};
+use mobitrace_model::{SimTime, Year};
+use mobitrace_report::{all_experiment_ids, benchhist, run_experiment, CampaignSet};
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::io::Write;
 
 struct Args {
@@ -124,7 +126,7 @@ fn parse_args() -> Result<Args, String> {
                 out.out = Some(args.next().ok_or("--out needs a directory")?);
             }
             "--data" => {
-                out.data = Some(args.next().ok_or("--data needs a directory")?);
+                out.data = Some(args.next().ok_or("--data needs a .mtpool path")?);
             }
             "--quick" => out.quick = true,
             "--chaos" => out.chaos = true,
@@ -219,8 +221,10 @@ fn parse_args() -> Result<Args, String> {
     if out.cohorts == 0 {
         return Err("--cohorts must be at least 1".into());
     }
-    if !(out.duration > 0.0 && out.duration.is_finite()) {
-        return Err(format!("--duration {} must be positive seconds", out.duration));
+    // Zero is a single pass: `serve --data` polls the pool once, `fleet`
+    // runs one producer round.
+    if !(out.duration >= 0.0 && out.duration.is_finite()) {
+        return Err(format!("--duration {} must be non-negative seconds", out.duration));
     }
     if !(out.interval > 0.0 && out.interval.is_finite()) {
         return Err(format!("--interval {} must be positive seconds", out.interval));
@@ -241,50 +245,6 @@ fn main() {
             println!("available experiments:");
             for id in all_experiment_ids() {
                 println!("  {id}");
-            }
-        }
-        "simulate" => {
-            let dir = args.out.clone().unwrap_or_else(|| "datasets".into());
-            eprintln!(
-                "simulating campaigns at scale {} (seed {}) into {dir}/ ...",
-                args.scale, args.seed
-            );
-            let set = CampaignSet::simulate(args.scale, args.seed);
-            match set.save(std::path::Path::new(&dir)) {
-                Ok(paths) => {
-                    for p in paths {
-                        println!("wrote {}", p.display());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        "analyze" => {
-            let dir = args.data.clone().unwrap_or_else(|| "datasets".into());
-            let set = match CampaignSet::load(std::path::Path::new(&dir)) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot load datasets from {dir}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let ctxs = set.contexts();
-            let ids: Vec<String> = if args.ids.is_empty() {
-                all_experiment_ids().iter().map(|s| s.to_string()).collect()
-            } else {
-                args.ids.clone()
-            };
-            for id in &ids {
-                match run_experiment(id, &set, &ctxs) {
-                    Some(r) => println!("{}", r.render()),
-                    None => {
-                        eprintln!("error: unknown experiment '{id}'");
-                        std::process::exit(2);
-                    }
-                }
             }
         }
         "run" | "all" => {
@@ -332,64 +292,71 @@ fn main() {
         "pool" => run_pool(&args),
         "fleet" => run_fleet_cmd(&args),
         "serve" => run_serve(&args),
-        _ => {
-            println!(
-                "mobitrace — reproduce 'Tracking the Evolution and Diversity in Network \
-                 Usage of Smartphones' (IMC'15)\n\n\
-                 usage:\n  mobitrace list\n  mobitrace run <id>... [--scale S] [--seed N]\n  \
-                 mobitrace all [--scale S] [--seed N] [--json PATH]\n  \
-                 mobitrace simulate --out DIR [--scale S] [--seed N]\n  \
-                 mobitrace analyze --data DIR [<id>...]\n  \
-                 mobitrace bench [--quick] [--scale S] [--seed N] [--json PATH]\n          \
-                 [--compare BASELINE.jsonl] [--tolerance X] [--history HIST.jsonl]\n          \
-                 [--label NAME]\n  \
-                 mobitrace chaos [--quick] [--scale S] [--seed N]\n  \
-                 mobitrace live [--quick] [--chaos] [--scale S] [--seed N]\n  \
-                 mobitrace pool export --out FILE.mtpool [--scale S] [--seed N]\n          \
-                 [--where EXPR]...\n  \
-                 mobitrace pool analyze --data FILE.mtpool [<id>...]\n  \
-                 mobitrace pool verify --data FILE.mtpool\n  \
-                 mobitrace fleet [--devices N[k|M]] [--cohorts K] [--duration S]\n          \
-                 [--workers W] [--rate R/s] [--chaos] [--faults] [--quick]\n          \
-                 [--checkpoint DIR] [--resume DIR] [--json PATH]\n          \
-                 [--compare HIST.jsonl] [--history HIST.jsonl] [--label NAME]\n  \
-                 mobitrace serve [--live | --data FILE.mtpool | --data DIR]\n          \
-                 [--where EXPR]... [--json PATH | --listen ADDR]\n          \
-                 [--interval S] [--duration S] [--min-generations N]\n\n\
-                 scale 1.0 = the paper's full populations (~1600-1755 users/campaign);\n\
-                 the default 0.15 reproduces every trend in a few seconds.\n\
-                 `bench` times each pipeline stage and writes BENCH_pipeline.json;\n\
-                 `bench --compare B.jsonl` gates tracked metrics against the last\n\
-                 entry of a committed history (exit 1 on regression) and\n\
-                 `bench --history H.jsonl` appends this run as a new entry;\n\
-                 `chaos` proves fault convergence (crash + recovery included) and\n\
-                 reports what a chaos-scheduled campaign did to the upload stream;\n\
-                 `live` streams a campaign through the incremental analysis engine\n\
-                 and asserts bit-identity with the batch pipeline (exit 1 on\n\
-                 divergence; `--chaos` layers a chaos schedule on top);\n\
-                 `pool` works with the single-file mmap `.mtpool` format:\n\
-                 `export` simulates and writes one, `analyze` serves experiments\n\
-                 zero-copy from it, `verify` checks every segment checksum;\n\
-                 `fleet` drives the thread-per-core ingest frontend at fleet\n\
-                 scale (`--devices 1M`), reporting sustained records/s, p50/p99\n\
-                 enqueue-to-commit latency and shed/backoff counts, merged into\n\
-                 BENCH_pipeline.json next to any existing bench metrics\n\
-                 (`--faults` injects a seeded schedule of worker kills, server\n\
-                 crashes and pool I/O failures and requires the run to self-heal;\n\
-                 `--checkpoint DIR` checkpoints cohorts periodically and\n\
-                 `--resume DIR` restarts from those checkpoints);\n\
-                 `serve` registers filter queries (`--where \"venue=home && day>=1\"`)\n\
-                 and re-evaluates them against every snapshot generation of a\n\
-                 running live campaign (`--live`), a growing `.mtpool` file\n\
-                 (`--data FILE.mtpool`, polled every `--interval` seconds for\n\
-                 `--duration`), or a one-shot batch dataset, streaming one JSONL\n\
-                 record per (query, generation) to stdout, `--json PATH`, or a\n\
-                 `--listen` TCP/unix socket;\n\
-                 `--quick` caps the scale at 0.02 (and `fleet` at 50k devices)\n\
-                 for CI smoke runs."
-            );
+        "help" | "--help" | "-h" => print_usage(),
+        other => {
+            eprintln!("error: unknown command '{other}' (see `mobitrace help`)");
+            std::process::exit(2);
         }
     }
+}
+
+fn print_usage() {
+    println!(
+        "mobitrace — reproduce 'Tracking the Evolution and Diversity in Network \
+         Usage of Smartphones' (IMC'15)\n\n\
+         usage:\n  mobitrace list\n  mobitrace run <id>... [--scale S] [--seed N]\n  \
+         mobitrace all [--scale S] [--seed N] [--json PATH]\n  \
+         mobitrace pool export --out FILE.mtpool [--scale S] [--seed N]\n          \
+         [--where EXPR]...\n  \
+         mobitrace pool analyze --data FILE.mtpool [<id>...]\n  \
+         mobitrace pool verify --data FILE.mtpool\n  \
+         mobitrace bench [--quick] [--scale S] [--seed N] [--json PATH]\n          \
+         [--compare BASELINE.jsonl] [--tolerance X] [--history HIST.jsonl]\n          \
+         [--label NAME]\n  \
+         mobitrace chaos [--quick] [--scale S] [--seed N]\n  \
+         mobitrace live [--quick] [--chaos] [--scale S] [--seed N]\n  \
+         mobitrace fleet [--devices N[k|M]] [--cohorts K] [--duration S]\n          \
+         [--workers W] [--rate R/s] [--chaos] [--faults] [--quick]\n          \
+         [--checkpoint DIR] [--resume DIR] [--json PATH]\n          \
+         [--compare HIST.jsonl] [--history HIST.jsonl] [--label NAME]\n  \
+         mobitrace serve [--live | --data FILE.mtpool]\n          \
+         [--where EXPR]... [--json PATH | --listen ADDR]\n          \
+         [--interval S] [--duration S] [--min-generations N]\n\n\
+         scale 1.0 = the paper's full populations (~1600-1755 users/campaign);\n\
+         the default 0.15 reproduces every trend in a few seconds.\n\
+         `pool` works with the single-file mmap `.mtpool` format, the one\n\
+         persisted form of a campaign set: `export` simulates and writes one,\n\
+         `analyze` serves experiments zero-copy from it, `verify` checks\n\
+         every segment checksum;\n\
+         `bench` times what its regression gate tracks (columnar kernels vs\n\
+         their row references, scan-plan replay and reuse, serve refresh\n\
+         latency) and writes BENCH_pipeline.json;\n\
+         `bench --compare B.jsonl` gates tracked metrics against the\n\
+         committed history (exit 1 on regression or a missing metric) and\n\
+         `bench --history H.jsonl` appends this run as a new entry;\n\
+         `chaos` proves fault convergence (crash + recovery included) and\n\
+         reports what a chaos-scheduled campaign did to the upload stream;\n\
+         `live` streams a campaign through the incremental analysis engine\n\
+         and asserts bit-identity with the batch pipeline (exit 1 on\n\
+         divergence; `--chaos` layers a chaos schedule on top);\n\
+         `fleet` drives the thread-per-core ingest frontend at fleet\n\
+         scale (`--devices 1M`), reporting sustained records/s, p50/p99\n\
+         enqueue-to-commit latency and shed/backoff counts into its own\n\
+         BENCH_pipeline.json, gated like `bench` by `--compare`\n\
+         (`--faults` injects a seeded schedule of worker kills, server\n\
+         crashes and pool I/O failures and requires the run to self-heal;\n\
+         `--checkpoint DIR` checkpoints cohorts periodically and\n\
+         `--resume DIR` restarts from those checkpoints);\n\
+         `serve` registers filter queries (`--where \"venue=home && day>=1\"`)\n\
+         and re-evaluates them against every snapshot generation of a\n\
+         running live campaign (`--live`), a growing `.mtpool` file\n\
+         (`--data FILE.mtpool`, polled every `--interval` seconds for\n\
+         `--duration`; `--duration 0` polls once), or a one-shot fresh\n\
+         simulation, streaming one JSONL record per (query, generation) to\n\
+         stdout, `--json PATH`, or a `--listen` TCP/unix socket;\n\
+         `--quick` caps the scale at 0.02 (and `fleet` at 50k devices)\n\
+         for CI smoke runs."
+    );
 }
 
 /// `mobitrace chaos`: run the fault-convergence harness (reliable lane vs
@@ -695,6 +662,8 @@ struct ServeTally {
     generations: Vec<u64>,
     /// Per-(query, generation) evaluation latency, seconds.
     latencies: Vec<f64>,
+    /// The records of the latest evaluation — what was last streamed.
+    last: Vec<mobitrace_query::ServeRecord>,
 }
 
 type ServeSink = std::sync::Arc<std::sync::Mutex<Box<dyn Write + Send>>>;
@@ -811,13 +780,14 @@ fn finish_serve(tally: &ServeTally, n_queries: usize, min_generations: u64) {
 /// process (`--live`, one generation per engine compaction), a `.mtpool`
 /// file another process is appending to (`--data FILE.mtpool`, re-opened on
 /// epoch change every `--interval` seconds until `--duration` elapses), or
-/// a one-shot batch dataset (`--data DIR` or a fresh simulation). Every
-/// (query, generation) evaluation streams one JSONL [`ServeRecord`].
+/// a one-shot fresh simulation. Every (query, generation) evaluation
+/// streams one JSONL [`ServeRecord`]. A `--data` value that is not a
+/// `.mtpool` path exits 2 before any work starts.
 ///
 /// The live source ends with the same convergence gates as `mobitrace
-/// live`, plus a serve-specific one: the final unfiltered query payload
-/// must be bit-identical to the batch pipeline's payload over the same
-/// records (exit 1 otherwise).
+/// live`, plus a serve-specific one: the unfiltered query's payload as
+/// streamed for the finished snapshot must be bit-identical to the batch
+/// pipeline's payload over the same records (exit 1 otherwise).
 ///
 /// [`ServeRecord`]: mobitrace_query::ServeRecord
 fn run_serve(args: &Args) {
@@ -843,12 +813,18 @@ fn run_serve(args: &Args) {
             eprintln!("serve: registered '{}' where {}", q.id, q.source);
         }
     }
+    if let Some(data) = args.data.as_deref().filter(|d| !d.ends_with(".mtpool")) {
+        eprintln!(
+            "error: serve --data {data}: expected a .mtpool file \
+             (write one with `mobitrace pool export --out FILE.mtpool`)"
+        );
+        std::process::exit(2);
+    }
     let sink = open_serve_sink(args);
 
-    let pool_path = args.data.as_deref().filter(|d| d.ends_with(".mtpool"));
     if args.live {
         serve_live(args, set, sink);
-    } else if let Some(path) = pool_path {
+    } else if let Some(path) = &args.data {
         serve_pool_follow(args, set, sink, std::path::Path::new(path));
     } else {
         serve_batch(args, set, sink);
@@ -895,12 +871,11 @@ fn serve_live(args: &Args, set: mobitrace_query::QuerySet, sink: ServeSink) {
                 stats.compactions,
                 watermark_minute(&snap.cols),
             );
-            {
-                let mut t = tally.lock().expect("serve tally lock");
-                t.generations.push(stats.compactions);
-                t.latencies.extend(recs.iter().map(|r| r.elapsed_s));
-            }
             emit_records(&sink, &recs);
+            let mut t = tally.lock().expect("serve tally lock");
+            t.generations.push(stats.compactions);
+            t.latencies.extend(recs.iter().map(|r| r.elapsed_s));
+            t.last = recs;
         })
     };
     let report = run_live_campaign_observed(&cfg, LiveOptions::default(), observer);
@@ -909,22 +884,16 @@ fn serve_live(args: &Args, set: mobitrace_query::QuerySet, sink: ServeSink) {
         eprintln!("error: live snapshot diverged from the batch pipeline: {why}");
         std::process::exit(1);
     }
-    // The serve gate proper: the unfiltered payload over the final
-    // snapshot's prebuilt parts (the passes the observer's unfiltered query
-    // runs, over all rows) must equal the batch pipeline's payload over the
-    // same dataset.
+    // The serve gate proper: the observer's last call was on the finished
+    // snapshot, so the unfiltered record it streamed then must carry the
+    // batch pipeline's payload over the same dataset.
     let snap = &report.finished.snapshot;
-    let served = evaluate_payload(&AnalysisContext::from_cow_parts(
-        &snap.ds,
-        Cow::Borrowed(&snap.index),
-        Cow::Borrowed(&snap.cols),
-    ));
-    let batch = evaluate_payload(&AnalysisContext::new(&snap.ds));
-    if served != batch {
+    let t = tally.lock().expect("serve tally lock");
+    let served = t.last.iter().find(|r| r.filter.is_empty()).map(|r| &r.metrics);
+    if served != Some(&evaluate_payload(&AnalysisContext::new(&snap.ds))) {
         eprintln!("error: final unfiltered query payload diverged from the batch pipeline");
         std::process::exit(1);
     }
-    let t = tally.lock().expect("serve tally lock");
     finish_serve(&t, set.queries.len(), args.min_generations);
     eprintln!(
         "serve: converged — final unfiltered payload bit-identical to batch \
@@ -1008,31 +977,16 @@ fn serve_pool_follow(
     finish_serve(&tally, set.queries.len(), args.min_generations);
 }
 
-/// Batch source: load (`--data DIR`) or simulate the campaign set and
-/// evaluate the query set once per campaign year, generation = campaign
-/// year. No cadence — this is the one-shot shape for piping query results
-/// into scripts.
+/// Batch source: simulate the campaign set and evaluate the query set once
+/// per campaign year, generation = campaign year. No cadence — this is the
+/// one-shot shape for piping query results into scripts.
 fn serve_batch(args: &Args, set: mobitrace_query::QuerySet, sink: ServeSink) {
     use mobitrace_model::{DatasetColumns, DatasetIndex};
     use mobitrace_query::watermark_minute;
 
-    let campaigns = match &args.data {
-        Some(dir) => match CampaignSet::load(std::path::Path::new(dir)) {
-            Ok(s) => {
-                eprintln!("serve: one-shot batch over {dir}");
-                s
-            }
-            Err(e) => {
-                eprintln!("error: cannot load datasets from {dir}: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => {
-            let scale = if args.quick { args.scale.min(0.02) } else { args.scale };
-            eprintln!("serve: one-shot batch, simulating at scale {scale} (seed {})...", args.seed);
-            CampaignSet::simulate(scale, args.seed)
-        }
-    };
+    let scale = if args.quick { args.scale.min(0.02) } else { args.scale };
+    eprintln!("serve: one-shot batch, simulating at scale {scale} (seed {})...", args.seed);
+    let campaigns = CampaignSet::simulate(scale, args.seed);
     let mut tally = ServeTally::default();
     for (ds, year) in campaigns.years.iter().zip([2013u64, 2014, 2015]) {
         let index = DatasetIndex::build(ds);
@@ -1060,44 +1014,11 @@ fn time_pass<T>(mut f: impl FnMut() -> T) -> f64 {
     samples[4]
 }
 
-fn rows_cols(rows_s: f64, cols_s: f64) -> serde_json::Value {
-    serde_json::json!({ "rows_s": rows_s, "cols_s": cols_s })
-}
-
-/// Synthetic upload record for the contended-ingest stage: cumulative
-/// counters growing with `k` so the cleaning stage reconstructs non-empty
-/// bins.
-fn bench_record(device: u32, k: u32) -> Record {
-    let mut counters = CounterSnapshot::default();
-    counters.lte.add(ByteCount::mb(u64::from(k) + 1), ByteCount::kb(u64::from(k) * 50));
-    counters.wifi.add(ByteCount::mb(2 * (u64::from(k) + 1)), ByteCount::kb(u64::from(k) * 80));
-    Record {
-        device: DeviceId(device),
-        os: Os::Android,
-        seq: k,
-        time: SimTime::from_minutes(k * 10),
-        boot_epoch: 0,
-        counters,
-        wifi: WifiState::Associated(AssocInfo {
-            bssid: Bssid::from_u64(u64::from(device % 64) + 1),
-            essid: Essid::new("aterm-bench"),
-            band: Band::Ghz24,
-            channel: Channel(6),
-            rssi: Dbm::new(-57),
-        }),
-        scan: ScanSummary::default(),
-        apps: vec![],
-        geo: CellId::new(3, 4),
-        battery_pct: 80,
-        tethering: false,
-        os_version: OsVersion::new(4, 4),
-    }
-}
-
 /// Micro-breakdown of the `ApWorld::scan` hot path on a small fixed world
-/// (same shape as the criterion `world` group): allocating scan vs buffer
-/// reuse vs plan construction vs plan replay. All timings are µs/call.
-fn world_scan_breakdown() -> serde_json::Value {
+/// (same shape as the criterion `world` group): buffer-reusing scan vs
+/// plan construction vs plan replay, in µs/call, plus the two gated
+/// ratios — refill and replay cost per plan build.
+fn world_scan_breakdown(metrics: &mut BTreeMap<String, f64>) {
     use mobitrace_deploy::world::WorldSpec;
     use mobitrace_deploy::{ApWorld, DeployParams};
     use mobitrace_geo::{DensitySurface, GeoPoint, PoiSet};
@@ -1135,13 +1056,6 @@ fn world_scan_breakdown() -> serde_json::Value {
     let per_call_us = |total_s: f64| total_s / f64::from(ITERS) * 1e6;
 
     let mut r = ChaCha8Rng::seed_from_u64(1);
-    let t = std::time::Instant::now();
-    for _ in 0..ITERS {
-        std::hint::black_box(world.scan(probe, &mut r));
-    }
-    let scan_alloc_us = per_call_us(t.elapsed().as_secs_f64());
-
-    let mut r = ChaCha8Rng::seed_from_u64(1);
     let mut buf = Vec::new();
     let t = std::time::Instant::now();
     for _ in 0..ITERS {
@@ -1168,246 +1082,50 @@ fn world_scan_breakdown() -> serde_json::Value {
     let plan_sample_us = per_call_us(t.elapsed().as_secs_f64());
 
     eprintln!(
-        "  world_scan ({} plan entries): alloc {scan_alloc_us:.2}us, into {scan_into_us:.2}us, \
+        "  world_scan ({} plan entries): into {scan_into_us:.2}us, \
          plan build {plan_build_us:.2}us, plan sample {plan_sample_us:.2}us",
         plan.len()
     );
-    serde_json::json!({
-        "iters": ITERS,
-        "plan_entries": plan.len(),
-        "scan_alloc_us": scan_alloc_us,
-        "scan_into_us": scan_into_us,
-        "plan_build_us": plan_build_us,
-        "plan_sample_us": plan_sample_us,
-    })
+    metrics.insert("world_scan.scan_into_us".into(), scan_into_us);
+    metrics.insert("world_scan.plan_build_us".into(), plan_build_us);
+    metrics.insert("world_scan.plan_sample_us".into(), plan_sample_us);
+    // Dimensionless forms the regression gate can carry across machines
+    // and scales.
+    metrics.insert("world_scan.into_ratio".into(), scan_into_us / plan_build_us.max(1e-9));
+    metrics.insert("world_scan.replay_ratio".into(), plan_sample_us / plan_build_us.max(1e-9));
 }
 
-/// `mobitrace bench`: wall-clock each pipeline stage (simulate → ingest →
-/// clean → contexts → experiments) and write the machine-readable
-/// `BENCH_pipeline.json`. With `--history` the run also appends a
-/// [`benchhist::BenchEntry`] to the committed JSONL trajectory; with
-/// `--compare` it is gated against the last committed entry (exit 1 on
-/// regression).
+/// `mobitrace bench`: measure what the regression gate tracks
+/// ([`benchhist::TRACKED`] and [`benchhist::TRACKED_FLOOR`], fleet keys
+/// aside) plus the raw timings its ratios come from, and write them to
+/// `BENCH_pipeline.json`; `--compare`/`--history` then gate and record the
+/// run ([`benchhist::gate`]).
 fn run_pipeline_bench(args: &Args) {
-    use mobitrace_report::benchhist;
+    use mobitrace_core::stats::percentile;
+    use mobitrace_core::{
+        apclass, availability, daily, overview, quality, timeseries, AnalysisContext,
+    };
+    use mobitrace_live::{run_live_campaign_observed, LiveOptions};
+    use mobitrace_query::{watermark_minute, CompileOptions, Query, QuerySet};
+    use mobitrace_sim::CampaignConfig;
+    use std::sync::{Arc, Mutex};
 
     let out_path = args.json.clone().unwrap_or_else(|| "BENCH_pipeline.json".into());
     let scale = if args.quick { args.scale.min(0.02) } else { args.scale };
     eprintln!("pipeline bench at scale {scale} (seed {})...", args.seed);
-    // Flat dotted metric map — the stable namespace (`sim.*`, `ingest.*`,
-    // `analysis.<pass>.*`, `live.*`, `world_scan.*`; see `benchhist`).
-    let mut metrics: std::collections::BTreeMap<String, f64> = Default::default();
+    // Flat dotted metric map — the stable namespace (see `benchhist`).
+    let mut metrics: BTreeMap<String, f64> = BTreeMap::new();
 
-    // Simulate twice — scan-plan cache off (the pre-optimisation path)
-    // then on — so the JSON records the simulate-stage speedup directly.
-    let t = std::time::Instant::now();
-    std::hint::black_box(CampaignSet::simulate_opts(scale, args.seed, false));
-    let simulate_uncached_s = t.elapsed().as_secs_f64();
-    let t = std::time::Instant::now();
-    let set = CampaignSet::simulate_opts(scale, args.seed, true);
-    let simulate_s = t.elapsed().as_secs_f64();
-    let simulate_speedup = simulate_uncached_s / simulate_s.max(1e-9);
-    eprintln!(
-        "  simulate: cached {simulate_s:.2}s vs uncached {simulate_uncached_s:.2}s \
-         ({simulate_speedup:.1}x)"
-    );
-    metrics.insert("sim.cached_s".into(), simulate_s);
-    metrics.insert("sim.uncached_s".into(), simulate_uncached_s);
-    metrics.insert("sim.speedup".into(), simulate_speedup);
+    let set = CampaignSet::simulate(scale, args.seed);
+    world_scan_breakdown(&mut metrics);
 
-    let world_scan = world_scan_breakdown();
-    {
-        let us = |key: &str| world_scan[key].as_f64().expect("breakdown field");
-        let plan_build_us = us("plan_build_us");
-        metrics.insert("world_scan.scan_alloc_us".into(), us("scan_alloc_us"));
-        metrics.insert("world_scan.scan_into_us".into(), us("scan_into_us"));
-        metrics.insert("world_scan.plan_build_us".into(), plan_build_us);
-        metrics.insert("world_scan.plan_sample_us".into(), us("plan_sample_us"));
-        // Dimensionless forms the regression gate can carry across
-        // machines and scales: refill / replay cost per plan build.
-        metrics
-            .insert("world_scan.into_ratio".into(), us("scan_into_us") / plan_build_us.max(1e-9));
-        metrics.insert(
-            "world_scan.replay_ratio".into(),
-            us("plan_sample_us") / plan_build_us.max(1e-9),
-        );
-    }
-
-    // Contended ingest: 8 producers interleaved across devices, all
-    // committing into one server. Big enough that one timed pass spans
-    // many scheduler quanta (~0.4s, not ~0.04s), so lock-convoy effects
-    // that accumulate per preemption show up above run-to-run noise.
-    const N_DEVICES: u32 = 200;
-    const PER_DEVICE: u32 = 2400;
-    const THREADS: usize = 8;
-    let mut records_by_slot: Vec<Vec<Record>> = (0..THREADS).map(|_| Vec::new()).collect();
-    for d in 0..N_DEVICES {
-        let slot = (d as usize) % THREADS;
-        for k in 0..PER_DEVICE {
-            records_by_slot[slot].push(bench_record(d, k));
-        }
-    }
-    let t = std::time::Instant::now();
-    let mut scratch = bytes::BytesMut::new();
-    let chunks: Vec<Vec<bytes::Bytes>> = records_by_slot
-        .iter()
-        .map(|records| {
-            records
-                .iter()
-                .map(|r| {
-                    encode_frame_into(r, &mut scratch);
-                    scratch.split().freeze()
-                })
-                .collect()
-        })
-        .collect();
-    let encode_s = t.elapsed().as_secs_f64();
-    let n_frames: usize = chunks.iter().map(Vec::len).sum();
-    eprintln!("  encode ({n_frames} frames, shared scratch): {encode_s:.3}s");
-    let timed = |server: &CollectionServer| -> f64 {
-        let t = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for chunk in &chunks {
-                scope.spawn(move || {
-                    for f in chunk {
-                        let _ = server.ingest(f);
-                    }
-                });
-            }
-        });
-        t.elapsed().as_secs_f64()
-    };
-    // The first pass pays the allocator-growth and page-fault bill (the
-    // dedup maps are built from cold heap), so it goes untimed; its
-    // server feeds the clean step below. Then the best of five warm
-    // passes is kept — min is the standard noise-floor estimator here,
-    // since scheduler preemption and co-tenants only ever add time.
-    let server = CollectionServer::new();
-    timed(&server);
-    const ROUNDS: usize = 5;
-    let contended_s =
-        (0..ROUNDS).map(|_| timed(&CollectionServer::new())).fold(f64::INFINITY, f64::min);
-    eprintln!(
-        "  ingest ({THREADS} threads, {n_frames} frames, best of {ROUNDS} warm runs): \
-         {contended_s:.3}s"
-    );
-
-    // Same records as one contiguous upload buffer per producer: the
-    // streaming batch path (one decode pass, one store pass per buffer).
-    let streams: Vec<bytes::Bytes> = records_by_slot
-        .iter()
-        .map(|records| {
-            let mut buf = bytes::BytesMut::new();
-            encode_batch(records, &mut buf);
-            buf.freeze()
-        })
-        .collect();
-    let stream_server = CollectionServer::new();
-    let t = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for s in &streams {
-            let server = &stream_server;
-            scope.spawn(move || server.ingest_stream(s.clone()));
-        }
-    });
-    let ingest_stream_s = t.elapsed().as_secs_f64();
-    eprintln!("  ingest ({THREADS} contiguous stream buffers): {ingest_stream_s:.3}s");
-    metrics.insert("ingest.encode_s".into(), encode_s);
-    metrics.insert("ingest.contended_s".into(), contended_s);
-    metrics.insert("ingest.stream_s".into(), ingest_stream_s);
-
-    let records = server.into_records();
-    let devices: Vec<DeviceInfo> = (0..N_DEVICES)
-        .map(|i| DeviceInfo {
-            device: DeviceId(i),
-            os: Os::Android,
-            carrier: Carrier::A,
-            recruited: true,
-            survey: None,
-            truth: None,
-        })
-        .collect();
-    let meta = CampaignMeta {
-        year: Year::Y2015,
-        start: Year::Y2015.campaign_start(),
-        days: 25,
-        seed: args.seed,
-    };
-    let t = std::time::Instant::now();
-    let (ds, _) = clean(meta, devices, &records, CleanOptions::default());
-    let clean_s = t.elapsed().as_secs_f64();
-    eprintln!("  clean: {clean_s:.3}s ({} bins)", ds.bins.len());
-    metrics.insert("ingest.clean_s".into(), clean_s);
-
-    let t = std::time::Instant::now();
-    let ctxs = set.contexts();
-    let context_s = t.elapsed().as_secs_f64();
-    eprintln!("  contexts: {context_s:.2}s");
-    metrics.insert("analysis.context_s".into(), context_s);
-    // Resimulation's total cost to reach analysis-ready contexts (cached
-    // sim + context build). The persistence paths below are timed to the
-    // same finish line, so `pool.load_s + pool.analyze_s < sim.total_s`
-    // is a like-for-like race.
-    metrics.insert("sim.total_s".into(), simulate_s + context_s);
-
-    // Persistence paths: the mmap pool vs the JSON datasets, each split
-    // into load (bytes → CampaignSet) and analyze (→ contexts). The pool
-    // ships the index and columns inside the file, so its analyze step
-    // skips the clean/index/transpose work the other two paths repeat.
-    let scratch = std::env::temp_dir().join(format!("mt-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&scratch).expect("bench scratch dir");
-    let pool_path = scratch.join("campaigns.mtpool");
-    let t = std::time::Instant::now();
-    set.save_pool(&pool_path).expect("save pool");
-    let pool_save_s = t.elapsed().as_secs_f64();
-    let t = std::time::Instant::now();
-    let (pool_set, views) = CampaignSet::load_pool(&pool_path).expect("load pool");
-    let pool_load_s = t.elapsed().as_secs_f64();
-    let t = std::time::Instant::now();
-    let pool_ctxs = pool_set.contexts_with(views);
-    let pool_analyze_s = t.elapsed().as_secs_f64();
-    for (p, m) in pool_ctxs.iter().zip(ctxs.iter()) {
-        assert_eq!(p.cols, m.cols, "pool context diverged from in-memory context");
-    }
-    drop(pool_ctxs);
-    drop(pool_set);
-    let t = std::time::Instant::now();
-    set.save(&scratch).expect("save json");
-    let json_save_s = t.elapsed().as_secs_f64();
-    let t = std::time::Instant::now();
-    let json_set = CampaignSet::load(&scratch).expect("load json");
-    let json_load_s = t.elapsed().as_secs_f64();
-    let t = std::time::Instant::now();
-    std::hint::black_box(json_set.contexts());
-    let json_analyze_s = t.elapsed().as_secs_f64();
-    drop(json_set);
-    std::fs::remove_dir_all(&scratch).ok();
-    metrics.insert("pool.save_s".into(), pool_save_s);
-    metrics.insert("pool.load_s".into(), pool_load_s);
-    metrics.insert("pool.analyze_s".into(), pool_analyze_s);
-    metrics.insert("json.save_s".into(), json_save_s);
-    metrics.insert("json.load_s".into(), json_load_s);
-    metrics.insert("json.analyze_s".into(), json_analyze_s);
-    eprintln!(
-        "  persistence to ready contexts: pool {:.2}s (load {pool_load_s:.2}s + analyze \
-         {pool_analyze_s:.2}s) vs json {:.2}s vs resimulate {:.2}s",
-        pool_load_s + pool_analyze_s,
-        json_load_s + json_analyze_s,
-        simulate_s + context_s
-    );
-
-    // Per-pass timings on the 2015 campaign: each columnar hot pass vs the
-    // retained row-scan reference it is property-tested against.
-    use mobitrace_core::{
-        apclass, apps, availability, daily, overview, quality, ratios, timeseries,
-    };
+    // Per-pass timings on the 2015 campaign: each gated columnar kernel vs
+    // the retained row-scan reference it is property-tested against.
     let ds15 = set.year(Year::Y2015);
-    let ctx15 = &ctxs[2];
-    let cols = &ctx15.cols;
-    let aps = &ctx15.aps;
-    let all = ratios::ClassFilter::All;
+    let ctx15 = AnalysisContext::new(ds15);
+    let (cols, aps) = (&ctx15.cols, &ctx15.aps);
     let t = std::time::Instant::now();
-    let pass_timings: Vec<(&str, f64, f64)> = vec![
+    let passes = [
         (
             "user_days",
             time_pass(|| daily::user_days(ds15)),
@@ -1453,190 +1171,76 @@ fn run_pipeline_bench(args: &Args) {
             time_pass(|| availability::offload_potential_rows(ds15)),
             time_pass(|| availability::offload_potential(ds15, cols)),
         ),
-        (
-            "wifi_traffic_ratio",
-            time_pass(|| ratios::wifi_traffic_ratio_rows(ctx15, all)),
-            time_pass(|| ratios::wifi_traffic_ratio(ctx15, all)),
-        ),
-        (
-            "wifi_user_ratio",
-            time_pass(|| ratios::wifi_user_ratio_rows(ctx15, all)),
-            time_pass(|| ratios::wifi_user_ratio(ctx15, all)),
-        ),
-        (
-            "app_breakdown",
-            time_pass(|| apps::app_breakdown_rows(ctx15, None)),
-            time_pass(|| apps::app_breakdown(ctx15, None)),
-        ),
     ];
-    let mut passes_map = serde_json::Map::new();
-    for &(name, rows_s, cols_s) in &pass_timings {
-        passes_map.insert(name.to_string(), rows_cols(rows_s, cols_s));
+    for (name, rows_s, cols_s) in passes {
         metrics.insert(format!("analysis.{name}.rows_s"), rows_s);
         metrics.insert(format!("analysis.{name}.cols_s"), cols_s);
         metrics.insert(format!("analysis.{name}.ratio"), cols_s / rows_s.max(1e-12));
     }
-    let passes = serde_json::Value::Object(passes_map);
     eprintln!("  per-pass rows-vs-cols timings: {:.2}s", t.elapsed().as_secs_f64());
 
-    let t = std::time::Instant::now();
-    let mut n_reports = 0usize;
-    for id in all_experiment_ids() {
-        if run_experiment(id, &set, &ctxs).is_some() {
-            n_reports += 1;
-        }
-    }
-    let experiments_s = t.elapsed().as_secs_f64();
-    eprintln!("  experiments: {experiments_s:.2}s ({n_reports} reports)");
-    metrics.insert("analysis.experiments_s".into(), experiments_s);
-
-    // Live engine: stream a small campaign through the tap-fed incremental
-    // cleaner and record its stage costs. The per-snapshot deltas are the
-    // point: fold/compact time between snapshots tracks the records folded
-    // since the last one, not the dataset size.
-    use mobitrace_live::{run_live_campaign, LiveOptions, SnapshotMetric};
-    use mobitrace_sim::CampaignConfig;
+    // Serve layer: the `mobitrace serve --live` hot loop — a registered
+    // query set re-evaluated against every snapshot generation a live
+    // campaign publishes. The p99 is over per-query refresh latencies.
     let live_cfg = {
         let mut c = CampaignConfig::scaled(Year::Y2015, scale.min(0.05)).with_seed(args.seed);
         c.days = 3;
         c
     };
-    let live_report = run_live_campaign(&live_cfg, LiveOptions::default());
-    let ls = &live_report.finished.stats;
-    let mut prev = SnapshotMetric {
-        compactions: 0,
-        bins: 0,
-        folded: 0,
-        batches: 0,
-        fold_nanos: 0,
-        compact_nanos: 0,
+    let qset = QuerySet {
+        queries: vec![
+            Query::unfiltered("all"),
+            Query::parse("home", "venue=home").expect("static expression"),
+            Query::parse("android-late", "os=android && day>=1").expect("static expression"),
+        ],
+        opts: CompileOptions::default(),
     };
-    let live_snapshots: Vec<serde_json::Value> = live_report
-        .snapshots
-        .iter()
-        .map(|s| {
-            let v = serde_json::json!({
-                "bins": s.bins,
-                "folded_delta": s.folded - prev.folded,
-                "fold_ms_delta": (s.fold_nanos - prev.fold_nanos) as f64 / 1e6,
-                "compact_ms_delta": (s.compact_nanos - prev.compact_nanos) as f64 / 1e6,
-            });
-            prev = *s;
-            v
-        })
-        .collect();
-    let live = serde_json::json!({
-        "records": ls.records_seen,
-        "batches": ls.batches,
-        "compactions": ls.compactions,
-        "fold_s": ls.fold_nanos as f64 / 1e9,
-        "compact_s": ls.compact_nanos as f64 / 1e9,
-        "converged": live_report.converged(),
-        "wall_s": live_report.wall_s,
-        "snapshots": live_snapshots,
-    });
-    metrics.insert("live.fold_s".into(), ls.fold_nanos as f64 / 1e9);
-    metrics.insert("live.compact_s".into(), ls.compact_nanos as f64 / 1e9);
-    metrics.insert("live.wall_s".into(), live_report.wall_s);
+    let latencies: Arc<Mutex<Vec<f64>>> = Arc::default();
+    let observer = {
+        let latencies = Arc::clone(&latencies);
+        Box::new(
+            move |snap: &Arc<mobitrace_model::LiveSnapshot>, stats: &mobitrace_live::LiveStats| {
+                let recs = qset.evaluate(
+                    &snap.ds,
+                    &snap.index,
+                    &snap.cols,
+                    stats.compactions,
+                    watermark_minute(&snap.cols),
+                );
+                latencies
+                    .lock()
+                    .expect("serve bench tally")
+                    .extend(recs.iter().map(|r| r.elapsed_s));
+            },
+        )
+    };
+    let report = run_live_campaign_observed(&live_cfg, LiveOptions::default(), observer);
+    assert!(report.converged(), "serve bench campaign diverged");
+    let refresh_p99_s = percentile(&latencies.lock().expect("serve bench tally"), 99.0);
+    metrics.insert("serve.query_refresh_p99_s".into(), refresh_p99_s);
     eprintln!(
-        "  live engine: {} records in {} batches, fold {:.3}s, compact {:.3}s \
-         over {} compactions (converged: {})",
-        ls.records_seen,
-        ls.batches,
-        ls.fold_nanos as f64 / 1e9,
-        ls.compact_nanos as f64 / 1e9,
-        ls.compactions,
-        live_report.converged()
+        "  serve: {} generations, per-query refresh p99 {:.2}ms",
+        report.finished.stats.compactions,
+        refresh_p99_s * 1e3
     );
 
-    // Scan-plan reuse in a real device loop (the micro timings above
-    // replay one plan; this is the campaign-wide rate). Revisits are
-    // usually absorbed by each device's plan-local cache before they ever
-    // reach the shared cache — counting shared hits alone reported a 0.0
-    // rate while the cache was doing its job — so the effective rate is
-    // (local + shared hits) over all plan lookups.
-    let (plan_hits, plan_misses) = (live_report.raw.plan_hits, live_report.raw.plan_misses);
-    let plan_local_hits = live_report.raw.net.plan_local_hits;
-    let plan_lookups = plan_local_hits + plan_hits + plan_misses;
-    let plan_hit_rate = (plan_local_hits + plan_hits) as f64 / (plan_lookups as f64).max(1.0);
-    metrics.insert("world_scan.plan_cache.hit_rate".into(), plan_hit_rate);
+    // Scan-plan reuse over the same campaign's device loop (the micro
+    // timings above replay one plan; this is the campaign-wide rate).
+    // Revisits are usually absorbed by each device's plan-local cache
+    // before they ever reach the shared cache — counting shared hits alone
+    // reported a 0.0 rate while the cache was doing its job — so the
+    // effective rate is (local + shared hits) over all plan lookups.
+    let (shared_hits, misses) = (report.raw.plan_hits, report.raw.plan_misses);
+    let local_hits = report.raw.net.plan_local_hits;
+    let hit_rate =
+        (local_hits + shared_hits) as f64 / ((local_hits + shared_hits + misses) as f64).max(1.0);
+    metrics.insert("world_scan.plan_cache.hit_rate".into(), hit_rate);
     eprintln!(
-        "  scan-plan cache: {plan_local_hits} local + {plan_hits} shared hits / \
-         {plan_misses} misses ({:.1}% reuse)",
-        plan_hit_rate * 100.0
+        "  scan-plan cache: {local_hits} local + {shared_hits} shared hits / {misses} misses \
+         ({:.1}% reuse)",
+        hit_rate * 100.0
     );
 
-    // Serve layer: the `mobitrace serve --live` hot loop — a registered
-    // query set re-evaluated against every published snapshot generation.
-    // `serve.snapshot_eval_s` is the median cost of refreshing the whole
-    // set against one generation; the p50/p99 are per-query refresh
-    // latencies across the run (selection + gather + index rebuild +
-    // analysis passes for filtered queries, context rebuild for the
-    // unfiltered one).
-    {
-        use mobitrace_core::stats::percentile;
-        use mobitrace_live::run_live_campaign_observed;
-        use mobitrace_query::{watermark_minute, CompileOptions, Query, QuerySet};
-        use std::sync::{Arc, Mutex};
-
-        let qset = QuerySet {
-            queries: vec![
-                Query::unfiltered("all"),
-                Query::parse("home", "venue=home").expect("static expression"),
-                Query::parse("android-late", "os=android && day>=1").expect("static expression"),
-            ],
-            opts: CompileOptions::default(),
-        };
-        let n_queries = qset.queries.len();
-        // (per-generation full-set seconds, per-query seconds)
-        let tally: Arc<Mutex<(Vec<f64>, Vec<f64>)>> = Arc::default();
-        let observer = {
-            let tally = Arc::clone(&tally);
-            Box::new(
-                move |snap: &std::sync::Arc<mobitrace_model::LiveSnapshot>,
-                      stats: &mobitrace_live::LiveStats| {
-                    let t = std::time::Instant::now();
-                    let recs = qset.evaluate(
-                        &snap.ds,
-                        &snap.index,
-                        &snap.cols,
-                        stats.compactions,
-                        watermark_minute(&snap.cols),
-                    );
-                    let full_s = t.elapsed().as_secs_f64();
-                    let mut lock = tally.lock().expect("serve bench tally");
-                    lock.0.push(full_s);
-                    lock.1.extend(recs.iter().map(|r| r.elapsed_s));
-                },
-            )
-        };
-        let serve_report = run_live_campaign_observed(&live_cfg, LiveOptions::default(), observer);
-        assert!(serve_report.converged(), "serve bench campaign diverged");
-        let (mut snapshot_evals, per_query) =
-            std::mem::take(&mut *tally.lock().expect("serve bench tally"));
-        snapshot_evals.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-        let snapshot_eval_s = mobitrace_core::stats::percentile_sorted(&snapshot_evals, 50.0);
-        let refresh_p50_s = percentile(&per_query, 50.0);
-        let refresh_p99_s = percentile(&per_query, 99.0);
-        metrics.insert("serve.snapshot_eval_s".into(), snapshot_eval_s);
-        metrics.insert("serve.query_refresh_p50_s".into(), refresh_p50_s);
-        metrics.insert("serve.query_refresh_p99_s".into(), refresh_p99_s);
-        eprintln!(
-            "  serve: {n_queries} queries over {} generations, median set refresh \
-             {:.2}ms, per-query p50 {:.2}ms p99 {:.2}ms",
-            snapshot_evals.len(),
-            snapshot_eval_s * 1e3,
-            refresh_p50_s * 1e3,
-            refresh_p99_s * 1e3
-        );
-    }
-
-    // `metrics` is the canonical (and only) namespace: flat dotted keys
-    // (`sim.*`, `ingest.*`, `analysis.<pass>.*`, `live.*`, `world_scan.*`,
-    // `pool.*`, `json.*`; see `benchhist`). The nested per-stage aliases
-    // PR 6 kept "for one release" are gone. Two structured extras that
-    // have no scalar form survive outside `metrics`: the per-snapshot
-    // live deltas and the per-pass rows/cols table.
     let metric_map: serde_json::Map =
         metrics.iter().map(|(k, &v)| (k.clone(), serde_json::json!(v))).collect();
     let doc = serde_json::json!({
@@ -1644,66 +1248,32 @@ fn run_pipeline_bench(args: &Args) {
         "seed": args.seed,
         "quick": args.quick,
         "metrics": serde_json::Value::Object(metric_map),
-        "passes": passes,
-        "live_snapshots": live["snapshots"],
-        "experiments": n_reports,
     });
-    let json = serde_json::to_string_pretty(&doc).expect("serializable");
-    if let Err(e) = std::fs::write(&out_path, json + "\n") {
-        eprintln!("error: cannot write {out_path}: {e}");
+    write_json_doc(&out_path, &doc);
+
+    let label = args.label.clone().unwrap_or_else(|| "bench".into());
+    let entry = benchhist::BenchEntry::now(label, scale, args.seed, args.quick, metrics);
+    gate_or_exit(args, &entry, "bench");
+}
+
+/// Write a `BENCH_pipeline.json`-shaped document, exiting 1 on failure.
+fn write_json_doc(path: &str, doc: &serde_json::Value) {
+    let json = serde_json::to_string_pretty(doc).expect("serializable");
+    if let Err(e) = std::fs::write(path, json + "\n") {
+        eprintln!("error: cannot write {path}: {e}");
         std::process::exit(1);
     }
-    eprintln!("wrote {out_path}");
+    eprintln!("wrote {path}");
+}
 
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let entry = benchhist::BenchEntry {
-        git_sha: benchhist::git_head_sha(),
-        timestamp: benchhist::utc_timestamp(unix_secs),
-        label: args.label.clone().unwrap_or_else(|| "bench".into()),
-        scale,
-        seed: args.seed,
-        quick: args.quick,
-        metrics,
-    };
-
-    if let Some(baseline_path) = &args.compare {
-        let history = match benchhist::load_history(std::path::Path::new(baseline_path)) {
-            Ok(h) if !h.is_empty() => h,
-            Ok(_) => {
-                eprintln!("error: baseline {baseline_path} has no entries");
-                std::process::exit(2);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        };
-        // Lookback, not `last()`: fleet entries and bench entries share
-        // one history file but carry different key subsets, so the
-        // baseline for each key is the newest entry that has it.
-        let baseline = benchhist::lookback_baseline(&history).expect("non-empty");
-        let report = benchhist::compare(&baseline, &entry, args.tolerance);
-        eprint!("{report}");
-        if report.regressed() {
-            eprintln!(
-                "regression gate FAILED. If this perf change is intentional, append a \
-                 fresh entry with `mobitrace bench --history {baseline_path} --label <why>` \
-                 and commit the updated history."
-            );
-            std::process::exit(1);
-        }
-        eprintln!("regression gate passed");
-    }
-
-    if let Some(history_path) = &args.history {
-        if let Err(e) = benchhist::append_history(std::path::Path::new(history_path), &entry) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("appended entry '{}' ({}) to {history_path}", entry.label, entry.git_sha);
+/// Run the `--compare`/`--history` tail ([`benchhist::gate`]), exiting 2
+/// on an unusable baseline and 1 on a regression or a failed append.
+fn gate_or_exit(args: &Args, entry: &benchhist::BenchEntry, command: &str) {
+    let baseline = args.compare.as_deref().map(std::path::Path::new);
+    let history = args.history.as_deref().map(std::path::Path::new);
+    if let Err(e) = benchhist::gate(entry, baseline, history, args.tolerance, command) {
+        eprintln!("error: {e}");
+        std::process::exit(e.exit_code());
     }
 }
 
@@ -1711,14 +1281,13 @@ fn run_pipeline_bench(args: &Args) {
 /// fleet scale — pinned decode/commit workers fronting per-cohort
 /// collection servers, synthetic device agents producing against the
 /// admission controller — and report sustained throughput, enqueue→commit
-/// latency quantiles and every admission outcome. Metrics merge into
-/// `BENCH_pipeline.json` next to any existing bench document, and the
-/// `--compare`/`--history` gate works exactly as for `bench` (the
-/// lookback baseline composes fleet-only and bench-only entries). Exits
-/// non-zero if the per-record accounting fails to reconcile.
+/// latency quantiles and every admission outcome. Metrics go to their own
+/// `BENCH_pipeline.json` document, and the `--compare`/`--history` gate
+/// works exactly as for `bench` (the lookback baseline composes fleet-only
+/// and bench-only entries). Exits non-zero if the per-record accounting
+/// fails to reconcile.
 fn run_fleet_cmd(args: &Args) {
     use mobitrace_fleet::{ingest::resolve_workers, try_run_fleet, FaultSpec, FleetRunConfig};
-    use mobitrace_report::benchhist;
 
     let devices = if args.quick { args.devices.min(50_000) } else { args.devices };
     let duration_s = if args.quick { args.duration.min(2.0) } else { args.duration };
@@ -1830,7 +1399,7 @@ fn run_fleet_cmd(args: &Args) {
         eprintln!("  failure: {failure}");
     }
 
-    let mut metrics: std::collections::BTreeMap<String, f64> = Default::default();
+    let mut metrics: BTreeMap<String, f64> = BTreeMap::new();
     metrics.insert("fleet.records_per_s".into(), report.records_per_s);
     metrics.insert("fleet.enqueue_commit_p50_s".into(), report.enqueue_commit_p50_s);
     metrics.insert("fleet.enqueue_commit_p99_s".into(), report.enqueue_commit_p99_s);
@@ -1852,92 +1421,31 @@ fn run_fleet_cmd(args: &Args) {
     metrics.insert("fleet.rounds".into(), report.rounds as f64);
     metrics.insert("fleet.elapsed_s".into(), report.elapsed_s);
 
-    // Merge into the bench document rather than clobbering it: `bench`
-    // and `fleet` share one metrics namespace, and the history gate's
-    // lookback baseline composes entries carrying different key subsets.
     let out_path = args.json.clone().unwrap_or_else(|| "BENCH_pipeline.json".into());
-    let mut doc = std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())
-        .filter(|v| matches!(v, serde_json::Value::Object(_)))
-        .unwrap_or_else(|| serde_json::json!({ "seed": args.seed, "quick": args.quick }));
-    {
-        let slot = &mut doc["metrics"];
-        if !matches!(slot, serde_json::Value::Object(_)) {
-            *slot = serde_json::Value::Object(Default::default());
-        }
-        if let serde_json::Value::Object(map) = slot {
-            for (k, &v) in &metrics {
-                map.insert(k.clone(), serde_json::json!(v));
-            }
-        }
-    }
-    doc["fleet"] = serde_json::json!({
-        "devices": report.devices,
-        "cohorts": report.cohorts,
-        "workers": report.workers,
-        "producers": report.producers,
-        "rounds": report.rounds,
-        "chaos": args.chaos,
-        "faults": args.faults,
-        "resumed": args.resume.is_some(),
-        "reconciles": report.reconciles(),
-        "healthy": report.healthy(),
+    let metric_map: serde_json::Map =
+        metrics.iter().map(|(k, &v)| (k.clone(), serde_json::json!(v))).collect();
+    let doc = serde_json::json!({
+        "seed": args.seed,
+        "quick": args.quick,
+        "metrics": serde_json::Value::Object(metric_map),
+        "fleet": {
+            "devices": report.devices,
+            "cohorts": report.cohorts,
+            "workers": report.workers,
+            "producers": report.producers,
+            "rounds": report.rounds,
+            "chaos": args.chaos,
+            "faults": args.faults,
+            "resumed": args.resume.is_some(),
+            "reconciles": report.reconciles(),
+            "healthy": report.healthy(),
+        },
     });
-    let json = serde_json::to_string_pretty(&doc).expect("serializable");
-    if let Err(e) = std::fs::write(&out_path, json + "\n") {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
+    write_json_doc(&out_path, &doc);
 
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let entry = benchhist::BenchEntry {
-        git_sha: benchhist::git_head_sha(),
-        timestamp: benchhist::utc_timestamp(unix_secs),
-        label: args.label.clone().unwrap_or_else(|| "fleet".into()),
-        scale: args.scale,
-        seed: args.seed,
-        quick: args.quick,
-        metrics,
-    };
-
-    if let Some(baseline_path) = &args.compare {
-        let history = match benchhist::load_history(std::path::Path::new(baseline_path)) {
-            Ok(h) if !h.is_empty() => h,
-            Ok(_) => {
-                eprintln!("error: baseline {baseline_path} has no entries");
-                std::process::exit(2);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        };
-        let baseline = benchhist::lookback_baseline(&history).expect("non-empty");
-        let gate = benchhist::compare(&baseline, &entry, args.tolerance);
-        eprint!("{gate}");
-        if gate.regressed() {
-            eprintln!(
-                "regression gate FAILED. If this perf change is intentional, append a \
-                 fresh entry with `mobitrace fleet --history {baseline_path} --label <why>` \
-                 and commit the updated history."
-            );
-            std::process::exit(1);
-        }
-        eprintln!("regression gate passed");
-    }
-
-    if let Some(history_path) = &args.history {
-        if let Err(e) = benchhist::append_history(std::path::Path::new(history_path), &entry) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("appended entry '{}' ({}) to {history_path}", entry.label, entry.git_sha);
-    }
+    let label = args.label.clone().unwrap_or_else(|| "fleet".into());
+    let entry = benchhist::BenchEntry::now(label, args.scale, args.seed, args.quick, metrics);
+    gate_or_exit(args, &entry, "fleet");
 
     if !report.reconciles() {
         eprintln!(

@@ -5,7 +5,6 @@ use mobitrace_core::AnalysisContext;
 use mobitrace_model::{Dataset, DatasetColumns, DatasetIndex, Year};
 use mobitrace_pool::{PoolError, PoolReader, PoolWriter};
 use mobitrace_sim::{campaign::run_campaign_opts, CampaignConfig};
-use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
 /// Pool stream id of each year's cleaned dataset (by year index); the
@@ -39,16 +38,8 @@ impl CampaignSet {
     /// RNG streams from the seed), so they simulate concurrently: 2013 and
     /// 2014 on spawned threads, 2015 on the calling thread.
     pub fn simulate(scale: f64, seed: u64) -> CampaignSet {
-        CampaignSet::simulate_opts(scale, seed, true)
-    }
-
-    /// [`simulate`](Self::simulate) with scan-plan caching switched on or
-    /// off — the bench harness runs both to report the simulate-stage
-    /// speedup of the cached hot path.
-    pub fn simulate_opts(scale: f64, seed: u64, scan_cache: bool) -> CampaignSet {
         let sim_year = |year: Year| -> Dataset {
-            let cfg =
-                CampaignConfig::scaled(year, scale).with_seed(seed).with_scan_cache(scan_cache);
+            let cfg = CampaignConfig::scaled(year, scale).with_seed(seed);
             let keep_updates =
                 CleanOptions { remove_update_days: false, ..CleanOptions::default() };
             run_campaign_opts(&cfg, keep_updates).0
@@ -76,45 +67,6 @@ impl CampaignSet {
             let h1 = scope.spawn(|| AnalysisContext::new(&self.years[1]));
             let c2 = AnalysisContext::new(&self.years[2]);
             [h0.join().expect("2013 context"), h1.join().expect("2014 context"), c2]
-        })
-    }
-
-    /// Persist the campaign set to a directory: one JSON dataset per year
-    /// plus the update-retaining 2015 variant. Returns the written paths.
-    pub fn save(&self, dir: &Path) -> std::io::Result<Vec<std::path::PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let mut written = Vec::new();
-        let mut dump = |name: &str, ds: &Dataset| -> std::io::Result<()> {
-            let path = dir.join(name);
-            let mut w = BufWriter::new(std::fs::File::create(&path)?);
-            serde_json::to_writer(&mut w, ds).map_err(std::io::Error::other)?;
-            w.flush()?;
-            written.push(path);
-            Ok(())
-        };
-        dump("campaign_2013.json", &self.years[0])?;
-        dump("campaign_2014.json", &self.years[1])?;
-        dump("campaign_2015.json", &self.years[2])?;
-        dump("campaign_2015_with_updates.json", &self.update_2015)?;
-        Ok(written)
-    }
-
-    /// Load a campaign set previously written by [`save`](Self::save).
-    /// Every dataset is re-validated on load.
-    pub fn load(dir: &Path) -> std::io::Result<CampaignSet> {
-        let slurp = |name: &str| -> std::io::Result<Dataset> {
-            let r = BufReader::new(std::fs::File::open(dir.join(name))?);
-            let ds: Dataset = serde_json::from_reader(r).map_err(std::io::Error::other)?;
-            ds.validate().map_err(|e| std::io::Error::other(format!("{name}: {e}")))?;
-            Ok(ds)
-        };
-        Ok(CampaignSet {
-            years: [
-                slurp("campaign_2013.json")?,
-                slurp("campaign_2014.json")?,
-                slurp("campaign_2015.json")?,
-            ],
-            update_2015: slurp("campaign_2015_with_updates.json")?,
         })
     }
 
@@ -238,20 +190,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let set = CampaignSet::simulate(0.012, 5);
-        let dir = unique_temp_dir("save-test");
-        let written = set.save(&dir).unwrap();
-        assert_eq!(written.len(), 4);
-        let back = CampaignSet::load(&dir).unwrap();
-        for y in Year::ALL {
-            assert_eq!(set.year(y), back.year(y));
-        }
-        assert_eq!(set.update_2015, back.update_2015);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The pool path must round-trip real simulated campaigns — survey

@@ -8,7 +8,7 @@
 //!   plain server — every record arrives;
 //! - a **chaos** lane: bounded-cache agent with backoff, a channel under a
 //!   seeded [`ChaosSchedule`] on top of an arbitrary [`FaultPlan`], and a
-//!   journaled server that may crash mid-campaign and recover, with
+//!   server that may crash mid-campaign and recover, with
 //!   optional ingest backpressure.
 //!
 //! Afterwards it checks the invariant the whole analysis layer depends
@@ -54,7 +54,7 @@ pub struct ChaosRunConfig {
     pub extra_episodes: Vec<Episode>,
     /// Upload-cache bound for the chaos lane's agents.
     pub cache_cap: usize,
-    /// Crash the (journaled) server at this instant.
+    /// Crash the server at this instant.
     pub crash_at: Option<SimTime>,
     /// How long a crash lasts before recovery, in minutes.
     pub crash_duration_min: u32,
@@ -182,7 +182,7 @@ pub fn run_convergence(cfg: &ChaosRunConfig) -> ConvergenceReport {
     };
 
     let server_rel = CollectionServer::new();
-    let server_chaos = CollectionServer::new().with_journal();
+    let server_chaos = CollectionServer::new();
     if cfg.soft_limit > 0 {
         server_chaos.set_soft_limit(cfg.soft_limit);
     }

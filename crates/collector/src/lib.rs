@@ -14,8 +14,8 @@
 //!   uploads under exponential backoff with jitter, as the paper's
 //!   measurement software does;
 //! - [`server`]: the collection server — decodes frames, verifies
-//!   checksums, deduplicates, tolerates out-of-order delivery, and (in
-//!   journaled mode) survives simulated crashes by snapshot + replay;
+//!   checksums, deduplicates, tolerates out-of-order delivery, and
+//!   survives simulated crashes by setting its store aside until recovery;
 //! - [`clean`](mod@clean): the cleaning pipeline — counter-delta reconstruction
 //!   (reboot-safe), tethering removal, iOS-update-day exclusion — producing
 //!   the analysis-ready dataset;

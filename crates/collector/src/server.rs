@@ -26,12 +26,12 @@
 //! same (device, time)-sorted output by concatenating the runs in device
 //! order.
 //!
-//! For crash-recovery tests the server can run **journaled**
-//! ([`with_journal`](CollectionServer::with_journal)): every newly stored
-//! record is appended to a journal that is periodically folded into a
-//! snapshot, so a simulated [`crash`](CollectionServer::crash) — which
-//! wipes the live store — can be healed by
-//! [`recover`](CollectionServer::recover) replaying snapshot + journal.
+//! The server holds each record once. A simulated
+//! [`crash`](CollectionServer::crash) sets the live store aside, so the
+//! server comes back up empty; [`recover`](CollectionServer::recover)
+//! merges whatever was committed during the outage into the set-aside
+//! store (the earlier commit of a (device, seq) wins) and resumes from
+//! the merged store.
 //! A soft ingest limit ([`set_soft_limit`](CollectionServer::set_soft_limit))
 //! adds backpressure: agents consult [`accepting`](CollectionServer::accepting)
 //! and treat a refusal as a visible failure feeding their backoff.
@@ -40,7 +40,6 @@ use crate::codec::{
     decode_batch_into, decode_frame, decode_frame_with, encode_batch, CodecError, EssidTable,
 };
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use mobitrace_model::{DeviceId, Record};
 use mobitrace_pool::{PoolError, PoolReader, PoolWriter};
 use parking_lot::Mutex;
@@ -63,9 +62,6 @@ pub struct IngestStats {
     pub crashes: u64,
 }
 
-/// Journal entries before they are folded into the snapshot.
-const JOURNAL_CHECKPOINT: usize = 4096;
-
 /// Per-device runs, each strictly ascending by `seq`.
 type Store = HashMap<DeviceId, Vec<Record>>;
 
@@ -73,7 +69,11 @@ type Store = HashMap<DeviceId, Vec<Record>>;
 /// ascending by `seq`. Returns the stored record, or `None` when the run
 /// already holds its seq (a duplicate).
 fn insert_run(store: &mut Store, record: Record) -> Option<&Record> {
-    let run = store.entry(record.device).or_default();
+    insert_in_run(store.entry(record.device).or_default(), record)
+}
+
+/// [`insert_run`] on one device's run.
+fn insert_in_run(run: &mut Vec<Record>, record: Record) -> Option<&Record> {
     let at = match run.last() {
         Some(last) if record.seq <= last.seq => {
             run.binary_search_by_key(&record.seq, |r| r.seq).err()?
@@ -82,6 +82,21 @@ fn insert_run(store: &mut Store, record: Record) -> Option<&Record> {
     };
     run.insert(at, record);
     Some(&run[at])
+}
+
+/// Merge `later` into `first`. Where both hold a (device, seq), the
+/// record in `first` is kept: it was committed earlier.
+fn merge_first_wins(first: &mut Store, later: Store) {
+    for (device, run) in later {
+        let kept = first.entry(device).or_default();
+        if kept.is_empty() {
+            *kept = run;
+        } else {
+            for record in run {
+                insert_in_run(kept, record);
+            }
+        }
+    }
 }
 
 /// The runs of a store in device-id order.
@@ -102,10 +117,10 @@ fn sorted_records(store: Store) -> Vec<Record> {
     out
 }
 
-/// Bound on the tap channel, in batches. Past it, publishes spill into an
-/// unbounded side buffer (counted in [`overflow`](IngestTap::overflow))
-/// instead of blocking ingest.
-const TAP_CHANNEL_BOUND: usize = 64;
+/// Undrained tap batches past which a publish counts as overflow
+/// ([`overflow`](IngestTap::overflow)). The queue itself is unbounded:
+/// publishing never blocks ingest.
+const TAP_BACKLOG_BOUND: usize = 64;
 
 /// One batch of records published through an [`IngestTap`].
 #[derive(Debug, Clone, PartialEq)]
@@ -118,77 +133,46 @@ pub struct TapBatch {
 }
 
 /// A subscription on server ingest: every *accepted* (newly stored) record
-/// is re-published into a bounded channel the live analysis engine drains
-/// in batches. The server publishes while it still holds its store lock, so
+/// is re-published into a queue the live analysis engine drains in
+/// batches. The server publishes while it still holds its store lock, so
 /// batches come out in commit order. Publishing never blocks and never
-/// drops — a full channel spills to a side buffer — with one deliberate
-/// exception: [`CollectionServer::crash`] discards undrained batches (they
-/// were "in flight" inside the dead process), and the subsequent
+/// drops, with one deliberate exception: [`CollectionServer::crash`]
+/// discards undrained batches (they were "in flight" inside the dead
+/// process), and the subsequent
 /// [`recover`](CollectionServer::recover) re-publishes the whole rebuilt
 /// store as a replay batch, so a consumer that deduplicates replays
 /// converges back to exactly the server's contents.
 #[derive(Debug)]
 pub struct IngestTap {
-    tx: Sender<TapBatch>,
-    rx: Receiver<TapBatch>,
-    /// Overflow past the channel bound; drained after the channel so
-    /// batches are still consumed in publish order.
-    spill: Mutex<Vec<TapBatch>>,
+    /// Undrained batches, in publish order.
+    queue: Mutex<Vec<TapBatch>>,
     published: AtomicU64,
     overflow: AtomicU64,
     discarded: AtomicU64,
 }
 
 impl IngestTap {
-    fn new() -> IngestTap {
-        let (tx, rx) = bounded(TAP_CHANNEL_BOUND);
-        IngestTap {
-            tx,
-            rx,
-            spill: Mutex::new(Vec::new()),
-            published: AtomicU64::new(0),
-            overflow: AtomicU64::new(0),
-            discarded: AtomicU64::new(0),
-        }
-    }
-
     /// Publish one batch of records already accepted as new.
     fn publish(&self, records: Vec<Record>, replay: bool) {
         if records.is_empty() {
             return;
         }
         self.published.fetch_add(records.len() as u64, Ordering::Relaxed);
-        let batch = TapBatch { replay, records };
-        // Keep channel→spill ordering: once anything spilled, later
-        // batches must spill too until the consumer drains the backlog.
-        let mut spill = self.spill.lock();
-        let batch = if spill.is_empty() {
-            match self.tx.try_send(batch) {
-                Ok(()) => return,
-                Err(TrySendError::Full(batch)) | Err(TrySendError::Disconnected(batch)) => batch,
-            }
-        } else {
-            batch
-        };
-        self.overflow.fetch_add(batch.records.len() as u64, Ordering::Relaxed);
-        spill.push(batch);
+        let mut queue = self.queue.lock();
+        if queue.len() >= TAP_BACKLOG_BOUND {
+            self.overflow.fetch_add(records.len() as u64, Ordering::Relaxed);
+        }
+        queue.push(TapBatch { replay, records });
     }
 
     /// Drain every pending batch into `out`, in publish order.
     pub fn drain_into(&self, out: &mut Vec<TapBatch>) {
-        // Hold the spill lock across both steps. Publishers need it to send
-        // or to spill, so the channel cannot refill and overflow between
-        // them; otherwise a later batch taken from the spill would be
-        // handed out ahead of an earlier one still queued.
-        let mut spill = self.spill.lock();
-        out.extend(self.rx.try_iter());
-        out.append(&mut spill);
+        out.append(&mut self.queue.lock());
     }
 
     /// Drop everything not yet drained (simulated crash loss).
     fn discard_pending(&self) {
-        let mut spill = self.spill.lock();
-        let n: usize = self.rx.try_iter().chain(spill.drain(..)).map(|b| b.records.len()).sum();
+        let n: usize = self.queue.lock().drain(..).map(|b| b.records.len()).sum();
         self.discarded.fetch_add(n as u64, Ordering::Relaxed);
     }
 
@@ -197,7 +181,7 @@ impl IngestTap {
         self.published.load(Ordering::Relaxed)
     }
 
-    /// Records that had to take the spill path because the channel was full.
+    /// Records published while at least 64 batches were undrained.
     pub fn overflow(&self) -> u64 {
         self.overflow.load(Ordering::Relaxed)
     }
@@ -208,41 +192,18 @@ impl IngestTap {
     }
 }
 
-/// The locked store. `live` is the volatile working set (lost on crash);
-/// `snapshot` + `journal` are the durable image it is rebuilt from.
-/// Invariant while journaling: `snapshot ∪ journal == live`.
+/// The locked store. `live` takes every commit; `aside` is what crashes
+/// set aside, merged back by [`CollectionServer::recover`].
 #[derive(Debug, Default)]
 struct State {
     live: Store,
-    snapshot: Store,
-    journal: Vec<Record>,
-}
-
-impl State {
-    /// Store one record. Returns the stored record when new, `None` for a
-    /// duplicate.
-    fn store(&mut self, record: Record, journal: bool) -> Option<&Record> {
-        let stored = insert_run(&mut self.live, record)?;
-        if journal {
-            self.journal.push(stored.clone());
-            if self.journal.len() >= JOURNAL_CHECKPOINT {
-                // Fold the journal into the snapshot: keeps `snapshot ∪
-                // journal == live` while shrinking the journal back to empty.
-                for record in self.journal.drain(..) {
-                    insert_run(&mut self.snapshot, record);
-                }
-            }
-        }
-        Some(stored)
-    }
+    aside: Store,
 }
 
 /// The collection server.
 #[derive(Debug, Default)]
 pub struct CollectionServer {
     state: Mutex<State>,
-    /// Append new records to the journal (crash-recovery mode).
-    journal_enabled: bool,
     /// Attached ingest subscription, if any (set once, before ingest).
     tap: OnceLock<Arc<IngestTap>>,
     /// A simulated crash is in progress (deliveries are lost).
@@ -264,34 +225,35 @@ impl CollectionServer {
         CollectionServer::default()
     }
 
-    /// Enable the journal + snapshot so the server can
-    /// [`crash`](CollectionServer::crash) and
-    /// [`recover`](CollectionServer::recover). Off by default: journaling
-    /// keeps a second copy of every record, which full-scale campaigns —
-    /// which never crash their server — should not pay for.
-    pub fn with_journal(self) -> CollectionServer {
-        CollectionServer { journal_enabled: true, ..self }
-    }
-
     /// Attach (or fetch) the ingest tap: from now on every newly stored
-    /// record is also published into the tap's channel for a streaming
+    /// record is also published into the tap's queue for a streaming
     /// consumer. Idempotent — repeated calls return the same tap. Records
     /// stored *before* the first call are not republished (attach before
     /// ingesting, or call [`recover`] to replay).
     ///
     /// [`recover`]: CollectionServer::recover
     pub fn attach_tap(&self) -> Arc<IngestTap> {
-        Arc::clone(self.tap.get_or_init(|| Arc::new(IngestTap::new())))
+        Arc::clone(self.tap.get_or_init(|| {
+            Arc::new(IngestTap {
+                queue: Mutex::default(),
+                published: AtomicU64::default(),
+                overflow: AtomicU64::default(),
+                discarded: AtomicU64::default(),
+            })
+        }))
     }
 
-    /// Simulate a mid-campaign crash: the volatile store is wiped and
-    /// every delivery until [`recover`](CollectionServer::recover) is
-    /// lost (counted in `lost_down`). The journal and snapshot survive.
+    /// Simulate a mid-campaign crash: the live store is set aside (merged
+    /// into whatever an earlier crash set aside), the server reads as
+    /// empty, and every delivery until
+    /// [`recover`](CollectionServer::recover) is lost (counted in
+    /// `lost_down`).
     pub fn crash(&self) {
         self.crashed.store(true, Ordering::SeqCst);
         self.crashes.fetch_add(1, Ordering::Relaxed);
         let mut state = self.state.lock();
-        state.live.clear();
+        let live = std::mem::take(&mut state.live);
+        merge_first_wins(&mut state.aside, live);
         self.live_records.store(0, Ordering::Relaxed);
         // Undrained tap batches were in flight inside the dead process:
         // they are lost too, and only the recovery replay brings their
@@ -301,16 +263,15 @@ impl CollectionServer {
         }
     }
 
-    /// Heal a crash: rebuild the live store from snapshot + journal replay
-    /// and resume accepting deliveries. Without
-    /// [`with_journal`](CollectionServer::with_journal) there is nothing
-    /// to replay and the pre-crash records are simply gone.
+    /// Heal a crash: merge what was committed during the outage into the
+    /// set-aside store (the set-aside record wins a (device, seq) both
+    /// hold), make the result the live store, and resume accepting
+    /// deliveries.
     pub fn recover(&self) {
         let mut state = self.state.lock();
-        let mut live = state.snapshot.clone();
-        for record in &state.journal {
-            insert_run(&mut live, record.clone());
-        }
+        let mut live = std::mem::take(&mut state.aside);
+        let outage = std::mem::take(&mut state.live);
+        merge_first_wins(&mut live, outage);
         self.live_records.store(live.values().map(Vec::len).sum(), Ordering::Relaxed);
         // A tapped consumer lost whatever it had not drained at the crash;
         // replay the full recovered contents (devices in id order, each in
@@ -346,11 +307,6 @@ impl CollectionServer {
     /// feed into their backoff policy.
     pub fn accepting(&self) -> bool {
         !self.is_crashed() && !self.overloaded()
-    }
-
-    /// Records waiting in the journal (not yet checkpointed).
-    pub fn journal_len(&self) -> usize {
-        self.state.lock().journal.len()
     }
 
     /// Ingest one frame. Returns `Ok(true)` when a new record was stored,
@@ -446,7 +402,7 @@ impl CollectionServer {
         let mut accepted = Vec::new();
         let mut state = self.state.lock();
         for record in records {
-            if let Some(record) = state.store(record, self.journal_enabled) {
+            if let Some(record) = insert_run(&mut state.live, record) {
                 stored += 1;
                 if tap.is_some() {
                     accepted.push(record.clone());
@@ -488,7 +444,7 @@ impl CollectionServer {
     /// Durable checkpoint: write the live store into a pool file as one
     /// codec-framed [`RAW`](mobitrace_pool::kind::RAW) segment (devices in
     /// id order, records in seq order), atomically published. Unlike the
-    /// in-memory journal — which only survives a simulated
+    /// set-aside store — which only survives a simulated
     /// [`crash`](CollectionServer::crash) — a pool checkpoint survives
     /// real process death:
     /// [`recover_from_pool`](CollectionServer::recover_from_pool)
@@ -523,7 +479,7 @@ impl CollectionServer {
         w.finish()
     }
 
-    /// Rebuild a journaled server from a pool checkpoint written by
+    /// Rebuild a server from a pool checkpoint written by
     /// [`checkpoint_to_pool`](CollectionServer::checkpoint_to_pool).
     /// Every RAW segment is read, so checkpoints written as one segment
     /// per store stripe by older versions still recover.
@@ -543,7 +499,7 @@ impl CollectionServer {
                     .into(),
             });
         }
-        let server = CollectionServer::new().with_journal();
+        let server = CollectionServer::new();
         for stream in r.raw_streams() {
             let (payload, rows) = r.raw_segment(stream)?;
             let mut buf = Bytes::copy_from_slice(payload);
@@ -620,7 +576,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("server.mtpool");
 
-        let server = CollectionServer::new().with_journal();
+        let server = CollectionServer::new();
         for (d, s) in [(1u32, 2u32), (0, 1), (19, 0), (0, 0), (1, 1), (7, 3)] {
             server.ingest(&encode_frame(&record(d, s))).unwrap();
         }
@@ -697,7 +653,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("server.mtpool");
 
-        let server = CollectionServer::new().with_journal();
+        let server = CollectionServer::new();
         for (d, s) in [(0u32, 0u32), (0, 1), (3, 0)] {
             server.ingest(&encode_frame(&record(d, s))).unwrap();
         }
@@ -903,12 +859,11 @@ mod tests {
         assert_eq!(server.stats().frames, 1000);
     }
 
-    /// A crash wipes the live store; recovery replays the journal back to
-    /// exactly the pre-crash contents, and deliveries while down are lost
-    /// and counted — the accounting the convergence proof leans on.
+    /// A crash empties the live store; recovery brings back exactly the
+    /// pre-crash contents, and deliveries while down are lost and counted — the accounting the convergence proof leans on.
     #[test]
     fn crash_and_recover_replays_journal() {
-        let server = CollectionServer::new().with_journal();
+        let server = CollectionServer::new();
         for d in 0..8u32 {
             for s in 0..20u32 {
                 server.ingest(&encode_frame(&record(d, s))).unwrap();
@@ -947,18 +902,13 @@ mod tests {
         assert_eq!(records, reference.into_records());
     }
 
-    /// Checkpointing folds the journal into the snapshot without losing
-    /// anything across a later crash, including a second crash cycle.
+    /// A crash/recover cycle loses nothing, and neither does a second one.
     #[test]
     fn checkpoint_and_double_crash_keep_consistency() {
-        let server = CollectionServer::new().with_journal();
-        for s in 0..JOURNAL_CHECKPOINT as u32 + 50 {
+        let server = CollectionServer::new();
+        for s in 0..4096 + 50 {
             server.ingest(&encode_frame(&record(s % 4, s / 4))).unwrap();
         }
-        assert!(
-            server.journal_len() < JOURNAL_CHECKPOINT,
-            "auto-checkpoint must bound the journal"
-        );
         let before = server.len();
         server.crash();
         server.recover();
@@ -966,6 +916,78 @@ mod tests {
         server.crash();
         server.recover();
         assert_eq!(server.len(), before, "second crash cycle is also clean");
+    }
+
+    /// A crash while already down merges the outage's commits into the
+    /// set-aside store instead of overwriting it, so one recovery brings
+    /// back the records of both crashes.
+    #[test]
+    fn second_crash_merges_into_set_aside() {
+        let server = CollectionServer::new();
+        for s in 0..5u32 {
+            server.ingest(&encode_frame(&record(0, s))).unwrap();
+        }
+        server.crash();
+        assert_eq!(server.store_batch(vec![record(1, 0), record(1, 1)]), 2);
+        assert_eq!(server.len(), 2);
+        server.crash();
+        assert!(server.is_empty());
+        server.recover();
+        assert_eq!(server.len(), 7);
+        assert_eq!(server.stats().crashes, 2);
+        let keys: Vec<(u32, u32)> =
+            server.into_records().iter().map(|r| (r.device.0, r.seq)).collect();
+        let expect: Vec<(u32, u32)> = (0..5u32).map(|s| (0, s)).chain([(1, 0), (1, 1)]).collect();
+        assert_eq!(keys, expect);
+    }
+
+    /// Where the set-aside store and the outage's commits hold the same
+    /// (device, seq), recovery keeps the set-aside record: it was
+    /// committed first. The replay batch carries the kept record.
+    #[test]
+    fn recover_keeps_the_earlier_commit() {
+        let server = CollectionServer::new();
+        let tap = server.attach_tap();
+        server.ingest(&encode_frame(&record(0, 3))).unwrap();
+        server.crash();
+        let later = Record { battery_pct: 10, ..record(0, 3) };
+        assert_eq!(server.store_batch(vec![later, record(0, 4)]), 2);
+        server.recover();
+        assert_eq!(server.len(), 2);
+        let mut batches = Vec::new();
+        tap.drain_into(&mut batches);
+        let replay = batches.last().unwrap();
+        assert!(replay.replay);
+        let replayed: Vec<(u32, u8)> =
+            replay.records.iter().map(|r| (r.seq, r.battery_pct)).collect();
+        assert_eq!(replayed, vec![(3, 50), (4, 50)]);
+        assert_eq!(server.into_records(), vec![record(0, 3), record(0, 4)]);
+    }
+
+    /// A drain empties the one queue: later publishes come out on the
+    /// next drain, in order, and count as overflow only once the backlog
+    /// builds up again.
+    #[test]
+    fn tap_drain_resets_backlog() {
+        let server = CollectionServer::new();
+        let tap = server.attach_tap();
+        let bound = super::TAP_BACKLOG_BOUND as u32;
+        for s in 0..bound + 1 {
+            server.ingest(&encode_frame(&record(0, s))).unwrap();
+        }
+        assert_eq!(tap.overflow(), 1);
+        let mut first = Vec::new();
+        tap.drain_into(&mut first);
+        assert_eq!(first.len(), bound as usize + 1);
+        for s in bound + 1..2 * bound + 1 {
+            server.ingest(&encode_frame(&record(0, s))).unwrap();
+        }
+        assert_eq!(tap.overflow(), 1, "a drained queue starts a fresh backlog");
+        let mut second = Vec::new();
+        tap.drain_into(&mut second);
+        let seqs: Vec<u32> = second.iter().flat_map(|b| b.records.iter().map(|r| r.seq)).collect();
+        assert_eq!(seqs, (bound + 1..2 * bound + 1).collect::<Vec<_>>());
+        assert_eq!(tap.published(), 2 * bound as u64 + 1);
     }
 
     /// Every accepted record — frame, batch, or stream ingest — comes out
@@ -1000,13 +1022,13 @@ mod tests {
         assert_eq!(tap.discarded(), 0);
     }
 
-    /// Past the channel bound, publishes spill instead of blocking — and a
-    /// drain still yields every batch in publish order.
+    /// Past the backlog bound, publishes count as overflow instead of
+    /// blocking — and a drain still yields every batch in publish order.
     #[test]
     fn tap_overflow_spills_and_preserves_order() {
         let server = CollectionServer::new();
         let tap = server.attach_tap();
-        let n = super::TAP_CHANNEL_BOUND as u32 + 40;
+        let n = super::TAP_BACKLOG_BOUND as u32 + 40;
         for s in 0..n {
             server.ingest(&encode_frame(&record(0, s))).unwrap();
         }
@@ -1023,7 +1045,7 @@ mod tests {
     /// deduplicating consumer converges back to the server's contents.
     #[test]
     fn tap_crash_discards_then_recover_replays() {
-        let server = CollectionServer::new().with_journal();
+        let server = CollectionServer::new();
         let tap = server.attach_tap();
         for s in 0..10u32 {
             server.ingest(&encode_frame(&record(0, s))).unwrap();

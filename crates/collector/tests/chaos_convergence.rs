@@ -11,7 +11,7 @@ use mobitrace_collector::{run_convergence, ChaosProfile, ChaosRunConfig, Episode
 use mobitrace_model::SimTime;
 use proptest::prelude::*;
 
-/// Scenario 1: the server crashes mid-campaign (journal + recovery) under
+/// Scenario 1: the server crashes mid-campaign (and recovers) under
 /// a flaky chaos profile.
 #[test]
 fn server_crash_mid_campaign_converges() {

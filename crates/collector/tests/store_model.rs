@@ -2,7 +2,7 @@
 //!
 //! Arbitrary interleavings of frame, batch, stream and pre-decoded
 //! deliveries — with duplicates, ascending, reversed and shuffled sequence
-//! numbers, and journaled crash/recover cycles — drive a
+//! numbers, and crash/recover cycles — drive a
 //! [`CollectionServer`] and a reference model keyed by (device, seq) in
 //! lockstep. Every call's return value, the duplicate count and `len()`
 //! must match the model after each step; at the end the extracted records,
@@ -103,9 +103,9 @@ fn delivery() -> impl Strategy<Value = Op> {
     )
 }
 
-/// A long ascending run for one device, large enough that a few of them
-/// fold the journal into the snapshot. A stride of 2 leaves gaps a later
-/// run fills with in-place inserts.
+/// A long ascending run for one device, so crashes set aside and merge
+/// back long runs. A stride of 2 leaves gaps a later run fills with
+/// in-place inserts.
 fn bulk() -> impl Strategy<Value = Op> {
     (0u32..4, 0u32..64, 0u32..1500, 1u32..3, any::<u8>()).prop_map(
         |(device, start, len, step, variant)| {
@@ -130,15 +130,15 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The reference: first delivery of a (device, seq) wins, a crash wipes
-/// `live`, and recovery restores everything the journal accepted.
+/// The reference: first delivery of a (device, seq) wins, a crash moves
+/// `live` into `aside`, and recovery merges the outage's commits into
+/// `aside` and makes that `live`. Both merges keep the earlier record.
 #[derive(Debug, Default)]
 struct Model {
-    journal: bool,
     tapped: bool,
     crashed: bool,
     live: BTreeMap<(DeviceId, u32), Record>,
-    durable: BTreeMap<(DeviceId, u32), Record>,
+    aside: BTreeMap<(DeviceId, u32), Record>,
     stats: IngestStats,
     /// Tap batches published and not yet drained.
     pending: Vec<TapBatch>,
@@ -152,9 +152,6 @@ impl Model {
             let key = (r.device, r.seq);
             if self.live.contains_key(&key) {
                 continue;
-            }
-            if self.journal {
-                self.durable.entry(key).or_insert_with(|| r.clone());
             }
             self.live.insert(key, r.clone());
             accepted.push(r);
@@ -171,16 +168,24 @@ impl Model {
         }
     }
 
+    /// Merge `live` into `aside`, keeping `aside`'s record on a clash.
+    fn set_aside(&mut self) {
+        for (key, r) in std::mem::take(&mut self.live) {
+            self.aside.entry(key).or_insert(r);
+        }
+    }
+
     fn crash(&mut self) {
         self.crashed = true;
         self.stats.crashes += 1;
-        self.live.clear();
+        self.set_aside();
         self.pending.clear();
     }
 
     fn recover(&mut self) {
         self.crashed = false;
-        self.live = self.durable.clone();
+        self.set_aside();
+        self.live = std::mem::take(&mut self.aside);
         self.publish(self.live.values().cloned().collect(), true);
     }
 
@@ -274,14 +279,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: proptest_cases(), ..ProptestConfig::default() })]
 
     fn server_matches_reference_model(
-        journal in any::<bool>(),
         tapped in any::<bool>(),
         ops in prop::collection::vec(op(), 1..40),
     ) {
-        let server =
-            if journal { CollectionServer::new().with_journal() } else { CollectionServer::new() };
+        let server = CollectionServer::new();
         let tap = tapped.then(|| server.attach_tap());
-        let mut model = Model { journal, tapped, ..Model::default() };
+        let mut model = Model { tapped, ..Model::default() };
         let mut drained = Vec::new();
         let mut expect_drained = Vec::new();
 

@@ -53,8 +53,7 @@ pub struct ServerCrash {
     pub cohort: u32,
     /// Global (all-worker) batch ordinal, 1-based.
     pub at_batch: u64,
-    /// Batches until the scheduled recovery. Recovery requires the
-    /// server journal; [`crate::FleetIngest`] enforces that.
+    /// Batches until the scheduled recovery.
     pub down_for: u64,
 }
 
@@ -171,12 +170,6 @@ impl FaultSpec {
         self.worker_kills.is_empty()
             && self.server_crashes.is_empty()
             && self.pool_faults.is_empty()
-    }
-
-    /// Whether the schedule crashes servers (which requires journaled
-    /// cohort servers to recover from).
-    pub fn has_server_crashes(&self) -> bool {
-        !self.server_crashes.is_empty()
     }
 }
 
@@ -349,7 +342,7 @@ mod tests {
                 a.pool_faults.iter().any(|f| f.kind == PoolFaultKind::Enospc && f.at_op <= 4),
                 "seed {seed}: floor of one early pool write failure"
             );
-            assert!(a.has_server_crashes(), "seed {seed}: at least one server crash");
+            assert!(!a.server_crashes.is_empty(), "seed {seed}: at least one server crash");
         }
         assert_ne!(FaultSpec::seeded(1, 4, 8), FaultSpec::seeded(2, 4, 8));
     }

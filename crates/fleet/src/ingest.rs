@@ -18,7 +18,7 @@
 //! Cohort → worker assignment is static (`cohort mod workers`), so each
 //! cohort server has exactly one writer and one cohort's batches are
 //! never reordered against each other — the per-device arrival order the
-//! dedup/journal path relies on survives the fan-out.
+//! dedup path relies on survives the fan-out.
 //!
 //! [`CollectionServer`]: mobitrace_collector::CollectionServer
 //! [`accepting`]: mobitrace_collector::CollectionServer::accepting
@@ -59,8 +59,6 @@ pub struct FleetConfig {
     /// Per-cohort server soft record limit (0 disables) — the server-level
     /// backpressure admission forwards to agents.
     pub soft_limit: usize,
-    /// Journal cohort servers (required for crash/recover chaos).
-    pub journal: bool,
     /// Pin worker threads to cores (best effort, Linux only).
     pub pin_workers: bool,
     /// Periodic per-cohort durable checkpointing (None disables).
@@ -78,7 +76,6 @@ impl Default for FleetConfig {
             rate_per_cohort: 0.0,
             burst: 50_000.0,
             soft_limit: 0,
-            journal: false,
             pin_workers: true,
             checkpoint: None,
             restart: RestartPolicy::default(),
@@ -177,16 +174,7 @@ impl FleetIngest {
     /// [`new`](Self::new) with an armed [`FaultInjector`]: workers run
     /// its schedule (kills, server crashes) and checkpoint writers wear
     /// it as their pool I/O shim.
-    ///
-    /// # Panics
-    /// If the schedule crashes servers but `cfg.journal` is off —
-    /// recovery without a journal silently loses committed records,
-    /// which would break the very identity fault runs exist to prove.
     pub fn with_faults(cfg: FleetConfig, injector: Arc<FaultInjector>) -> FleetIngest {
-        assert!(
-            !injector.spec().has_server_crashes() || cfg.journal,
-            "a fault schedule with server crashes requires cfg.journal"
-        );
         FleetIngest::assemble(cfg, Some(injector), None)
     }
 
@@ -195,9 +183,8 @@ impl FleetIngest {
     /// ingesting into the recovered state. Cohorts with no checkpoint
     /// file start empty; a checkpoint that exists but fails validation
     /// is a loud error — resuming past silent corruption is how
-    /// longitudinal datasets grow holes. Recovered servers are always
-    /// journaled. [`FleetStats::resumed_records`] reports what was
-    /// recovered.
+    /// longitudinal datasets grow holes.
+    /// [`FleetStats::resumed_records`] reports what was recovered.
     pub fn resume(
         cfg: FleetConfig,
         dir: &Path,
@@ -209,7 +196,7 @@ impl FleetIngest {
             let server = if path.exists() {
                 CollectionServer::recover_from_pool(&path)?
             } else {
-                CollectionServer::new().with_journal()
+                CollectionServer::new()
             };
             server.set_soft_limit(cfg.soft_limit);
             servers.push(Arc::new(server));
@@ -240,7 +227,6 @@ impl FleetIngest {
                     (0..cfg.cohorts)
                         .map(|_| {
                             let s = CollectionServer::new();
-                            let s = if cfg.journal { s.with_journal() } else { s };
                             s.set_soft_limit(cfg.soft_limit);
                             Arc::new(s)
                         })
@@ -466,7 +452,7 @@ impl FleetIngest {
         }
         // A scheduled crash can fire *during* the drain, after the heal
         // above. Heal again now that the workers are gone: teardown must
-        // never leave a journaled store un-replayed, or the final store
+        // never leave a set-aside store unmerged, or the final store
         // (and any final checkpoint) would silently miss records an
         // earlier periodic checkpoint already holds.
         if self.injector.is_some() {
@@ -933,7 +919,6 @@ mod tests {
         let fleet = FleetIngest::new(FleetConfig {
             cohorts: 1,
             workers: 1,
-            journal: true,
             pin_workers: false,
             ..FleetConfig::default()
         });

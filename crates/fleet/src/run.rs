@@ -25,7 +25,7 @@
 //! ```
 //!
 //! Chaos mode layers crash/recover cycles and soft-limit squeezes over
-//! the cohort servers (journaling on, so recoveries replay). A
+//! the cohort servers (each recovery merges the set-aside store back). A
 //! [`FaultSpec`] layers *deterministic* faults on top — worker kills
 //! (supervised respawn, `lost_worker` accounting), scheduled server
 //! crashes, checkpoint I/O failures. The reconciliation must stay exact
@@ -62,7 +62,7 @@ pub struct FleetRunConfig {
     pub producers: usize,
     /// Wall-clock budget, seconds.
     pub duration_s: f64,
-    /// Crash/recover + soft-limit chaos (forces journaling).
+    /// Crash/recover + soft-limit chaos.
     pub chaos: bool,
     /// Seed for the template campaign and producer jitter.
     pub seed: u64,
@@ -79,7 +79,7 @@ pub struct FleetRunConfig {
     /// Campaign year the templates are drawn from.
     pub year: Year,
     /// Deterministic fault schedule (worker kills, server crashes,
-    /// checkpoint I/O faults). Forces journaling, composes with `chaos`.
+    /// checkpoint I/O faults). Composes with `chaos`.
     pub faults: Option<FaultSpec>,
     /// Durable per-cohort checkpoints under this directory during the
     /// run (and once more at graceful shutdown).
@@ -244,9 +244,6 @@ pub fn try_run_fleet(cfg: &FleetRunConfig) -> Result<FleetRunReport, mobitrace_p
         } else {
             FleetConfig::default().burst
         },
-        // Any crash source — wall-clock chaos or a scheduled fault —
-        // needs the journal so recoveries replay committed records.
-        journal: cfg.chaos || cfg.faults.is_some(),
         checkpoint: cfg.checkpoint_dir.clone().map(|dir| CheckpointConfig {
             dir,
             every_batches: cfg.checkpoint_every_batches,

@@ -157,7 +157,6 @@ proptest! {
             cohorts: s.cohorts,
             workers: s.workers,
             pin_workers: false,
-            journal: true,
             restart: RestartPolicy { budget: s.budget, backoff_base_ms: 0 },
             checkpoint: Some(CheckpointConfig {
                 dir: dir.clone(),

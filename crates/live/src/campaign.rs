@@ -13,12 +13,9 @@
 //! pipeline, so chaos schedules and live analysis compose.
 
 use crate::engine::{check_convergence, FinishedLive, LiveEngine, LiveOptions, LiveStats};
-use crate::pool_sink::{PoolSpoolStats, SnapshotPoolSink};
 use mobitrace_collector::CleanStats;
 use mobitrace_model::LiveSnapshot;
-use mobitrace_pool::PoolError;
 use mobitrace_sim::{run_campaign_raw, CampaignConfig, RawCampaign};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,7 +66,7 @@ pub struct LiveRunReport {
     pub batch_stats: Option<CleanStats>,
     /// Records published through the tap (replays included).
     pub tap_published: u64,
-    /// Records that overflowed a tap channel into the spill buffer.
+    /// Records published while the tap held at least 64 undrained batches.
     pub tap_overflow: u64,
     /// Wall-clock seconds for the whole run (campaign + live engine).
     pub wall_s: f64,
@@ -91,7 +88,7 @@ const DRAIN_IDLE: Duration = Duration::from_millis(1);
 /// on drain timing (timing moves work between batches, not records
 /// between outcomes).
 pub fn run_live_campaign(config: &CampaignConfig, opts: LiveOptions) -> LiveRunReport {
-    run_live_campaign_inner(config, opts, None, None).0
+    run_live_campaign_inner(config, opts, None)
 }
 
 /// [`run_live_campaign`], plus a [`SnapshotObserver`] invoked on every
@@ -102,37 +99,17 @@ pub fn run_live_campaign_observed(
     opts: LiveOptions,
     observer: SnapshotObserver,
 ) -> LiveRunReport {
-    run_live_campaign_inner(config, opts, None, Some(observer)).0
-}
-
-/// [`run_live_campaign`], plus streaming persistence: snapshots the engine
-/// publishes mid-run are appended to the pool at `path` on the sink's
-/// geometric cadence ([`SnapshotPoolSink::offer`]), each as its own
-/// generation, and the finished snapshot always is, so other processes can
-/// mmap the file and analyze the latest complete generation while the
-/// campaign is still uploading. Creating the pool (taking the writer lock) can fail; append
-/// failures after that degrade persistence only and are reported in the
-/// returned [`PoolSpoolStats`].
-pub fn run_live_campaign_to_pool(
-    config: &CampaignConfig,
-    opts: LiveOptions,
-    path: &Path,
-) -> Result<(LiveRunReport, PoolSpoolStats), PoolError> {
-    let sink = SnapshotPoolSink::create(path)?;
-    let (report, stats) = run_live_campaign_inner(config, opts, Some(sink), None);
-    Ok((report, stats.expect("sink passed in is returned")))
+    run_live_campaign_inner(config, opts, Some(observer))
 }
 
 fn run_live_campaign_inner(
     config: &CampaignConfig,
     opts: LiveOptions,
-    mut sink: Option<SnapshotPoolSink>,
     mut observer: Option<SnapshotObserver>,
-) -> (LiveRunReport, Option<PoolSpoolStats>) {
+) -> LiveRunReport {
     let t0 = Instant::now();
     let stop = Arc::new(AtomicBool::new(false));
-    type WorkerOut =
-        (LiveEngine, Vec<SnapshotMetric>, Option<SnapshotPoolSink>, Option<SnapshotObserver>);
+    type WorkerOut = (LiveEngine, Vec<SnapshotMetric>, Option<SnapshotObserver>);
     let mut worker: Option<std::thread::JoinHandle<WorkerOut>> = None;
     let mut tap_handle = None;
 
@@ -150,7 +127,6 @@ fn run_live_campaign_inner(
             config.n_users,
             opts,
         );
-        let mut sink = sink.take();
         let mut observer = observer.take();
         worker = Some(std::thread::spawn(move || {
             let mut batches = Vec::new();
@@ -170,9 +146,6 @@ fn run_live_campaign_inner(
                 if s.compactions > seen_compactions {
                     seen_compactions = s.compactions;
                     let snap = engine.snapshot();
-                    if let Some(sink) = sink.as_mut() {
-                        sink.offer(&snap);
-                    }
                     if let Some(obs) = observer.as_mut() {
                         obs(&snap, &s);
                     }
@@ -192,13 +165,13 @@ fn run_live_campaign_inner(
                     std::thread::sleep(DRAIN_IDLE);
                 }
             }
-            (engine, metrics, sink, observer)
+            (engine, metrics, observer)
         }));
     });
 
     // The campaign (and its last upload) is over; let the drainer finish.
     stop.store(true, Ordering::Release);
-    let (mut engine, mut snapshots, mut sink, mut observer) =
+    let (mut engine, mut snapshots, mut observer) =
         worker.expect("on_server hook ran").join().expect("live drain thread");
     let tap = tap_handle.expect("tap attached");
 
@@ -206,9 +179,6 @@ fn run_live_campaign_inner(
     // now; swap it in before the final fold + compaction.
     engine.install_devices(raw.devices.clone());
     let finished = engine.finish();
-    if let Some(s) = sink.as_mut() {
-        s.append(&finished.snapshot);
-    }
     if let Some(obs) = observer.as_mut() {
         obs(&finished.snapshot, &finished.stats);
     }
@@ -226,7 +196,7 @@ fn run_live_campaign_inner(
         Err(why) => (Some(why), None),
     };
 
-    let report = LiveRunReport {
+    LiveRunReport {
         finished,
         raw,
         snapshots,
@@ -235,14 +205,12 @@ fn run_live_campaign_inner(
         tap_published: tap.published(),
         tap_overflow: tap.overflow(),
         wall_s: t0.elapsed().as_secs_f64(),
-    };
-    (report, sink.map(|s| s.stats()))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool_sink::PERSIST_GROWTH;
 
     fn tiny(seed: u64) -> CampaignConfig {
         let mut cfg = CampaignConfig::scaled(mobitrace_model::Year::Y2015, 0.02);
@@ -276,77 +244,6 @@ mod tests {
         let report = run_live_campaign(&cfg, LiveOptions::default());
         assert!(report.converged(), "diverged under chaos: {:?}", report.divergence);
         assert!(report.raw.net.chaos_failed > 0, "chaos did not bite");
-    }
-
-    #[test]
-    fn live_pool_spool_serves_concurrent_readers_and_lands_on_final_snapshot() {
-        let dir = std::env::temp_dir().join(format!(
-            "mt-live-pool-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("live.mtpool");
-
-        // A second "process": polls the pool while the writer appends.
-        // Every successful open must decode cleanly (atomic publication);
-        // opens may fail benignly before the file exists or mid-slot-flip
-        // (the reader just retries), but a decode of a published
-        // generation must never fail.
-        let stop = Arc::new(AtomicBool::new(false));
-        let rpath = path.clone();
-        let rstop = Arc::clone(&stop);
-        let reader = std::thread::spawn(move || {
-            let mut decoded = 0u64;
-            while !rstop.load(Ordering::Acquire) {
-                if let Ok(Some(pd)) = crate::pool_sink::latest_generation(&rpath) {
-                    assert_eq!(pd.ds.bins.len(), pd.cols.device.len());
-                    decoded += 1;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            decoded
-        });
-
-        let (report, spool) =
-            run_live_campaign_to_pool(&tiny(24), LiveOptions::default(), &path).unwrap();
-        stop.store(true, Ordering::Release);
-        let mid_run_decodes = reader.join().expect("reader thread");
-
-        assert!(report.converged(), "diverged: {:?}", report.divergence);
-        assert_eq!(spool.error, None, "spool degraded: {:?}", spool.error);
-        // Mid-run generations persist on the sink's growth cadence; the
-        // finished snapshot (the last metric) always does.
-        let (finished, mid_run) = report.snapshots.split_last().expect("finished snapshot");
-        let persisted_mid_run = {
-            let mut last: Option<usize> = None;
-            mid_run
-                .iter()
-                .filter(|m| {
-                    let keep = last.is_none_or(|l| m.bins as f64 >= l as f64 * PERSIST_GROWTH);
-                    if keep {
-                        last = Some(m.bins);
-                    }
-                    keep
-                })
-                .count() as u64
-        };
-        assert_eq!(finished.compactions, report.finished.stats.compactions);
-        assert_eq!(spool.generations, persisted_mid_run + 1);
-        assert!(spool.generations >= 1);
-        assert!(spool.epoch >= spool.generations);
-
-        // After the run, the newest generation is the finished snapshot,
-        // bit-identical — ground truth device table included.
-        let pd = crate::pool_sink::latest_generation(&path).unwrap().expect("final generation");
-        assert_eq!(pd.ds, report.finished.snapshot.ds);
-        assert_eq!(pd.index, report.finished.snapshot.index);
-        assert_eq!(pd.cols, report.finished.snapshot.cols);
-
-        // The mid-run reader is timing-dependent; just surface the count
-        // so a regression to "readers always blocked" would be visible.
-        let _ = mid_run_decodes;
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -25,16 +25,11 @@
 
 pub mod campaign;
 pub mod engine;
-pub mod group;
-pub mod pool_sink;
 
 pub use campaign::{
-    run_live_campaign, run_live_campaign_observed, run_live_campaign_to_pool, LiveRunReport,
-    SnapshotMetric, SnapshotObserver,
+    run_live_campaign, run_live_campaign_observed, LiveRunReport, SnapshotMetric, SnapshotObserver,
 };
 pub use engine::{
     batch_reference, check_convergence, placeholder_devices, FinishedLive, LiveEngine, LiveOptions,
     LiveStats,
 };
-pub use group::EngineGroup;
-pub use pool_sink::{latest_generation, PoolSpoolStats, SnapshotPoolSink};

@@ -1,9 +1,9 @@
 //! Incremental-vs-batch equivalence under adversarial arrival orders.
 //!
-//! The property: feed a journaled `CollectionServer` an *arbitrary*
+//! The property: feed a `CollectionServer` an *arbitrary*
 //! interleaving of per-device record streams — duplicate deliveries,
 //! cross-device and in-device reordering, tap drains at random points, an
-//! optional mid-stream crash + journal recovery — and the `LiveEngine`'s
+//! optional mid-stream crash + recovery — and the `LiveEngine`'s
 //! final snapshot is bit-identical to a batch clean of exactly the records
 //! the server retained, minus the engine's late set (excluded on both
 //! sides by construction). This is the streaming analogue of the
@@ -144,7 +144,7 @@ proptest! {
             all.swap(i, j);
         }
 
-        let server = CollectionServer::new().with_journal();
+        let server = CollectionServer::new();
         let tap = server.attach_tap();
         let mut engine = LiveEngine::new(
             meta(8),
@@ -189,7 +189,7 @@ proptest! {
 /// scratch on the batch dataset, field by field.
 #[test]
 fn live_context_equals_batch_context() {
-    let server = CollectionServer::new().with_journal();
+    let server = CollectionServer::new();
     let tap = server.attach_tap();
     let mut engine =
         LiveEngine::new(meta(8), 3, LiveOptions { compact_min_tail: 16, ..LiveOptions::default() });

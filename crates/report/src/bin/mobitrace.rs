@@ -489,7 +489,7 @@ fn run_live(args: &Args) {
         stats.missing_records
     );
     println!(
-        "tap: {} records published, {} overflowed to spill",
+        "tap: {} records published, {} past the 64-batch backlog",
         report.tap_published, report.tap_overflow
     );
 
@@ -778,8 +778,8 @@ fn finish_serve(tally: &ServeTally, n_queries: usize, min_generations: u64) {
 /// `mobitrace serve`: register filter queries and re-evaluate them against
 /// snapshot generations from one of three sources — a live campaign run in
 /// process (`--live`, one generation per engine compaction), a `.mtpool`
-/// file another process is appending to (`--data FILE.mtpool`, re-opened on
-/// epoch change every `--interval` seconds until `--duration` elapses), or
+/// file another process rewrites (`--data FILE.mtpool`, re-opened every
+/// `--interval` seconds until `--duration` elapses), or
 /// a one-shot fresh simulation. Every (query, generation) evaluation
 /// streams one JSONL [`ServeRecord`]. A `--data` value that is not a
 /// `.mtpool` path exits 2 before any work starts.
@@ -904,11 +904,15 @@ fn serve_live(args: &Args, set: mobitrace_query::QuerySet, sink: ServeSink) {
     );
 }
 
-/// Pool source: follow a `.mtpool` file another process appends snapshot
-/// generations to (`mobitrace live` via its pool sink, or a fleet
-/// checkpoint). Every `--interval` seconds the file is re-opened; a changed
-/// epoch means a newly committed generation, which is decoded and
-/// evaluated. Generation numbers are the pool's publish epochs.
+/// Pool source: follow a `.mtpool` file another process rewrites, such as
+/// `mobitrace pool export` onto the same path. Every `--interval` seconds
+/// the file is re-opened; when its directory (publish epoch plus every
+/// segment descriptor, content hash included) differs from the last one
+/// evaluated, its newest dataset stream is decoded and evaluated.
+/// Generations are numbered 1, 2, ... in evaluation order. A replaced pool
+/// starts again at epoch 1, so the epoch alone cannot tell a new file from
+/// the old one. Fleet checkpoints hold only RAW records, no dataset stream,
+/// so they have nothing to serve.
 fn serve_pool_follow(
     args: &Args,
     set: mobitrace_query::QuerySet,
@@ -926,39 +930,35 @@ fn serve_pool_follow(
     );
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs_f64(args.duration);
     let mut tally = ServeTally::default();
-    let mut last_epoch = 0u64;
+    let mut last_dir = None;
     let mut last_error = String::new();
     loop {
-        // Reopen rather than cache the reader: the writer replaces the
-        // mapping's committed slot in place, and open is one mmap + header
-        // probe. Open failures are expected while the writer is first
-        // creating the file, so they only warn (once per distinct cause).
+        // Reopen rather than cache the reader: a writer replaces the file
+        // by atomic rename, and open is one mmap + header probe. Open
+        // failures are expected while the writer is first creating the
+        // file, so they only warn (once per distinct cause).
         match PoolReader::open(path) {
             Ok(r) => {
-                let epoch = r.epoch();
-                if epoch != last_epoch {
-                    match r.dataset_streams().last() {
-                        Some(&stream) => match r.decode_dataset(stream) {
-                            Ok(pd) => {
-                                let recs = set.evaluate(
-                                    &pd.ds,
-                                    &pd.index,
-                                    &pd.cols,
-                                    epoch,
-                                    watermark_minute(&pd.cols),
-                                );
-                                tally.generations.push(epoch);
-                                tally.latencies.extend(recs.iter().map(|r| r.elapsed_s));
-                                emit_records(&sink, &recs);
-                                last_epoch = epoch;
-                            }
-                            Err(e) => {
-                                eprintln!("error: pool {} failed to decode: {e}", path.display());
-                                std::process::exit(1);
-                            }
-                        },
-                        None => last_epoch = epoch,
+                let dir = Some((r.epoch(), r.segments().to_vec()));
+                if dir != last_dir {
+                    if let Some(&stream) = r.dataset_streams().last() {
+                        let pd = r.decode_dataset(stream).unwrap_or_else(|e| {
+                            eprintln!("error: pool {} failed to decode: {e}", path.display());
+                            std::process::exit(1);
+                        });
+                        let generation = tally.generations.len() as u64 + 1;
+                        let recs = set.evaluate(
+                            &pd.ds,
+                            &pd.index,
+                            &pd.cols,
+                            generation,
+                            watermark_minute(&pd.cols),
+                        );
+                        tally.generations.push(generation);
+                        tally.latencies.extend(recs.iter().map(|r| r.elapsed_s));
+                        emit_records(&sink, &recs);
                     }
+                    last_dir = dir;
                 }
             }
             Err(e) => {
@@ -999,10 +999,10 @@ fn serve_batch(args: &Args, set: mobitrace_query::QuerySet, sink: ServeSink) {
     finish_serve(&tally, set.queries.len(), args.min_generations);
 }
 
-/// Median-of-9 wall clock for one analysis pass. The median (rather than
-/// the best) is what the committed bench history records, so one lucky
-/// cache-hot run cannot mask a real regression and one noisy run cannot
-/// fake one.
+/// Median-of-9 wall clock for one timed pass (an analysis pass or a
+/// `world_scan` loop). The median (rather than the best) is what the
+/// committed bench history records, so one lucky cache-hot run cannot mask
+/// a real regression and one noisy run cannot fake one.
 fn time_pass<T>(mut f: impl FnMut() -> T) -> f64 {
     let mut samples = [0.0f64; 9];
     for s in &mut samples {
@@ -1016,8 +1016,9 @@ fn time_pass<T>(mut f: impl FnMut() -> T) -> f64 {
 
 /// Micro-breakdown of the `ApWorld::scan` hot path on a small fixed world
 /// (same shape as the criterion `world` group): buffer-reusing scan vs
-/// plan construction vs plan replay, in µs/call, plus the two gated
-/// ratios — refill and replay cost per plan build.
+/// plan construction vs plan replay, in µs/call (each the median of nine
+/// 4000-call loops, see [`time_pass`]), plus the two gated ratios —
+/// refill and replay cost per plan build.
 fn world_scan_breakdown(metrics: &mut BTreeMap<String, f64>) {
     use mobitrace_deploy::world::WorldSpec;
     use mobitrace_deploy::{ApWorld, DeployParams};
@@ -1057,29 +1058,29 @@ fn world_scan_breakdown(metrics: &mut BTreeMap<String, f64>) {
 
     let mut r = ChaCha8Rng::seed_from_u64(1);
     let mut buf = Vec::new();
-    let t = std::time::Instant::now();
-    for _ in 0..ITERS {
-        world.scan_into(probe, &mut r, &mut buf);
-        std::hint::black_box(buf.len());
-    }
-    let scan_into_us = per_call_us(t.elapsed().as_secs_f64());
+    let scan_into_us = per_call_us(time_pass(|| {
+        for _ in 0..ITERS {
+            world.scan_into(probe, &mut r, &mut buf);
+            std::hint::black_box(buf.len());
+        }
+    }));
 
-    let t = std::time::Instant::now();
-    for _ in 0..ITERS {
-        std::hint::black_box(world.build_scan_plan(probe).len());
-    }
-    let plan_build_us = per_call_us(t.elapsed().as_secs_f64());
+    let plan_build_us = per_call_us(time_pass(|| {
+        for _ in 0..ITERS {
+            std::hint::black_box(world.build_scan_plan(probe).len());
+        }
+    }));
 
     let plan = world.build_scan_plan(probe);
     let mut r = ChaCha8Rng::seed_from_u64(1);
     let mut gauss = GaussianPair::new();
-    let t = std::time::Instant::now();
-    for _ in 0..ITERS {
-        buf.clear();
-        plan.sample(&mut r, &mut gauss, |e, rssi| buf.push(e.obs(rssi)));
-        std::hint::black_box(buf.len());
-    }
-    let plan_sample_us = per_call_us(t.elapsed().as_secs_f64());
+    let plan_sample_us = per_call_us(time_pass(|| {
+        for _ in 0..ITERS {
+            buf.clear();
+            plan.sample(&mut r, &mut gauss, |e, rssi| buf.push(e.obs(rssi)));
+            std::hint::black_box(buf.len());
+        }
+    }));
 
     eprintln!(
         "  world_scan ({} plan entries): into {scan_into_us:.2}us, \

@@ -1,9 +1,9 @@
 //! AP density maps (Fig. 10): unique associated APs per 5 km cell, by
 //! venue class.
 
-use crate::apclass::{ApClass, ApClassification};
-use crate::ctx::modal_cell;
-use mobitrace_model::{CellId, Dataset};
+use crate::apclass::ApClass;
+use crate::AnalysisContext;
+use mobitrace_model::CellId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -30,19 +30,12 @@ impl ApDensityMap {
 /// Compute Fig. 10's maps for home and public APs. An AP is attributed to
 /// the cell where its associations were most often reported, ties going
 /// to the smaller cell.
-pub fn density_maps(ds: &Dataset, cls: &ApClassification) -> (ApDensityMap, ApDensityMap) {
-    // Most-frequent report cell per AP.
-    let mut cell_votes: HashMap<usize, HashMap<CellId, u32>> = HashMap::new();
-    for b in &ds.bins {
-        if let Some(a) = b.wifi.assoc() {
-            *cell_votes.entry(a.ap.index()).or_default().entry(b.geo).or_default() += 1;
-        }
-    }
+pub fn density_maps(ctx: &AnalysisContext<'_>) -> (ApDensityMap, ApDensityMap) {
     let mut home = ApDensityMap::default();
     let mut public = ApDensityMap::default();
-    for (idx, votes) in cell_votes {
-        let cell = modal_cell(&votes).expect("votes nonempty");
-        match cls.class_of[idx] {
+    for (class, cell) in ctx.aps.class_of.iter().zip(ctx.ap_modal_cells(|_| true)) {
+        let Some(cell) = cell else { continue };
+        match class {
             ApClass::Home => *home.cells.entry(cell).or_default() += 1,
             ApClass::Public => *public.cells.entry(cell).or_default() += 1,
             _ => {}
@@ -113,8 +106,7 @@ mod tests {
         let edge = CellId::new(11, 10);
         // AP 0's third report is a minority one.
         let ds = reports(&[(0, downtown), (0, downtown), (0, edge), (1, downtown)]);
-        let cls = crate::apclass::classify(&ds);
-        let (home, public) = density_maps(&ds, &cls);
+        let (home, public) = density_maps(&AnalysisContext::new(&ds));
         assert_eq!(public.cells.get(&downtown), Some(&2));
         assert_eq!(public.cells.get(&edge), None);
         assert_eq!(home.cells.len(), 0);
@@ -128,10 +120,9 @@ mod tests {
         let (lo, hi) = (CellId::new(4, 9), CellId::new(5, 0));
         // AP 1 reported from both cells equally often: an exact tie.
         let ds = reports(&[(1, hi), (1, lo), (1, hi), (1, lo)]);
-        let cls = crate::apclass::classify(&ds);
-        // Each call tallies into freshly seeded hash maps.
+        let ctx = AnalysisContext::new(&ds);
         for _ in 0..32 {
-            let (_, public) = density_maps(&ds, &cls);
+            let (_, public) = density_maps(&ctx);
             assert_eq!(public.cells, HashMap::from([(lo, 1)]));
         }
     }

@@ -4,9 +4,10 @@
 //! association spell; Fig. 13 plots the CCDF of spell durations (hours) by
 //! venue class.
 
-use crate::apclass::{ApClass, ApClassification};
+use crate::apclass::ApClass;
 use crate::stats::ccdf_points;
-use mobitrace_model::{ApRef, Dataset, BIN_MINUTES};
+use crate::AnalysisContext;
+use mobitrace_model::BIN_MINUTES;
 use serde::{Deserialize, Serialize};
 
 /// Association spell durations in hours, by class.
@@ -45,43 +46,33 @@ impl AssocDurations {
     }
 }
 
-/// Extract all association spells.
-pub fn association_durations(ds: &Dataset, cls: &ApClassification) -> AssocDurations {
+/// Extract all association spells by walking the associated rows: a
+/// spell continues only into the next row when that row is associated too,
+/// belongs to the same device, names the same AP and falls in the next
+/// global bin. Every spell bin is one row, so its length is its row count.
+pub fn association_durations(ctx: &AnalysisContext<'_>) -> AssocDurations {
+    let (c, cls) = (&*ctx.cols, &ctx.aps);
+    let sel = &c.sel_associated;
+    let continues = |i: usize, j: usize| {
+        j == i + 1
+            && c.device[j] == c.device[i]
+            && c.assoc_ap[j] == c.assoc_ap[i]
+            && c.time[j].global_bin() == c.time[i].global_bin() + 1
+    };
     let mut out = AssocDurations::default();
-    let mut current: Option<(mobitrace_model::DeviceId, ApRef, u32, u32)> = None;
-    // (device, ap, start_bin, last_bin) in global bins.
-    let finish = |out: &mut AssocDurations,
-                  dev_ap: (mobitrace_model::DeviceId, ApRef),
-                  start: u32,
-                  last: u32| {
-        let bins = last - start + 1;
-        let hours = f64::from(bins * BIN_MINUTES) / 60.0;
-        match cls.class(dev_ap.1) {
+    let mut start = 0;
+    for end in 1..=sel.len() {
+        if end < sel.len() && continues(sel[end - 1] as usize, sel[end] as usize) {
+            continue;
+        }
+        let hours = f64::from((end - start) as u32 * BIN_MINUTES) / 60.0;
+        match cls.class(c.assoc_ap[sel[start] as usize]) {
             ApClass::Home => out.home.push(hours),
             ApClass::Public => out.public.push(hours),
             ApClass::Office => out.office.push(hours),
             ApClass::Other => out.other.push(hours),
         }
-    };
-    for b in &ds.bins {
-        let gbin = b.time.global_bin();
-        let assoc = b.wifi.assoc().map(|a| a.ap);
-        current = match (current, assoc) {
-            (Some((dev, ap, start, last)), Some(now))
-                if dev == b.device && ap == now && gbin == last + 1 =>
-            {
-                Some((dev, ap, start, gbin))
-            }
-            (Some((dev, ap, start, last)), now) => {
-                finish(&mut out, (dev, ap), start, last);
-                now.map(|ap| (b.device, ap, gbin, gbin))
-            }
-            (None, Some(ap)) => Some((b.device, ap, gbin, gbin)),
-            (None, None) => None,
-        };
-    }
-    if let Some((dev, ap, start, last)) = current {
-        finish(&mut out, (dev, ap), start, last);
+        start = end;
     }
     out
 }
@@ -152,8 +143,7 @@ mod tests {
         // 6 consecutive bins on a public AP = 1 hour.
         let bins = (0..6).map(|b| bin(0, 60 + b, Some(0))).collect();
         let ds = dataset(bins, vec!["0000carrier-a"]);
-        let cls = crate::apclass::classify(&ds);
-        let d = association_durations(&ds, &cls);
+        let d = association_durations(&AnalysisContext::new(&ds));
         assert_eq!(d.public, vec![1.0]);
         assert!(d.home.is_empty());
     }
@@ -164,11 +154,22 @@ mod tests {
         bins.push(bin(0, 64, None)); // gap at bin 63 (missing) + unassoc 64
         bins.extend((65..67).map(|b| bin(0, b, Some(0))));
         let ds = dataset(bins, vec!["0000carrier-a"]);
-        let cls = crate::apclass::classify(&ds);
-        let d = association_durations(&ds, &cls);
+        let d = association_durations(&AnalysisContext::new(&ds));
         assert_eq!(d.public.len(), 2);
         assert!((d.public[0] - 0.5).abs() < 1e-12);
         assert!((d.public[1] - 2.0 / 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unassociated_row_inside_a_bin_splits_spell() {
+        // An unassociated sample at 10:05 sits between two associated
+        // bins that are adjacent in time but not in rows.
+        let mut off = bin(0, 60, None);
+        off.time = SimTime::from_day_minute(0, 605);
+        let bins = vec![bin(0, 60, Some(0)), off, bin(0, 61, Some(0))];
+        let ds = dataset(bins, vec!["0000carrier-a"]);
+        let d = association_durations(&AnalysisContext::new(&ds));
+        assert_eq!(d.public, vec![1.0 / 6.0; 2]);
     }
 
     #[test]
@@ -176,8 +177,7 @@ mod tests {
         let mut bins: Vec<BinRecord> = (0..3).map(|b| bin(0, 60 + b, Some(0))).collect();
         bins.extend((63..66).map(|b| bin(0, b, Some(1))));
         let ds = dataset(bins, vec!["0000carrier-a", "0001carrier-c"]);
-        let cls = crate::apclass::classify(&ds);
-        let d = association_durations(&ds, &cls);
+        let d = association_durations(&AnalysisContext::new(&ds));
         assert_eq!(d.public.len(), 2);
     }
 
@@ -191,8 +191,7 @@ mod tests {
         bins.extend((132..144).map(|b| bin(1, b, Some(0))));
         bins.extend((0..36).map(|b| bin(2, b, Some(0))));
         let ds = dataset(bins, vec!["aterm-9f9f9f"]);
-        let cls = crate::apclass::classify(&ds);
-        let d = association_durations(&ds, &cls);
+        let d = association_durations(&AnalysisContext::new(&ds));
         assert!(!d.home.is_empty());
         let max = d.home.iter().cloned().fold(0.0, f64::max);
         assert!((max - 8.0).abs() < 1e-9, "max home spell {max} h");

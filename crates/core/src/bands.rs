@@ -1,7 +1,8 @@
 //! 5 GHz adoption among associated APs (Fig. 14).
 
-use crate::apclass::{ApClass, ApClassification};
-use mobitrace_model::{Band, Dataset};
+use crate::apclass::ApClass;
+use crate::AnalysisContext;
+use mobitrace_model::Band;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -18,17 +19,16 @@ pub struct FiveGhzShares {
 
 /// Compute Fig. 14's fractions. Each unique (BSSID, ESSID) pair carries
 /// one band (real dual-band APs expose one BSSID per radio).
-pub fn five_ghz_shares(ds: &Dataset, cls: &ApClassification) -> FiveGhzShares {
-    // Band per AP entry, learned from associations.
-    let mut band_of: HashMap<usize, Band> = HashMap::new();
-    for b in &ds.bins {
-        if let Some(a) = b.wifi.assoc() {
-            band_of.entry(a.ap.index()).or_insert(a.band);
-        }
+pub fn five_ghz_shares(ctx: &AnalysisContext<'_>) -> FiveGhzShares {
+    let c = &*ctx.cols;
+    // Band per AP entry, learned from its first association.
+    let mut band_of: Vec<Option<Band>> = vec![None; ctx.aps.class_of.len()];
+    for &i in &c.sel_associated {
+        band_of[c.assoc_ap[i as usize].index()].get_or_insert(c.assoc_band[i as usize]);
     }
     let mut counts: HashMap<ApClass, (usize, usize)> = HashMap::new(); // (5ghz, total)
-    for (&idx, &band) in &band_of {
-        let class = cls.class_of[idx];
+    for (&class, band) in ctx.aps.class_of.iter().zip(band_of) {
+        let Some(band) = band else { continue };
         let e = counts.entry(class).or_default();
         e.1 += 1;
         if band == Band::Ghz5 {
@@ -114,8 +114,7 @@ mod tests {
             ("0001carrier-c", Band::Ghz5),
             ("7SPOT", Band::Ghz5),
         ]);
-        let cls = crate::apclass::classify(&ds);
-        let s = five_ghz_shares(&ds, &cls);
+        let s = five_ghz_shares(&AnalysisContext::new(&ds));
         assert!((s.public - 0.75).abs() < 1e-12, "{}", s.public);
         assert_eq!(s.home, 0.0);
     }
@@ -123,7 +122,6 @@ mod tests {
     #[test]
     fn empty_dataset_zero_shares() {
         let ds = ds_with_assocs(vec![]);
-        let cls = crate::apclass::classify(&ds);
-        assert_eq!(five_ghz_shares(&ds, &cls), FiveGhzShares::default());
+        assert_eq!(five_ghz_shares(&AnalysisContext::new(&ds)), FiveGhzShares::default());
     }
 }

@@ -2,7 +2,8 @@
 //! WiFi-user ratios among three cellular carriers providing iPhones" —
 //! OS drives WiFi behaviour, not the carrier.
 
-use mobitrace_model::{Carrier, Dataset, Os};
+use crate::AnalysisContext;
+use mobitrace_model::{Carrier, Os};
 use serde::{Deserialize, Serialize};
 
 /// WiFi-user ratio per carrier for one OS.
@@ -14,20 +15,19 @@ pub struct CarrierComparison {
     pub spread: f64,
 }
 
-/// Compute the per-carrier mean WiFi-user ratio for one OS population.
-pub fn carrier_wifi_user_ratios(ds: &Dataset, os: Os) -> CarrierComparison {
+/// Compute the per-carrier mean WiFi-user ratio for one OS population:
+/// each device adds its row count and its associated-row count.
+pub fn carrier_wifi_user_ratios(ctx: &AnalysisContext<'_>, os: Os) -> CarrierComparison {
     let mut assoc = [0u64; 3];
     let mut total = [0u64; 3];
-    for b in &ds.bins {
-        let dev = ds.device(b.device);
-        if dev.os != os {
+    for dev in ctx.index.devices_with_bins() {
+        let info = ctx.ds.device(dev);
+        if info.os != os {
             continue;
         }
-        let c = dev.carrier.index();
-        total[c] += 1;
-        if b.wifi.assoc().is_some() {
-            assoc[c] += 1;
-        }
+        let (c, rows) = (info.carrier.index(), ctx.index.device_range(dev));
+        assoc[c] += ctx.associated_rows(rows.clone()).len() as u64;
+        total[c] += rows.len() as u64;
     }
     let mut ratios = [0.0; 3];
     for c in Carrier::ALL {
@@ -102,7 +102,7 @@ mod tests {
                 bin(2, 0, true), // Android: excluded from iOS comparison
             ],
         };
-        let cmp = carrier_wifi_user_ratios(&ds, Os::Ios);
+        let cmp = carrier_wifi_user_ratios(&AnalysisContext::new(&ds), Os::Ios);
         assert!((cmp.ratios[0] - 1.0).abs() < 1e-12);
         assert!((cmp.ratios[1] - 0.5).abs() < 1e-12);
         assert_eq!(cmp.ratios[2], 0.0); // no iOS devices on carrier C

@@ -2,7 +2,7 @@
 
 use crate::apclass::{classify_cols, ApClassification};
 use crate::daily::{classify_user_days, user_days_cols, TrafficClass, UserDay};
-use mobitrace_model::{CellId, Dataset, DatasetColumns, DatasetIndex, DeviceId};
+use mobitrace_model::{ApRef, CellId, Dataset, DatasetColumns, DatasetIndex, DeviceId};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -149,6 +149,44 @@ impl<'a> AnalysisContext<'a> {
     /// Is the device at its inferred home cell in this bin?
     pub fn is_at_home_cell(&self, device: DeviceId, cell: CellId) -> bool {
         self.home_cell.get(&device) == Some(&cell)
+    }
+
+    /// The associated rows among `rows`: a slice of `sel_associated`
+    /// found by two binary searches.
+    pub(crate) fn associated_rows(&self, rows: Range<usize>) -> &[u32] {
+        let sel = &self.cols.sel_associated;
+        let lo = sel.partition_point(|&i| (i as usize) < rows.start);
+        let hi = sel.partition_point(|&i| (i as usize) < rows.end);
+        &sel[lo..hi]
+    }
+
+    /// Each AP's modal report cell over the associated rows that `keep`
+    /// admits, ties to the smaller cell as [`modal_cell`]; `None` for an
+    /// AP no admitted row reports. Consecutive rows mostly repeat one
+    /// (AP, cell) pair, so runs of it are counted first and only the runs
+    /// are sorted.
+    pub(crate) fn ap_modal_cells(&self, keep: impl Fn(usize) -> bool) -> Vec<Option<CellId>> {
+        let c = &*self.cols;
+        let mut runs: Vec<(ApRef, CellId, u32)> = Vec::new();
+        for i in c.sel_associated.iter().map(|&i| i as usize).filter(|&i| keep(i)) {
+            let (ap, cell) = (c.assoc_ap[i], c.geo[i]);
+            match runs.last_mut() {
+                Some((a, g, n)) if (*a, *g) == (ap, cell) => *n += 1,
+                _ => runs.push((ap, cell, 1)),
+            }
+        }
+        runs.sort_unstable_by_key(|&(ap, cell, _)| (ap, cell));
+        let mut modal: Vec<Option<(CellId, u32)>> = vec![None; self.aps.class_of.len()];
+        for pair in runs.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (ap, cell) = (pair[0].0, pair[0].1);
+            let votes = pair.iter().map(|r| r.2).sum::<u32>();
+            // Cells ascend within an AP: a strict `>` keeps the smaller on a tie.
+            let best = &mut modal[ap.index()];
+            if best.is_none_or(|(_, most)| votes > most) {
+                *best = Some((cell, votes));
+            }
+        }
+        modal.into_iter().map(|m| m.map(|(cell, _)| cell)).collect()
     }
 }
 

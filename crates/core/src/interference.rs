@@ -7,9 +7,9 @@
 //! a 5 km cell: the number of overlapping-channel pairs per cell,
 //! normalised by the pairs possible.
 
-use crate::apclass::{ApClass, ApClassification};
-use crate::ctx::modal_cell;
-use mobitrace_model::{Band, CellId, Channel, Dataset};
+use crate::apclass::ApClass;
+use crate::AnalysisContext;
+use mobitrace_model::{Band, CellId, Channel};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -35,36 +35,31 @@ impl InterferencePressure {
 }
 
 /// Compute per-class interference pressure over the reporting grid.
-pub fn interference_pressure(
-    ds: &Dataset,
-    cls: &ApClassification,
-) -> HashMap<ApClass, InterferencePressure> {
-    // Channel of each associated 2.4 GHz AP and its modal cell (ties to
-    // the smaller cell).
-    let mut chan: HashMap<usize, Channel> = HashMap::new();
-    let mut cell_votes: HashMap<usize, HashMap<CellId, u32>> = HashMap::new();
-    for b in &ds.bins {
-        if let Some(a) = b.wifi.assoc() {
-            if a.band == Band::Ghz24 {
-                chan.entry(a.ap.index()).or_insert(a.channel);
-                *cell_votes.entry(a.ap.index()).or_default().entry(b.geo).or_default() += 1;
-            }
-        }
+pub fn interference_pressure(ctx: &AnalysisContext<'_>) -> HashMap<ApClass, InterferencePressure> {
+    let c = &*ctx.cols;
+    let on_24 = |i: usize| c.assoc_band[i] == Band::Ghz24;
+    // Channel of each associated 2.4 GHz AP (its first report) and its
+    // modal cell (ties to the smaller cell).
+    let mut chan: Vec<Option<Channel>> = vec![None; ctx.aps.class_of.len()];
+    for i in c.sel_associated.iter().map(|&i| i as usize).filter(|&i| on_24(i)) {
+        chan[c.assoc_ap[i].index()].get_or_insert(c.assoc_channel[i]);
     }
     // Group channels by (class, cell).
-    let mut per_cell: HashMap<(ApClass, CellId), Vec<Channel>> = HashMap::new();
-    for (idx, votes) in cell_votes {
-        let cell = modal_cell(&votes).expect("nonempty");
-        let class = cls.class_of[idx];
-        per_cell.entry((class, cell)).or_default().push(chan[&idx]);
-    }
+    let mut per_cell: Vec<(ApClass, CellId, Channel)> = ctx
+        .ap_modal_cells(on_24)
+        .into_iter()
+        .zip(chan)
+        .zip(&ctx.aps.class_of)
+        .filter_map(|((cell, ch), &class)| Some((class, cell?, ch?)))
+        .collect();
+    per_cell.sort_unstable_by_key(|&(class, cell, _)| (class as u8, cell));
     let mut out: HashMap<ApClass, InterferencePressure> = HashMap::new();
-    for ((class, _cell), channels) in per_cell {
-        let e = out.entry(class).or_default();
-        for i in 0..channels.len() {
-            for j in (i + 1)..channels.len() {
+    for group in per_cell.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let e = out.entry(group[0].0).or_default();
+        for (i, a) in group.iter().enumerate() {
+            for b in &group[i + 1..] {
                 e.total_pairs += 1;
-                if channels[i].overlaps_24(channels[j]) {
+                if a.2.overlaps_24(b.2) {
                     e.overlapping_pairs += 1;
                 }
             }
@@ -134,8 +129,7 @@ mod tests {
     #[test]
     fn planned_public_deployment_scores_zero() {
         let ds = ds_with(vec![("0000carrier-a", 1), ("0001carrier-c", 6), ("7SPOT", 11)]);
-        let cls = crate::apclass::classify(&ds);
-        let p = interference_pressure(&ds, &cls);
+        let p = interference_pressure(&AnalysisContext::new(&ds));
         let pub_p = p[&ApClass::Public];
         assert_eq!(pub_p.total_pairs, 3);
         assert_eq!(pub_p.overlapping_pairs, 0);
@@ -145,8 +139,7 @@ mod tests {
     #[test]
     fn default_channel_pileup_scores_high() {
         let ds = ds_with(vec![("0000carrier-a", 1), ("0001carrier-c", 1), ("7SPOT", 2)]);
-        let cls = crate::apclass::classify(&ds);
-        let p = interference_pressure(&ds, &cls);
+        let p = interference_pressure(&AnalysisContext::new(&ds));
         assert_eq!(p[&ApClass::Public].overlap_share(), 1.0);
     }
 
@@ -170,10 +163,9 @@ mod tests {
         extra.time = SimTime::from_minutes(100);
         extra.geo = lo;
         ds.bins.push(extra);
-        let cls = crate::apclass::classify(&ds);
-        // Each call tallies into freshly seeded hash maps.
+        let ctx = AnalysisContext::new(&ds);
         for _ in 0..32 {
-            let p = interference_pressure(&ds, &cls);
+            let p = interference_pressure(&ctx);
             assert_eq!(p[&ApClass::Public].total_pairs, 3);
         }
     }
@@ -181,7 +173,6 @@ mod tests {
     #[test]
     fn empty_dataset_empty_map() {
         let ds = ds_with(vec![]);
-        let cls = crate::apclass::classify(&ds);
-        assert!(interference_pressure(&ds, &cls).is_empty());
+        assert!(interference_pressure(&AnalysisContext::new(&ds)).is_empty());
     }
 }

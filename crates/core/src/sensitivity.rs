@@ -6,9 +6,9 @@
 //! truth shows the precision/recall trade-off around that choice.
 
 use crate::apclass::HomeInferenceScore;
-use mobitrace_model::{ApRef, Dataset, DeviceId};
+use crate::AnalysisContext;
+use mobitrace_model::{ApRef, DeviceId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One point of the threshold sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -22,52 +22,63 @@ pub struct SweepPoint {
 }
 
 /// Sweep the home-rule coverage threshold. Returns one point per
-/// threshold, computed from a single pass over the dataset.
-pub fn home_rule_sweep(ds: &Dataset, thresholds: &[f64]) -> Vec<SweepPoint> {
-    // Collect per-(device, night, pair) coverage counts once.
-    let mut night_cover: HashMap<(DeviceId, u32, ApRef), u32> = HashMap::new();
-    for b in &ds.bins {
-        let Some(a) = b.wifi.assoc() else { continue };
-        let h = b.time.hour();
-        let night_day = if h >= 22 {
-            Some(b.time.day())
-        } else if h < 6 {
-            b.time.day().checked_sub(1)
-        } else {
-            None
-        };
-        if let Some(nd) = night_day {
-            *night_cover.entry((b.device, nd, a.ap)).or_default() += 1;
+/// threshold, computed from a single pass over the associated rows. At
+/// each threshold a device's home is the pair with the most qualifying
+/// nights, ties going to the smaller [`ApRef`].
+pub fn home_rule_sweep(ctx: &AnalysisContext<'_>, thresholds: &[f64]) -> Vec<SweepPoint> {
+    let (c, ds) = (&*ctx.cols, ctx.ds);
+    // Per-(pair, night) coverage counts, sorted by pair then night within
+    // each device; `device_end` closes each device's slice.
+    let mut cover: Vec<(ApRef, u32, u32)> = Vec::new();
+    let mut device_end: Vec<(DeviceId, usize)> = Vec::new();
+    let mut night_rows: Vec<(ApRef, u32)> = Vec::new();
+    for dev in ctx.index.devices_with_bins() {
+        night_rows.clear();
+        for &i in ctx.associated_rows(ctx.index.device_range(dev)) {
+            let t = c.time[i as usize];
+            let h = t.hour();
+            let night_day = if h >= 22 {
+                Some(t.day())
+            } else if h < 6 {
+                t.day().checked_sub(1)
+            } else {
+                None
+            };
+            if let Some(nd) = night_day {
+                night_rows.push((c.assoc_ap[i as usize], nd));
+            }
         }
+        night_rows.sort_unstable();
+        for run in night_rows.chunk_by(|a, b| a == b) {
+            cover.push((run[0].0, run[0].1, run.len() as u32));
+        }
+        device_end.push((dev, cover.len()));
     }
 
     thresholds
         .iter()
         .map(|&threshold| {
-            // Qualifying nights per (device, pair) at this threshold.
             let need = threshold * 48.0;
-            let mut nights: HashMap<(DeviceId, ApRef), u32> = HashMap::new();
-            for (&(dev, _night, ap), &cover) in &night_cover {
-                if f64::from(cover) >= need {
-                    *nights.entry((dev, ap)).or_default() += 1;
+            let mut home_of: Vec<Option<ApRef>> = vec![None; ds.devices.len()];
+            let mut start = 0;
+            for &(dev, end) in &device_end {
+                let mut best: Option<(ApRef, usize)> = None;
+                for pair in cover[start..end].chunk_by(|a, b| a.0 == b.0) {
+                    let nights = pair.iter().filter(|p| f64::from(p.2) >= need).count();
+                    // Pairs ascend: a strict `>` keeps the smaller on a tie.
+                    if nights > 0 && best.is_none_or(|(_, most)| nights > most) {
+                        best = Some((pair[0].0, nights));
+                    }
                 }
-            }
-            let mut home_of: HashMap<DeviceId, ApRef> = HashMap::new();
-            for (&(dev, ap), &n) in &nights {
-                let better = match home_of.get(&dev) {
-                    Some(&cur) => n > nights[&(dev, cur)],
-                    None => true,
-                };
-                if better {
-                    home_of.insert(dev, ap);
-                }
+                home_of[dev.index()] = best.map(|(ap, _)| ap);
+                start = end;
             }
             // Score vs truth.
             let mut score = HomeInferenceScore::default();
             for dev in &ds.devices {
                 let Some(truth) = &dev.truth else { continue };
-                match (home_of.get(&dev.device), truth.home_bssids.is_empty()) {
-                    (Some(&ap), false) => {
+                match (home_of[dev.device.index()], truth.home_bssids.is_empty()) {
+                    (Some(ap), false) => {
                         if truth.is_home_bssid(ds.ap(ap).bssid) {
                             score.true_positive += 1;
                         } else {
@@ -79,9 +90,10 @@ pub fn home_rule_sweep(ds: &Dataset, thresholds: &[f64]) -> Vec<SweepPoint> {
                     (None, true) => {}
                 }
             }
+            let inferred = home_of.iter().flatten().count();
             SweepPoint {
                 threshold,
-                inferred_share: home_of.len() as f64 / ds.devices.len().max(1) as f64,
+                inferred_share: inferred as f64 / ds.devices.len().max(1) as f64,
                 score,
             }
         })
@@ -160,7 +172,7 @@ mod tests {
     fn lower_threshold_recalls_more() {
         // 50% coverage: inferred at 0.4, missed at 0.7.
         let ds = dataset_with_coverage(24);
-        let sweep = home_rule_sweep(&ds, &[0.4, 0.7]);
+        let sweep = home_rule_sweep(&AnalysisContext::new(&ds), &[0.4, 0.7]);
         assert_eq!(sweep[0].score.true_positive, 1);
         assert_eq!(sweep[1].score.true_positive, 0);
         assert_eq!(sweep[1].score.false_negative, 1);
@@ -168,9 +180,41 @@ mod tests {
     }
 
     #[test]
+    fn evening_bins_count_toward_the_night() {
+        // 22:00–24:00 only: exactly the 12 bins a 25% threshold needs.
+        let ds = dataset_with_coverage(12);
+        let sweep = home_rule_sweep(&AnalysisContext::new(&ds), &[0.25]);
+        assert_eq!(sweep[0].score.true_positive, 1);
+    }
+
+    #[test]
+    fn tied_pairs_go_to_the_smaller_ap_on_every_call() {
+        // One full night on pair 1, then one on pair 0 (the true home): a
+        // tie at one qualifying night each.
+        let mut ds = dataset_with_coverage(0);
+        ds.aps.push(ApEntry { bssid: Bssid::from_u64(2), essid: Essid::new("aterm-y") });
+        for (night, ap) in [(0, 1), (1, 0)] {
+            let night_bins = (132..144).map(|b| (night, b)).chain((0..36).map(|b| (night + 1, b)));
+            for (day, b) in night_bins {
+                let mut bin = mk(day, b);
+                if let WifiBinState::Associated(a) = &mut bin.wifi {
+                    a.ap = ApRef(ap);
+                }
+                ds.bins.push(bin);
+            }
+        }
+        let ctx = AnalysisContext::new(&ds);
+        for _ in 0..32 {
+            let sweep = home_rule_sweep(&ctx, &[0.7]);
+            assert_eq!(sweep[0].score.true_positive, 1);
+            assert_eq!(sweep[0].score.false_positive, 0);
+        }
+    }
+
+    #[test]
     fn recall_monotone_in_threshold() {
         let ds = dataset_with_coverage(40);
-        let sweep = home_rule_sweep(&ds, &default_thresholds());
+        let sweep = home_rule_sweep(&AnalysisContext::new(&ds), &default_thresholds());
         for w in sweep.windows(2) {
             assert!(w[0].score.recall() >= w[1].score.recall() - 1e-12);
         }

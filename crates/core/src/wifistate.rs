@@ -7,7 +7,8 @@
 //! curve exists.
 
 use crate::timeseries::WEEK_HOURS;
-use mobitrace_model::{Dataset, Os, WifiBinState};
+use crate::AnalysisContext;
+use mobitrace_model::{Os, WifiTag};
 use serde::{Deserialize, Serialize};
 
 /// Fig. 9 ratio curves for one OS population.
@@ -24,24 +25,22 @@ pub struct WifiStateSeries {
     pub means: (f64, f64, f64),
 }
 
-/// Compute the Fig. 9 curves for one OS.
-pub fn wifi_state_series(ds: &Dataset, os: Os) -> WifiStateSeries {
-    let mut user = vec![0u64; WEEK_HOURS];
-    let mut off = vec![0u64; WEEK_HOURS];
-    let mut avail = vec![0u64; WEEK_HOURS];
-    let mut total = vec![0u64; WEEK_HOURS];
-    for b in &ds.bins {
-        if ds.device(b.device).os != os {
-            continue;
-        }
-        let slot = ((b.time.day() % 7) * 24 + b.time.hour()) as usize;
-        total[slot] += 1;
-        match &b.wifi {
-            WifiBinState::Associated(_) => user[slot] += 1,
-            WifiBinState::Off => off[slot] += 1,
-            WifiBinState::OnUnassociated => avail[slot] += 1,
+/// Compute the Fig. 9 curves for one OS: the OS is resolved once per
+/// device, then each of its day spans is tallied by weekly slot and state.
+pub fn wifi_state_series(ctx: &AnalysisContext<'_>, os: Os) -> WifiStateSeries {
+    let (c, index) = (&*ctx.cols, &*ctx.index);
+    let mut by_tag = [[0u64; WEEK_HOURS]; 3];
+    for dev in index.devices_with_bins().filter(|&d| ctx.ds.device(d).os == os) {
+        for (day, rows) in index.day_spans(dev) {
+            let week_day = (day % 7) * 24;
+            for i in rows {
+                by_tag[c.wifi_tag[i] as usize][(week_day + c.time[i].hour()) as usize] += 1;
+            }
         }
     }
+    let [off, avail, user] =
+        [WifiTag::Off, WifiTag::OnUnassociated, WifiTag::Associated].map(|t| by_tag[t as usize]);
+    let total: Vec<u64> = (0..WEEK_HOURS).map(|s| off[s] + avail[s] + user[s]).collect();
     let ratio = |num: &[u64]| -> Vec<f64> {
         num.iter()
             .zip(&total)
@@ -157,7 +156,7 @@ mod tests {
             ],
             vec![Os::Android; 4],
         );
-        let s = wifi_state_series(&ds, Os::Android);
+        let s = wifi_state_series(&AnalysisContext::new(&ds), Os::Android);
         let slot = (2 * 24 + 12) as usize;
         assert!((s.user[slot] - 0.5).abs() < 1e-12);
         assert!((s.off[slot] - 0.25).abs() < 1e-12);
@@ -172,10 +171,11 @@ mod tests {
             vec![bin(0, 12, assoc()), bin(1, 12, WifiBinState::Off)],
             vec![Os::Android, Os::Ios],
         );
-        let android = wifi_state_series(&ds, Os::Android);
+        let ctx = AnalysisContext::new(&ds);
+        let android = wifi_state_series(&ctx, Os::Android);
         let slot = (2 * 24 + 12) as usize;
         assert_eq!(android.user[slot], 1.0);
-        let ios = wifi_state_series(&ds, Os::Ios);
+        let ios = wifi_state_series(&ctx, Os::Ios);
         assert_eq!(ios.off[slot], 1.0);
     }
 

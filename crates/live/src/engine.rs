@@ -396,39 +396,32 @@ impl LiveEngine {
         );
         lane.folded_seqs.push(r.seq);
         stats.folded += 1;
-        // `prev` advances over *every* folded record, filtered or not,
-        // exactly as the batch cleaner's does.
-        lane.prev = Some(r.clone());
-
+        let update_day = lane.update_day.filter(|_| opts.clean.remove_update_days);
         if opts.clean.remove_tethering && r.tethering {
             stats.tethering_removed += 1;
-            return;
+        } else if update_day.is_some_and(|day| r.time.day() == day || r.time.day() == day + 1) {
+            stats.update_days_removed += 1;
+        } else {
+            builder.append(LiveRow {
+                device: r.device,
+                time: r.time,
+                rx_3g: d3g.rx_bytes,
+                tx_3g: d3g.tx_bytes,
+                rx_lte: dlte.rx_bytes,
+                tx_lte: dlte.tx_bytes,
+                rx_wifi: dwifi.rx_bytes,
+                tx_wifi: dwifi.tx_bytes,
+                wifi: r.wifi.clone(),
+                scan: r.scan,
+                apps: dapps,
+                geo: r.geo,
+                os_version: r.os_version,
+            });
+            stats.bins_out += 1;
         }
-        if opts.clean.remove_update_days {
-            if let Some(day) = lane.update_day {
-                if r.time.day() == day || r.time.day() == day + 1 {
-                    stats.update_days_removed += 1;
-                    return;
-                }
-            }
-        }
-
-        builder.append(LiveRow {
-            device: r.device,
-            time: r.time,
-            rx_3g: d3g.rx_bytes,
-            tx_3g: d3g.tx_bytes,
-            rx_lte: dlte.rx_bytes,
-            tx_lte: dlte.tx_bytes,
-            rx_wifi: dwifi.rx_bytes,
-            tx_wifi: dwifi.tx_bytes,
-            wifi: r.wifi,
-            scan: r.scan,
-            apps: dapps,
-            geo: r.geo,
-            os_version: r.os_version,
-        });
-        stats.bins_out += 1;
+        // `prev` advances over *every* folded record, filtered or not,
+        // exactly as the batch cleaner's does.
+        lane.prev = Some(r);
     }
 
     fn compact(&mut self) {

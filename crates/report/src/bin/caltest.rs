@@ -13,7 +13,7 @@ fn main() {
         let types = core_::usertype::user_type_shares(&ctx.days);
         let ov = core_::overview::overview(&ds, &ctx.cols);
         let venues = core_::timeseries::venue_series(&ds, &ctx.cols, &ctx.aps);
-        let f9a = core_::wifistate::wifi_state_series(&ds, mobitrace_model::Os::Android);
+        let f9a = core_::wifistate::wifi_state_series(&ctx, mobitrace_model::Os::Android);
         let off_bh = core_::wifistate::business_hours_mean(&f9a.off);
         let score = core_::apclass::score_home_inference(&ds, &ctx.aps);
         let counts = &ctx.aps.counts;

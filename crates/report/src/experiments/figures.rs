@@ -252,11 +252,11 @@ pub(super) fn fig8(ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
     }
 }
 
-pub(super) fn fig9(set: &CampaignSet) -> ExperimentReport {
-    let a13 = mobitrace_core::wifistate::wifi_state_series(set.year(Year::Y2013), Os::Android);
-    let a15 = mobitrace_core::wifistate::wifi_state_series(set.year(Year::Y2015), Os::Android);
-    let i13 = mobitrace_core::wifistate::wifi_state_series(set.year(Year::Y2013), Os::Ios);
-    let i15 = mobitrace_core::wifistate::wifi_state_series(set.year(Year::Y2015), Os::Ios);
+pub(super) fn fig9(ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
+    let a13 = mobitrace_core::wifistate::wifi_state_series(&ctxs[0], Os::Android);
+    let a15 = mobitrace_core::wifistate::wifi_state_series(&ctxs[2], Os::Android);
+    let i13 = mobitrace_core::wifistate::wifi_state_series(&ctxs[0], Os::Ios);
+    let i15 = mobitrace_core::wifistate::wifi_state_series(&ctxs[2], Os::Ios);
     let bh = mobitrace_core::wifistate::business_hours_mean;
     let rendering = format!(
         "Android 2013: user {} off {} avail {}\nAndroid 2015: user {} off {} avail {}\niOS WiFi-user 2013 {} / 2015 {}\n",
@@ -287,16 +287,13 @@ pub(super) fn fig9(set: &CampaignSet) -> ExperimentReport {
     }
 }
 
-pub(super) fn fig10(set: &CampaignSet, ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
+pub(super) fn fig10(ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
     let mut rendering = String::new();
     let mut metrics = Vec::new();
-    // Paper cell counts are at full population; compare per-user-scaled.
-    let users13 = set.year(Year::Y2013).devices.len() as f64;
-    let users15 = set.year(Year::Y2015).devices.len() as f64;
-    for (label, year, ctx, users) in
-        [("2013", Year::Y2013, &ctxs[0], users13), ("2015", Year::Y2015, &ctxs[2], users15)]
-    {
-        let (home, public) = mobitrace_core::apmap::density_maps(set.year(year), &ctx.aps);
+    for (label, ctx) in [("2013", &ctxs[0]), ("2015", &ctxs[2])] {
+        // Paper cell counts are at full population; compare per-user-scaled.
+        let users = ctx.ds.devices.len() as f64;
+        let (home, public) = mobitrace_core::apmap::density_maps(ctx);
         rendering.push_str(&format!(
             "{label}: home map: {} cells (max {} APs); public map: {} cells (max {} APs)\n",
             home.cells.len(),
@@ -426,11 +423,11 @@ pub(super) fn fig12(ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
     }
 }
 
-pub(super) fn fig13(set: &CampaignSet, ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
+pub(super) fn fig13(ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
     let mut rendering = String::new();
     let mut metrics = Vec::new();
-    for (y, year) in Year::ALL.iter().enumerate() {
-        let d = mobitrace_core::assoc::association_durations(set.year(*year), &ctxs[y].aps);
+    for (y, ctx) in ctxs.iter().enumerate() {
+        let d = mobitrace_core::assoc::association_durations(ctx);
         rendering.push_str(&format!(
             "{}: spells home {} public {} office {}\n",
             YEAR_LABELS[y],
@@ -471,12 +468,12 @@ pub(super) fn fig13(set: &CampaignSet, ctxs: &[AnalysisContext<'_>; 3]) -> Exper
     }
 }
 
-pub(super) fn fig14(set: &CampaignSet, ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
+pub(super) fn fig14(ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
     let mut t = Table::new(vec!["year", "home", "office", "public"]);
     let mut metrics = Vec::new();
     let paper_public = [0.18, 0.38, 0.55];
-    for (y, year) in Year::ALL.iter().enumerate() {
-        let s = mobitrace_core::bands::five_ghz_shares(set.year(*year), &ctxs[y].aps);
+    for (y, ctx) in ctxs.iter().enumerate() {
+        let s = mobitrace_core::bands::five_ghz_shares(ctx);
         t.row(vec![
             YEAR_LABELS[y].to_string(),
             format!("{:.2}", s.home),
@@ -709,10 +706,9 @@ pub(super) fn implications_report(
     }
 }
 
-pub(super) fn home_rule_sweep_report(set: &CampaignSet) -> ExperimentReport {
-    let ds = set.year(Year::Y2015);
+pub(super) fn home_rule_sweep_report(ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
     let sweep = mobitrace_core::sensitivity::home_rule_sweep(
-        ds,
+        &ctxs[2],
         &mobitrace_core::sensitivity::default_thresholds(),
     );
     let mut t = Table::new(vec!["threshold", "inferred share", "precision", "recall"]);
@@ -737,11 +733,11 @@ pub(super) fn home_rule_sweep_report(set: &CampaignSet) -> ExperimentReport {
     }
 }
 
-pub(super) fn carrier_ios(set: &CampaignSet) -> ExperimentReport {
+pub(super) fn carrier_ios(ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
     let mut t = Table::new(vec!["year", "carrier A", "carrier B", "carrier C", "spread"]);
     let mut metrics = Vec::new();
-    for (y, year) in Year::ALL.iter().enumerate() {
-        let cmp = mobitrace_core::carriers::carrier_wifi_user_ratios(set.year(*year), Os::Ios);
+    for (y, ctx) in ctxs.iter().enumerate() {
+        let cmp = mobitrace_core::carriers::carrier_wifi_user_ratios(ctx, Os::Ios);
         t.row(vec![
             YEAR_LABELS[y].to_string(),
             format!("{:.3}", cmp.ratios[0]),
@@ -763,15 +759,12 @@ pub(super) fn carrier_ios(set: &CampaignSet) -> ExperimentReport {
     }
 }
 
-pub(super) fn interference_report(
-    set: &CampaignSet,
-    ctxs: &[AnalysisContext<'_>; 3],
-) -> ExperimentReport {
+pub(super) fn interference_report(ctxs: &[AnalysisContext<'_>; 3]) -> ExperimentReport {
     use mobitrace_core::apclass::ApClass as C;
     let mut t = Table::new(vec!["year", "home overlap share", "public overlap share"]);
     let mut series = Vec::new();
-    for (y, year) in Year::ALL.iter().enumerate() {
-        let p = mobitrace_core::interference::interference_pressure(set.year(*year), &ctxs[y].aps);
+    for (y, ctx) in ctxs.iter().enumerate() {
+        let p = mobitrace_core::interference::interference_pressure(ctx);
         let home = p.get(&C::Home).map(|v| v.overlap_share()).unwrap_or(0.0);
         let public = p.get(&C::Public).map(|v| v.overlap_share()).unwrap_or(0.0);
         t.row(vec![YEAR_LABELS[y].to_string(), format!("{home:.3}"), format!("{public:.3}")]);

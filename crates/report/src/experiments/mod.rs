@@ -143,12 +143,12 @@ pub fn run_experiment(
         "fig6" => figures::fig6(ctxs),
         "fig7" => figures::fig7(ctxs),
         "fig8" => figures::fig8(ctxs),
-        "fig9" => figures::fig9(set),
-        "fig10" => figures::fig10(set, ctxs),
+        "fig9" => figures::fig9(ctxs),
+        "fig10" => figures::fig10(ctxs),
         "fig11" => figures::fig11(set, ctxs),
         "fig12" => figures::fig12(ctxs),
-        "fig13" => figures::fig13(set, ctxs),
-        "fig14" => figures::fig14(set, ctxs),
+        "fig13" => figures::fig13(ctxs),
+        "fig14" => figures::fig14(ctxs),
         "fig15" => figures::fig15(ctxs),
         "fig16" => figures::fig16(ctxs),
         "fig17" => figures::fig17(set, ctxs),
@@ -157,9 +157,9 @@ pub fn run_experiment(
         "offload_potential" => figures::offload_potential(set, ctxs),
         "implications" => figures::implications_report(set, ctxs),
         "home_inference" => tables::home_inference(set, ctxs),
-        "home_rule_sweep" => figures::home_rule_sweep_report(set),
-        "carrier_ios" => figures::carrier_ios(set),
-        "interference" => figures::interference_report(set, ctxs),
+        "home_rule_sweep" => figures::home_rule_sweep_report(ctxs),
+        "carrier_ios" => figures::carrier_ios(ctxs),
+        "interference" => figures::interference_report(ctxs),
         "light_apps" => tables::light_apps(ctxs),
         _ => return None,
     })

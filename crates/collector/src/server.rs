@@ -686,6 +686,35 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A checkpoint written under an older pool format version is refused
+    /// with the typed version error, not decoded by this version's codec.
+    #[test]
+    fn older_version_checkpoint_is_refused() {
+        let dir = std::env::temp_dir().join(format!(
+            "mobitrace-ckpt-version-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.mtpool");
+        let server = CollectionServer::new();
+        server.ingest(&encode_frame(&record(1, 0))).unwrap();
+        server.checkpoint_to_pool(&path).unwrap();
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[8..12].copy_from_slice(&(mobitrace_pool::VERSION - 1).to_le_bytes());
+        std::fs::write(&path, &raw).unwrap();
+        match CollectionServer::recover_from_pool(&path) {
+            Err(PoolError::BadVersion { found, supported }) => {
+                assert_eq!(
+                    (found, supported),
+                    (mobitrace_pool::VERSION - 1, mobitrace_pool::VERSION)
+                );
+            }
+            other => panic!("expected BadVersion, got {:?}", other.map(|_| ())),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn stores_and_sorts() {
         let server = CollectionServer::new();

@@ -16,11 +16,12 @@ pub enum PoolError {
     Io(std::io::Error),
     /// The file does not start with the `MTPOOL1\0` magic.
     BadMagic,
-    /// The file claims a format version this reader does not support.
+    /// The file claims a format version other than the one this reader
+    /// decodes (older or newer).
     BadVersion {
         /// Version found in the header.
         found: u32,
-        /// Highest version this build understands.
+        /// The version this build reads and writes.
         supported: u32,
     },
     /// The file is shorter than a structure it claims to contain.
@@ -68,7 +69,10 @@ impl std::fmt::Display for PoolError {
             PoolError::Io(e) => write!(f, "pool i/o error: {e}"),
             PoolError::BadMagic => write!(f, "not a .mtpool file (bad magic)"),
             PoolError::BadVersion { found, supported } => {
-                write!(f, "pool format version {found} not supported (max {supported})")
+                write!(
+                    f,
+                    "pool format version {found} not supported (this build reads {supported})"
+                )
             }
             PoolError::Truncated { what, need, have } => {
                 write!(f, "pool truncated reading {what}: need {need} bytes, have {have}")

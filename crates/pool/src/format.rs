@@ -25,8 +25,10 @@ use crate::le::{Cursor, Enc};
 
 /// File magic: `MTPOOL1\0`.
 pub const MAGIC: [u8; 8] = *b"MTPOOL1\0";
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// Current format version. Version 1 stored the dataset columns
+/// fixed-width; version 2 stores them varint/delta-encoded (see
+/// [`crate::dscodec`]). A reader accepts exactly its own version.
+pub const VERSION: u32 = 2;
 /// Fixed header size; segment data starts here.
 pub const HEADER_LEN: u64 = 128;
 /// Segment start alignment (cheap page-fault-friendly layout; decoding
@@ -39,29 +41,45 @@ pub const SLOT_LEN: usize = 40;
 /// Offsets of the two slots within the header.
 pub const SLOT_OFFSETS: [u64; 2] = [16, 56];
 
-/// Segment kinds. A dataset stream is the fixed set `META..=INDEX`;
-/// `RAW` carries opaque payloads (the collector's checkpoint frames).
+/// Segment kinds. A dataset stream is the fixed set `META..=INDEX`
+/// (kind 8, version 1's selection vectors, is no longer written: the
+/// decoder rebuilds them from the WiFi tags); `RAW` carries opaque
+/// payloads (the collector's checkpoint frames).
 pub mod kind {
     /// JSON-encoded campaign metadata + device table (cold data).
     pub const META: u16 = 1;
     /// AP table: BSSIDs + ESSID dictionary.
     pub const APS: u16 = 2;
-    /// The six per-bin traffic counter columns (u64 each).
+    /// The six per-bin traffic counter columns (LEB128 each).
     pub const COUNTERS: u16 = 3;
-    /// Row identity columns: device, time, geo cell, OS version.
+    /// Row columns: per-device delta time, delta geo, OS version runs.
     pub const ROWMETA: u16 = 4;
-    /// WiFi state tag + association columns.
+    /// WiFi state tags + delta-encoded columns of the associated rows.
     pub const WIFI: u16 = 5;
-    /// The eight scan-summary u16 columns.
+    /// The eight scan-summary columns (zig-zag delta varints).
     pub const SCAN: u16 = 6;
-    /// CSR app bins: offsets + (category, rx, tx) columns.
+    /// App bins: a count per row + (category, rx, tx) columns.
     pub const APPS: u16 = 7;
-    /// The two selection vectors (associated / available row indexes).
-    pub const SEL: u16 = 8;
     /// Persisted `DatasetIndex` columns.
     pub const INDEX: u16 = 9;
     /// Opaque byte payload (collector checkpoint frames etc.).
     pub const RAW: u16 = 10;
+
+    /// Short lowercase name of a kind, for size reports.
+    pub fn name(kind: u16) -> &'static str {
+        match kind {
+            META => "meta",
+            APS => "aps",
+            COUNTERS => "counters",
+            ROWMETA => "rowmeta",
+            WIFI => "wifi",
+            SCAN => "scan",
+            APPS => "apps",
+            INDEX => "index",
+            RAW => "raw",
+            _ => "unknown",
+        }
+    }
 }
 
 /// The checksum used for slots, directories, and segments: FNV-1a run

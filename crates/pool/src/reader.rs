@@ -40,7 +40,9 @@ pub fn parse_pool(bytes: &[u8]) -> Result<ParsedPool, PoolError> {
         return Err(PoolError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version > VERSION {
+    // Each version has its own segment encodings, so a reader decodes
+    // exactly its own: an older pool is refused, never misread.
+    if version != VERSION {
         return Err(PoolError::BadVersion { found: version, supported: VERSION });
     }
     let mut best: Option<DirSlot> = None;

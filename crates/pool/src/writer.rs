@@ -16,7 +16,7 @@
 //! concurrent readers. [`create`](PoolWriter::create) truncates in place
 //! and is only safe for paths no reader has open.
 
-use crate::dscodec;
+use crate::dscodec::{self, EncodedDataset};
 use crate::err::PoolError;
 use crate::format::{
     self, align_up, encode_directory, encode_slot, DirSlot, SegDesc, HEADER_LEN, MAGIC,
@@ -224,16 +224,22 @@ impl PoolWriter {
         rows: u64,
         payload: &[u8],
     ) -> Result<(), PoolError> {
+        self.append_hashed(kind, stream, rows, payload, format::pool_hash(payload))
+    }
+
+    /// Append one segment whose [`pool_hash`](format::pool_hash) the
+    /// caller already computed.
+    fn append_hashed(
+        &mut self,
+        kind: u16,
+        stream: u16,
+        rows: u64,
+        payload: &[u8],
+        hash: u64,
+    ) -> Result<(), PoolError> {
         let offset = align_up(self.end);
         self.write_at(offset, payload)?;
-        self.segs.push(SegDesc {
-            kind,
-            stream,
-            offset,
-            len: payload.len() as u64,
-            rows,
-            hash: format::pool_hash(payload),
-        });
+        self.segs.push(SegDesc { kind, stream, offset, len: payload.len() as u64, rows, hash });
         self.end = offset + payload.len() as u64;
         Ok(())
     }
@@ -249,12 +255,24 @@ impl PoolWriter {
         index: &DatasetIndex,
         cols: &DatasetColumns,
     ) -> Result<(), PoolError> {
+        self.append_encoded(dscodec::encode_dataset(stream, ds, index, cols)?)
+    }
+
+    /// Append a dataset stream encoded beforehand by
+    /// [`encode_dataset`](dscodec::encode_dataset) — possibly on another
+    /// thread — so this writer only writes its bytes. The stream must not
+    /// already exist in the pool.
+    pub fn append_encoded(&mut self, enc: EncodedDataset) -> Result<(), PoolError> {
+        let stream = enc.stream;
         if self.segs.iter().any(|s| s.stream == stream && s.kind != format::kind::RAW) {
             return Err(PoolError::Corrupt {
                 what: format!("dataset stream {stream} already present in pool"),
             });
         }
-        dscodec::encode_dataset(self, stream, ds, index, cols)
+        for seg in &enc.segs {
+            self.append_hashed(seg.kind, stream, seg.rows, &seg.bytes, seg.hash)?;
+        }
+        Ok(())
     }
 
     /// Publish everything appended so far: write the directory, sync,

@@ -6,29 +6,51 @@
 //! reinterpreting pointer casts.
 
 use mobitrace_model::{
-    ApEntry, AppBin, AppCategory, BinRecord, Bssid, CampaignMeta, Carrier, CellId, Dataset,
-    DatasetColumns, DatasetIndex, DeviceId, DeviceInfo, Essid, Os, OsVersion, ScanSummary, SimTime,
-    WifiBinState, Year,
+    ApEntry, ApRef, AppBin, AppCategory, Band, BinRecord, Bssid, CampaignMeta, Carrier, CellId,
+    Channel, Dataset, DatasetColumns, DatasetIndex, Dbm, DeviceId, DeviceInfo, Essid, Os,
+    OsVersion, ScanSummary, SimTime, WifiAssoc, WifiBinState, Year,
 };
-use mobitrace_pool::le::Cursor;
+use mobitrace_pool::le::{unzigzag16, zigzag16, Cursor, Enc};
 use mobitrace_pool::{PoolReader, PoolWriter};
 
+/// A small dataset that exercises every encoded column: associated rows
+/// (AP and RSSI deltas of both signs), scan counts, several apps per row,
+/// negative geo cells, an OS version change, and wide counters.
 fn tiny_dataset() -> Dataset {
-    let mut bins: Vec<BinRecord> = (0..5u32)
+    let mut bins: Vec<BinRecord> = (0..9u32)
         .map(|i| BinRecord {
             device: DeviceId(i % 2),
             time: SimTime::from_day_minute(i / 2, 17 * i),
             rx_3g: 0x0102_0304_0506_0708 + u64::from(i),
             tx_3g: 1,
-            rx_lte: 2,
+            rx_lte: u64::MAX - u64::from(i),
             tx_lte: 3,
             rx_wifi: 4,
             tx_wifi: 5,
-            wifi: WifiBinState::OnUnassociated,
-            scan: ScanSummary::default(),
-            apps: vec![AppBin { category: AppCategory::ALL[3], rx_bytes: 6, tx_bytes: 7 }],
-            geo: CellId::new(-1, 2),
-            os_version: OsVersion::new(8, 1),
+            wifi: match i % 3 {
+                0 => WifiBinState::Off,
+                1 => WifiBinState::OnUnassociated,
+                _ => WifiBinState::Associated(WifiAssoc {
+                    ap: ApRef(i % 4 / 2 * 2),
+                    band: if i % 2 == 0 { Band::Ghz5 } else { Band::Ghz24 },
+                    channel: Channel(if i % 2 == 0 { 36 } else { 6 }),
+                    rssi: Dbm::new(-40 - i as i16 * 7),
+                }),
+            },
+            scan: ScanSummary {
+                n24_all: 300 - i as u16 * 30,
+                n5_strong: i as u16,
+                ..Default::default()
+            },
+            apps: (0..i % 3)
+                .map(|k| AppBin {
+                    category: AppCategory::ALL[k as usize + 2],
+                    rx_bytes: 6 << (8 * k),
+                    tx_bytes: 7,
+                })
+                .collect(),
+            geo: CellId::new(-1 - i as i16, 2 * i as i16),
+            os_version: OsVersion::new(8, if i < 6 { 1 } else { 2 }),
         })
         .collect();
     bins.sort_by_key(|b| (b.device, b.time));
@@ -49,21 +71,26 @@ fn tiny_dataset() -> Dataset {
                 truth: None,
             })
             .collect(),
-        aps: vec![ApEntry { bssid: Bssid::from_u64(7), essid: Essid::new("x") }],
+        aps: (0..3)
+            .map(|i| ApEntry { bssid: Bssid::from_u64(7 + i), essid: Essid::new("x") })
+            .collect(),
         bins,
     }
 }
 
 /// Cursor decodes identically from buffers at every misalignment 1..8
-/// relative to an 8-aligned allocation.
+/// relative to an 8-aligned allocation: fixed-width scalars, `u32`
+/// columns, and the LEB128 / zig-zag varints the dataset columns use.
 #[test]
 fn cursor_decodes_at_any_offset() {
-    let mut payload = Vec::new();
-    for v in [0u64, 1, u64::MAX, 0x0807_0605_0403_0201] {
-        payload.extend_from_slice(&v.to_le_bytes());
-    }
-    payload.extend_from_slice(&0xBEEFu16.to_le_bytes());
-    payload.extend_from_slice(&(-1234i16).to_le_bytes());
+    let varints = [0u64, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX];
+    let mut e = Enc::new();
+    e.u64(0x0807_0605_0403_0201);
+    e.u16(0xBEEF);
+    e.u32s(&[7, u32::MAX]);
+    e.varints(&varints);
+    e.varint(u64::from(zigzag16(-1234)));
+    let payload = e.into_bytes();
 
     for shift in 0..8usize {
         // Vec<u64> backing guarantees 8-byte alignment of the start;
@@ -72,9 +99,11 @@ fn cursor_decodes_at_any_offset() {
         let mut buf: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         buf[shift..shift + payload.len()].copy_from_slice(&payload);
         let mut c = Cursor::new(&buf[shift..shift + payload.len()], "unaligned");
-        assert_eq!(c.u64s(4).unwrap(), vec![0, 1, u64::MAX, 0x0807_0605_0403_0201]);
+        assert_eq!(c.u64().unwrap(), 0x0807_0605_0403_0201);
         assert_eq!(c.u16().unwrap(), 0xBEEF);
-        assert_eq!(c.i16s(1).unwrap(), vec![-1234]);
+        assert_eq!(c.u32s(2).unwrap(), vec![7, u32::MAX]);
+        assert_eq!(c.varints(varints.len()).unwrap(), varints);
+        assert_eq!(unzigzag16(c.varint_max(u64::from(u16::MAX)).unwrap() as u16), -1234);
         c.finish().unwrap();
     }
 }

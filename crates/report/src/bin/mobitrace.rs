@@ -565,6 +565,13 @@ fn run_pool(args: &Args) {
             }
             let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             println!("wrote {path} ({bytes} bytes)");
+            match PoolReader::open(std::path::Path::new(&path)) {
+                Ok(r) => print_pool_sizes(&r, bytes),
+                Err(e) => {
+                    eprintln!("error: cannot reopen pool {path}: {e}");
+                    std::process::exit(1);
+                }
+            }
         }
         "analyze" => {
             let path = args.data.clone().unwrap_or_else(|| "campaigns.mtpool".into());
@@ -613,6 +620,8 @@ fn run_pool(args: &Args) {
                         rep.bytes,
                         if rep.mapped { "mmap" } else { "heap" }
                     );
+                    let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+                    print_pool_sizes(&reader, file_bytes);
                 }
                 Err(e) => {
                     eprintln!("error: pool {path} failed verification: {e}");
@@ -627,6 +636,24 @@ fn run_pool(args: &Args) {
             );
             std::process::exit(2);
         }
+    }
+}
+
+/// Print a pool's size per bin — the whole file and each segment kind's
+/// payload — where bins are the rows of every dataset stream. The first
+/// line ends in `= <x> B/bin`, which the CI size gate reads.
+fn print_pool_sizes(reader: &mobitrace_pool::PoolReader, file_bytes: u64) {
+    use mobitrace_pool::kind;
+    let segs = reader.segments();
+    let bins: u64 = segs.iter().filter(|s| s.kind == kind::COUNTERS).map(|s| s.rows).sum();
+    let per_bin = |b: u64| b as f64 / bins.max(1) as f64;
+    println!("size: {file_bytes} bytes over {bins} bins = {:.2} B/bin", per_bin(file_bytes));
+    let mut by_kind: std::collections::BTreeMap<u16, u64> = Default::default();
+    for s in segs {
+        *by_kind.entry(s.kind).or_default() += s.len;
+    }
+    for (k, b) in by_kind {
+        println!("  {:<9} {b:>11} bytes  {:>6.2} B/bin", kind::name(k), per_bin(b));
     }
 }
 

@@ -3,7 +3,7 @@
 use mobitrace_collector::{strip_update_days, CleanOptions};
 use mobitrace_core::AnalysisContext;
 use mobitrace_model::{Dataset, DatasetColumns, DatasetIndex, Year};
-use mobitrace_pool::{PoolError, PoolReader, PoolWriter};
+use mobitrace_pool::{encode_dataset, PoolError, PoolReader, PoolWriter};
 use mobitrace_sim::{campaign::run_campaign_opts, CampaignConfig};
 use std::path::Path;
 
@@ -79,31 +79,28 @@ impl CampaignSet {
     /// is mmap-analyzing neither corrupts their view nor loses the old
     /// pool if this process dies mid-export.
     pub fn save_pool(&self, path: &Path) -> Result<(), PoolError> {
-        // The four index + column builds are independent, so they run
-        // concurrently (as `load_pool`'s decodes do); the appends then
-        // go in stream order, keeping the file bytes unchanged.
-        let mut w = PoolWriter::replace(path)?;
-        let parts = |ds: &Dataset| (DatasetIndex::build(ds), DatasetColumns::build(ds));
+        // Each stream's index + column build and its encode run on its
+        // own thread (as `load_pool`'s decodes do); the writer only
+        // appends the finished segments, in stream order, so the file
+        // bytes are the same whichever thread finishes first.
+        let encode = |stream: u16, ds: &Dataset| {
+            encode_dataset(stream, ds, &DatasetIndex::build(ds), &DatasetColumns::build(ds))
+        };
         let [y0, y1, y2] = &self.years;
-        let built = std::thread::scope(|scope| {
-            let h0 = scope.spawn(|| parts(y0));
-            let h1 = scope.spawn(|| parts(y1));
-            let h3 = scope.spawn(|| parts(&self.update_2015));
-            let p2 = parts(y2);
-            [
-                h0.join().expect("2013 build"),
-                h1.join().expect("2014 build"),
-                p2,
-                h3.join().expect("2015-with-updates build"),
-            ]
-        });
-        let datasets = [y0, y1, y2, &self.update_2015];
-        let streams = [YEAR_STREAMS[0], YEAR_STREAMS[1], YEAR_STREAMS[2], UPDATE_STREAM];
-        for ((stream, ds), (index, cols)) in streams.into_iter().zip(datasets).zip(&built) {
-            w.append_dataset(stream, ds, index, cols)?;
-        }
-        w.finish()?;
-        Ok(())
+        std::thread::scope(|scope| {
+            let h0 = scope.spawn(|| encode(YEAR_STREAMS[0], y0));
+            let h1 = scope.spawn(|| encode(YEAR_STREAMS[1], y1));
+            let h3 = scope.spawn(|| encode(UPDATE_STREAM, &self.update_2015));
+            // The temp file's header write and sync overlap the encodes.
+            let mut w = PoolWriter::replace(path)?;
+            let e2 = encode(YEAR_STREAMS[2], y2);
+            w.append_encoded(h0.join().expect("2013 encode")?)?;
+            w.append_encoded(h1.join().expect("2014 encode")?)?;
+            w.append_encoded(e2?)?;
+            w.append_encoded(h3.join().expect("2015-with-updates encode")?)?;
+            w.finish()?;
+            Ok(())
+        })
     }
 
     /// [`save_pool`](Self::save_pool) through a filter: every stream
@@ -215,6 +212,21 @@ mod tests {
             assert_eq!(a.home_cell, b.home_cell);
             assert_eq!(a.cols, b.cols);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The streams encode on racing threads but append in stream order,
+    /// so two saves of one set write the same bytes.
+    #[test]
+    fn two_saves_are_byte_identical() {
+        let set = CampaignSet::simulate(0.012, 9);
+        let dir = unique_temp_dir("pool-twice");
+        let (a, b) = (dir.join("a.mtpool"), dir.join("b.mtpool"));
+        set.save_pool(&a).unwrap();
+        set.save_pool(&b).unwrap();
+        let (a, b) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+        assert!(a.len() > 4096);
+        assert!(a == b, "two saves of one campaign set differ");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -366,7 +366,7 @@ impl CollectionServer {
 
     /// Ingest a contiguous concatenation of frames (one upload buffer of
     /// back-to-back frames, as produced by
-    /// [`encode_batch`](crate::codec::encode_batch)) — decoded in one
+    /// [`encode_batch`]) — decoded in one
     /// streaming pass with no per-frame slicing. A bad frame loses the rest
     /// of the stream (frame lengths live inside the frames) and counts as
     /// one rejection; everything decoded before it is stored. A stream
@@ -443,17 +443,17 @@ impl CollectionServer {
 
     /// Durable checkpoint: write the live store into a pool file as one
     /// codec-framed [`RAW`](mobitrace_pool::kind::RAW) segment (devices in
-    /// id order, records in seq order), atomically published. Unlike the
-    /// set-aside store — which only survives a simulated
+    /// id order, records in seq order). Unlike the set-aside store —
+    /// which only survives a simulated
     /// [`crash`](CollectionServer::crash) — a pool checkpoint survives
     /// real process death:
     /// [`recover_from_pool`](CollectionServer::recover_from_pool)
     /// rebuilds an equivalent server from the file alone. The new
-    /// checkpoint is staged in a temp file and atomically renamed over
+    /// checkpoint is built in a temp file and atomically renamed over
     /// `path`, so a crash *during* a checkpoint — the whole checkpoint
     /// window — leaves the previous checkpoint at `path` untouched and
-    /// recoverable. Returns the published pool epoch.
-    pub fn checkpoint_to_pool(&self, path: &std::path::Path) -> Result<u64, PoolError> {
+    /// recoverable.
+    pub fn checkpoint_to_pool(&self, path: &std::path::Path) -> Result<(), PoolError> {
         self.checkpoint_to_pool_with(path, None)
     }
 
@@ -466,7 +466,7 @@ impl CollectionServer {
         &self,
         path: &std::path::Path,
         shim: Option<std::sync::Arc<dyn mobitrace_pool::PoolIoShim>>,
-    ) -> Result<u64, PoolError> {
+    ) -> Result<(), PoolError> {
         let mut w = PoolWriter::replace_with(path, shim)?;
         let mut buf = bytes::BytesMut::new();
         let n = {
@@ -481,24 +481,16 @@ impl CollectionServer {
 
     /// Rebuild a server from a pool checkpoint written by
     /// [`checkpoint_to_pool`](CollectionServer::checkpoint_to_pool).
-    /// Every RAW segment is read, so checkpoints written as one segment
-    /// per store stripe by older versions still recover.
+    /// Every RAW segment is read and the records merge into one store.
     /// Frame corruption inside a (checksummed) segment surfaces as
-    /// [`PoolError::Corrupt`]; a structurally valid pool that was never
-    /// published (no committed directory slot — the signature of a
-    /// checkpoint interrupted before publication) is rejected loudly
-    /// rather than recovered as an empty server, because every
-    /// checkpoint this module writes publishes at least epoch 1 even
-    /// when the server holds no records.
+    /// [`PoolError::Corrupt`]. A file without a valid directory pointer —
+    /// say a bare header — is a typed error from the pool reader, never
+    /// an empty server: every checkpoint this module writes points at a
+    /// directory, even when the server holds no records. A checkpoint
+    /// written by an older pool format version is refused with
+    /// [`PoolError::BadVersion`].
     pub fn recover_from_pool(path: &std::path::Path) -> Result<CollectionServer, PoolError> {
         let r = PoolReader::open(path)?;
-        if r.epoch() == 0 {
-            return Err(PoolError::Corrupt {
-                what: "checkpoint pool has no published directory \
-                       (checkpoint interrupted before publication?)"
-                    .into(),
-            });
-        }
         let server = CollectionServer::new();
         for stream in r.raw_streams() {
             let (payload, rows) = r.raw_segment(stream)?;
@@ -564,8 +556,6 @@ mod tests {
 
     /// A pool checkpoint must survive total process death: rebuild a
     /// server from the file alone and get identical records back.
-    /// Re-checkpointing the same path replaces the file wholesale (via
-    /// temp + atomic rename), so each checkpoint starts at epoch 1.
     #[test]
     fn pool_checkpoint_survives_process_death() {
         let dir = std::env::temp_dir().join(format!(
@@ -607,8 +597,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Checkpoints written with one RAW segment per store stripe, as
-    /// older versions of the server did, still recover: every segment is
+    /// A checkpoint of several RAW segments recovers: every segment is
     /// read and the records merge into one store.
     #[test]
     fn recover_reads_every_raw_segment() {
@@ -641,8 +630,8 @@ mod tests {
     }
 
     /// A crash *during* a checkpoint must leave the previous checkpoint
-    /// recoverable, and a checkpoint file that never reached publication
-    /// must be rejected loudly — never silently recovered as empty.
+    /// recoverable, and a file with no directory pointer must be
+    /// rejected loudly — never silently recovered as empty.
     #[test]
     fn interrupted_checkpoint_preserves_previous_and_is_loud() {
         let dir = std::env::temp_dir().join(format!(
@@ -674,11 +663,12 @@ mod tests {
             revived.into_records().iter().map(|r| (r.device.0, r.seq)).collect();
         assert_eq!(got, vec![(0, 0), (0, 1), (3, 0)]);
 
-        // A structurally valid pool with no publication (a checkpoint
-        // that died before its first commit under the old in-place
-        // scheme) recovers as an error, not as an empty server.
+        // A file that holds only a header, one whose checksum holds but
+        // which points at no directory, recovers as an error, not as an
+        // empty server.
         let unpublished = dir.join("unpublished.mtpool");
-        drop(mobitrace_pool::PoolWriter::create(&unpublished).unwrap());
+        let ptr = mobitrace_pool::format::DirPtr { off: 0, len: 0, hash: 0 };
+        std::fs::write(&unpublished, mobitrace_pool::format::encode_header(ptr)).unwrap();
         match CollectionServer::recover_from_pool(&unpublished) {
             Err(PoolError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),

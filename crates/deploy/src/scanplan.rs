@@ -145,7 +145,7 @@ impl ScanPlan {
     /// shadowing deviate, clamp to the chipset range, and emit every
     /// observation clearing the scan floor through `on_obs`.
     ///
-    /// Runs in [`SAMPLE_BLOCK`]-entry blocks of three phases. Phase 1
+    /// Runs in `SAMPLE_BLOCK`-entry blocks of three phases. Phase 1
     /// draws the deviates in strict entry order — one uniform for indoor
     /// (`span_db > 0`) entries, then the gaussian — so the RNG stream is
     /// bit-identical to [`sample_scalar`](Self::sample_scalar). Phase 2 is

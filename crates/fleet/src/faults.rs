@@ -365,10 +365,10 @@ mod tests {
             v => panic!("expected ENOSPC, got {v:?}"),
         }
         // Op 3, a sync: the pending fsync fault fires late (>= match).
-        assert!(matches!(inj.check(IoOp::SyncData), Verdict::Fail(_)));
+        assert!(matches!(inj.check(IoOp::SyncAll), Verdict::Fail(_)));
         // Both spent: everything proceeds now.
         assert!(matches!(inj.check(IoOp::Write { off: 16, len: 8 }), Verdict::Proceed));
-        assert!(matches!(inj.check(IoOp::SyncAll), Verdict::Proceed));
+        assert!(matches!(inj.check(IoOp::DirSync), Verdict::Proceed));
         assert_eq!(inj.stats().pool_faults_fired, 2);
     }
 }

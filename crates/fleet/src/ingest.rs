@@ -599,7 +599,7 @@ impl FleetStats {
     }
 
     /// Drain every cohort server and merge into one (device, seq)-sorted
-    /// record vector — the shape [`clean`](mobitrace_collector::clean)
+    /// record vector — the shape [`clean`](mobitrace_collector::clean())
     /// requires, and the basis of the fleet-vs-batch determinism proof.
     pub fn into_records(self) -> Vec<Record> {
         let mut all: Vec<Record> = Vec::new();

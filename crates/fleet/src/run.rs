@@ -127,8 +127,8 @@ struct ProducerOut {
 }
 
 /// Everything a fleet stress run measures. Counter semantics follow the
-/// reconciliation identity in the module docs; [`reconciles`]
-/// (FleetRunReport::reconciles) checks it exactly.
+/// reconciliation identity in the module docs;
+/// [`reconciles`](FleetRunReport::reconciles) checks it exactly.
 #[derive(Debug, Clone)]
 pub struct FleetRunReport {
     /// Devices simulated.
@@ -193,8 +193,8 @@ pub struct FleetRunReport {
 }
 
 impl FleetRunReport {
-    /// Sum of every accounted outcome; equals [`records_made`]
-    /// (FleetRunReport::records_made) when nothing leaked.
+    /// Sum of every accounted outcome; equals
+    /// [`records_made`](FleetRunReport::records_made) when nothing leaked.
     pub fn accounted(&self) -> u64 {
         self.committed
             + self.duplicates
@@ -227,7 +227,8 @@ pub fn run_fleet(cfg: &FleetRunConfig) -> FleetRunReport {
 }
 
 /// [`run_fleet`], with resume-source problems (missing/corrupt
-/// checkpoint pools) surfaced as a [`PoolError`] instead of a panic.
+/// checkpoint pools) surfaced as a [`PoolError`](mobitrace_pool::PoolError)
+/// instead of a panic.
 pub fn try_run_fleet(cfg: &FleetRunConfig) -> Result<FleetRunReport, mobitrace_pool::PoolError> {
     assert!(cfg.devices >= 1);
     let pool = ObservationPool::build(cfg.year, cfg.templates, cfg.template_days, cfg.seed);

@@ -3,11 +3,11 @@
 //! [`LiveEngine`] consumes [`TapBatch`]es from a
 //! [`CollectionServer`](mobitrace_collector::CollectionServer) ingest tap
 //! and maintains, online, exactly what the batch pipeline
-//! ([`mobitrace_collector::clean`]) would produce over the same records:
+//! ([`mobitrace_collector::clean()`]) would produce over the same records:
 //! counter-delta reconstruction (reboot-safe), tethering removal, the
 //! retroactive iOS-update-day exclusion, and the canonical AP table — plus
 //! the bin-range index and columnar transpose, via
-//! [`LiveTableBuilder`](mobitrace_model::LiveTableBuilder).
+//! [`LiveTableBuilder`].
 //!
 //! # Watermarks and lateness
 //!

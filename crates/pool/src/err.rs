@@ -1,12 +1,10 @@
 //! Typed pool errors.
 //!
 //! Every way a `.mtpool` file can be malformed — truncation, bit rot,
-//! version skew, a torn directory publication — maps to a distinct
+//! version skew, a damaged header or directory — maps to a distinct
 //! variant here. The reader's contract is that corrupt input *always*
 //! surfaces as one of these, never as a panic or out-of-bounds access,
 //! so the corruption tests can assert on variants.
-
-use std::path::PathBuf;
 
 /// Everything that can go wrong opening, reading, or writing a pool.
 #[derive(Debug)]
@@ -33,15 +31,12 @@ pub enum PoolError {
         /// Bytes actually available.
         have: u64,
     },
-    /// A checksum over a segment or the directory did not match.
+    /// A checksum over a segment, the directory, or the header did not
+    /// match.
     ChecksumMismatch {
         /// What failed verification.
         what: String,
     },
-    /// Neither directory slot holds a valid publication (and the pool is
-    /// not simply empty): the last directory update was torn and no
-    /// earlier epoch survives to fall back to.
-    TornDirectory,
     /// Structurally invalid contents inside a checksummed segment (e.g.
     /// inconsistent column lengths) — corruption the checksum cannot see
     /// because it was written that way, or a codec bug.
@@ -55,11 +50,6 @@ pub enum PoolError {
         kind: u16,
         /// Stream id.
         stream: u16,
-    },
-    /// Another writer holds the pool's exclusive append lock.
-    Locked {
-        /// The pool file.
-        path: PathBuf,
     },
 }
 
@@ -78,15 +68,9 @@ impl std::fmt::Display for PoolError {
                 write!(f, "pool truncated reading {what}: need {need} bytes, have {have}")
             }
             PoolError::ChecksumMismatch { what } => write!(f, "pool checksum mismatch: {what}"),
-            PoolError::TornDirectory => {
-                write!(f, "pool directory torn: no valid publication slot")
-            }
             PoolError::Corrupt { what } => write!(f, "pool segment corrupt: {what}"),
             PoolError::MissingSegment { kind, stream } => {
                 write!(f, "pool missing segment kind {kind} for stream {stream}")
-            }
-            PoolError::Locked { path } => {
-                write!(f, "pool {} is locked by another writer", path.display())
             }
         }
     }

@@ -1,24 +1,22 @@
-//! The `.mtpool` on-disk structures: header, publication slots, segment
-//! directory, and the checksum.
+//! The `.mtpool` on-disk structures: header, segment directory, and
+//! the checksum.
 //!
 //! Layout (all integers little-endian; see DESIGN.md §3i):
 //!
 //! ```text
 //! 0    magic "MTPOOL1\0" (8)   version u32   header_len u32
-//! 16   slot A (40)             56  slot B (40)        96..128 reserved
-//! 128  8-aligned segments, append-only …
-//!      … directory (also append-only), pointed at by the live slot
+//! 16   dir_off u64   dir_len u64   dir_hash u64     40..120 reserved
+//! 120  header_hash u64 (pool_hash of bytes 0..120)
+//! 128  8-aligned segments …
+//!      … directory, last in the file
 //! ```
 //!
-//! A *slot* is one atomic publication: `{epoch, dir_off, dir_len,
-//! dir_hash, slot_hash}`. The writer appends segments and a fresh
-//! directory, syncs, then overwrites the *older* slot with epoch+1 and
-//! syncs again. Readers take whichever slot has the highest epoch and a
-//! valid `slot_hash`; a torn slot write therefore costs nothing — the
-//! previous epoch's slot still points at a complete directory whose
-//! bytes are never rewritten. Only if no valid slot exists (and the pool
-//! is not simply empty) does the reader report
-//! [`PoolError::TornDirectory`].
+//! A pool is written whole, once: the writer appends segments to a temp
+//! file, then the directory, then the header that points at it, syncs,
+//! and renames the file into place (see [`crate::writer`]). The header
+//! holds the one directory pointer, under its own checksum, so a header
+//! that is damaged or was never written is a typed error, never an
+//! empty pool.
 
 use crate::err::PoolError;
 use crate::le::{Cursor, Enc};
@@ -27,8 +25,10 @@ use crate::le::{Cursor, Enc};
 pub const MAGIC: [u8; 8] = *b"MTPOOL1\0";
 /// Current format version. Version 1 stored the dataset columns
 /// fixed-width; version 2 stores them varint/delta-encoded (see
-/// [`crate::dscodec`]). A reader accepts exactly its own version.
-pub const VERSION: u32 = 2;
+/// [`crate::dscodec`]) under two publication slots; version 3 has one
+/// checksummed directory pointer. A reader accepts exactly its own
+/// version.
+pub const VERSION: u32 = 3;
 /// Fixed header size; segment data starts here.
 pub const HEADER_LEN: u64 = 128;
 /// Segment start alignment (cheap page-fault-friendly layout; decoding
@@ -36,10 +36,8 @@ pub const HEADER_LEN: u64 = 128;
 pub const ALIGN: u64 = 8;
 /// Encoded size of one directory entry.
 pub const SEGDESC_LEN: usize = 48;
-/// Encoded size of one publication slot.
-pub const SLOT_LEN: usize = 40;
-/// Offsets of the two slots within the header.
-pub const SLOT_OFFSETS: [u64; 2] = [16, 56];
+/// Offset of the header's own checksum.
+const HEADER_HASH_OFF: usize = HEADER_LEN as usize - 8;
 
 /// Segment kinds. A dataset stream is the fixed set `META..=INDEX`
 /// (kind 8, version 1's selection vectors, is no longer written: the
@@ -82,7 +80,7 @@ pub mod kind {
     }
 }
 
-/// The checksum used for slots, directories, and segments: FNV-1a run
+/// The checksum used for the header, the directory, and segments: FNV-1a run
 /// over 8-byte little-endian lanes with the input length folded in, so
 /// a zero-padded tail is distinguishable from genuine zeros. One
 /// multiply per 8 bytes — fast enough to verify every segment on load.
@@ -102,70 +100,55 @@ pub fn pool_hash(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One publication: where the directory of some epoch lives.
+/// Where the directory lives: the one pointer the header publishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DirSlot {
-    /// Publication counter; higher wins. Epoch 0 never exists on disk
-    /// (an all-zero slot means "nothing published yet").
-    pub epoch: u64,
+pub struct DirPtr {
     /// Directory byte offset.
-    pub dir_off: u64,
+    pub off: u64,
     /// Directory byte length.
-    pub dir_len: u64,
+    pub len: u64,
     /// [`pool_hash`] of the directory bytes.
-    pub dir_hash: u64,
+    pub hash: u64,
 }
 
-/// Decoded state of one slot's bytes.
-#[derive(Debug, PartialEq, Eq)]
-pub enum SlotState {
-    /// All zeros: never published through this slot.
-    Empty,
-    /// Self-consistent publication.
-    Valid(DirSlot),
-    /// Nonzero but failing its own checksum — a torn write.
-    Torn,
-}
-
-/// Encode a slot (with its trailing self-checksum).
-pub fn encode_slot(s: &DirSlot) -> [u8; SLOT_LEN] {
-    let mut e = Enc::with_capacity(SLOT_LEN);
-    e.u64(s.epoch);
-    e.u64(s.dir_off);
-    e.u64(s.dir_len);
-    e.u64(s.dir_hash);
-    let body = e.into_bytes();
-    let mut out = [0u8; SLOT_LEN];
-    out[..32].copy_from_slice(&body);
-    out[32..].copy_from_slice(&pool_hash(&body).to_le_bytes());
+/// Encode the header publishing `dir`.
+pub fn encode_header(dir: DirPtr) -> [u8; HEADER_LEN as usize] {
+    let mut e = Enc::with_capacity(40);
+    e.bytes(&MAGIC);
+    e.u32(VERSION);
+    e.u32(HEADER_LEN as u32);
+    e.u64(dir.off);
+    e.u64(dir.len);
+    e.u64(dir.hash);
+    let mut out = [0u8; HEADER_LEN as usize];
+    out[..40].copy_from_slice(&e.into_bytes());
+    let hash = pool_hash(&out[..HEADER_HASH_OFF]);
+    out[HEADER_HASH_OFF..].copy_from_slice(&hash.to_le_bytes());
     out
 }
 
-/// Classify one slot's bytes.
-pub fn decode_slot(raw: &[u8]) -> SlotState {
-    if raw.len() != SLOT_LEN {
-        return SlotState::Torn;
+/// Check the header at the start of `file` (magic, version, its own
+/// checksum) and return its directory pointer.
+pub fn decode_header(file: &[u8]) -> Result<DirPtr, PoolError> {
+    let have = file.len() as u64;
+    if have < HEADER_LEN {
+        return Err(PoolError::Truncated { what: "header", need: HEADER_LEN, have });
     }
-    if raw.iter().all(|&b| b == 0) {
-        return SlotState::Empty;
+    if file[..8] != MAGIC {
+        return Err(PoolError::BadMagic);
     }
-    let claimed = u64::from_le_bytes(raw[32..40].try_into().expect("8 bytes"));
-    if pool_hash(&raw[..32]) != claimed {
-        return SlotState::Torn;
+    // Each version has its own layout and segment encodings, so a
+    // reader decodes exactly its own: another version is refused, never
+    // misread.
+    let version = u32::from_le_bytes(file[8..12].try_into().expect("4 bytes"));
+    if version != VERSION {
+        return Err(PoolError::BadVersion { found: version, supported: VERSION });
     }
-    let mut c = Cursor::new(&raw[..32], "slot");
-    let slot = DirSlot {
-        epoch: c.u64().expect("32-byte slot body"),
-        dir_off: c.u64().expect("32-byte slot body"),
-        dir_len: c.u64().expect("32-byte slot body"),
-        dir_hash: c.u64().expect("32-byte slot body"),
-    };
-    if slot.epoch == 0 {
-        // Zero epoch with nonzero payload cannot be produced by a
-        // correct writer; treat as torn.
-        return SlotState::Torn;
+    let word = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().expect("8 bytes"));
+    if pool_hash(&file[..HEADER_HASH_OFF]) != word(HEADER_HASH_OFF) {
+        return Err(PoolError::ChecksumMismatch { what: "header".into() });
     }
-    SlotState::Valid(slot)
+    Ok(DirPtr { off: word(16), len: word(24), hash: word(32) })
 }
 
 /// One directory entry: a checksummed byte range of the file.
@@ -243,14 +226,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slot_roundtrip_and_torn_detection() {
-        let s = DirSlot { epoch: 3, dir_off: 4096, dir_len: 200, dir_hash: 0xABCD };
-        let raw = encode_slot(&s);
-        assert_eq!(decode_slot(&raw), SlotState::Valid(s));
-        assert_eq!(decode_slot(&[0u8; SLOT_LEN]), SlotState::Empty);
-        let mut torn = raw;
-        torn[5] ^= 0xFF;
-        assert_eq!(decode_slot(&torn), SlotState::Torn);
+    fn header_roundtrip_and_damage_detection() {
+        let dir = DirPtr { off: 4096, len: 200, hash: 0xABCD };
+        let raw = encode_header(dir);
+        assert_eq!(decode_header(&raw).unwrap(), dir);
+        for (at, bit) in [(17, 0), (60, 3), (127, 7)] {
+            let mut torn = raw;
+            torn[at] ^= 1 << bit;
+            assert!(matches!(decode_header(&torn), Err(PoolError::ChecksumMismatch { .. })));
+        }
+        assert!(matches!(decode_header(&raw[..127]), Err(PoolError::Truncated { .. })));
     }
 
     #[test]

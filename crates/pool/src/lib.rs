@@ -15,20 +15,20 @@
 //! `mtbench`'s `pool_reopen` workload times save and reopen end to end.
 //!
 //! Format in one breath (details in `format` and DESIGN.md §3i): a
-//! 128-byte header with two checksummed publication slots, append-only
-//! 8-aligned segments, an append-only segment directory, per-segment
-//! checksums, and atomic publication by flipping the older slot —
-//! many concurrent mmap readers stay safe while one locked writer
-//! appends.
+//! 128-byte header holding one checksummed directory pointer, 8-aligned
+//! segments, and the segment directory last, with per-segment
+//! checksums. A pool is written whole, once: the writer builds it in a
+//! temp file and renames it into place, so readers never see a partial
+//! pool and keep their map of the old file across a rewrite.
 //!
 //! ```no_run
 //! use mobitrace_pool::{PoolReader, PoolWriter};
 //! # fn demo(ds: &mobitrace_model::Dataset) -> Result<(), mobitrace_pool::PoolError> {
 //! let index = mobitrace_model::DatasetIndex::build(ds);
 //! let cols = mobitrace_model::DatasetColumns::build(ds);
-//! let mut w = PoolWriter::create(std::path::Path::new("campaigns.mtpool"))?;
+//! let mut w = PoolWriter::replace(std::path::Path::new("campaigns.mtpool"))?;
 //! w.append_dataset(0, ds, &index, &cols)?;
-//! w.commit()?;
+//! w.finish()?;
 //!
 //! let r = PoolReader::open(std::path::Path::new("campaigns.mtpool"))?;
 //! let pd = r.decode_dataset(0)?; // → AnalysisContext::from_parts(&pd.ds, pd.index, pd.cols)

@@ -13,10 +13,10 @@
 //! indistinguishable to the decoder.
 //!
 //! The map is `PROT_READ`/`MAP_SHARED`: many processes can map the same
-//! pool concurrently, and because published bytes of a pool are
-//! append-only (segments and directories are never rewritten, only the
-//! tiny header slots flip), a reader's view of everything its directory
-//! references is immutable for the life of the map.
+//! pool concurrently, and because a pool file is never modified after
+//! the rename that installs it (a rewrite renames a new file over the
+//! path; the old inode lives on under existing maps), a reader's view is
+//! immutable for the life of the map.
 
 use std::fs::File;
 use std::io::Read;
@@ -94,38 +94,14 @@ impl Drop for PoolMap {
     }
 }
 
-/// Try to take the platform's exclusive advisory lock on an open file
-/// (non-blocking). `Ok(false)` means another process holds it. On targets
-/// without `flock` this always succeeds; single-writer discipline there
-/// rests on the caller.
-pub fn try_lock_exclusive(file: &File) -> std::io::Result<bool> {
-    #[cfg(unix)]
-    {
-        sys::flock_exclusive(file)
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = file;
-        Ok(true)
-    }
-}
-
-#[cfg(unix)]
+#[cfg(all(unix, target_pointer_width = "64"))]
 mod sys {
     use std::fs::File;
     use std::os::unix::io::AsRawFd;
 
-    // Minimal direct bindings: std already links libc, so the symbols
-    // resolve without a bindings crate (none is vendored offline).
-    extern "C" {
-        fn flock(fd: core::ffi::c_int, operation: core::ffi::c_int) -> core::ffi::c_int;
-    }
-
-    // The mmap binding declares `offset: i64`, which matches the
-    // platform `off_t` only where off_t is 64-bit; on 32-bit Unix
-    // without `_FILE_OFFSET_BITS=64` the ABI would mismatch (UB). Gate
-    // the binding to 64-bit targets; everyone else takes the heap read.
-    #[cfg(target_pointer_width = "64")]
+    // std already links libc, so the symbols resolve without a bindings
+    // crate (none is vendored offline). `offset: i64` is why the module
+    // is gated to 64-bit targets (see the module doc).
     extern "C" {
         fn mmap(
             addr: *mut core::ffi::c_void,
@@ -138,16 +114,11 @@ mod sys {
         fn munmap(addr: *mut core::ffi::c_void, len: usize) -> core::ffi::c_int;
     }
 
-    #[cfg(target_pointer_width = "64")]
     const PROT_READ: core::ffi::c_int = 1;
-    #[cfg(target_pointer_width = "64")]
     const MAP_SHARED: core::ffi::c_int = 1;
-    const LOCK_EX: core::ffi::c_int = 2;
-    const LOCK_NB: core::ffi::c_int = 4;
 
     /// `mmap(NULL, len, PROT_READ, MAP_SHARED, fd, 0)`; `None` on failure
     /// (the caller falls back to a heap read).
-    #[cfg(target_pointer_width = "64")]
     pub fn map_readonly(file: &File, len: usize) -> Option<*const u8> {
         // SAFETY: fd is valid for the duration of the call; a NULL hint
         // with MAP_SHARED|PROT_READ has no further preconditions.
@@ -165,26 +136,8 @@ mod sys {
     /// # Safety
     /// `ptr`/`len` must denote exactly one live mapping returned by
     /// [`map_readonly`], not used after this call.
-    #[cfg(target_pointer_width = "64")]
     pub unsafe fn unmap(ptr: *const u8, len: usize) {
         let _ = munmap(ptr as *mut core::ffi::c_void, len);
-    }
-
-    /// Non-blocking `flock(LOCK_EX)`; `Ok(false)` when contended. The
-    /// lock is tied to the open file description, so a crashed writer
-    /// releases it automatically.
-    pub fn flock_exclusive(file: &File) -> std::io::Result<bool> {
-        // SAFETY: plain syscall on a valid fd.
-        let rc = unsafe { flock(file.as_raw_fd(), LOCK_EX | LOCK_NB) };
-        if rc == 0 {
-            return Ok(true);
-        }
-        let err = std::io::Error::last_os_error();
-        if err.kind() == std::io::ErrorKind::WouldBlock {
-            Ok(false)
-        } else {
-            Err(err)
-        }
     }
 }
 
@@ -215,29 +168,6 @@ mod tests {
         assert!(m.bytes().is_empty());
         assert!(!m.is_mapped());
         drop(m);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn exclusive_lock_excludes_second_holder() {
-        let dir = std::env::temp_dir().join(format!(
-            "mtpool-lock-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("l.bin");
-        std::fs::write(&p, [0u8]).unwrap();
-        let a = File::open(&p).unwrap();
-        assert!(try_lock_exclusive(&a).unwrap());
-        #[cfg(unix)]
-        {
-            let b = File::open(&p).unwrap();
-            assert!(!try_lock_exclusive(&b).unwrap());
-        }
-        drop(a);
-        let b = File::open(&p).unwrap();
-        assert!(try_lock_exclusive(&b).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

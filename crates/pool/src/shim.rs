@@ -4,16 +4,15 @@
 //! accident: the disk fills mid-checkpoint (`ENOSPC`), a write lands
 //! short, an `fsync` reports the dirty page it could not retire. The
 //! writer consults an optional [`PoolIoShim`] immediately before every
-//! physical operation — segment/header/directory writes, data syncs,
-//! the full-file sync before a replace-rename, and the parent-directory
-//! sync that makes the rename durable — so a deterministic fault
-//! schedule can hit any of them at an exact operation ordinal.
+//! physical operation — segment/directory/header writes, the one file
+//! sync before the rename, and the parent-directory sync that makes the
+//! rename durable — so a deterministic fault schedule can hit any of
+//! them at an exact operation ordinal.
 //!
 //! The shim sees *logical* operations, not file descriptors: it decides
 //! [`Verdict::Proceed`], [`Verdict::Fail`] with an injected
 //! `io::Error`, or [`Verdict::ShortWrite`] (the writer persists only a
-//! prefix, then errors — the torn-write case the pool's checksummed,
-//! publish-last format is designed to survive). Transient injected
+//! prefix, then errors — a torn write, which the temp file confines). Transient injected
 //! errors also exercise the writer's retry-once path: an
 //! `Interrupted`/`WouldBlock`/`TimedOut` failure is retried exactly
 //! once before surfacing.
@@ -27,16 +26,14 @@ use std::io;
 /// before it happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoOp {
-    /// A positioned write of `len` bytes at file offset `off` (header,
-    /// segment payload, directory, or publication slot).
+    /// A positioned write of `len` bytes at file offset `off` (segment
+    /// payload, directory, or header).
     Write {
         /// Absolute file offset.
         off: u64,
         /// Bytes about to be written.
         len: usize,
     },
-    /// `sync_data` on the pool file (publication barrier).
-    SyncData,
     /// `sync_all` on the pool file (pre-rename durability barrier).
     SyncAll,
     /// `sync_all` on the parent directory (makes a replace-rename

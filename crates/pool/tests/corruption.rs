@@ -1,8 +1,9 @@
 //! Corruption must fail loudly with a typed [`PoolError`] — never UB,
 //! never a panic: truncated files, flipped segment bytes, other format
-//! versions, torn directory publications, and (the property tests at the
-//! end) any truncation or single-bit flip of any dataset segment, whether
-//! the stored hash catches it or a miswritten pool hashes it as valid.
+//! versions, a header without a directory pointer, and (the property
+//! tests at the end) any truncation or single-bit flip of the header, the
+//! directory or any dataset segment, whether the stored hash catches it
+//! or a miswritten pool hashes it as valid.
 
 use mobitrace_model::{
     ApEntry, ApRef, AppBin, AppCategory, Band, BinRecord, Bssid, CampaignMeta, Carrier, CellId,
@@ -10,8 +11,8 @@ use mobitrace_model::{
     OsVersion, ScanSummary, SimTime, WifiAssoc, WifiBinState, Year,
 };
 use mobitrace_pool::format::{
-    decode_directory, decode_slot, encode_directory, encode_slot, pool_hash, SegDesc, SlotState,
-    SLOT_LEN, SLOT_OFFSETS,
+    decode_directory, decode_header, encode_directory, encode_header, pool_hash, DirPtr, SegDesc,
+    HEADER_LEN,
 };
 use mobitrace_pool::{kind, PoolError, PoolReader, PoolWriter};
 use proptest::prelude::*;
@@ -71,27 +72,22 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Build a committed single-stream pool; returns its path.
-fn build_pool(dir: &Path, commits: u32) -> PathBuf {
+/// Build a single-stream pool; returns its path.
+fn build_pool(dir: &Path) -> PathBuf {
     let path = dir.join("c.mtpool");
     let ds = tiny_dataset();
     let index = DatasetIndex::build(&ds);
     let cols = DatasetColumns::build(&ds);
-    let mut w = PoolWriter::create(&path).expect("create");
+    let mut w = PoolWriter::replace(&path).expect("replace");
     w.append_dataset(0, &ds, &index, &cols).expect("append");
-    w.commit().expect("commit");
-    for extra in 1..commits {
-        w.append_raw(mobitrace_pool::kind::RAW, extra as u16, 0, b"tail").expect("raw append");
-        w.commit().expect("recommit");
-    }
-    drop(w);
+    w.finish().expect("finish");
     path
 }
 
 #[test]
 fn truncated_header_is_typed() {
     let dir = scratch("trunc-header");
-    let path = build_pool(&dir, 1);
+    let path = build_pool(&dir);
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..64]).unwrap();
     match PoolReader::open(&path) {
@@ -104,10 +100,10 @@ fn truncated_header_is_typed() {
 #[test]
 fn truncated_segments_are_typed() {
     let dir = scratch("trunc-seg");
-    let path = build_pool(&dir, 1);
+    let path = build_pool(&dir);
     let bytes = std::fs::read(&path).unwrap();
-    // Cut mid-data: the directory (written last) is gone, so the slot
-    // points past the end of the file.
+    // Cut mid-data: the directory (last in the file) is gone, so the
+    // header points past the end of the file.
     std::fs::write(&path, &bytes[..200]).unwrap();
     match PoolReader::open(&path) {
         Err(PoolError::Truncated { .. }) => {}
@@ -119,7 +115,7 @@ fn truncated_segments_are_typed() {
 #[test]
 fn flipped_segment_byte_is_checksum_mismatch() {
     let dir = scratch("bitflip");
-    let path = build_pool(&dir, 1);
+    let path = build_pool(&dir);
     // Locate the COUNTERS segment via the intact pool, then flip one
     // byte inside its checksummed payload.
     let target = {
@@ -150,7 +146,7 @@ fn flipped_segment_byte_is_checksum_mismatch() {
 #[test]
 fn future_version_is_rejected() {
     let dir = scratch("version");
-    let path = build_pool(&dir, 1);
+    let path = build_pool(&dir);
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[8..12].copy_from_slice(&(mobitrace_pool::VERSION + 1).to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
@@ -170,7 +166,7 @@ fn future_version_is_rejected() {
 #[test]
 fn older_version_is_rejected() {
     let dir = scratch("old-version");
-    let path = build_pool(&dir, 1);
+    let path = build_pool(&dir);
     let mut bytes = std::fs::read(&path).unwrap();
     for old in 0..mobitrace_pool::VERSION {
         bytes[8..12].copy_from_slice(&old.to_le_bytes());
@@ -182,8 +178,6 @@ fn older_version_is_rejected() {
             }
             other => panic!("expected version {old} rejection, got {:?}", other.map(|_| ())),
         }
-        // The appender adopts a pool through the same header check.
-        assert!(matches!(PoolWriter::open_append(&path), Err(PoolError::BadVersion { .. })));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -191,7 +185,7 @@ fn older_version_is_rejected() {
 #[test]
 fn bad_magic_is_rejected() {
     let dir = scratch("magic");
-    let path = build_pool(&dir, 1);
+    let path = build_pool(&dir);
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[0] = b'X';
     std::fs::write(&path, &bytes).unwrap();
@@ -202,50 +196,42 @@ fn bad_magic_is_rejected() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A torn write of the *newest* slot falls back to the previous epoch:
-/// the older publication's directory bytes are append-only and intact.
-#[test]
-fn torn_newest_slot_falls_back_to_previous_epoch() {
-    let dir = scratch("torn-fallback");
-    let path = build_pool(&dir, 2); // epochs 1 and 2 published
-    let mut bytes = std::fs::read(&path).unwrap();
-    // Epoch 2 lives in slot B (offset 56): scribble over it mid-write.
-    bytes[60] ^= 0xFF;
-    std::fs::write(&path, &bytes).unwrap();
-    let r = PoolReader::open(&path).expect("fallback open");
-    assert_eq!(r.epoch(), 1, "should adopt the surviving epoch");
-    r.decode_dataset(0).expect("epoch-1 contents intact");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Both slots torn: nothing to fall back to — loud typed error.
-#[test]
-fn torn_both_slots_is_typed() {
-    let dir = scratch("torn-both");
-    let path = build_pool(&dir, 2);
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[20] ^= 0xFF; // slot A body
-    bytes[60] ^= 0xFF; // slot B body
-    std::fs::write(&path, &bytes).unwrap();
-    match PoolReader::open(&path) {
-        Err(PoolError::TornDirectory) => {}
-        other => panic!("expected torn directory, got {:?}", other.map(|_| ())),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// An empty (never-published) pool opens cleanly with no streams.
+/// A pool with no segments (an empty checkpoint) opens cleanly with no
+/// streams.
 #[test]
 fn empty_pool_reads_as_no_streams() {
     let dir = scratch("empty");
     let path = dir.join("e.mtpool");
-    drop(PoolWriter::create(&path).expect("create"));
+    PoolWriter::replace(&path).expect("replace").finish().expect("finish");
     let r = PoolReader::open(&path).expect("open empty");
-    assert_eq!(r.epoch(), 0);
+    assert!(r.segments().is_empty());
     assert!(r.dataset_streams().is_empty());
     match r.decode_dataset(0) {
         Err(PoolError::MissingSegment { .. }) => {}
         other => panic!("expected missing segment, got {:?}", other.map(|_| ())),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A file that holds only a header is never an empty pool: without its
+/// checksum it is a `ChecksumMismatch`, and with a valid checksum but no
+/// directory pointer it is `Corrupt`.
+#[test]
+fn header_without_directory_pointer_is_typed() {
+    let dir = scratch("bare-header");
+    let path = dir.join("h.mtpool");
+    let mut unsigned = [0u8; HEADER_LEN as usize];
+    unsigned[..8].copy_from_slice(&mobitrace_pool::format::MAGIC);
+    unsigned[8..12].copy_from_slice(&mobitrace_pool::VERSION.to_le_bytes());
+    std::fs::write(&path, unsigned).unwrap();
+    match PoolReader::open(&path) {
+        Err(PoolError::ChecksumMismatch { .. }) => {}
+        other => panic!("expected header checksum mismatch, got {:?}", other.map(|_| ())),
+    }
+    std::fs::write(&path, encode_header(DirPtr { off: 0, len: 0, hash: 0 })).unwrap();
+    match PoolReader::open(&path) {
+        Err(PoolError::Corrupt { .. }) => {}
+        other => panic!("expected a corrupt directory pointer, got {:?}", other.map(|_| ())),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -331,11 +317,10 @@ fn rich_image() -> &'static [u8] {
         let dir = scratch("rich-image");
         let path = dir.join("rich.mtpool");
         let ds = rich_dataset();
-        let mut w = PoolWriter::create(&path).expect("create");
+        let mut w = PoolWriter::replace(&path).expect("replace");
         w.append_dataset(0, &ds, &DatasetIndex::build(&ds), &DatasetColumns::build(&ds))
             .expect("append");
-        w.commit().expect("commit");
-        drop(w);
+        w.finish().expect("finish");
         let image = std::fs::read(&path).expect("read image");
         let _ = std::fs::remove_dir_all(&dir);
         image
@@ -354,18 +339,11 @@ const DATASET_KINDS: [u16; 8] = [
     kind::INDEX,
 ];
 
-/// The published slot offset and directory of a pool image.
-fn published(image: &[u8]) -> (usize, Vec<SegDesc>) {
-    let (off, slot) = SLOT_OFFSETS
-        .iter()
-        .filter_map(|&off| match decode_slot(&image[off as usize..off as usize + SLOT_LEN]) {
-            SlotState::Valid(s) => Some((off as usize, s)),
-            _ => None,
-        })
-        .max_by_key(|(_, s)| s.epoch)
-        .expect("a published slot");
-    let dir = &image[slot.dir_off as usize..(slot.dir_off + slot.dir_len) as usize];
-    (off, decode_directory(dir).expect("intact directory"))
+/// The directory pointer and directory of a pool image.
+fn published(image: &[u8]) -> (DirPtr, Vec<SegDesc>) {
+    let ptr = decode_header(image).expect("intact header");
+    let dir = &image[ptr.off as usize..(ptr.off + ptr.len) as usize];
+    (ptr, decode_directory(dir).expect("intact directory"))
 }
 
 /// Write `image` to a fresh scratch file and return its path.
@@ -451,7 +429,7 @@ proptest! {
         (k, pick, bit, truncate) in damage_strategy(),
     ) {
         let image = rich_image();
-        let (slot_off, mut segs) = published(image);
+        let (mut ptr, mut segs) = published(image);
         let i = segs.iter().position(|s| s.kind == k).expect("segment present");
         let mut bytes = image.to_vec();
         let seg = &mut segs[i];
@@ -462,14 +440,11 @@ proptest! {
         }
         seg.hash = pool_hash(&bytes[start..start + seg.len as usize]);
         // Re-publish the same directory range with the rewritten hash.
-        let SlotState::Valid(mut slot) = decode_slot(&bytes[slot_off..slot_off + SLOT_LEN]) else {
-            unreachable!("published slot is valid")
-        };
         let dir_bytes = encode_directory(&segs);
-        let dir_off = slot.dir_off as usize;
+        let dir_off = ptr.off as usize;
         bytes[dir_off..dir_off + dir_bytes.len()].copy_from_slice(&dir_bytes);
-        slot.dir_hash = pool_hash(&dir_bytes);
-        bytes[slot_off..slot_off + SLOT_LEN].copy_from_slice(&encode_slot(&slot));
+        ptr.hash = pool_hash(&dir_bytes);
+        bytes[..HEADER_LEN as usize].copy_from_slice(&encode_header(ptr));
 
         let dir = scratch("miswritten");
         let path = write_case(&dir, &bytes);
@@ -484,6 +459,44 @@ proptest! {
             Err(other) => panic!("kind {k}: untyped failure {other:?}"),
         }
         drop(r);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Any truncation or single-bit flip in the header or the directory
+    /// fails the open with a typed error, so nothing is ever decoded
+    /// from it: a cut anywhere is `Truncated` (the directory is last in
+    /// the file), a flip is `BadMagic` in the magic, `BadVersion` in the
+    /// version, and a `ChecksumMismatch` of the header or the directory
+    /// anywhere else.
+    #[test]
+    fn damaged_header_or_directory_is_typed(
+        pick in any::<u64>(),
+        bit in 0u8..8,
+        in_directory in any::<bool>(),
+        truncate in any::<bool>(),
+    ) {
+        let image = rich_image();
+        let (ptr, _) = published(image);
+        let at = if in_directory {
+            (ptr.off + pick % ptr.len) as usize
+        } else {
+            (pick % HEADER_LEN) as usize
+        };
+        let mut bytes = image.to_vec();
+        let dir = scratch("header-dir");
+        if truncate {
+            bytes.truncate(at);
+        } else {
+            bytes[at] ^= 1 << bit;
+        }
+        let path = write_case(&dir, &bytes);
+        match (PoolReader::open(&path), truncate, at) {
+            (Err(PoolError::Truncated { .. }), true, _) => {}
+            (Err(PoolError::BadMagic), false, 0..8) => {}
+            (Err(PoolError::BadVersion { .. }), false, 8..12) => {}
+            (Err(PoolError::ChecksumMismatch { .. }), false, 12..) => {}
+            (other, _, _) => panic!("damage at {at} (cut {truncate}): {:?}", other.map(|_| ())),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

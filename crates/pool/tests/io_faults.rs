@@ -65,8 +65,8 @@ fn enospc() -> io::Error {
     io::Error::from_raw_os_error(28) // ENOSPC
 }
 
-/// Build a small committed pool at `path` under `shim`.
-fn build(path: &Path, shim: Option<Arc<dyn PoolIoShim>>) -> Result<u64, PoolError> {
+/// Replace `path` with a small one-segment pool under `shim`.
+fn build(path: &Path, shim: Option<Arc<dyn PoolIoShim>>) -> Result<(), PoolError> {
     let mut w = PoolWriter::replace_with(path, shim)?;
     w.append_raw(kind::RAW, 0, 3, b"payload-bytes")?;
     w.finish()
@@ -157,7 +157,7 @@ fn small_dataset() -> Dataset {
 
 /// Replace `path` with a pool holding [`small_dataset`] as stream 0,
 /// under `shim`.
-fn build_dataset(path: &Path, shim: Option<Arc<dyn PoolIoShim>>) -> Result<u64, PoolError> {
+fn build_dataset(path: &Path, shim: Option<Arc<dyn PoolIoShim>>) -> Result<(), PoolError> {
     let ds = small_dataset();
     let mut w = PoolWriter::replace_with(path, shim)?;
     w.append_dataset(0, &ds, &DatasetIndex::build(&ds), &DatasetColumns::build(&ds))?;
@@ -174,8 +174,8 @@ fn enospc_on_segment_write_fails_and_preserves_target() {
     build(&path, None).expect("baseline pool");
     let before = std::fs::read(&path).unwrap();
 
-    // Op 2 is the first segment write (op 1 is the header).
-    let shim = fail_nth(2, |op| op.is_write(), || Verdict::Fail(enospc()));
+    // Write 1 is the segment (the directory and the header follow it).
+    let shim = fail_nth(1, |op| op.is_write(), || Verdict::Fail(enospc()));
     let err = build(&path, Some(shim.clone())).expect_err("injected ENOSPC must surface");
     match err {
         PoolError::Io(e) => assert_eq!(e.raw_os_error(), Some(28)),
@@ -198,8 +198,8 @@ fn enospc_on_segment_write_fails_and_preserves_target() {
 fn short_write_on_directory_is_loud_not_silent() {
     let dir = scratch("short");
     let path = dir.join("p.mtpool");
-    // Fail the 3rd write (the directory, after header + segment) short.
-    let shim = fail_nth(3, |op| op.is_write(), || Verdict::ShortWrite(4));
+    // Fail the 2nd write (the directory, after the segment) short.
+    let shim = fail_nth(2, |op| op.is_write(), || Verdict::ShortWrite(4));
     let err = build(&path, Some(shim)).expect_err("short write must error");
     match err {
         PoolError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::WriteZero),
@@ -208,11 +208,28 @@ fn short_write_on_directory_is_loud_not_silent() {
     assert!(!path.exists(), "failed replace must not install the target");
 }
 
+/// Records every op a writer issues, failing none.
+#[derive(Default)]
+struct OpLog(Mutex<Vec<IoOp>>);
+
+impl PoolIoShim for OpLog {
+    fn check(&self, op: IoOp) -> Verdict {
+        self.0.lock().unwrap().push(op);
+        Verdict::Proceed
+    }
+}
+
 #[test]
 fn fsync_error_propagates_from_every_sync_point() {
-    // Sync points in a replace: header SyncData, commit SyncData x2,
-    // pre-rename SyncAll, post-rename DirSync. Each must be loud.
-    for at in 1..=5u64 {
+    // A replace syncs exactly twice: the file before the rename, and the
+    // parent directory after it. Each must be loud.
+    let log = Arc::new(OpLog::default());
+    let dir = scratch("fsync-log");
+    build(&dir.join("p.mtpool"), Some(log.clone())).expect("clean build");
+    let _ = std::fs::remove_dir_all(&dir);
+    let syncs: Vec<IoOp> = log.0.lock().unwrap().iter().copied().filter(IoOp::is_sync).collect();
+    assert_eq!(syncs, vec![IoOp::SyncAll, IoOp::DirSync]);
+    for at in 1..=2u64 {
         let dir = scratch(&format!("fsync{at}"));
         let path = dir.join("p.mtpool");
         let shim = fail_nth(
@@ -224,6 +241,7 @@ fn fsync_error_propagates_from_every_sync_point() {
             build(&path, Some(shim.clone())).expect_err("injected fsync failure must propagate");
         assert!(matches!(err, PoolError::Io(_)), "sync point {at}: {err:?}");
         assert_eq!(shim.fired.load(Ordering::SeqCst), 1, "sync point {at} never reached");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -273,7 +291,7 @@ fn persistent_transient_error_still_fails_after_one_retry() {
     let shim = Arc::new(AlwaysInterrupted(AtomicU64::new(0)));
     let err = build(&path, Some(shim.clone())).expect_err("persistent failure surfaces");
     assert!(matches!(err, PoolError::Io(ref e) if e.kind() == io::ErrorKind::Interrupted));
-    // Exactly two attempts on the first (header) write: original + retry.
+    // Exactly two attempts on the first (segment) write: original + retry.
     assert_eq!(shim.0.load(Ordering::SeqCst), 2);
 }
 
@@ -285,8 +303,9 @@ fn enospc_on_any_dataset_segment_preserves_target() {
     let path = dir.join("d.mtpool");
     build_dataset(&path, None).expect("baseline pool");
     let before = std::fs::read(&path).unwrap();
-    // Write 1 is the header; the stream's segments are writes 2..=9.
-    for at in 2..=DATASET_SEGMENTS + 1 {
+    // The stream's segments are writes 1..=8; the directory and the
+    // header follow them.
+    for at in 1..=DATASET_SEGMENTS {
         let shim = fail_nth(at, |op| op.is_write(), || Verdict::Fail(enospc()));
         let err = build_dataset(&path, Some(shim.clone())).expect_err("ENOSPC must surface");
         assert!(matches!(err, PoolError::Io(ref e) if e.raw_os_error() == Some(28)), "{err:?}");
@@ -303,7 +322,7 @@ fn enospc_on_any_dataset_segment_preserves_target() {
 fn short_dataset_segment_write_is_loud() {
     let dir = scratch("short-dataset");
     let path = dir.join("d.mtpool");
-    let shim = fail_nth(4, |op| op.is_write(), || Verdict::ShortWrite(3));
+    let shim = fail_nth(3, |op| op.is_write(), || Verdict::ShortWrite(3));
     let err = build_dataset(&path, Some(shim)).expect_err("short write must error");
     assert!(matches!(err, PoolError::Io(ref e) if e.kind() == io::ErrorKind::WriteZero));
     assert!(!path.exists(), "failed replace must not install the target");
@@ -321,4 +340,72 @@ fn transient_blips_during_dataset_build_still_decode() {
     let r = PoolReader::open(&path).expect("pool readable after flaky build");
     r.verify().expect("every segment verifies");
     assert_eq!(r.decode_dataset(0).expect("decode").ds, small_dataset());
+}
+
+/// The names in `dir` other than `keep`: a failed replace must leave no
+/// temp sibling behind.
+fn strays(dir: &Path, keep: &str) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n != keep)
+        .collect()
+}
+
+/// A failure at every write (ENOSPC and short) and every sync of a
+/// replace, for a RAW build and for a dataset build, is a typed error
+/// that leaves no temp file. Every failure before the rename leaves the
+/// target's bytes unchanged; the directory sync follows the rename, so a
+/// failure there leaves the new pool installed whole.
+#[test]
+fn failure_at_every_replace_op_is_typed_and_leaves_no_temp() {
+    type Build = fn(&Path, Option<Arc<dyn PoolIoShim>>) -> Result<(), PoolError>;
+    for (tag, build) in [("raw", build as Build), ("dataset", build_dataset as Build)] {
+        let dir = scratch(&format!("every-op-{tag}"));
+        let path = dir.join("t.mtpool");
+        build(&path, None).expect("fresh pool");
+        let fresh = std::fs::read(&path).unwrap();
+        let log = Arc::new(OpLog::default());
+        build(&path, Some(log.clone())).expect("logged build");
+        let ops = log.0.lock().unwrap().clone();
+        // The target before each faulty replace: a different pool, so an
+        // installed replacement would show.
+        let mut w = PoolWriter::replace(&path).unwrap();
+        w.append_raw(kind::RAW, 9, 1, b"previous").unwrap();
+        w.finish().unwrap();
+        let before = std::fs::read(&path).unwrap();
+
+        let writes = ops.iter().filter(|op| op.is_write()).count() as u64;
+        let syncs = ops.iter().filter(|op| op.is_sync()).count() as u64;
+        let mut cases: Vec<(String, Arc<dyn PoolIoShim>)> = Vec::new();
+        for at in 1..=writes {
+            cases.push((
+                format!("write {at} ENOSPC"),
+                fail_nth(at, |op| op.is_write(), || Verdict::Fail(enospc())),
+            ));
+            cases.push((
+                format!("write {at} short"),
+                fail_nth(at, |op| op.is_write(), || Verdict::ShortWrite(1)),
+            ));
+        }
+        for at in 1..=syncs {
+            cases.push((
+                format!("sync {at}"),
+                fail_nth(at, |op| op.is_sync(), || Verdict::Fail(io::Error::other("fsync"))),
+            ));
+        }
+        for (case, shim) in cases {
+            let err = build(&path, Some(shim)).expect_err(&case);
+            assert!(matches!(err, PoolError::Io(_)), "{tag} {case}: {err:?}");
+            let now = std::fs::read(&path).unwrap();
+            if case == format!("sync {syncs}") {
+                assert_eq!(now, fresh, "{tag} {case}: the renamed pool is not the new one");
+                std::fs::write(&path, &before).unwrap();
+            } else {
+                assert_eq!(now, before, "{tag} {case}: target changed");
+            }
+            assert_eq!(strays(&dir, "t.mtpool"), Vec::<String>::new(), "{tag} {case}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -128,9 +128,9 @@ fn roundtrip(ds: &Dataset, tag: &str) -> (Dataset, DatasetIndex, DatasetColumns)
     let index = DatasetIndex::build(ds);
     let cols = DatasetColumns::build(ds);
     {
-        let mut w = PoolWriter::create(&path).expect("create pool");
+        let mut w = PoolWriter::replace(&path).expect("replace pool");
         w.append_dataset(0, ds, &index, &cols).expect("append");
-        w.commit().expect("commit");
+        w.finish().expect("finish");
     }
     let r = PoolReader::open(&path).expect("open pool");
     let pd = r.decode_dataset(0).expect("decode");
@@ -216,28 +216,19 @@ fn multi_stream_append_and_reopen() {
     let dir = scratch("multi");
     let path = dir.join("multi.mtpool");
     {
-        let mut w = PoolWriter::create(&path).expect("create");
+        let mut w = PoolWriter::replace(&path).expect("replace");
         w.append_dataset(0, &a, &DatasetIndex::build(&a), &DatasetColumns::build(&a))
             .expect("append 0");
-        w.commit().expect("commit 1");
-    }
-    {
-        // Second writer session: adopt the published directory, append
-        // another stream, publish epoch 2.
-        let mut w = PoolWriter::open_append(&path).expect("reopen");
-        assert_eq!(w.epoch(), 1);
         w.append_dataset(1, &b, &DatasetIndex::build(&b), &DatasetColumns::build(&b))
             .expect("append 1");
-        assert_eq!(w.commit().expect("commit 2"), 2);
+        w.finish().expect("finish");
     }
     let r = PoolReader::open(&path).expect("open");
-    assert_eq!(r.epoch(), 2);
     assert_eq!(r.dataset_streams(), vec![0, 1]);
     assert_eq!(r.decode_dataset(0).expect("ds 0").ds, a);
     assert_eq!(r.decode_dataset(1).expect("ds 1").ds, b);
     let report = r.verify().expect("verify");
     assert_eq!(report.datasets, 2);
-    assert_eq!(report.epoch, 2);
     drop(r);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -285,12 +276,12 @@ fn columns_only_dataset_persists_and_mismatched_rows_are_refused() {
     let dir = scratch("cols-only");
     let path = dir.join("cols.mtpool");
     {
-        let mut w = PoolWriter::create(&path).expect("create");
+        let mut w = PoolWriter::replace(&path).expect("replace");
         w.append_dataset(0, &ids_only, &index, &cols).expect("columns-only append");
         let mut short = full.clone();
         short.bins.pop();
         assert!(w.append_dataset(1, &short, &index, &cols).is_err(), "row mismatch accepted");
-        w.commit().expect("commit");
+        w.finish().expect("finish");
     }
     let r = PoolReader::open(&path).expect("open");
     let pd = r.decode_dataset(0).expect("decode");
@@ -306,9 +297,9 @@ fn replace_keeps_old_pool_until_finish() {
     let dir = scratch("replace");
     let path = dir.join("replace.mtpool");
     {
-        let mut w = PoolWriter::create(&path).expect("create");
+        let mut w = PoolWriter::replace(&path).expect("replace");
         w.append_raw(mobitrace_pool::kind::RAW, 0, 1, b"old-payload").expect("append");
-        w.commit().expect("commit");
+        w.finish().expect("finish");
     }
     // A reader holds a live map of the original pool across the whole
     // replacement — the rename must never invalidate its inode.
@@ -334,7 +325,7 @@ fn replace_keeps_old_pool_until_finish() {
     {
         let mut w = PoolWriter::replace(&path).expect("replace 2");
         w.append_raw(mobitrace_pool::kind::RAW, 0, 1, b"new-payload").expect("append");
-        assert_eq!(w.finish().expect("finish"), 1);
+        w.finish().expect("finish");
     }
     assert_eq!(
         PoolReader::open(&path).expect("open v2").raw_segment(0).expect("raw").0,
@@ -346,19 +337,42 @@ fn replace_keeps_old_pool_until_finish() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Two threads replacing one path at once both succeed, each through
+/// its own temp file; the target is one of the two whole pools and no
+/// temp file is left behind.
 #[test]
-fn second_writer_is_excluded_while_first_holds_lock() {
-    let dir = scratch("lock");
-    let path = dir.join("locked.mtpool");
-    let w = PoolWriter::create(&path).expect("create");
-    #[cfg(unix)]
-    {
-        match PoolWriter::open_append(&path) {
-            Err(mobitrace_pool::PoolError::Locked { .. }) => {}
-            other => panic!("expected Locked, got {:?}", other.map(|_| ())),
-        }
+fn concurrent_replaces_install_one_whole_pool() {
+    let dir = scratch("concurrent");
+    let path = dir.join("race.mtpool");
+    let payloads: [&[u8]; 2] = [b"first-writer-payload", b"second-writer-payload"];
+    for round in 0..8 {
+        let both_open = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = payloads
+                .iter()
+                .map(|&payload| {
+                    let (path, both_open) = (&path, &both_open);
+                    scope.spawn(move || {
+                        let mut w = PoolWriter::replace(path)?;
+                        w.append_raw(mobitrace_pool::kind::RAW, 0, 1, payload)?;
+                        // Both writers hold open temp files before either
+                        // renames.
+                        both_open.wait();
+                        w.finish()
+                    })
+                })
+                .collect();
+            for h in writers {
+                h.join().expect("writer thread").expect("concurrent replace");
+            }
+        });
+        let r = PoolReader::open(&path).expect("open");
+        r.verify().expect("whole pool");
+        let got = r.raw_segment(0).expect("raw").0;
+        assert!(payloads.contains(&got), "round {round}: unexpected payload {got:?}");
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).expect("ls").map(|e| e.expect("entry").file_name()).collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("race.mtpool")], "round {round}");
     }
-    drop(w);
-    PoolWriter::open_append(&path).expect("lock released on drop");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -123,9 +123,9 @@ fn pool_image_decodes_at_any_offset() {
     let index = DatasetIndex::build(&ds);
     let cols = DatasetColumns::build(&ds);
     {
-        let mut w = PoolWriter::create(&path).unwrap();
+        let mut w = PoolWriter::replace(&path).unwrap();
         w.append_dataset(0, &ds, &index, &cols).unwrap();
-        w.commit().unwrap();
+        w.finish().unwrap();
     }
     let image = std::fs::read(&path).unwrap();
 

@@ -3,7 +3,7 @@
 //!
 //! A [`QuerySet`] holds the parsed queries from the CLI's repeated
 //! `--where` flags (plus the implicit unfiltered query). Each snapshot
-//! generation — a live-engine compaction, a `.mtpool` epoch, or a batch
+//! generation — a live-engine compaction, a re-read `.mtpool`, or a batch
 //! dataset — is evaluated without touching a row table and without
 //! copying a column, so columns-only live generations (empty `ds.bins`)
 //! serve exactly like batch datasets:
@@ -135,8 +135,8 @@ pub struct ServeRecord {
     /// The query's `--where` source (empty = unfiltered); serialized
     /// under the key `where`.
     pub filter: String,
-    /// Snapshot generation (live compaction count, pool epoch, or 0 for
-    /// one-shot batch).
+    /// Snapshot generation (live compaction count, pool re-read count, or
+    /// 0 for one-shot batch).
     pub generation: u64,
     /// Snapshot high-water mark in campaign minutes.
     pub watermark: Option<u32>,

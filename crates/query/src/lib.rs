@@ -15,7 +15,7 @@
 //! 2. **Compile** ([`filter`]): a [`FilterExpr`] is evaluated over
 //!    [`DatasetColumns`](mobitrace_model::DatasetColumns) into an
 //!    ascending row-selection vector, once per snapshot generation.
-//!    [`materialize`](filter::materialize) turns a selection into a
+//!    [`materialize`] turns a selection into a
 //!    self-contained dataset for callers that want one; serving never
 //!    does.
 //! 3. **Execute** ([`exec`]): the selection is read in place — a
@@ -23,7 +23,7 @@
 //!    snapshot's own columns — by the columnar passes (offload potential,
 //!    RSSI PDFs, venue shares, cap throttling, aggregate WiFi share),
 //!    which produce one serializable
-//!    [`MetricPayload`](exec::MetricPayload) per registered query per
+//!    [`MetricPayload`] per registered query per
 //!    generation — the JSONL records `mobitrace serve` streams. No
 //!    gathered view is built on the serve path.
 //!

@@ -612,9 +612,7 @@ fn run_pool(args: &Args) {
             match reader.verify() {
                 Ok(rep) => {
                     println!(
-                        "{path}: OK — epoch {}, {} segments, {} dataset streams, \
-                         {} bytes ({})",
-                        rep.epoch,
+                        "{path}: OK — {} segments, {} dataset streams, {} bytes ({})",
                         rep.segments,
                         rep.datasets,
                         rep.bytes,
@@ -933,13 +931,12 @@ fn serve_live(args: &Args, set: mobitrace_query::QuerySet, sink: ServeSink) {
 
 /// Pool source: follow a `.mtpool` file another process rewrites, such as
 /// `mobitrace pool export` onto the same path. Every `--interval` seconds
-/// the file is re-opened; when its directory (publish epoch plus every
-/// segment descriptor, content hash included) differs from the last one
+/// the file is re-opened; when its segment directory (every segment
+/// descriptor, content hash included) differs from the last one
 /// evaluated, its newest dataset stream is decoded and evaluated.
-/// Generations are numbered 1, 2, ... in evaluation order. A replaced pool
-/// starts again at epoch 1, so the epoch alone cannot tell a new file from
-/// the old one. Fleet checkpoints hold only RAW records, no dataset stream,
-/// so they have nothing to serve.
+/// Generations are numbered 1, 2, ... in evaluation order. Fleet
+/// checkpoints hold only RAW records, no dataset stream, so they have
+/// nothing to serve.
 fn serve_pool_follow(
     args: &Args,
     set: mobitrace_query::QuerySet,
@@ -966,7 +963,7 @@ fn serve_pool_follow(
         // file, so they only warn (once per distinct cause).
         match PoolReader::open(path) {
             Ok(r) => {
-                let dir = Some((r.epoch(), r.segments().to_vec()));
+                let dir = Some(r.segments().to_vec());
                 if dir != last_dir {
                     if let Some(&stream) = r.dataset_streams().last() {
                         let pd = r.decode_dataset(stream).unwrap_or_else(|e| {

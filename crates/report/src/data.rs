@@ -91,7 +91,7 @@ impl CampaignSet {
             let h0 = scope.spawn(|| encode(YEAR_STREAMS[0], y0));
             let h1 = scope.spawn(|| encode(YEAR_STREAMS[1], y1));
             let h3 = scope.spawn(|| encode(UPDATE_STREAM, &self.update_2015));
-            // The temp file's header write and sync overlap the encodes.
+            // The temp file opens while the other encodes run.
             let mut w = PoolWriter::replace(path)?;
             let e2 = encode(YEAR_STREAMS[2], y2);
             w.append_encoded(h0.join().expect("2013 encode")?)?;

@@ -154,19 +154,20 @@ fn bench_codec_batch(c: &mut Criterion) {
 
 /// The SoA-vs-AoS ablation the columnar layout exists for: the counter
 /// aggregation and per-app CSR walks every hot analysis pass reduces to,
-/// over `DatasetColumns` and over the same `Dataset::bins` rows.
+/// over a dataset's bin columns and over the same bins as rows.
 fn bench_columns_vs_rows(c: &mut Criterion) {
     use mobitrace_model::lanes;
     let set = bench_set();
     let ds = set.year(Year::Y2015);
-    let cols = DatasetColumns::build(ds);
+    let cols = &ds.bins;
+    let rows = cols.to_bins();
     let mut group = c.benchmark_group("columns_vs_rows");
-    group.throughput(Throughput::Elements(ds.bins.len() as u64));
+    group.throughput(Throughput::Elements(rows.len() as u64));
     group.bench_function("counter_sum_rows", |b| {
         b.iter(|| {
             let mut wifi = 0u64;
             let mut cell = 0u64;
-            for bin in &ds.bins {
+            for bin in &rows {
                 wifi += bin.rx_wifi + bin.tx_wifi;
                 cell += bin.rx_cell() + bin.tx_cell();
             }
@@ -192,15 +193,15 @@ fn bench_columns_vs_rows(c: &mut Criterion) {
         })
     });
     group.bench_function("user_days_rows", |b| {
-        b.iter(|| black_box(mobitrace_core::daily::user_days(ds)))
+        b.iter(|| black_box(mobitrace_core::daily::user_days(&rows)))
     });
     group.bench_function("user_days_cols_simd", |b| {
-        b.iter(|| black_box(mobitrace_core::daily::user_days_cols(&cols)))
+        b.iter(|| black_box(mobitrace_core::daily::user_days_cols(cols)))
     });
     group.bench_function("app_scan_rows", |b| {
         b.iter(|| {
             let mut per_cat = [0u64; AppCategory::ALL.len()];
-            for bin in &ds.bins {
+            for bin in &rows {
                 for app in &bin.apps {
                     per_cat[app.category.index()] += app.rx_bytes + app.tx_bytes;
                 }
@@ -217,7 +218,7 @@ fn bench_columns_vs_rows(c: &mut Criterion) {
             black_box(per_cat)
         })
     });
-    group.bench_function("build_columns", |b| b.iter(|| black_box(DatasetColumns::build(ds))));
+    group.bench_function("build_columns", |b| b.iter(|| black_box(DatasetColumns::build(&rows))));
     group.finish();
 }
 
@@ -364,13 +365,14 @@ fn bench_scan_replay(c: &mut Criterion) {
 fn bench_classification(c: &mut Criterion) {
     let set = bench_set();
     let ds = set.year(Year::Y2015);
+    let rows = ds.bins.to_bins();
     let mut group = c.benchmark_group("classification");
     group.sample_size(20);
     group.bench_function("ap_classify_2015", |b| {
-        b.iter(|| black_box(mobitrace_core::apclass::classify(ds)))
+        b.iter(|| black_box(mobitrace_core::apclass::classify_rows(ds, &rows)))
     });
     group.bench_function("user_days_2015", |b| {
-        b.iter(|| black_box(mobitrace_core::daily::user_days(ds)))
+        b.iter(|| black_box(mobitrace_core::daily::user_days(&rows)))
     });
     group.finish();
 }

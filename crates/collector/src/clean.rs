@@ -8,8 +8,8 @@
 //! dropped from the main analysis dataset.
 
 use mobitrace_model::{
-    ApEntry, ApRef, AppBin, AppCategory, AppCounter, BinRecord, CampaignMeta, Dataset, DeviceInfo,
-    Essid, OsVersion, Record, TrafficCounters, WifiAssoc, WifiBinState, WifiState,
+    ApEntry, ApRef, AppBin, AppCategory, BinRecord, CampaignMeta, Dataset, DatasetColumns,
+    DeviceInfo, Essid, OsVersion, Record, TrafficCounters, WifiAssoc, WifiBinState, WifiState,
 };
 use std::collections::HashMap;
 
@@ -53,7 +53,9 @@ pub struct CleanStats {
 
 /// Run the pipeline. `records` must be sorted by (device, seq) — the
 /// order [`CollectionServer::into_records`](crate::CollectionServer::into_records)
-/// produces.
+/// produces. Each kept bin is appended straight to the dataset's
+/// columns; app deltas go through one reused scratch buffer, so no bin
+/// allocates.
 pub fn clean(
     meta: CampaignMeta,
     devices: Vec<DeviceInfo>,
@@ -65,7 +67,8 @@ pub fn clean(
     // Keyed by the shared `Essid` (an `Arc` bump per lookup, hashed and
     // compared by contents), not an owned copy of the name.
     let mut ap_index: HashMap<(u64, Essid), ApRef> = HashMap::new();
-    let mut bins: Vec<BinRecord> = Vec::new();
+    let mut bins = DatasetColumns::with_capacity(records.len(), 0);
+    let mut apps: Vec<AppBin> = Vec::new();
 
     let mut i = 0;
     while i < records.len() {
@@ -100,20 +103,18 @@ pub fn clean(
                     stats.missing_records += u64::from(r.seq - p.seq - 1);
                 }
             }
-            let (d3g, dlte, dwifi, dapps) = match prev {
-                Some(p) if p.boot_epoch == r.boot_epoch => (
+            // The delta base: the previous record of the same boot epoch.
+            // After a reboot the counters restarted from zero, so
+            // everything accumulated since boot belongs to this bin.
+            let base = prev.filter(|p| p.boot_epoch == r.boot_epoch);
+            stats.reboots += u64::from(prev.is_some() && base.is_none());
+            let (d3g, dlte, dwifi) = match base {
+                Some(p) => (
                     delta(&r.counters.cell3g, &p.counters.cell3g),
                     delta(&r.counters.lte, &p.counters.lte),
                     delta(&r.counters.wifi, &p.counters.wifi),
-                    app_deltas(r, Some(p)),
                 ),
-                Some(_) => {
-                    // Reboot: counters restarted from zero; everything
-                    // accumulated since boot belongs to this bin.
-                    stats.reboots += 1;
-                    (r.counters.cell3g, r.counters.lte, r.counters.wifi, app_deltas(r, None))
-                }
-                None => (r.counters.cell3g, r.counters.lte, r.counters.wifi, app_deltas(r, None)),
+                None => (r.counters.cell3g, r.counters.lte, r.counters.wifi),
             };
             prev = Some(r);
 
@@ -149,7 +150,10 @@ pub fn clean(
                 }
             };
 
-            bins.push(BinRecord {
+            // The scratch buffer moves into the row and back out.
+            apps.clear();
+            app_deltas(r, base, &mut apps);
+            let bin = BinRecord {
                 device,
                 time: r.time,
                 rx_3g: d3g.rx_bytes,
@@ -160,10 +164,12 @@ pub fn clean(
                 tx_wifi: dwifi.tx_bytes,
                 wifi,
                 scan: r.scan,
-                apps: dapps,
+                apps: std::mem::take(&mut apps),
                 geo: r.geo,
                 os_version: r.os_version,
-            });
+            };
+            bins.push(&bin);
+            apps = bin.apps;
         }
     }
 
@@ -173,27 +179,35 @@ pub fn clean(
 
 /// Re-apply the iOS-update-day exclusion to an already-cleaned dataset:
 /// per device, the first day reporting ≥ iOS 8.2 after an older version —
-/// and the following day — are dropped. Returns the filtered dataset and
-/// the number of removed bins. Lets one simulation serve both the main
-/// analyses (update days removed) and the §3.7 update analysis (retained).
+/// and the following day — are dropped. Returns the filtered dataset (a
+/// gather of the kept rows) and the number of removed bins. Lets one
+/// simulation serve both the main analyses (update days removed) and the
+/// §3.7 update analysis (retained).
 pub fn strip_update_days(ds: &Dataset) -> (Dataset, u64) {
     // Bins are sorted by (device, time), so each device is one contiguous
     // run and its first pre-8.2 → ≥ 8.2 step is a window of that run.
-    let mut bins = Vec::with_capacity(ds.bins.len());
-    for run in ds.bins.chunk_by(|a, b| a.device == b.device) {
-        let update_day = run
+    let c = &ds.bins;
+    let mut keep: Vec<u32> = Vec::with_capacity(c.len());
+    let mut start = 0;
+    for run in c.device.chunk_by(|a, b| a == b) {
+        let rows = start..start + run.len();
+        start = rows.end;
+        let update_day = c.os_version[rows.clone()]
             .windows(2)
-            .find(|w| w[0].os_version < OsVersion::IOS_8_2 && w[1].os_version >= OsVersion::IOS_8_2)
-            .map(|w| w[1].time.day());
-        match update_day {
-            Some(d) => bins
-                .extend(run.iter().filter(|b| b.time.day() != d && b.time.day() != d + 1).cloned()),
-            None => bins.extend_from_slice(run),
-        }
+            .position(|w| w[0] < OsVersion::IOS_8_2 && w[1] >= OsVersion::IOS_8_2)
+            .map(|k| c.time[rows.start + k + 1].day());
+        keep.extend(
+            rows.filter(|&i| update_day.is_none_or(|d| !(d..=d + 1).contains(&c.time[i].day())))
+                .map(|i| i as u32),
+        );
     }
-    let removed = (ds.bins.len() - bins.len()) as u64;
-    let out =
-        Dataset { meta: ds.meta.clone(), devices: ds.devices.clone(), aps: ds.aps.clone(), bins };
+    let removed = (c.len() - keep.len()) as u64;
+    let out = Dataset {
+        meta: ds.meta.clone(),
+        devices: ds.devices.clone(),
+        aps: ds.aps.clone(),
+        bins: c.gather(&keep),
+    };
     (out, removed)
 }
 
@@ -204,30 +218,27 @@ fn delta(now: &TrafficCounters, before: &TrafficCounters) -> TrafficCounters {
     now.delta_since(before).unwrap_or_default()
 }
 
-/// Per-app byte deltas of `r` against `prev`, the device's previous
-/// record in the same boot epoch (`None` after a reboot or for a first
-/// record: everything counted so far belongs to this bin). Apps without
-/// new bytes are dropped. When a category repeats in `prev`, its first
-/// entry is the base. The live engine folds records with this same
-/// function, so batch and streaming app volumes cannot drift apart.
-pub fn app_deltas(r: &Record, prev: Option<&Record>) -> Vec<AppBin> {
+/// Append to `out` the per-app byte deltas of `r` against `prev`, the
+/// device's previous record in the same boot epoch (`None` after a reboot
+/// or for a first record: everything counted so far belongs to this bin).
+/// Apps without new bytes are dropped. When a category repeats in `prev`,
+/// its first entry is the base. The live engine folds records with this
+/// same function, so batch and streaming app volumes cannot drift apart.
+pub fn app_deltas(r: &Record, prev: Option<&Record>, out: &mut Vec<AppBin>) {
     let mut base = [None::<TrafficCounters>; AppCategory::ALL.len()];
     if let Some(p) = prev {
         for app in &p.apps {
             base[app.category.index()].get_or_insert(app.counters);
         }
     }
-    let delta_of = |app: &AppCounter| {
+    out.extend(r.apps.iter().filter_map(|app| {
         let d = delta(&app.counters, &base[app.category.index()].unwrap_or_default());
         (d.rx_bytes > 0 || d.tx_bytes > 0).then_some(AppBin {
             category: app.category,
             rx_bytes: d.rx_bytes,
             tx_bytes: d.tx_bytes,
         })
-    };
-    let mut out = Vec::with_capacity(r.apps.iter().filter(|a| delta_of(a).is_some()).count());
-    out.extend(r.apps.iter().filter_map(delta_of));
-    out
+    }));
 }
 
 #[cfg(test)]
@@ -303,10 +314,10 @@ mod tests {
             clean(meta(1), device_info(1, Os::Android), &records, CleanOptions::default());
         ds.validate().unwrap();
         assert_eq!(stats.bins_out, 5);
-        let got: Vec<u64> = ds.bins.iter().map(|b| b.rx_wifi).collect();
+        let got: Vec<u64> = ds.bins.rx_wifi.clone();
         assert_eq!(got, volumes);
         // App deltas survive too.
-        for (b, &v) in ds.bins.iter().zip(&volumes) {
+        for (b, &v) in ds.bins.to_bins().iter().zip(&volumes) {
             let app_rx: u64 = b.apps.iter().map(|a| a.rx_bytes).sum();
             assert_eq!(app_rx, v);
         }
@@ -333,7 +344,7 @@ mod tests {
         assert_eq!(stats.tethering_removed, 1);
         assert_eq!(ds.bins.len(), 2);
         // The tethered bin's volume must not be folded into the next bin.
-        assert_eq!(ds.bins[1].rx_wifi, 2000);
+        assert_eq!(ds.bins.rx_wifi[1], 2000);
     }
 
     #[test]
@@ -352,8 +363,8 @@ mod tests {
         let (ds, stats) =
             clean(meta(1), device_info(1, Os::Android), &records, CleanOptions::default());
         assert_eq!(stats.reboots, 1);
-        assert_eq!(ds.bins[0].rx_wifi, 10_000);
-        assert_eq!(ds.bins[1].rx_wifi, 300);
+        assert_eq!(ds.bins.rx_wifi[0], 10_000);
+        assert_eq!(ds.bins.rx_wifi[1], 300);
     }
 
     #[test]
@@ -380,7 +391,7 @@ mod tests {
             clean(meta(4), device_info(1, Os::Ios), &records, CleanOptions::default());
         // Days 1 and 2 (update day + next) removed: 6 records.
         assert_eq!(stats.update_days_removed, 6);
-        let days: std::collections::HashSet<u32> = ds.bins.iter().map(|b| b.time.day()).collect();
+        let days: std::collections::HashSet<u32> = ds.bins.time.iter().map(|t| t.day()).collect();
         assert_eq!(days, [0u32, 3].into_iter().collect());
 
         // With removal disabled, everything stays.
@@ -450,8 +461,8 @@ mod tests {
         assert_eq!(stats.gaps, 1);
         assert_eq!(stats.missing_records, 1);
         assert_eq!(ds.bins.len(), 2);
-        assert_eq!(ds.bins[0].rx_wifi, 1_000);
-        assert_eq!(ds.bins[1].rx_wifi, 7_777 + 2_000);
+        assert_eq!(ds.bins.rx_wifi[0], 1_000);
+        assert_eq!(ds.bins.rx_wifi[1], 7_777 + 2_000);
     }
 
     /// Records lost before the first delivered one are still witnessed by
@@ -520,7 +531,7 @@ mod tests {
             let (ds, _) = clean(meta(30), device_info(1, Os::Android), &records, CleanOptions::default());
             ds.validate().unwrap();
             let total_sent: u64 = volumes.iter().sum();
-            let total_cleaned: u64 = ds.bins.iter().map(|b| b.rx_wifi).sum();
+            let total_cleaned: u64 = ds.bins.rx_wifi.iter().copied().sum();
             prop_assert_eq!(total_cleaned, total_sent);
         }
     }

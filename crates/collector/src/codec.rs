@@ -10,10 +10,10 @@
 //! ```
 //!
 //! The payload encodes integers as LEB128 varints and strings with a
-//! varint length prefix. The CRC-32 (IEEE, slicing-by-8: eight 256-entry
-//! tables fold eight bytes per step) covers the payload; the server
-//! rejects frames whose checksum fails (the transport may corrupt bytes in
-//! flight).
+//! varint length prefix. The CRC-32 (IEEE, slicing-by-16: sixteen
+//! 256-entry tables fold sixteen bytes per step) covers the payload; the
+//! server rejects frames whose checksum fails (the transport may corrupt
+//! bytes in flight).
 //!
 //! Decoding parses the borrowed byte slice in place through one private
 //! bounds-checked cursor: the payload is a sub-slice of the upload, an
@@ -128,16 +128,16 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// CRC-32 (IEEE 802.3), slicing-by-8.
+/// CRC-32 (IEEE 802.3), slicing-by-16.
 ///
 /// Table `k` holds the CRC of a byte followed by `k` zero bytes, so one
-/// step XORs eight independent lookups to fold eight input bytes; the
-/// sub-8-byte tail runs the classic byte-at-a-time loop over table 0.
+/// step XORs sixteen independent lookups to fold sixteen input bytes; the
+/// sub-16-byte tail runs the classic byte-at-a-time loop over table 0.
 /// Polynomial, initial value and final XOR are the standard ones.
 pub fn crc32(data: &[u8]) -> u32 {
-    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 16]> = std::sync::OnceLock::new();
     let t = TABLES.get_or_init(|| {
-        let mut t = [[0u32; 256]; 8];
+        let mut t = [[0u32; 256]; 16];
         for (i, e) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
@@ -145,7 +145,7 @@ pub fn crc32(data: &[u8]) -> u32 {
             }
             *e = c;
         }
-        for k in 1..8 {
+        for k in 1..16 {
             let (done, rest) = t.split_at_mut(k);
             for (e, &prev) in rest[0].iter_mut().zip(&done[k - 1]) {
                 *e = (prev >> 8) ^ done[0][(prev & 0xFF) as usize];
@@ -153,12 +153,16 @@ pub fn crc32(data: &[u8]) -> u32 {
         }
         t
     });
+    let word = |b: &[u8]| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
     let mut crc = 0xFFFF_FFFFu32;
-    let mut blocks = data.chunks_exact(8);
+    let mut blocks = data.chunks_exact(16);
     for b in &mut blocks {
-        let x =
-            u64::from(crc) ^ u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
-        crc = (0..8).fold(0, |acc, j| acc ^ t[7 - j][((x >> (8 * j)) & 0xFF) as usize]);
+        // Byte `i` of the block is followed by `15 - i` more.
+        let (lo, hi) = (u64::from(crc) ^ word(&b[..8]), word(&b[8..]));
+        crc = (0..8).fold(0, |acc, j| {
+            acc ^ t[15 - j][((lo >> (8 * j)) & 0xFF) as usize]
+                ^ t[7 - j][((hi >> (8 * j)) & 0xFF) as usize]
+        });
     }
     for &b in blocks.remainder() {
         crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
@@ -994,7 +998,7 @@ mod tests {
     }
 
     /// Textbook CRC-32, one byte and one bit at a time: the oracle for the
-    /// slicing-by-8 implementation.
+    /// slicing-by-16 implementation.
     fn crc32_bytewise(data: &[u8]) -> u32 {
         let mut crc = 0xFFFF_FFFFu32;
         for &b in data {

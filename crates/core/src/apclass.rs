@@ -17,7 +17,7 @@
 use crate::ctx::AnalysisContext;
 use crate::daily::TrafficClass;
 use mobitrace_model::{
-    is_public_essid, AllRows, ApRef, Dataset, DatasetColumns, DeviceId, RowSet, SimTime,
+    is_public_essid, AllRows, ApRef, BinRecord, Dataset, DatasetColumns, DeviceId, RowSet, SimTime,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -87,16 +87,18 @@ impl ApClassification {
     }
 }
 
-/// Run the classifier over a dataset (row scan; the reference
-/// implementation for [`classify_cols`]).
+/// Run the classifier over a whole dataset.
 pub fn classify(ds: &Dataset) -> ApClassification {
-    classify_impl(
-        ds,
-        ds.bins.iter().filter_map(|b| b.wifi.assoc().map(|a| (b.device, b.time, a.ap))),
-    )
+    classify_cols(ds, &ds.bins)
 }
 
-/// Columnar variant of [`classify`]: identical output, but streams the
+/// Row-scan reference for [`classify_cols`] over `bins`, the dataset's
+/// rows (kept for equivalence tests and benchmarks).
+pub fn classify_rows(ds: &Dataset, bins: &[BinRecord]) -> ApClassification {
+    classify_impl(ds, bins.iter().filter_map(|b| b.wifi.assoc().map(|a| (b.device, b.time, a.ap))))
+}
+
+/// Columnar variant of [`classify_rows`]: identical output, but streams the
 /// device/time/association columns of the associated rows instead of the
 /// row records. The shared core is generic over the scan, so every entry
 /// point monomorphizes the same logic.
@@ -361,6 +363,7 @@ mod tests {
     /// Build a dataset with explicit association patterns.
     struct Builder {
         ds: Dataset,
+        rows: Vec<BinRecord>,
     }
 
     impl Builder {
@@ -384,8 +387,9 @@ mod tests {
                         })
                         .collect(),
                     aps: vec![],
-                    bins: vec![],
+                    bins: DatasetColumns::default(),
                 },
+                rows: vec![],
             }
         }
 
@@ -398,7 +402,7 @@ mod tests {
         }
 
         fn assoc(&mut self, dev: u32, day: u32, bin: u32, ap: ApRef) {
-            self.ds.bins.push(BinRecord {
+            self.rows.push(BinRecord {
                 device: DeviceId(dev),
                 time: SimTime::from_day_bin(day, bin),
                 rx_3g: 0,
@@ -421,7 +425,8 @@ mod tests {
         }
 
         fn finish(mut self) -> Dataset {
-            self.ds.bins.sort_by_key(|b| (b.device, b.time));
+            self.rows.sort_by_key(|b| (b.device, b.time));
+            self.ds.bins = DatasetColumns::build(&self.rows);
             self.ds
         }
     }
@@ -583,7 +588,7 @@ mod tests {
         b.assoc(1, 0, 70, public);
         b.assoc(1, 0, 71, public);
         let ds = b.finish();
-        assert_eq!(classify(&ds), classify_cols(&ds, &DatasetColumns::build(&ds)));
+        assert_eq!(classify_rows(&ds, &ds.bins.to_bins()), classify_cols(&ds, &ds.bins));
     }
 
     #[test]

@@ -56,7 +56,7 @@ mod tests {
             ApEntry { bssid: Bssid::from_u64(1), essid: Essid::new("0000carrier-a") },
             ApEntry { bssid: Bssid::from_u64(2), essid: Essid::new("7SPOT") },
         ];
-        let bins = entries
+        let bins: Vec<BinRecord> = entries
             .iter()
             .enumerate()
             .map(|(t, &(ap, cell))| BinRecord {
@@ -96,7 +96,7 @@ mod tests {
                 truth: None,
             }],
             aps,
-            bins,
+            bins: DatasetColumns::build(&bins),
         }
     }
 

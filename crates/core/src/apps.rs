@@ -8,7 +8,7 @@
 use crate::apclass::ApClass;
 use crate::ctx::AnalysisContext;
 use crate::daily::TrafficClass;
-use mobitrace_model::{AppCategory, Os};
+use mobitrace_model::{AppCategory, BinRecord, Os};
 use serde::{Deserialize, Serialize};
 
 /// The four table contexts of Tables 6–7.
@@ -137,7 +137,11 @@ pub fn app_breakdown(ctx: &AnalysisContext<'_>, class: Option<TrafficClass>) -> 
 
 /// Row-scan reference for [`app_breakdown`] (kept for equivalence tests
 /// and benchmarks).
-pub fn app_breakdown_rows(ctx: &AnalysisContext<'_>, class: Option<TrafficClass>) -> AppBreakdown {
+pub fn app_breakdown_rows(
+    ctx: &AnalysisContext<'_>,
+    bins: &[BinRecord],
+    class: Option<TrafficClass>,
+) -> AppBreakdown {
     let mut out = AppBreakdown::default();
     for dev in &ctx.ds.devices {
         if dev.os != Os::Android {
@@ -149,7 +153,7 @@ pub fn app_breakdown_rows(ctx: &AnalysisContext<'_>, class: Option<TrafficClass>
                     continue;
                 }
             }
-            for b in &ctx.ds.bins[range] {
+            for b in &bins[range] {
                 if b.apps.is_empty() {
                     continue;
                 }
@@ -239,7 +243,7 @@ mod tests {
                 truth: None,
             }],
             aps: vec![ApEntry { bssid: Bssid::from_u64(1), essid: Essid::new("0000carrier-a") }],
-            bins,
+            bins: DatasetColumns::build(&bins),
         }
     }
 
@@ -276,7 +280,7 @@ mod tests {
         let ds = dataset();
         let actx = AnalysisContext::new(&ds);
         let b = app_breakdown(&actx, None);
-        assert_eq!(b, app_breakdown_rows(&actx, None));
+        assert_eq!(b, app_breakdown_rows(&actx, &ds.bins.to_bins(), None));
         assert_eq!(b.rx[TableContext::CellHome as usize][AppCategory::Video.index()], 900);
         assert_eq!(b.rx[TableContext::CellOther as usize][AppCategory::Browser.index()], 700);
         assert_eq!(b.rx[TableContext::WifiPublic as usize][AppCategory::Downloading.index()], 500);

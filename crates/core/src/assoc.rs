@@ -108,7 +108,7 @@ mod tests {
                     essid: Essid::new(e),
                 })
                 .collect(),
-            bins,
+            bins: DatasetColumns::build(&bins),
         }
     }
 

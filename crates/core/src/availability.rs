@@ -6,7 +6,9 @@
 //! much of its cellular traffic it could therefore have offloaded.
 
 use crate::stats::ccdf_points;
-use mobitrace_model::{AllRows, Dataset, DatasetColumns, DeviceId, RowSet, WifiBinState};
+use mobitrace_model::{
+    AllRows, BinRecord, Dataset, DatasetColumns, DeviceId, RowSet, WifiBinState,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -63,9 +65,9 @@ pub fn detected_public_aps(ds: &Dataset, cols: &DatasetColumns) -> DetectedPubli
 
 /// Row-scan reference for [`detected_public_aps`] (kept for equivalence
 /// tests and benchmarks).
-pub fn detected_public_aps_rows(ds: &Dataset) -> DetectedPublicAps {
+pub fn detected_public_aps_rows(ds: &Dataset, bins: &[BinRecord]) -> DetectedPublicAps {
     let mut out = DetectedPublicAps::default();
-    for b in &ds.bins {
+    for b in bins {
         if !matches!(b.wifi, WifiBinState::OnUnassociated) {
             continue;
         }
@@ -141,9 +143,9 @@ pub fn offload_potential_over(
 
 /// Row-scan reference for [`offload_potential`] (kept for equivalence
 /// tests and benchmarks).
-pub fn offload_potential_rows(ds: &Dataset) -> OffloadPotential {
+pub fn offload_potential_rows(bins: &[BinRecord]) -> OffloadPotential {
     let mut per_dev: HashMap<DeviceId, (u64, u64, bool)> = HashMap::new();
-    for b in &ds.bins {
+    for b in bins {
         let available = matches!(b.wifi, WifiBinState::OnUnassociated);
         if !available {
             continue;
@@ -214,7 +216,7 @@ mod tests {
                 })
                 .collect(),
             aps: vec![],
-            bins,
+            bins: DatasetColumns::build(&bins),
         }
     }
 
@@ -237,8 +239,8 @@ mod tests {
             ],
             1,
         );
-        let d = detected_public_aps(&ds, &DatasetColumns::build(&ds));
-        assert_eq!(d, detected_public_aps_rows(&ds));
+        let d = detected_public_aps(&ds, &ds.bins);
+        assert_eq!(d, detected_public_aps_rows(&ds, &ds.bins.to_bins()));
         assert_eq!(d.g24_all, vec![5.0]);
         assert_eq!(d.g24_strong, vec![2.0]);
     }
@@ -254,8 +256,8 @@ mod tests {
             ],
             2,
         );
-        let o = offload_potential(&ds, &DatasetColumns::build(&ds));
-        assert_eq!(o, offload_potential_rows(&ds));
+        let o = offload_potential(&ds, &ds.bins);
+        assert_eq!(o, offload_potential_rows(&ds.bins.to_bins()));
         assert_eq!(o.available_devices, 2);
         assert!((o.devices_with_opportunity - 0.5).abs() < 1e-12);
         assert!((o.offloadable_share - 0.3).abs() < 1e-12); // 600 / 2000
@@ -264,8 +266,7 @@ mod tests {
     #[test]
     fn empty_dataset_defaults() {
         let ds = dataset(vec![], 0);
-        let cols = DatasetColumns::build(&ds);
-        assert_eq!(offload_potential(&ds, &cols), OffloadPotential::default());
+        assert_eq!(offload_potential(&ds, &ds.bins), OffloadPotential::default());
         assert_eq!(DetectedPublicAps::share_nonzero(&[]), 0.0);
     }
 

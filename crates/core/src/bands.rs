@@ -102,7 +102,7 @@ mod tests {
                 truth: None,
             }],
             aps,
-            bins,
+            bins: DatasetColumns::build(&bins),
         }
     }
 

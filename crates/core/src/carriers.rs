@@ -94,13 +94,13 @@ mod tests {
                 })
                 .collect(),
             aps: vec![ApEntry { bssid: Bssid::from_u64(1), essid: Essid::new("x") }],
-            bins: vec![
+            bins: DatasetColumns::build(&[
                 bin(0, 0, true),
                 bin(0, 1, true),
                 bin(1, 0, true),
                 bin(1, 1, false),
                 bin(2, 0, true), // Android: excluded from iOS comparison
-            ],
+            ]),
         };
         let cmp = carrier_wifi_user_ratios(&AnalysisContext::new(&ds), Os::Ios);
         assert!((cmp.ratios[0] - 1.0).abs() < 1e-12);

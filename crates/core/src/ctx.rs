@@ -20,7 +20,7 @@ pub struct UserDayRun {
     pub device: DeviceId,
     /// Campaign day.
     pub day: u32,
-    /// The run's rows (indices into `ds.bins` and the columnar view).
+    /// The run's rows (indices into the bin columns).
     pub rows: Range<usize>,
     /// Traffic class of the user-day.
     pub class: TrafficClass,
@@ -54,26 +54,20 @@ pub struct AnalysisContext<'a> {
 }
 
 impl<'a> AnalysisContext<'a> {
-    /// Build the context: the bin-range index and the columnar view first,
-    /// then the three independent passes (user-day aggregates + classes,
-    /// AP classification, home cells), all scanning the columns. On large
-    /// datasets the builds and passes run on separate threads; they touch
-    /// disjoint products, so the result is identical either way.
+    /// Build the context over `ds`: the bin-range index first, then the
+    /// three independent passes (user-day aggregates + classes, AP
+    /// classification, home cells), all scanning the dataset's columns,
+    /// which the context borrows. On large datasets the passes run on
+    /// separate threads; they touch disjoint products, so the result is
+    /// identical either way.
     pub fn new(ds: &'a Dataset) -> AnalysisContext<'a> {
-        let (index, cols) = if ds.bins.len() < PARALLEL_BUILD_THRESHOLD {
-            (DatasetIndex::build(ds), DatasetColumns::build(ds))
-        } else {
-            std::thread::scope(|scope| {
-                let cols = scope.spawn(|| DatasetColumns::build(ds));
-                (DatasetIndex::build(ds), cols.join().expect("columns build"))
-            })
-        };
-        AnalysisContext::from_parts(ds, index, cols)
+        let index = DatasetIndex::build(ds);
+        AnalysisContext::from_cow_parts(ds, Cow::Owned(index), Cow::Borrowed(&ds.bins))
     }
 
     /// Build the context from an already-built index and columnar view —
     /// the entry point for incrementally maintained datasets (the live
-    /// engine's snapshots carry both), skipping the two full-scan builds.
+    /// engine's snapshots carry both), skipping the index build.
     /// `index` and `cols` are the rows: `ds` supplies the identifier tables
     /// and its `bins` may be empty; when it is not, it must hold exactly
     /// the rows `cols` does. The analysis passes here scan only the
@@ -262,7 +256,7 @@ mod tests {
                 })
                 .collect(),
             aps: vec![],
-            bins,
+            bins: DatasetColumns::build(&bins),
         }
     }
 
@@ -307,7 +301,7 @@ mod tests {
         assert_eq!(runs.iter().map(|r| r.rows.len()).sum::<usize>(), ds.bins.len());
         for r in &runs {
             assert_eq!(ctx.class_of(r.device, r.day), Some(r.class));
-            assert!(ds.bins[r.rows.clone()]
+            assert!(ds.bins.to_bins()[r.rows.clone()]
                 .iter()
                 .all(|b| b.device == r.device && b.time.day() == r.day));
         }
@@ -324,8 +318,7 @@ mod tests {
         }
         let ds = dataset(10, bins);
         let a = AnalysisContext::new(&ds);
-        let b =
-            AnalysisContext::from_parts(&ds, DatasetIndex::build(&ds), DatasetColumns::build(&ds));
+        let b = AnalysisContext::from_parts(&ds, DatasetIndex::build(&ds), ds.bins.clone());
         assert_eq!(a.days, b.days);
         assert_eq!(a.classes, b.classes);
         assert_eq!(a.thresholds, b.thresholds);

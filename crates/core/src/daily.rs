@@ -5,7 +5,7 @@
 //! — and "one user may be a light user one day and heavy hitter on
 //! another" (§2).
 
-use mobitrace_model::{AllRows, Dataset, DatasetColumns, DeviceId, RowSet};
+use mobitrace_model::{AllRows, BinRecord, DatasetColumns, DeviceId, RowSet};
 use serde::{Deserialize, Serialize};
 
 /// Daily traffic of one device on one campaign day (bytes).
@@ -100,9 +100,9 @@ pub fn user_days_over(cols: &DatasetColumns, rows: &impl RowSet) -> Vec<UserDay>
 /// Compute per-user-day aggregates (relies on the dataset's
 /// (device, time) sort order). Days with zero bins do not appear.
 /// Retained as the row-scan reference for [`user_days_cols`].
-pub fn user_days(ds: &Dataset) -> Vec<UserDay> {
+pub fn user_days(bins: &[BinRecord]) -> Vec<UserDay> {
     let mut out: Vec<UserDay> = Vec::new();
-    for b in &ds.bins {
+    for b in bins {
         let day = b.time.day();
         match out.last_mut() {
             Some(last) if last.device == b.device && last.day == day => {
@@ -188,7 +188,7 @@ mod tests {
                 })
                 .collect(),
             aps: vec![],
-            bins,
+            bins: DatasetColumns::build(&bins),
         }
     }
 
@@ -221,8 +221,8 @@ mod tests {
                 bin(1, 0, 0, 7, 3),
             ],
         );
-        let days = user_days(&ds);
-        assert_eq!(days, user_days_cols(&DatasetColumns::build(&ds)));
+        let days = user_days(&ds.bins.to_bins());
+        assert_eq!(days, user_days_cols(&ds.bins));
         assert_eq!(days.len(), 3);
         assert_eq!(days[0].rx_wifi, 300);
         assert_eq!(days[0].rx_lte, 30);
@@ -237,7 +237,7 @@ mod tests {
         let bins: Vec<BinRecord> =
             (0..100).map(|i| bin(i, 0, 0, (i as u64 + 1) * 1_000_000, 0)).collect();
         let ds = dataset_with_bins(100, bins);
-        let days = user_days(&ds);
+        let days = user_days(&ds.bins.to_bins());
         let (classes, (p40, p60, p95)) = classify_user_days(&days);
         assert!(p40 < p60 && p60 < p95);
         let heavy = classes.iter().filter(|c| **c == TrafficClass::Heavy).count();
@@ -255,7 +255,7 @@ mod tests {
         }
         bins.sort_by_key(|b| (b.device, b.time));
         let ds = dataset_with_bins(50, bins);
-        let days = user_days(&ds);
+        let days = user_days(&ds.bins.to_bins());
         let (classes, _) = classify_user_days(&days);
         let dev0: Vec<TrafficClass> = days
             .iter()

@@ -60,7 +60,7 @@ mod tests {
                 dev(3, None), // non-respondent excluded
             ],
             aps: vec![],
-            bins: vec![],
+            bins: DatasetColumns::default(),
         };
         let t = occupation_table(&ds);
         let eng = Occupation::ALL.iter().position(|&o| o == Occupation::Engineer).unwrap();
@@ -81,7 +81,7 @@ mod tests {
             },
             devices: vec![],
             aps: vec![],
-            bins: vec![],
+            bins: DatasetColumns::default(),
         };
         assert_eq!(occupation_table(&ds), [0.0; 10]);
     }

@@ -82,7 +82,7 @@ mod tests {
                 essid: Essid::new(*e),
             })
             .collect();
-        let bins = channels
+        let bins: Vec<BinRecord> = channels
             .iter()
             .enumerate()
             .map(|(i, (_, ch))| BinRecord {
@@ -122,7 +122,7 @@ mod tests {
                 truth: None,
             }],
             aps,
-            bins,
+            bins: DatasetColumns::build(&bins),
         }
     }
 
@@ -156,13 +156,15 @@ mod tests {
             ("0000carrier-a", 1),
         ]);
         let (lo, hi) = (CellId::new(1, 1), CellId::new(1, 2));
-        for (b, cell) in ds.bins.iter_mut().zip([hi, lo, lo, hi]) {
+        let mut rows = ds.bins.to_bins();
+        for (b, cell) in rows.iter_mut().zip([hi, lo, lo, hi]) {
             b.geo = cell;
         }
-        let mut extra = ds.bins[0].clone();
+        let mut extra = rows[0].clone();
         extra.time = SimTime::from_minutes(100);
         extra.geo = lo;
-        ds.bins.push(extra);
+        rows.push(extra);
+        ds.bins = DatasetColumns::build(&rows);
         let ctx = AnalysisContext::new(&ds);
         for _ in 0..32 {
             let p = interference_pressure(&ctx);

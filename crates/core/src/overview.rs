@@ -1,6 +1,6 @@
 //! Dataset overview (Table 1).
 
-use mobitrace_model::{lanes, Dataset, DatasetColumns, Os};
+use mobitrace_model::{lanes, BinRecord, Dataset, DatasetColumns, Os};
 use serde::{Deserialize, Serialize};
 
 /// One Table 1 row.
@@ -33,9 +33,9 @@ pub fn overview(ds: &Dataset, cols: &DatasetColumns) -> Overview {
 
 /// Row-scan reference for [`overview`] (kept for equivalence tests and
 /// benchmarks).
-pub fn overview_rows(ds: &Dataset) -> Overview {
+pub fn overview_rows(ds: &Dataset, bins: &[BinRecord]) -> Overview {
     let (mut lte, mut cell3g) = (0u64, 0u64);
-    for b in &ds.bins {
+    for b in bins {
         lte += b.rx_lte + b.tx_lte;
         cell3g += b.rx_3g + b.tx_3g;
     }
@@ -104,10 +104,10 @@ mod tests {
                 },
             ],
             aps: vec![],
-            bins: vec![mk_bin(0, 700, 300), mk_bin(1, 0, 0)],
+            bins: DatasetColumns::build(&[mk_bin(0, 700, 300), mk_bin(1, 0, 0)]),
         };
-        let o = overview(&ds, &DatasetColumns::build(&ds));
-        assert_eq!(o, overview_rows(&ds));
+        let o = overview(&ds, &ds.bins);
+        assert_eq!(o, overview_rows(&ds, &ds.bins.to_bins()));
         assert_eq!(o.year, 2014);
         assert_eq!((o.n_android, o.n_ios, o.n_total), (1, 1, 2));
         assert!((o.lte_traffic_share - 0.7).abs() < 1e-12);

@@ -3,7 +3,7 @@
 
 use crate::apclass::{ApClass, ApClassification};
 use crate::stats::Histogram;
-use mobitrace_model::{AllRows, Band, Dataset, DatasetColumns, Dbm, RowSet};
+use mobitrace_model::{AllRows, Band, BinRecord, DatasetColumns, Dbm, RowSet};
 use serde::{Deserialize, Serialize};
 
 /// Fig. 15: per-class PDF of the *maximum* RSSI observed for each
@@ -52,9 +52,9 @@ pub fn rssi_analysis_over(
 
 /// Row-scan reference for [`rssi_analysis`] (kept for equivalence tests
 /// and benchmarks).
-pub fn rssi_analysis_rows(ds: &Dataset, cls: &ApClassification) -> RssiAnalysis {
+pub fn rssi_analysis_rows(bins: &[BinRecord], cls: &ApClassification) -> RssiAnalysis {
     let mut max_rssi: Vec<Option<Dbm>> = vec![None; cls.class_of.len()];
-    for b in &ds.bins {
+    for b in bins {
         if let Some(a) = b.wifi.assoc() {
             if a.band == Band::Ghz24 {
                 let m = &mut max_rssi[a.ap.index()];
@@ -146,9 +146,9 @@ pub fn channel_analysis(cols: &DatasetColumns, cls: &ApClassification) -> Channe
 
 /// Row-scan reference for [`channel_analysis`] (kept for equivalence tests
 /// and benchmarks).
-pub fn channel_analysis_rows(ds: &Dataset, cls: &ApClassification) -> ChannelAnalysis {
+pub fn channel_analysis_rows(bins: &[BinRecord], cls: &ApClassification) -> ChannelAnalysis {
     let mut chan_of: Vec<Option<u8>> = vec![None; cls.class_of.len()];
-    for b in &ds.bins {
+    for b in bins {
         if let Some(a) = b.wifi.assoc() {
             if a.band == Band::Ghz24 && chan_of[a.ap.index()].is_none() {
                 chan_of[a.ap.index()] = Some(a.channel.0);
@@ -219,7 +219,7 @@ mod tests {
                     truth: None,
                 }],
                 aps: vec![],
-                bins: vec![],
+                bins: DatasetColumns::default(),
             })
         }
 
@@ -232,7 +232,7 @@ mod tests {
             for (k, &r) in rssis.iter().enumerate() {
                 let t = self.0.bins.len() as u32;
                 let _ = k;
-                self.0.bins.push(BinRecord {
+                self.0.bins.push(&BinRecord {
                     device: DeviceId(0),
                     time: SimTime::from_minutes(t * 10),
                     rx_3g: 0,
@@ -263,8 +263,8 @@ mod tests {
         b.assoc_ap("7SPOT", 11, &[-75, -71]);
         let ds = b.0;
         let cls = crate::apclass::classify(&ds);
-        let r = rssi_analysis(&DatasetColumns::build(&ds), &cls);
-        assert_eq!(r, rssi_analysis_rows(&ds, &cls));
+        let r = rssi_analysis(&ds.bins, &cls);
+        assert_eq!(r, rssi_analysis_rows(&ds.bins.to_bins(), &cls));
         // Max RSSIs are -60 (strong) and -71 (weak): mean -65.5, weak ½.
         assert!((r.means.1 - (-65.5)).abs() < 1e-9, "{}", r.means.1);
         assert!((r.weak_shares.1 - 0.5).abs() < 1e-12);
@@ -281,8 +281,8 @@ mod tests {
         b.assoc_ap("Metro_Free_Wi-Fi", 11, &[-60]);
         let ds = b.0;
         let cls = crate::apclass::classify(&ds);
-        let c = channel_analysis(&DatasetColumns::build(&ds), &cls);
-        assert_eq!(c, channel_analysis_rows(&ds, &cls));
+        let c = channel_analysis(&ds.bins, &cls);
+        assert_eq!(c, channel_analysis_rows(&ds.bins.to_bins(), &cls));
         assert!((c.public[0] - 0.25).abs() < 1e-12);
         assert!((c.public[10] - 0.5).abs() < 1e-12);
         assert!((c.public_orthogonal_share() - 1.0).abs() < 1e-12);
@@ -295,7 +295,7 @@ mod tests {
         b.assoc_ap("0000carrier-a", 6, &[-55]);
         let ds = b.0;
         let cls = crate::apclass::classify(&ds);
-        let r = rssi_analysis(&DatasetColumns::build(&ds), &cls);
+        let r = rssi_analysis(&ds.bins, &cls);
         let pdf = r.public.pdf();
         let at_55: f64 =
             pdf.iter().filter(|(c, _)| (*c - (-55.0)).abs() < 1.0).map(|(_, d)| *d).sum();

@@ -10,6 +10,7 @@
 use crate::ctx::AnalysisContext;
 use crate::daily::TrafficClass;
 use crate::timeseries::WEEK_HOURS;
+use mobitrace_model::BinRecord;
 use serde::{Deserialize, Serialize};
 
 /// A weekly hourly ratio series plus its mean.
@@ -67,10 +68,14 @@ pub fn wifi_traffic_ratio(ctx: &AnalysisContext<'_>, filter: ClassFilter) -> Rat
 
 /// Row-scan reference for [`wifi_traffic_ratio`] (kept for equivalence
 /// tests and benchmarks).
-pub fn wifi_traffic_ratio_rows(ctx: &AnalysisContext<'_>, filter: ClassFilter) -> RatioSeries {
+pub fn wifi_traffic_ratio_rows(
+    ctx: &AnalysisContext<'_>,
+    bins: &[BinRecord],
+    filter: ClassFilter,
+) -> RatioSeries {
     let mut wifi = vec![0.0; WEEK_HOURS];
     let mut total = vec![0.0; WEEK_HOURS];
-    for b in &ctx.ds.bins {
+    for b in bins {
         if !filter.admits(ctx.class_of(b.device, b.time.day())) {
             continue;
         }
@@ -114,7 +119,11 @@ pub fn wifi_user_ratio(ctx: &AnalysisContext<'_>, filter: ClassFilter) -> RatioS
 
 /// Row-scan reference for [`wifi_user_ratio`] (kept for equivalence tests
 /// and benchmarks).
-pub fn wifi_user_ratio_rows(ctx: &AnalysisContext<'_>, filter: ClassFilter) -> RatioSeries {
+pub fn wifi_user_ratio_rows(
+    ctx: &AnalysisContext<'_>,
+    bins: &[BinRecord],
+    filter: ClassFilter,
+) -> RatioSeries {
     let mut users = vec![0.0; WEEK_HOURS];
     let mut wifi_users = vec![0.0; WEEK_HOURS];
     let mut current: Option<(mobitrace_model::DeviceId, u32, bool, usize, bool)> = None;
@@ -128,7 +137,7 @@ pub fn wifi_user_ratio_rows(ctx: &AnalysisContext<'_>, filter: ClassFilter) -> R
             }
         }
     };
-    for b in &ctx.ds.bins {
+    for b in bins {
         let abs_hour = b.time.minute / 60;
         let slot = ((b.time.day() % 7) * 24 + b.time.hour()) as usize;
         let assoc = b.wifi.assoc().is_some();
@@ -173,7 +182,7 @@ mod tests {
                 })
                 .collect(),
             aps: vec![ApEntry { bssid: Bssid::from_u64(1), essid: Essid::new("x") }],
-            bins,
+            bins: DatasetColumns::build(&bins),
         }
     }
 
@@ -216,7 +225,7 @@ mod tests {
         );
         let ctx = AnalysisContext::new(&ds);
         let r = wifi_traffic_ratio(&ctx, ClassFilter::All);
-        assert_eq!(r, wifi_traffic_ratio_rows(&ctx, ClassFilter::All));
+        assert_eq!(r, wifi_traffic_ratio_rows(&ctx, &ds.bins.to_bins(), ClassFilter::All));
         assert!((r.ratio[10] - 0.5).abs() < 1e-12); // 400/800
         assert_eq!(r.ratio[20], 0.0);
         // Mean = 400 / 1300.
@@ -241,7 +250,7 @@ mod tests {
         );
         let ctx = AnalysisContext::new(&ds);
         let r = wifi_user_ratio(&ctx, ClassFilter::All);
-        assert_eq!(r, wifi_user_ratio_rows(&ctx, ClassFilter::All));
+        assert_eq!(r, wifi_user_ratio_rows(&ctx, &ds.bins.to_bins(), ClassFilter::All));
         assert!((r.ratio[10] - 0.5).abs() < 1e-12, "{}", r.ratio[10]);
     }
 

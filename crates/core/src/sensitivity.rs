@@ -120,7 +120,8 @@ mod tests {
             bins.push(mk(1, k));
         }
         bins.sort_by_key(|b| (b.device, b.time));
-        let mut ds = Dataset {
+        bins.dedup_by_key(|b| (b.device, b.time));
+        Dataset {
             meta: CampaignMeta {
                 year: Year::Y2015,
                 start: Year::Y2015.campaign_start(),
@@ -139,10 +140,8 @@ mod tests {
                 }),
             }],
             aps: vec![ApEntry { bssid: Bssid::from_u64(1), essid: Essid::new("aterm-x") }],
-            bins,
-        };
-        ds.bins.dedup_by_key(|b| (b.device, b.time));
-        ds
+            bins: DatasetColumns::build(&bins),
+        }
     }
 
     fn mk(day: u32, bin: u32) -> BinRecord {
@@ -200,7 +199,7 @@ mod tests {
                 if let WifiBinState::Associated(a) = &mut bin.wifi {
                     a.ap = ApRef(ap);
                 }
-                ds.bins.push(bin);
+                ds.bins.push(&bin);
             }
         }
         let ctx = AnalysisContext::new(&ds);

@@ -109,7 +109,7 @@ mod tests {
                 })
                 .collect(),
             aps: vec![],
-            bins: vec![],
+            bins: DatasetColumns::default(),
         }
     }
 

@@ -6,7 +6,7 @@
 //! rescale to Mbps.
 
 use crate::apclass::{ApClass, ApClassification};
-use mobitrace_model::{AllRows, Dataset, DatasetColumns, RowSet, SimTime};
+use mobitrace_model::{AllRows, BinRecord, Dataset, DatasetColumns, RowSet, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Hours in the weekly grid (Sat 00:00 → Fri 23:00, campaign-start
@@ -143,12 +143,12 @@ pub fn aggregate_series_over(
 
 /// Row-scan reference for [`aggregate_series`] (kept for equivalence tests
 /// and benchmarks).
-pub fn aggregate_series_rows(ds: &Dataset) -> AggregateSeries {
+pub fn aggregate_series_rows(ds: &Dataset, bins: &[BinRecord]) -> AggregateSeries {
     let mut cell_rx = vec![0u64; WEEK_HOURS];
     let mut cell_tx = vec![0u64; WEEK_HOURS];
     let mut wifi_rx = vec![0u64; WEEK_HOURS];
     let mut wifi_tx = vec![0u64; WEEK_HOURS];
-    for b in &ds.bins {
+    for b in bins {
         let slot = weekly_slot(ds, b.time);
         cell_rx[slot] += b.rx_cell();
         cell_tx[slot] += b.tx_cell();
@@ -235,12 +235,12 @@ pub fn venue_series_over(
 
 /// Row-scan reference for [`venue_series`] (kept for equivalence tests and
 /// benchmarks).
-pub fn venue_series_rows(ds: &Dataset, cls: &ApClassification) -> VenueSeries {
+pub fn venue_series_rows(ds: &Dataset, bins: &[BinRecord], cls: &ApClassification) -> VenueSeries {
     let mut rx = [vec![0u64; WEEK_HOURS], vec![0u64; WEEK_HOURS], vec![0u64; WEEK_HOURS]];
     let mut tx = [vec![0u64; WEEK_HOURS], vec![0u64; WEEK_HOURS], vec![0u64; WEEK_HOURS]];
     let mut totals = [0u64; 4]; // home, public, office, other
     let mut wifi_total = 0u64;
-    for b in &ds.bins {
+    for b in bins {
         let Some(assoc) = b.wifi.assoc() else {
             continue;
         };
@@ -304,7 +304,7 @@ mod tests {
                 })
                 .collect(),
             aps: vec![ApEntry { bssid: Bssid::from_u64(1), essid: Essid::new("aterm-x") }],
-            bins,
+            bins: DatasetColumns::build(&bins),
         }
     }
 
@@ -340,8 +340,8 @@ mod tests {
         // 900 MB in one hourly slot over 2 weeks → 450 MB/week-slot
         // → 450e6 × 8 / 3600 / 1e6 = 1.0 Mbps.
         let ds = dataset(1, vec![bin(0, 10, 900_000_000, 0, false)]);
-        let agg = aggregate_series(&ds, &DatasetColumns::build(&ds));
-        assert_eq!(agg, aggregate_series_rows(&ds));
+        let agg = aggregate_series(&ds, &ds.bins);
+        assert_eq!(agg, aggregate_series_rows(&ds, &ds.bins.to_bins()));
         let slot = 10;
         assert!((agg.wifi_rx.mbps[slot] - 1.0).abs() < 1e-9, "{}", agg.wifi_rx.mbps[slot]);
         assert_eq!(agg.wifi_rx.peak_slot(), slot);
@@ -351,7 +351,7 @@ mod tests {
     fn weekly_folding() {
         // Same weekday+hour in two different weeks lands in one slot.
         let ds = dataset(1, vec![bin(1, 9, 100, 0, false), bin(8, 9, 100, 0, false)]);
-        let agg = aggregate_series(&ds, &DatasetColumns::build(&ds));
+        let agg = aggregate_series(&ds, &ds.bins);
         let populated = agg.wifi_rx.mbps.iter().filter(|&&v| v > 0.0).count();
         assert_eq!(populated, 1);
     }
@@ -359,7 +359,7 @@ mod tests {
     #[test]
     fn wifi_share() {
         let ds = dataset(1, vec![bin(0, 10, 670, 330, false)]);
-        let agg = aggregate_series(&ds, &DatasetColumns::build(&ds));
+        let agg = aggregate_series(&ds, &ds.bins);
         // (670+134) / (670+134+330+66) = 0.67.
         assert!((agg.wifi_share() - 0.67).abs() < 0.01, "{}", agg.wifi_share());
     }
@@ -368,8 +368,8 @@ mod tests {
     fn venue_split_uses_classification() {
         let ds = dataset(1, vec![bin(0, 21, 1000, 0, true)]);
         let cls = crate::apclass::classify(&ds);
-        let v = venue_series(&ds, &DatasetColumns::build(&ds), &cls);
-        assert_eq!(v, venue_series_rows(&ds, &cls));
+        let v = venue_series(&ds, &ds.bins, &cls);
+        assert_eq!(v, venue_series_rows(&ds, &ds.bins.to_bins(), &cls));
         // Single AP, no night coverage → classified Other; home gets none.
         assert_eq!(v.home.0.mbps.iter().filter(|&&x| x > 0.0).count(), 0);
         // Shares account for "other" implicitly (home+public+office < 1).

@@ -6,7 +6,7 @@
 
 use crate::apclass::{ApClass, ApClassification};
 use crate::stats::cdf_points;
-use mobitrace_model::{Dataset, DatasetIndex, DeviceId, Os, OsVersion, SimTime};
+use mobitrace_model::{Dataset, DeviceId, Os, OsVersion, SimTime, WifiTag};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -70,44 +70,40 @@ const VIA_ORDER: [ApClass; 4] = [ApClass::Home, ApClass::Public, ApClass::Office
 
 /// Detect updates and compute Fig. 18's statistics.
 ///
-/// Scans each iOS device's indexed bin range once (skipping Android
-/// devices wholesale) and resolves the update day's WiFi volumes through
-/// an O(log days) range lookup instead of a second full-table pass.
+/// Finds each iOS device's rows by binary search on the sorted device
+/// column (skipping Android devices wholesale), scans their OS-version
+/// column once, and finds the update day's rows by binary search on the
+/// time column — no index is built or needed.
 pub fn update_analysis(ds: &Dataset, cls: &ApClassification, release_day: u32) -> UpdateAnalysis {
     let mut out = UpdateAnalysis::default();
-    let index = DatasetIndex::build(ds);
+    let c = &ds.bins;
     // Device → (first bin on the new version, carrying venue class).
     let mut detected: HashMap<DeviceId, (SimTime, Option<ApClass>)> = HashMap::new();
     for dev in &ds.devices {
         if dev.os != Os::Ios {
             continue;
         }
-        let mut prev: Option<OsVersion> = None;
-        let mut at: Option<SimTime> = None;
-        for b in index.device_bins(ds, dev.device) {
-            if let Some(prev) = prev {
-                if prev < OsVersion::IOS_8_2 && b.os_version >= OsVersion::IOS_8_2 {
-                    at = Some(b.time);
-                }
-            }
-            prev = Some(b.os_version);
-        }
-        let Some(at) = at else {
+        let rows = ds.device_rows(dev.device);
+        // The last pre-8.2 → ≥ 8.2 step of the device.
+        let Some(at) = c.os_version[rows.clone()]
+            .windows(2)
+            .rposition(|w| w[0] < OsVersion::IOS_8_2 && w[1] >= OsVersion::IOS_8_2)
+            .map(|k| c.time[rows.start + k + 1])
+        else {
             continue;
         };
         // WiFi volume per class on the update day; `None` = never
         // associated that day.
         let mut volumes: [Option<u64>; 4] = [None; 4];
-        if let Some(range) = index.day_range(dev.device, at.day()) {
-            for b in &ds.bins[range] {
-                if let Some(a) = b.wifi.assoc() {
-                    let k = VIA_ORDER
-                        .iter()
-                        .position(|&c| c == cls.class(a.ap))
-                        .expect("class in order");
-                    *volumes[k].get_or_insert(0) += b.rx_wifi;
-                }
-            }
+        let time = &c.time[rows.clone()];
+        let day = rows.start + time.partition_point(|t| t.day() < at.day())
+            ..rows.start + time.partition_point(|t| t.day() <= at.day());
+        for i in day.filter(|&i| c.wifi_tag[i] == WifiTag::Associated) {
+            let k = VIA_ORDER
+                .iter()
+                .position(|&class| class == cls.class(c.assoc_ap[i]))
+                .expect("class in order");
+            *volumes[k].get_or_insert(0) += c.rx_wifi[i];
         }
         let mut via: Option<ApClass> = None;
         let mut best = 0u64;
@@ -220,7 +216,7 @@ mod tests {
                 })
                 .collect(),
             aps: vec![ApEntry { bssid: Bssid::from_u64(9), essid: Essid::new("0000carrier-a") }],
-            bins,
+            bins: DatasetColumns::build(&bins),
         }
     }
 

@@ -114,7 +114,7 @@ mod tests {
                 })
                 .collect(),
             aps: vec![ApEntry { bssid: Bssid::from_u64(1), essid: Essid::new("x") }],
-            bins,
+            bins: DatasetColumns::build(&bins),
         }
     }
 

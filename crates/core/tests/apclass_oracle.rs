@@ -19,8 +19,8 @@
 use mobitrace_core::apclass::{self, ApClass, ApClassification, ClassCounts};
 use mobitrace_model::{
     is_public_essid, ApEntry, ApRef, Band, BinRecord, Bssid, CampaignMeta, Carrier, CellId,
-    Channel, Dataset, Dbm, DeviceId, DeviceInfo, Essid, Os, OsVersion, ScanSummary, SimTime,
-    WifiAssoc, WifiBinState, Year,
+    Channel, Dataset, DatasetColumns, Dbm, DeviceId, DeviceInfo, Essid, Os, OsVersion, ScanSummary,
+    SimTime, WifiAssoc, WifiBinState, Year,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -52,6 +52,7 @@ fn in_office_window(ds: &Dataset, t: SimTime) -> bool {
 fn oracle(ds: &Dataset) -> ApClassification {
     let assoc: Vec<(DeviceId, SimTime, ApRef)> = ds
         .bins
+        .to_bins()
         .iter()
         .filter_map(|b: &BinRecord| match b.wifi {
             WifiBinState::Associated(a) => Some((b.device, b.time, a.ap)),
@@ -170,7 +171,7 @@ fn dataset(blocks: &[Block]) -> Dataset {
             }
         }
     }
-    let bins = rows
+    let bins: Vec<BinRecord> = rows
         .into_iter()
         .map(|((device, minute), ap)| BinRecord {
             device,
@@ -218,7 +219,7 @@ fn dataset(blocks: &[Block]) -> Dataset {
             .enumerate()
             .map(|(i, e)| ApEntry { bssid: Bssid::from_u64(i as u64 + 1), essid: Essid::new(*e) })
             .collect(),
-        bins,
+        bins: DatasetColumns::build(&bins),
     }
 }
 

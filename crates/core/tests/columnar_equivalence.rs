@@ -21,8 +21,8 @@ use mobitrace_core::{
 };
 use mobitrace_model::{
     ApEntry, ApRef, AppBin, AppCategory, Band, BinRecord, Bssid, CampaignMeta, Carrier, CellId,
-    Channel, Dataset, Dbm, DeviceId, DeviceInfo, Essid, GroundTruth, Os, OsVersion, ScanSummary,
-    SimTime, WifiAssoc, WifiBinState, Year, BIN_MINUTES,
+    Channel, Dataset, DatasetColumns, Dbm, DeviceId, DeviceInfo, Essid, GroundTruth, Os, OsVersion,
+    ScanSummary, SimTime, WifiAssoc, WifiBinState, Year, BIN_MINUTES,
 };
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -120,7 +120,7 @@ fn dataset(mut bins: Vec<BinRecord>) -> Dataset {
                 essid: Essid::new(ESSIDS[i as usize]),
             })
             .collect(),
-        bins,
+        bins: DatasetColumns::build(&bins),
     }
 }
 
@@ -143,7 +143,7 @@ fn aps_per_user_day_reference(
     filter: Option<(&[UserDay], &[TrafficClass], TrafficClass)>,
 ) -> [u64; 4] {
     let mut per_day: HashMap<(DeviceId, u32), HashSet<ApRef>> = HashMap::new();
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         if let Some(a) = b.wifi.assoc() {
             per_day.entry((b.device, b.time.day())).or_default().insert(a.ap);
         }
@@ -170,7 +170,7 @@ fn aps_per_user_day_reference(
 /// Hash-map reference for [`apclass::hpo_breakdown`].
 fn hpo_breakdown_reference(ds: &Dataset, cls: &ApClassification) -> HashMap<(u8, u8, u8), u64> {
     let mut per_day: HashMap<(DeviceId, u32), HashSet<ApRef>> = HashMap::new();
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         if let Some(a) = b.wifi.assoc() {
             per_day.entry((b.device, b.time.day())).or_default().insert(a.ap);
         }
@@ -209,7 +209,7 @@ fn modal_cell(votes: &HashMap<CellId, u32>) -> Option<CellId> {
 fn density_maps_reference(ds: &Dataset, cls: &ApClassification) -> (ApDensityMap, ApDensityMap) {
     // Most-frequent report cell per AP.
     let mut cell_votes: HashMap<usize, HashMap<CellId, u32>> = HashMap::new();
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         if let Some(a) = b.wifi.assoc() {
             *cell_votes.entry(a.ap.index()).or_default().entry(b.geo).or_default() += 1;
         }
@@ -237,7 +237,7 @@ fn interference_pressure_reference(
     // the smaller cell).
     let mut chan: HashMap<usize, Channel> = HashMap::new();
     let mut cell_votes: HashMap<usize, HashMap<CellId, u32>> = HashMap::new();
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         if let Some(a) = b.wifi.assoc() {
             if a.band == Band::Ghz24 {
                 chan.entry(a.ap.index()).or_insert(a.channel);
@@ -274,7 +274,7 @@ fn wifi_state_series_reference(ds: &Dataset, os: Os) -> WifiStateSeries {
     let mut off = vec![0u64; WEEK_HOURS];
     let mut avail = vec![0u64; WEEK_HOURS];
     let mut total = vec![0u64; WEEK_HOURS];
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         if ds.device(b.device).os != os {
             continue;
         }
@@ -314,7 +314,7 @@ fn wifi_state_series_reference(ds: &Dataset, os: Os) -> WifiStateSeries {
 fn five_ghz_shares_reference(ds: &Dataset, cls: &ApClassification) -> FiveGhzShares {
     // Band per AP entry, learned from associations.
     let mut band_of: HashMap<usize, Band> = HashMap::new();
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         if let Some(a) = b.wifi.assoc() {
             band_of.entry(a.ap.index()).or_insert(a.band);
         }
@@ -360,7 +360,7 @@ fn association_durations_reference(ds: &Dataset, cls: &ApClassification) -> Asso
             ApClass::Other => out.other.push(hours),
         }
     };
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         let gbin = b.time.global_bin();
         let assoc = b.wifi.assoc().map(|a| a.ap);
         current = match (current, assoc) {
@@ -388,7 +388,7 @@ fn association_durations_reference(ds: &Dataset, cls: &ApClassification) -> Asso
 fn carrier_wifi_user_ratios_reference(ds: &Dataset, os: Os) -> CarrierComparison {
     let mut assoc = [0u64; 3];
     let mut total = [0u64; 3];
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         let dev = ds.device(b.device);
         if dev.os != os {
             continue;
@@ -414,7 +414,7 @@ fn carrier_wifi_user_ratios_reference(ds: &Dataset, os: Os) -> CarrierComparison
 fn home_rule_sweep_reference(ds: &Dataset, thresholds: &[f64]) -> Vec<SweepPoint> {
     // Collect per-(device, night, pair) coverage counts once.
     let mut night_cover: HashMap<(DeviceId, u32, ApRef), u32> = HashMap::new();
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         let Some(a) = b.wifi.assoc() else { continue };
         let h = b.time.hour();
         let night_day = if h >= 22 {
@@ -482,25 +482,29 @@ fn home_rule_sweep_reference(ds: &Dataset, thresholds: &[f64]) -> Vec<SweepPoint
 fn assert_passes_match(ds: &Dataset) {
     let ctx = AnalysisContext::new(ds);
     let cols = &ctx.cols;
+    let rows = &ds.bins.to_bins();
 
-    assert_eq!(daily::user_days_cols(cols), daily::user_days(ds));
-    assert_eq!(apclass::classify_cols(ds, cols), apclass::classify(ds));
-    assert_eq!(overview::overview(ds, cols), overview::overview_rows(ds));
-    assert_eq!(timeseries::aggregate_series(ds, cols), timeseries::aggregate_series_rows(ds));
+    assert_eq!(daily::user_days_cols(cols), daily::user_days(rows));
+    assert_eq!(apclass::classify_cols(ds, cols), apclass::classify_rows(ds, rows));
+    assert_eq!(overview::overview(ds, cols), overview::overview_rows(ds, rows));
+    assert_eq!(timeseries::aggregate_series(ds, cols), timeseries::aggregate_series_rows(ds, rows));
     assert_eq!(
         timeseries::venue_series(ds, cols, &ctx.aps),
-        timeseries::venue_series_rows(ds, &ctx.aps)
+        timeseries::venue_series_rows(ds, rows, &ctx.aps)
     );
-    assert_eq!(quality::rssi_analysis(cols, &ctx.aps), quality::rssi_analysis_rows(ds, &ctx.aps));
+    assert_eq!(quality::rssi_analysis(cols, &ctx.aps), quality::rssi_analysis_rows(rows, &ctx.aps));
     assert_eq!(
         quality::channel_analysis(cols, &ctx.aps),
-        quality::channel_analysis_rows(ds, &ctx.aps)
+        quality::channel_analysis_rows(rows, &ctx.aps)
     );
     assert_eq!(
         availability::detected_public_aps(ds, cols),
-        availability::detected_public_aps_rows(ds)
+        availability::detected_public_aps_rows(ds, rows)
     );
-    assert_eq!(availability::offload_potential(ds, cols), availability::offload_potential_rows(ds));
+    assert_eq!(
+        availability::offload_potential(ds, cols),
+        availability::offload_potential_rows(rows)
+    );
     for filter in [
         ClassFilter::All,
         ClassFilter::Only(TrafficClass::Heavy),
@@ -508,17 +512,17 @@ fn assert_passes_match(ds: &Dataset) {
     ] {
         assert_eq!(
             ratios::wifi_traffic_ratio(&ctx, filter),
-            ratios::wifi_traffic_ratio_rows(&ctx, filter)
+            ratios::wifi_traffic_ratio_rows(&ctx, rows, filter)
         );
         assert_eq!(
             ratios::wifi_user_ratio(&ctx, filter),
-            ratios::wifi_user_ratio_rows(&ctx, filter)
+            ratios::wifi_user_ratio_rows(&ctx, rows, filter)
         );
     }
-    assert_eq!(apps::app_breakdown(&ctx, None), apps::app_breakdown_rows(&ctx, None));
+    assert_eq!(apps::app_breakdown(&ctx, None), apps::app_breakdown_rows(&ctx, rows, None));
     assert_eq!(
         apps::app_breakdown(&ctx, Some(TrafficClass::Light)),
-        apps::app_breakdown_rows(&ctx, Some(TrafficClass::Light))
+        apps::app_breakdown_rows(&ctx, rows, Some(TrafficClass::Light))
     );
     assert_eq!(apclass::aps_per_user_day(&ctx, None), aps_per_user_day_reference(ds, None));
     for class in [TrafficClass::Light, TrafficClass::Heavy, TrafficClass::Middle] {

@@ -39,8 +39,8 @@
 
 use mobitrace_collector::{app_deltas, clean, CleanOptions, CleanStats, TapBatch};
 use mobitrace_model::{
-    CampaignMeta, Carrier, Dataset, DatasetColumns, DatasetIndex, DeviceId, DeviceInfo, LiveRow,
-    LiveSnapshot, LiveTableBuilder, Os, OsVersion, Record, SimTime, TrafficCounters,
+    CampaignMeta, Carrier, Dataset, DatasetIndex, DeviceId, DeviceInfo, LiveRow, LiveSnapshot,
+    LiveTableBuilder, Os, OsVersion, Record, SimTime, TrafficCounters,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -261,9 +261,9 @@ impl LiveEngine {
     }
 
     /// End of stream: fold everything still pending (no more arrivals, so
-    /// the watermark is moot), run the final compaction, fill the final
-    /// snapshot's row table from its columns, and hand back the snapshot,
-    /// the counters and the late-key set.
+    /// the watermark is moot), run the final compaction, copy the final
+    /// snapshot's columns into its dataset's bins, and hand back the
+    /// snapshot, the counters and the late-key set.
     pub fn finish(mut self) -> FinishedLive {
         let t0 = Instant::now();
         for d in 0..self.lanes.len() {
@@ -275,7 +275,7 @@ impl LiveEngine {
         // The builder holds the other reference to the final snapshot.
         drop(builder);
         let mut snap = Arc::unwrap_or_clone(snapshot);
-        snap.ds.bins = snap.cols.to_bins();
+        snap.ds.bins = snap.cols.clone();
         FinishedLive { snapshot: Arc::new(snap), stats, late }
     }
 
@@ -357,19 +357,18 @@ impl LiveEngine {
         }
 
         // Delta reconstruction against the previous folded record.
-        let (d3g, dlte, dwifi, dapps) = match &lane.prev {
-            Some(p) if p.boot_epoch == r.boot_epoch => (
+        let base = lane.prev.as_ref().filter(|p| p.boot_epoch == r.boot_epoch);
+        stats.reboots += u64::from(lane.prev.is_some() && base.is_none());
+        let (d3g, dlte, dwifi) = match base {
+            Some(p) => (
                 delta(&r.counters.cell3g, &p.counters.cell3g),
                 delta(&r.counters.lte, &p.counters.lte),
                 delta(&r.counters.wifi, &p.counters.wifi),
-                app_deltas(&r, Some(p)),
             ),
-            Some(_) => {
-                stats.reboots += 1;
-                (r.counters.cell3g, r.counters.lte, r.counters.wifi, app_deltas(&r, None))
-            }
-            None => (r.counters.cell3g, r.counters.lte, r.counters.wifi, app_deltas(&r, None)),
+            None => (r.counters.cell3g, r.counters.lte, r.counters.wifi),
         };
+        let mut dapps = Vec::new();
+        app_deltas(&r, base, &mut dapps);
 
         // iOS-update detection: the first version transition across
         // consecutive folded records. The batch cleaner finds it with a
@@ -474,11 +473,15 @@ pub fn check_convergence(
             ds.bins.len()
         ));
     }
-    if let Some(i) = (0..ds.bins.len()).find(|&i| live.ds.bins[i] != ds.bins[i]) {
-        return Err(format!(
-            "bin {i} diverged: live {:?} vs batch {:?}",
-            live.ds.bins[i], ds.bins[i]
-        ));
+    if live.ds.bins != ds.bins {
+        // Rows only to name the first divergent bin.
+        let (live_rows, batch_rows) = (live.ds.bins.to_bins(), ds.bins.to_bins());
+        return Err(match (0..batch_rows.len()).find(|&i| live_rows[i] != batch_rows[i]) {
+            Some(i) => {
+                format!("bin {i} diverged: live {:?} vs batch {:?}", live_rows[i], batch_rows[i])
+            }
+            None => "bin columns diverged".into(),
+        });
     }
     if live.ds.aps != ds.aps {
         return Err(format!(
@@ -494,8 +497,7 @@ pub fn check_convergence(
     if live.index != index {
         return Err("bin-range index diverged".into());
     }
-    let cols = DatasetColumns::build(&ds);
-    if live.cols != cols {
+    if live.cols != ds.bins {
         return Err("columnar view diverged".into());
     }
     let live_stats = fin.stats.as_clean_stats();
@@ -639,9 +641,9 @@ mod tests {
         assert_eq!(stats.missing_records, 4);
         assert_eq!(stats.reboots, 1);
         // Reboot bin carries the whole since-boot volume.
-        assert_eq!(fin.snapshot.ds.bins[2].rx_wifi, 700);
+        assert_eq!(fin.snapshot.ds.bins.rx_wifi[2], 700);
         // Gap bin folds the lost record's volume into its delta.
-        assert_eq!(fin.snapshot.ds.bins[1].rx_wifi, 2_000);
+        assert_eq!(fin.snapshot.ds.bins.rx_wifi[1], 2_000);
     }
 
     #[test]
@@ -671,7 +673,7 @@ mod tests {
         // Days 1 and 2 removed entirely: 288 records.
         assert_eq!(stats.update_days_removed, 288);
         let days: std::collections::HashSet<u32> =
-            fin.snapshot.ds.bins.iter().map(|b| b.time.day()).collect();
+            fin.snapshot.ds.bins.time.iter().map(|t| t.day()).collect();
         assert_eq!(days, [0u32, 3].into_iter().collect());
     }
 
@@ -743,7 +745,7 @@ mod tests {
         records.extend([r4, r5]);
         engine.ingest_batch(&batch(records.clone()));
         let (fin, _) = finish_and_check(engine, &records);
-        let bins = &fin.snapshot.ds.bins;
+        let bins = &fin.snapshot.ds.bins.to_bins();
         // Seq 0 has zero app delta → no AppBin; the rest carry 5 kB each.
         assert!(bins[0].apps.is_empty());
         assert_eq!(bins[1].apps[0].rx_bytes, 5_000);

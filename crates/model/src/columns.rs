@@ -1,30 +1,28 @@
-//! Columnar (structure-of-arrays) view of a [`Dataset`].
+//! The bin table of a [`Dataset`](crate::Dataset), stored as columns
+//! (structure of arrays).
 //!
-//! `Dataset::bins` is an array of structs: each [`BinRecord`] is ~150+
-//! bytes with a heap-allocated `Vec<AppBin>`, so a pass that touches only
-//! two counters still drags the whole record (plus a pointer chase) through
-//! cache. [`DatasetColumns`] transposes the bin table once into contiguous
-//! per-field columns — six `Vec<u64>` traffic counters, a one-byte WiFi
-//! state tag with parallel association columns, the scan summary as eight
-//! `u16` columns, and the per-app bins flattened CSR-style (offset array +
-//! one flat `Vec<AppBin>`) — so each analysis pass streams exactly the
-//! bytes it needs.
+//! A dataset's bins *are* a [`DatasetColumns`]: six `Vec<u64>` traffic
+//! counters, a one-byte WiFi state tag with parallel association columns,
+//! the scan summary as eight `u16` columns, and the per-app bins
+//! flattened CSR-style (offset array + one flat `Vec<AppBin>`), so each
+//! analysis pass streams exactly the bytes it needs. The collector's
+//! `clean` appends each cleaned bin straight into the columns, a pool
+//! decodes straight into them, and no path rebuilds a row table.
 //!
-//! Batch datasets build their columns in O(n) with
-//! [`DatasetColumns::build`]; row index `i` in every column then
-//! corresponds to `ds.bins[i]`, so [`DatasetIndex`](crate::DatasetIndex)
-//! ranges slice columns directly. Columns are also a complete form on
-//! their own: live generations carry *only* columns (an identifier-only
-//! `Dataset` with empty `bins` beside them), and
-//! [`DatasetColumns::to_bins`] rebuilds the row table where a caller needs
-//! rows.
+//! [`BinRecord`] is the same row as one value. [`DatasetColumns::build`]
+//! turns rows into columns and [`DatasetColumns::to_bins`] turns them
+//! back; fixtures, tests and the row-at-a-time reference passes use them.
+//! [`DatasetIndex`](crate::DatasetIndex) ranges slice the columns
+//! directly. Views that are not a whole dataset carry columns of their
+//! own beside an identifier-only `Dataset` (live generations, with empty
+//! `bins`).
 //!
 //! A pass that can run on part of a view takes a [`RowSet`]: [`AllRows`],
 //! or a [`Selection`] — an ascending selection vector, as a filter
 //! compiler produces — read in place, so a filtered query never copies
 //! the columns it reads.
 
-use crate::dataset::{ApRef, AppBin, BinRecord, Dataset, ScanSummary, WifiAssoc, WifiBinState};
+use crate::dataset::{ApRef, AppBin, BinRecord, ScanSummary, WifiAssoc, WifiBinState};
 use crate::ids::{CellId, DeviceId};
 use crate::net::{Band, Channel};
 use crate::record::OsVersion;
@@ -138,15 +136,15 @@ impl ScanColumns {
 /// accidental table lookup through it panics instead of aliasing AP 0.
 const NO_AP: ApRef = ApRef(u32::MAX);
 
-/// Structure-of-arrays transpose of `Dataset::bins`.
+/// The bin table of a [`Dataset`](crate::Dataset), one column per field.
 ///
-/// Every column has one entry per bin record (the CSR `app_offsets` has one
+/// Every column has one entry per bin (the CSR `app_offsets` has one
 /// extra trailing entry), in the dataset's (device, time) sort order. For
 /// non-associated rows the `assoc_*` columns hold filler values that must
 /// only be read behind a [`WifiTag::Associated`] check — use
 /// [`wifi_assoc`](DatasetColumns::wifi_assoc) unless scanning `wifi_tag`
 /// explicitly.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetColumns {
     /// Device of each bin.
     pub device: Vec<DeviceId>,
@@ -197,20 +195,27 @@ pub struct DatasetColumns {
     pub sel_available: Vec<u32>,
 }
 
+/// No rows; the CSR offset array holds its leading zero.
+impl Default for DatasetColumns {
+    fn default() -> DatasetColumns {
+        DatasetColumns::with_capacity(0, 0)
+    }
+}
+
 impl DatasetColumns {
-    /// Transpose `ds.bins` into columns in one pass.
-    pub fn build(ds: &Dataset) -> DatasetColumns {
-        let n_apps = ds.bins.iter().map(|b| b.apps.len()).sum();
-        let mut c = DatasetColumns::with_capacity(ds.bins.len(), n_apps);
-        for b in &ds.bins {
-            c.push_bin(b);
+    /// Rows into columns, in the rows' order.
+    pub fn build(rows: &[BinRecord]) -> DatasetColumns {
+        let n_apps = rows.iter().map(|b| b.apps.len()).sum();
+        let mut c = DatasetColumns::with_capacity(rows.len(), n_apps);
+        for b in rows {
+            c.push(b);
         }
         c
     }
 
     /// Empty columns with room for `rows` bins and `apps` app entries (the
     /// CSR offset array holds its leading zero).
-    pub(crate) fn with_capacity(rows: usize, apps: usize) -> DatasetColumns {
+    pub fn with_capacity(rows: usize, apps: usize) -> DatasetColumns {
         let mut app_offsets = Vec::with_capacity(rows + 1);
         app_offsets.push(0);
         DatasetColumns {
@@ -237,7 +242,8 @@ impl DatasetColumns {
         }
     }
 
-    pub(crate) fn push_bin(&mut self, b: &BinRecord) {
+    /// Append one row.
+    pub fn push(&mut self, b: &BinRecord) {
         let row = self.device.len() as u32;
         self.device.push(b.device);
         self.time.push(b.time);
@@ -415,10 +421,9 @@ impl DatasetColumns {
         &self.apps[self.app_offsets[i] as usize..self.app_offsets[i + 1] as usize]
     }
 
-    /// Reconstruct the row table: the inverse of
-    /// [`build`](DatasetColumns::build), so `build(ds).to_bins() ==
-    /// ds.bins`. Views that carry only columns (live generations, pool
-    /// decodes, filtered queries) call this where a caller needs rows.
+    /// Columns back into rows: the inverse of
+    /// [`build`](DatasetColumns::build), so `build(rows).to_bins() ==
+    /// rows`. For fixtures, tests and the row-at-a-time reference passes.
     pub fn to_bins(&self) -> Vec<BinRecord> {
         (0..self.len())
             .map(|i| BinRecord {
@@ -446,9 +451,7 @@ impl DatasetColumns {
     /// gathered on its own, the CSR app table is re-flattened, and the
     /// `sel_associated` / `sel_available` selection vectors are rebuilt in
     /// the *new* row numbering — so the result is bit-identical to
-    /// [`build`](DatasetColumns::build) over a dataset holding exactly the
-    /// selected bins, and feeds `AnalysisContext::from_parts` without any
-    /// rebuild scan.
+    /// [`build`](DatasetColumns::build) over exactly the selected rows.
     pub fn gather(&self, rows: &[u32]) -> DatasetColumns {
         debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must be ascending");
         fn pick<T: Copy>(col: &[T], rows: &[u32]) -> Vec<T> {
@@ -625,9 +628,6 @@ mod tests {
     use super::*;
     use crate::apps::AppCategory;
     use crate::dataset::*;
-    use crate::ids::{Bssid, Essid};
-    use crate::record::Os;
-    use crate::time::Year;
 
     fn bin(dev: u32, minute: u32, wifi: WifiBinState, apps: Vec<AppBin>) -> BinRecord {
         BinRecord {
@@ -647,30 +647,10 @@ mod tests {
         }
     }
 
-    fn dataset(bins: Vec<BinRecord>) -> Dataset {
-        let n_devices = bins.iter().map(|b| b.device.0 + 1).max().unwrap_or(0);
-        let mut bins = bins;
+    /// The rows of a dataset: sorted by (device, time).
+    fn dataset(mut bins: Vec<BinRecord>) -> Vec<BinRecord> {
         bins.sort_by_key(|b| (b.device, b.time));
-        Dataset {
-            meta: CampaignMeta {
-                year: Year::Y2015,
-                start: Year::Y2015.campaign_start(),
-                days: 28,
-                seed: 0,
-            },
-            devices: (0..n_devices)
-                .map(|i| DeviceInfo {
-                    device: DeviceId(i),
-                    os: Os::Android,
-                    carrier: Carrier::A,
-                    recruited: true,
-                    survey: None,
-                    truth: None,
-                })
-                .collect(),
-            aps: vec![ApEntry { bssid: Bssid::from_u64(1), essid: Essid::new("x") }],
-            bins,
-        }
+        bins
     }
 
     fn assoc() -> WifiBinState {
@@ -694,9 +674,9 @@ mod tests {
             bin(1, 0, WifiBinState::OnUnassociated, vec![]),
         ]);
         let c = DatasetColumns::build(&ds);
-        assert_eq!(c.len(), ds.bins.len());
-        assert_eq!(c.app_offsets.len(), ds.bins.len() + 1);
-        for (i, b) in ds.bins.iter().enumerate() {
+        assert_eq!(c.len(), ds.len());
+        assert_eq!(c.app_offsets.len(), ds.len() + 1);
+        for (i, b) in ds.iter().enumerate() {
             assert_eq!(c.device[i], b.device);
             assert_eq!(c.time[i], b.time);
             assert_eq!(
@@ -770,16 +750,11 @@ mod tests {
         ];
         let ds = dataset(bins);
         let full = DatasetColumns::build(&ds);
-        let subsets: Vec<Vec<u32>> = vec![
-            vec![],
-            vec![0],
-            vec![1, 3],
-            vec![0, 2, 4, 5],
-            (0..ds.bins.len() as u32).collect(),
-        ];
+        let subsets: Vec<Vec<u32>> =
+            vec![vec![], vec![0], vec![1, 3], vec![0, 2, 4, 5], (0..ds.len() as u32).collect()];
         for rows in subsets {
             let gathered = full.gather(&rows);
-            let sub_ds = dataset(rows.iter().map(|&r| ds.bins[r as usize].clone()).collect());
+            let sub_ds = dataset(rows.iter().map(|&r| ds[r as usize].clone()).collect());
             let rebuilt = DatasetColumns::build(&sub_ds);
             assert_eq!(gathered, rebuilt, "subset {rows:?}");
         }
@@ -835,7 +810,7 @@ mod tests {
             ),
             bin(2, 5, WifiBinState::OnUnassociated, vec![]),
         ]);
-        assert_eq!(DatasetColumns::build(&ds).to_bins(), ds.bins);
+        assert_eq!(DatasetColumns::build(&ds).to_bins(), ds);
         assert!(DatasetColumns::build(&dataset(vec![])).to_bins().is_empty());
     }
 
@@ -859,10 +834,10 @@ mod tests {
             for r in &ranges {
                 c.extend_from_range(&full, r.clone());
             }
-            let picked = ranges.iter().flat_map(|r| ds.bins[r.clone()].iter().cloned());
+            let picked = ranges.iter().flat_map(|r| ds[r.clone()].iter().cloned());
             let mut want = DatasetColumns::with_capacity(0, 0);
             for b in picked {
-                want.push_bin(&b);
+                want.push(&b);
             }
             assert_eq!(c, want, "ranges {ranges:?}");
             c.clear();

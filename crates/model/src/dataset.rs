@@ -1,8 +1,10 @@
 //! The cleaned dataset consumed by the analysis library.
 //!
 //! After ingest, dedup and cleaning, the collection pipeline produces a
-//! [`Dataset`]: one [`BinRecord`] per device per 10-minute bin, with
-//! per-interface *delta* volumes (reconstructed from cumulative counters),
+//! [`Dataset`]: one row per device per 10-minute bin, stored as the
+//! columns of a [`DatasetColumns`] ([`BinRecord`] is the same row as one
+//! value, for fixtures and row-at-a-time references), with per-interface
+//! *delta* volumes (reconstructed from cumulative counters),
 //! the associated AP (interned through an AP table), a compact scan summary,
 //! per-app-category volumes (Android), coarse geolocation, and per-device
 //! metadata including the post-campaign survey response and — in simulated
@@ -10,6 +12,7 @@
 //! classification heuristics.
 
 use crate::apps::AppCategory;
+use crate::columns::{DatasetColumns, WifiTag};
 use crate::ids::{Bssid, CellId, DeviceId, Essid};
 use crate::net::{Band, Channel};
 use crate::record::{Os, OsVersion};
@@ -433,7 +436,7 @@ impl CampaignMeta {
 }
 
 /// A cleaned measurement dataset: the input to every analysis in the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Campaign metadata.
     pub meta: CampaignMeta,
@@ -441,8 +444,8 @@ pub struct Dataset {
     pub devices: Vec<DeviceInfo>,
     /// AP table: unique (BSSID, ESSID) pairs referenced by bins.
     pub aps: Vec<ApEntry>,
-    /// Bin records, sorted by (device, time).
-    pub bins: Vec<BinRecord>,
+    /// The bin table as columns, rows sorted by (device, time).
+    pub bins: DatasetColumns,
 }
 
 impl Dataset {
@@ -461,11 +464,11 @@ impl Dataset {
         self.devices.iter().filter(|d| d.os == os).count()
     }
 
-    /// Iterate bins of one device (relies on (device, time) sort order).
-    pub fn device_bins(&self, d: DeviceId) -> impl Iterator<Item = &BinRecord> {
-        // Bins are sorted by device then time; binary-search the range.
-        let start = self.bins.partition_point(|b| b.device < d);
-        self.bins[start..].iter().take_while(move |b| b.device == d)
+    /// The row range of one device (relies on the (device, time) sort
+    /// order).
+    pub fn device_rows(&self, d: DeviceId) -> std::ops::Range<usize> {
+        let device = &self.bins.device;
+        device.partition_point(|&x| x < d)..device.partition_point(|&x| x <= d)
     }
 
     /// Validate sort order, reference integrity and time bounds.
@@ -478,43 +481,44 @@ impl Dataset {
                 )));
             }
         }
-        let mut prev: Option<(&DeviceId, SimTime)> = None;
-        for b in &self.bins {
-            if b.device.index() >= self.devices.len() {
-                return Err(ModelError::UnknownDevice(b.device));
+        let c = &self.bins;
+        let n = c.len();
+        if c.time.len() != n || c.wifi_tag.len() != n || c.assoc_ap.len() != n {
+            return Err(ModelError::Inconsistent(format!("bin columns not all {n} rows long")));
+        }
+        let mut prev: Option<(DeviceId, SimTime)> = None;
+        for (i, (&device, &time)) in c.device.iter().zip(&c.time).enumerate() {
+            if device.index() >= self.devices.len() {
+                return Err(ModelError::UnknownDevice(device));
             }
-            if !self.meta.contains(b.time) {
+            if !self.meta.contains(time) {
                 return Err(ModelError::Inconsistent(format!(
-                    "bin at {} outside {}-day window",
-                    b.time, self.meta.days
+                    "bin at {time} outside {}-day window",
+                    self.meta.days
                 )));
             }
-            if let Some(a) = b.wifi.assoc() {
-                if a.ap.index() >= self.aps.len() {
-                    return Err(ModelError::Inconsistent(format!(
-                        "dangling ApRef {} at {}",
-                        a.ap.0, b.time
-                    )));
-                }
+            if c.wifi_tag[i] == WifiTag::Associated && c.assoc_ap[i].index() >= self.aps.len() {
+                return Err(ModelError::Inconsistent(format!(
+                    "dangling ApRef {} at {time}",
+                    c.assoc_ap[i].0
+                )));
             }
-            if let Some((pd, pt)) = prev {
-                if b.device < *pd || (b.device == *pd && b.time <= pt) {
-                    return Err(ModelError::OutOfOrder { device: b.device });
-                }
+            if prev.is_some_and(|(pd, pt)| device < pd || (device == pd && time <= pt)) {
+                return Err(ModelError::OutOfOrder { device });
             }
-            prev = Some((&b.device, b.time));
+            prev = Some((device, time));
         }
         Ok(())
     }
 
     /// Total downlink volume across all bins.
     pub fn total_rx(&self) -> ByteCount {
-        ByteCount::bytes(self.bins.iter().map(|b| b.rx_total()).sum())
+        ByteCount::bytes((0..self.bins.len()).map(|i| self.bins.rx_total(i)).sum())
     }
 
     /// Total uplink volume across all bins.
     pub fn total_tx(&self) -> ByteCount {
-        ByteCount::bytes(self.bins.iter().map(|b| b.tx_total()).sum())
+        ByteCount::bytes((0..self.bins.len()).map(|i| self.bins.tx_total(i)).sum())
     }
 }
 
@@ -523,6 +527,11 @@ mod tests {
     use super::*;
 
     fn tiny_dataset() -> Dataset {
+        tiny_with(|_| {})
+    }
+
+    /// The tiny dataset with its rows edited before they become columns.
+    fn tiny_with(edit: impl FnOnce(&mut Vec<BinRecord>)) -> Dataset {
         let meta = CampaignMeta {
             year: Year::Y2015,
             start: Year::Y2015.campaign_start(),
@@ -568,7 +577,9 @@ mod tests {
             geo: CellId::new(0, 0),
             os_version: OsVersion::new(8, 1),
         };
-        Dataset { meta, devices, aps, bins: vec![mk(0, 0, 5000), mk(0, 10, 2000), mk(1, 0, 1000)] }
+        let mut rows = vec![mk(0, 0, 5000), mk(0, 10, 2000), mk(1, 0, 1000)];
+        edit(&mut rows);
+        Dataset { meta, devices, aps, bins: DatasetColumns::build(&rows) }
     }
 
     #[test]
@@ -578,39 +589,45 @@ mod tests {
 
     #[test]
     fn validate_rejects_out_of_order() {
-        let mut ds = tiny_dataset();
-        ds.bins.swap(0, 1);
+        let ds = tiny_with(|b| b.swap(0, 1));
         assert!(matches!(ds.validate(), Err(ModelError::OutOfOrder { .. })));
     }
 
     #[test]
     fn validate_rejects_out_of_window() {
-        let mut ds = tiny_dataset();
-        ds.bins[2].time = SimTime::from_day_minute(5, 0);
+        let ds = tiny_with(|b| b[2].time = SimTime::from_day_minute(5, 0));
         assert!(ds.validate().is_err());
     }
 
     #[test]
     fn validate_rejects_dangling_ap() {
-        let mut ds = tiny_dataset();
-        if let WifiBinState::Associated(a) = &mut ds.bins[0].wifi {
-            a.ap = ApRef(99);
-        }
+        let ds = tiny_with(|b| {
+            if let WifiBinState::Associated(a) = &mut b[0].wifi {
+                a.ap = ApRef(99);
+            }
+        });
         assert!(ds.validate().is_err());
     }
 
     #[test]
-    fn device_bins_selects_range() {
+    fn validate_rejects_ragged_columns() {
+        let mut ds = tiny_dataset();
+        ds.bins.wifi_tag.pop();
+        assert!(matches!(ds.validate(), Err(ModelError::Inconsistent(_))));
+    }
+
+    #[test]
+    fn device_rows_selects_range() {
         let ds = tiny_dataset();
-        assert_eq!(ds.device_bins(DeviceId(0)).count(), 2);
-        assert_eq!(ds.device_bins(DeviceId(1)).count(), 1);
+        assert_eq!(ds.device_rows(DeviceId(0)).len(), 2);
+        assert_eq!(ds.device_rows(DeviceId(1)).len(), 1);
     }
 
     #[test]
     fn totals_sum_interfaces() {
         let ds = tiny_dataset();
         assert_eq!(ds.total_rx().as_bytes(), (100 + 1000) * 3 + 5000 + 2000 + 1000);
-        let b = &ds.bins[0];
+        let b = &ds.bins.to_bins()[0];
         assert_eq!(b.rx_cell(), 1100);
         assert_eq!(b.rx_total(), 6100);
     }

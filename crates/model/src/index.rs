@@ -11,7 +11,7 @@
 //! and shared freely across analysis threads.
 
 use crate::columns::DatasetColumns;
-use crate::dataset::{BinRecord, Dataset};
+use crate::dataset::Dataset;
 use crate::error::ModelError;
 use crate::ids::DeviceId;
 use std::ops::Range;
@@ -21,7 +21,7 @@ use std::ops::Range;
 struct DaySpan {
     /// Campaign day index.
     day: u32,
-    /// First bin of the run (index into `Dataset::bins`).
+    /// First row of the run (index into the bin columns).
     start: u32,
     /// One past the last bin of the run.
     end: u32,
@@ -30,7 +30,7 @@ struct DaySpan {
 /// Per-device and per-(device, day) bin ranges of one [`Dataset`].
 ///
 /// Built once via [`DatasetIndex::build`]; valid for as long as the
-/// dataset's `bins` vector is unmodified.
+/// dataset's bin columns are unmodified.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DatasetIndex {
     /// `device_start[d]..device_start[d + 1]` is device `d`'s bin range.
@@ -43,45 +43,39 @@ pub struct DatasetIndex {
 }
 
 impl DatasetIndex {
-    /// Build the index in one pass over `ds.bins` (which
-    /// [`Dataset::validate`] guarantees is sorted by (device, time) with
-    /// every bin's device present in the device table).
+    /// Build the index in one pass over the device and time columns of
+    /// `ds.bins` (which [`Dataset::validate`] guarantees are sorted by
+    /// (device, time), every device present in the device table).
     pub fn build(ds: &Dataset) -> DatasetIndex {
-        let n = ds.devices.len();
-        let bins = &ds.bins;
-        let mut device_start = vec![0u32; n + 1];
-        let mut day_offsets = vec![0u32; n + 1];
+        DatasetIndex::build_cols(&ds.bins, ds.devices.len())
+    }
+
+    /// Build the index from a columnar view's device/time columns, over a
+    /// device table of `n_devices` entries — how views that are not a
+    /// whole dataset (live generations, filtered queries) get theirs.
+    pub fn build_cols(cols: &DatasetColumns, n_devices: usize) -> DatasetIndex {
+        let (device, time) = (&cols.device, &cols.time);
+        let mut device_start = vec![0u32; n_devices + 1];
+        let mut day_offsets = vec![0u32; n_devices + 1];
         let mut day_spans: Vec<DaySpan> = Vec::new();
         let mut i = 0usize;
-        for d in 0..n {
+        for d in 0..n_devices {
             device_start[d] = i as u32;
             day_offsets[d] = day_spans.len() as u32;
             let dev = DeviceId(d as u32);
-            while i < bins.len() && bins[i].device == dev {
-                let day = bins[i].time.day();
+            while i < device.len() && device[i] == dev {
+                let day = time[i].day();
                 let start = i;
-                while i < bins.len() && bins[i].device == dev && bins[i].time.day() == day {
+                while i < device.len() && device[i] == dev && time[i].day() == day {
                     i += 1;
                 }
                 day_spans.push(DaySpan { day, start: start as u32, end: i as u32 });
             }
         }
-        device_start[n] = i as u32;
-        day_offsets[n] = day_spans.len() as u32;
-        debug_assert_eq!(i, bins.len(), "bins referencing devices outside the table");
+        device_start[n_devices] = i as u32;
+        day_offsets[n_devices] = day_spans.len() as u32;
+        debug_assert_eq!(i, device.len(), "bins referencing devices outside the table");
         DatasetIndex { device_start, day_offsets, day_spans }
-    }
-
-    /// Build the index from a columnar view's device/time columns, over a
-    /// device table of `n_devices` entries — how views that carry no row
-    /// table (live generations, filtered queries) get theirs. Identical to
-    /// [`build`](Self::build) over the same rows.
-    pub fn build_cols(cols: &DatasetColumns, n_devices: usize) -> DatasetIndex {
-        let mut b = DatasetIndexBuilder::new();
-        for (&device, &time) in cols.device.iter().zip(&cols.time) {
-            b.push(device, time);
-        }
-        b.finish(n_devices)
     }
 
     /// Number of devices the index covers.
@@ -102,11 +96,6 @@ impl DatasetIndex {
             return 0..0;
         }
         self.device_start[i] as usize..self.device_start[i + 1] as usize
-    }
-
-    /// The bins of one device as a slice of the dataset.
-    pub fn device_bins<'d>(&self, ds: &'d Dataset, d: DeviceId) -> &'d [BinRecord] {
-        &ds.bins[self.device_range(d)]
     }
 
     /// Devices that have at least one bin, in id order.
@@ -216,90 +205,6 @@ pub struct IndexColumns {
     pub span_end: Vec<u32>,
 }
 
-/// Streaming construction of a [`DatasetIndex`]: rows are pushed one at a
-/// time in (device, time) order and the per-device ranges and day spans are
-/// extended in place, so an index can be built from any (device, time)
-/// stream — [`DatasetIndex::build_cols`] feeds it a view's columns.
-///
-/// Produces bit-identical output to [`DatasetIndex::build`] over the same
-/// rows (the builder's tests and the live-vs-batch equivalence suite hold
-/// it to that).
-#[derive(Debug, Default)]
-pub struct DatasetIndexBuilder {
-    device_start: Vec<u32>,
-    day_offsets: Vec<u32>,
-    day_spans: Vec<DaySpan>,
-    /// Rows pushed so far.
-    rows: u32,
-    /// The (device, day) run currently being extended.
-    open: Option<(DeviceId, u32, u32)>,
-    /// Devices whose start offsets are already recorded.
-    next_device: usize,
-}
-
-impl DatasetIndexBuilder {
-    /// Empty builder.
-    pub fn new() -> DatasetIndexBuilder {
-        DatasetIndexBuilder::default()
-    }
-
-    /// Append one row. Rows must arrive sorted by (device, time) — the
-    /// dataset invariant [`Dataset::validate`] enforces.
-    pub fn push(&mut self, device: DeviceId, time: crate::time::SimTime) {
-        let day = time.day();
-        match self.open {
-            Some((d, od, _)) if d == device && od == day => {}
-            Some((d, od, start)) if d == device => {
-                debug_assert!(od < day, "rows out of time order within a device");
-                self.day_spans.push(DaySpan { day: od, start, end: self.rows });
-                self.open = Some((device, day, self.rows));
-            }
-            _ => {
-                if let Some((d, od, start)) = self.open.take() {
-                    debug_assert!(d < device, "rows out of device order");
-                    self.day_spans.push(DaySpan { day: od, start, end: self.rows });
-                }
-                while self.next_device <= device.index() {
-                    self.device_start.push(self.rows);
-                    self.day_offsets.push(self.day_spans.len() as u32);
-                    self.next_device += 1;
-                }
-                self.open = Some((device, day, self.rows));
-            }
-        }
-        self.rows += 1;
-    }
-
-    /// Rows pushed so far.
-    pub fn len(&self) -> usize {
-        self.rows as usize
-    }
-
-    /// True when nothing was pushed.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Close the index over a device table of `n_devices` entries (every
-    /// pushed device id must be below it).
-    pub fn finish(mut self, n_devices: usize) -> DatasetIndex {
-        if let Some((_, od, start)) = self.open.take() {
-            self.day_spans.push(DaySpan { day: od, start, end: self.rows });
-        }
-        debug_assert!(self.next_device <= n_devices, "pushed device outside the table");
-        while self.next_device <= n_devices {
-            self.device_start.push(self.rows);
-            self.day_offsets.push(self.day_spans.len() as u32);
-            self.next_device += 1;
-        }
-        DatasetIndex {
-            device_start: self.device_start,
-            day_offsets: self.day_offsets,
-            day_spans: self.day_spans,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,7 +252,7 @@ mod tests {
                 })
                 .collect(),
             aps: vec![],
-            bins,
+            bins: DatasetColumns::build(&bins),
         }
     }
 
@@ -362,9 +267,7 @@ mod tests {
         assert_eq!(index.n_bins(), ds.bins.len());
         for d in 0..3u32 {
             let dev = DeviceId(d);
-            let via_index: Vec<_> = index.device_bins(&ds, dev).iter().collect();
-            let via_scan: Vec<_> = ds.device_bins(dev).collect();
-            assert_eq!(via_index, via_scan, "device {d}");
+            assert_eq!(index.device_range(dev), ds.device_rows(dev), "device {d}");
         }
         assert!(index.device_range(DeviceId(1)).is_empty());
         let with_bins: Vec<_> = index.devices_with_bins().collect();
@@ -406,10 +309,10 @@ mod tests {
         assert_eq!(index.day_range(DeviceId(0), 0), None);
     }
 
-    /// The streaming builder must reproduce `build` exactly, including
-    /// around empty devices at the start, middle and end of the table.
+    /// `build` must match a naive per-row scan, including around empty
+    /// devices at the start, middle and end of the table.
     #[test]
-    fn builder_matches_batch_build() {
+    fn build_matches_naive_ranges() {
         let cases: Vec<(u32, Vec<BinRecord>)> = vec![
             (0, vec![]),
             (3, vec![]),
@@ -419,16 +322,20 @@ mod tests {
         ];
         for (n, bins) in cases {
             let ds = dataset(n, bins);
-            let batch = DatasetIndex::build(&ds);
-            let mut builder = DatasetIndexBuilder::new();
-            for b in &ds.bins {
-                builder.push(b.device, b.time);
+            let rows = ds.bins.to_bins();
+            let index = DatasetIndex::build(&ds);
+            assert_eq!((index.n_devices(), index.n_bins()), (n as usize, rows.len()));
+            for d in 0..n {
+                let dev = DeviceId(d);
+                let mine: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].device == dev).collect();
+                assert_eq!(index.device_range(dev).collect::<Vec<_>>(), mine, "device {d}");
+                for day in 0..15 {
+                    let on_day: Vec<usize> =
+                        mine.iter().copied().filter(|&i| rows[i].time.day() == day).collect();
+                    let got = index.day_range(dev, day).map_or(vec![], |r| r.collect());
+                    assert_eq!(got, on_day, "device {d} day {day}");
+                }
             }
-            assert_eq!(builder.len(), ds.bins.len());
-            let streamed = builder.finish(n as usize);
-            assert_eq!(streamed, batch, "{n} devices, {} bins", ds.bins.len());
-            let from_cols = DatasetIndex::build_cols(&DatasetColumns::build(&ds), n as usize);
-            assert_eq!(from_cols, batch, "columns, {n} devices");
         }
     }
 }

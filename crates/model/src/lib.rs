@@ -42,7 +42,7 @@ pub use dataset::{
 };
 pub use error::ModelError;
 pub use ids::{Bssid, CellId, DeviceId, Essid};
-pub use index::{DatasetIndex, DatasetIndexBuilder, IndexColumns};
+pub use index::{DatasetIndex, IndexColumns};
 pub use live::{LiveRow, LiveSnapshot, LiveTableBuilder};
 pub use net::{AssocInfo, Band, CellTech, Channel, NetKind, WifiState};
 pub use record::{AppCounter, CounterSnapshot, Os, OsVersion, Record, ScanEntry, TrafficCounters};

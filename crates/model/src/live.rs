@@ -1,9 +1,9 @@
 //! Incremental dataset construction for the streaming analysis engine.
 //!
-//! The batch pipeline builds its products in three passes: `clean` sorts
-//! and interns everything into a [`Dataset`], then [`DatasetIndex::build`]
-//! and [`DatasetColumns::build`] each re-scan the bin table. A live
-//! consumer cannot afford any of those full scans per update, so this
+//! The batch pipeline builds its products in two passes: `clean` interns
+//! everything into a [`Dataset`] whose bins are columns, then
+//! [`DatasetIndex::build`] re-scans the device and time columns. A live
+//! consumer cannot afford either full scan per update, so this
 //! module keeps the dataset in LSM style instead, entirely in columns:
 //!
 //! * appends land in per-device *tail* column runs. The association is
@@ -26,9 +26,9 @@
 //! The merged run *is* the published [`LiveSnapshot`]'s columns: the
 //! builder keeps an `Arc` of the snapshot it last published, so each
 //! compaction makes exactly one copy of the live rows. Mid-run snapshots
-//! carry no row table — `ds.bins` is empty and `cols` plus `index` are the
-//! rows; the live engine fills `ds.bins` once, through
-//! [`DatasetColumns::to_bins`], when it finishes. A snapshot taken between
+//! leave `ds.bins` empty — `cols` plus `index` are the rows; the live
+//! engine copies `cols` into `ds.bins` once, when it finishes, so the
+//! finished dataset is whole. No path rebuilds rows. A snapshot taken between
 //! compactions is a pointer clone, never a rebuild, and after the final
 //! compaction the snapshot is bit-identical to what the batch pipeline
 //! produces from the same cleaned records, which the live engine's
@@ -204,7 +204,12 @@ impl LiveTableBuilder {
         let merged = Arc::new(LiveSnapshot {
             index: DatasetIndex::build_cols(&cols, n),
             cols,
-            ds: Dataset { meta: meta.clone(), devices: devices.clone(), aps: vec![], bins: vec![] },
+            ds: Dataset {
+                meta: meta.clone(),
+                devices: devices.clone(),
+                aps: vec![],
+                bins: DatasetColumns::default(),
+            },
             compactions: 0,
         });
         LiveTableBuilder {
@@ -292,7 +297,7 @@ impl LiveTableBuilder {
                 })
             }
         };
-        tail.push_bin(&BinRecord {
+        tail.push(&BinRecord {
             device: row.device,
             time: row.time,
             rx_3g: row.rx_3g,
@@ -397,7 +402,7 @@ impl LiveTableBuilder {
                 meta: self.meta.clone(),
                 devices: self.devices.clone(),
                 aps,
-                bins: Vec::new(),
+                bins: DatasetColumns::default(),
             },
             compactions: self.compactions,
         });
@@ -460,9 +465,9 @@ mod tests {
         })
     }
 
-    /// The snapshot's dataset with its row table filled from the columns.
+    /// The snapshot's dataset with its bins filled from the columns.
     fn with_rows(snap: &LiveSnapshot) -> Dataset {
-        Dataset { bins: snap.cols.to_bins(), ..snap.ds.clone() }
+        Dataset { bins: snap.cols.clone(), ..snap.ds.clone() }
     }
 
     /// The reference: what the snapshot must equal, computed the batch way
@@ -511,10 +516,10 @@ mod tests {
                 os_version: r.os_version,
             })
             .collect();
-        let ds = Dataset { meta, devices: devs, aps, bins };
+        let ds = Dataset { meta, devices: devs, aps, bins: DatasetColumns::build(&bins) };
         LiveSnapshot {
             index: DatasetIndex::build(&ds),
-            cols: DatasetColumns::build(&ds),
+            cols: DatasetColumns::build(&bins),
             ds,
             compactions: 0,
         }

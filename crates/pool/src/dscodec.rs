@@ -1,6 +1,9 @@
 //! Dataset ⇄ segment codec.
 //!
-//! A dataset stream is written column by column, each column in the
+//! A dataset's bins are its columns ([`DatasetColumns`]), so a dataset
+//! stream is written straight from `ds.bins`, column by column, with no
+//! transpose, and decoded straight back into `ds.bins`, with no row
+//! rebuilt. Each column is stored in the
 //! cheapest in-tree encoding its values allow — a campaign is mostly idle
 //! 10-minute bins, so the columns are mostly zeros and small deltas:
 //!
@@ -182,16 +185,9 @@ pub fn encode_dataset(
     stream: u16,
     ds: &Dataset,
     index: &DatasetIndex,
-    cols: &DatasetColumns,
 ) -> Result<EncodedDataset, PoolError> {
-    // The columns are the rows; a row table, when present, must agree.
+    let cols = &ds.bins;
     let n = cols.len();
-    if !ds.bins.is_empty() && ds.bins.len() != n {
-        return Err(corrupt(format!(
-            "columns cover {n} rows but dataset has {} bins",
-            ds.bins.len()
-        )));
-    }
     if u32::try_from(n).is_err() {
         return Err(corrupt(format!("{n} rows overflow the u32 row numbering")));
     }
@@ -422,7 +418,8 @@ fn decode_index(bytes: &[u8], n_devices: usize, n: usize) -> Result<DatasetIndex
     Ok(index)
 }
 
-/// Decode one dataset stream back into row table + index + columns.
+/// Decode one dataset stream back into its dataset (the decoded columns
+/// are its bins) and index.
 pub fn decode_dataset(r: &PoolReader, stream: u16) -> Result<PoolDataset, PoolError> {
     // Row count: every bin-column segment must agree.
     let mut rows: Option<u64> = None;
@@ -602,7 +599,7 @@ pub fn decode_dataset(r: &PoolReader, stream: u16) -> Result<PoolDataset, PoolEr
     })?;
     c.finish()?;
 
-    let cols = DatasetColumns {
+    let bins = DatasetColumns {
         device,
         time,
         rx_3g,
@@ -625,10 +622,7 @@ pub fn decode_dataset(r: &PoolReader, stream: u16) -> Result<PoolDataset, PoolEr
         sel_available,
     };
 
-    // Materialize the row table (the retained row-scan reference passes
-    // and the serde-equality tests still read `Dataset::bins`).
-    let bins = cols.to_bins();
     let ds = Dataset { meta: meta.meta, devices: meta.devices, aps, bins };
     ds.validate().map_err(|e| corrupt(format!("dataset invariants: {e}")))?;
-    Ok(PoolDataset { ds, index, cols })
+    Ok(PoolDataset { ds, index })
 }

@@ -25,13 +25,12 @@
 //! use mobitrace_pool::{PoolReader, PoolWriter};
 //! # fn demo(ds: &mobitrace_model::Dataset) -> Result<(), mobitrace_pool::PoolError> {
 //! let index = mobitrace_model::DatasetIndex::build(ds);
-//! let cols = mobitrace_model::DatasetColumns::build(ds);
 //! let mut w = PoolWriter::replace(std::path::Path::new("campaigns.mtpool"))?;
-//! w.append_dataset(0, ds, &index, &cols)?;
+//! w.append_dataset(0, ds, &index)?;
 //! w.finish()?;
 //!
 //! let r = PoolReader::open(std::path::Path::new("campaigns.mtpool"))?;
-//! let pd = r.decode_dataset(0)?; // → AnalysisContext::from_parts(&pd.ds, pd.index, pd.cols)
+//! let pd = r.decode_dataset(0)?; // pd.ds.bins are the decoded columns, pd.index the index
 //! # Ok(()) }
 //! ```
 

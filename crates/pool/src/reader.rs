@@ -11,7 +11,7 @@ use crate::dscodec;
 use crate::err::PoolError;
 use crate::format::{decode_directory, decode_header, pool_hash, SegDesc, HEADER_LEN};
 use crate::mmap::PoolMap;
-use mobitrace_model::{Dataset, DatasetColumns, DatasetIndex};
+use mobitrace_model::{Dataset, DatasetIndex};
 use std::path::Path;
 
 /// Check the header of `bytes` (the whole file) and decode the directory
@@ -45,16 +45,14 @@ fn parse_pool(bytes: &[u8]) -> Result<Vec<SegDesc>, PoolError> {
     Ok(segs)
 }
 
-/// A dataset decoded from a pool: exactly the parts
-/// `AnalysisContext::from_parts` wants, plus the row table the retained
-/// row-scan reference passes still read.
+/// A dataset decoded from a pool, with its persisted index: what an
+/// analysis context is built from without a rebuild scan.
 pub struct PoolDataset {
-    /// Materialized row table (identical to the dataset that was written).
+    /// The dataset, identical to the one written; its bins are the
+    /// columns decoded column-at-a-time from the map.
     pub ds: Dataset,
     /// Persisted per-device / per-day index (no rebuild scan).
     pub index: DatasetIndex,
-    /// Columnar view, decoded column-at-a-time from the map.
-    pub cols: DatasetColumns,
 }
 
 /// Report of a full-pool [`PoolReader::verify`].
@@ -151,9 +149,9 @@ impl PoolReader {
         v
     }
 
-    /// Decode one dataset stream: columns straight off the map, the
-    /// persisted index, and the materialized row table — then re-check
-    /// the dataset invariants exactly as the JSON load path does.
+    /// Decode one dataset stream: its bins straight off the map as
+    /// columns and its persisted index — then re-check the dataset
+    /// invariants.
     pub fn decode_dataset(&self, stream: u16) -> Result<PoolDataset, PoolError> {
         dscodec::decode_dataset(self, stream)
     }

@@ -15,7 +15,7 @@ use crate::dscodec::{self, EncodedDataset};
 use crate::err::PoolError;
 use crate::format::{self, align_up, encode_directory, encode_header, DirPtr, SegDesc, HEADER_LEN};
 use crate::shim::{is_transient, IoOp, PoolIoShim, Verdict};
-use mobitrace_model::{Dataset, DatasetColumns, DatasetIndex};
+use mobitrace_model::{Dataset, DatasetIndex};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -123,16 +123,14 @@ impl PoolWriter {
 
     /// Append a full dataset stream (all columnar segments + metadata +
     /// persisted index) under stream id `stream`. The stream must not
-    /// already exist in the pool. `cols` are the rows: `ds.bins` may be
-    /// empty (a columns-only live generation) and otherwise must match.
+    /// already exist in the pool.
     pub fn append_dataset(
         &mut self,
         stream: u16,
         ds: &Dataset,
         index: &DatasetIndex,
-        cols: &DatasetColumns,
     ) -> Result<(), PoolError> {
-        self.append_encoded(dscodec::encode_dataset(stream, ds, index, cols)?)
+        self.append_encoded(dscodec::encode_dataset(stream, ds, index)?)
     }
 
     /// Append a dataset stream encoded beforehand by

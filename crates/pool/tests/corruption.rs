@@ -5,6 +5,9 @@
 //! directory or any dataset segment, whether the stored hash catches it
 //! or a miswritten pool hashes it as valid.
 
+mod common;
+
+use common::Scratch;
 use mobitrace_model::{
     ApEntry, ApRef, AppBin, AppCategory, Band, BinRecord, Bssid, CampaignMeta, Carrier, CellId,
     Channel, Dataset, DatasetColumns, DatasetIndex, Dbm, DeviceId, DeviceInfo, Essid, Os,
@@ -58,18 +61,12 @@ fn tiny_dataset() -> Dataset {
             })
             .collect(),
         aps: vec![ApEntry { bssid: Bssid::from_u64(1), essid: Essid::new("ap") }],
-        bins,
+        bins: DatasetColumns::build(&bins),
     }
 }
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "mtpool-corrupt-{}-{:?}-{tag}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
+fn scratch(tag: &str) -> Scratch {
+    Scratch::new("mtpool-corrupt", tag)
 }
 
 /// Build a single-stream pool; returns its path.
@@ -77,9 +74,8 @@ fn build_pool(dir: &Path) -> PathBuf {
     let path = dir.join("c.mtpool");
     let ds = tiny_dataset();
     let index = DatasetIndex::build(&ds);
-    let cols = DatasetColumns::build(&ds);
     let mut w = PoolWriter::replace(&path).expect("replace");
-    w.append_dataset(0, &ds, &index, &cols).expect("append");
+    w.append_dataset(0, &ds, &index).expect("append");
     w.finish().expect("finish");
     path
 }
@@ -94,7 +90,6 @@ fn truncated_header_is_typed() {
         Err(PoolError::Truncated { what: "header", .. }) => {}
         other => panic!("expected header truncation, got {:?}", other.map(|_| ())),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -109,7 +104,6 @@ fn truncated_segments_are_typed() {
         Err(PoolError::Truncated { .. }) => {}
         other => panic!("expected truncation, got {:?}", other.map(|_| ())),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -140,7 +134,6 @@ fn flipped_segment_byte_is_checksum_mismatch() {
         Err(PoolError::ChecksumMismatch { .. }) => {}
         other => panic!("expected checksum mismatch on decode, got {:?}", other.map(|_| ())),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -157,7 +150,6 @@ fn future_version_is_rejected() {
         }
         other => panic!("expected version rejection, got {:?}", other.map(|_| ())),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every version but the current one is refused: an older pool's
@@ -179,7 +171,6 @@ fn older_version_is_rejected() {
             other => panic!("expected version {old} rejection, got {:?}", other.map(|_| ())),
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -193,7 +184,6 @@ fn bad_magic_is_rejected() {
         Err(PoolError::BadMagic) => {}
         other => panic!("expected bad magic, got {:?}", other.map(|_| ())),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A pool with no segments (an empty checkpoint) opens cleanly with no
@@ -210,7 +200,6 @@ fn empty_pool_reads_as_no_streams() {
         Err(PoolError::MissingSegment { .. }) => {}
         other => panic!("expected missing segment, got {:?}", other.map(|_| ())),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A file that holds only a header is never an empty pool: without its
@@ -233,7 +222,6 @@ fn header_without_directory_pointer_is_typed() {
         Err(PoolError::Corrupt { .. }) => {}
         other => panic!("expected a corrupt directory pointer, got {:?}", other.map(|_| ())),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A dataset that gives every encoded column something to carry:
@@ -306,7 +294,7 @@ fn rich_dataset() -> Dataset {
                 essid: Essid::new(if i == 3 { "0000docomo" } else { "home-net" }),
             })
             .collect(),
-        bins,
+        bins: DatasetColumns::build(&bins),
     }
 }
 
@@ -318,12 +306,9 @@ fn rich_image() -> &'static [u8] {
         let path = dir.join("rich.mtpool");
         let ds = rich_dataset();
         let mut w = PoolWriter::replace(&path).expect("replace");
-        w.append_dataset(0, &ds, &DatasetIndex::build(&ds), &DatasetColumns::build(&ds))
-            .expect("append");
+        w.append_dataset(0, &ds, &DatasetIndex::build(&ds)).expect("append");
         w.finish().expect("finish");
-        let image = std::fs::read(&path).expect("read image");
-        let _ = std::fs::remove_dir_all(&dir);
-        image
+        std::fs::read(&path).expect("read image")
     })
 }
 
@@ -417,7 +402,6 @@ proptest! {
                 }
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A miswritten pool — the damage hashed as if it were the real
@@ -453,13 +437,12 @@ proptest! {
             Err(PoolError::Corrupt { .. } | PoolError::Truncated { .. }) => {}
             Ok(pd) => {
                 prop_assert!(pd.ds.validate().is_ok());
-                prop_assert_eq!(&pd.cols, &DatasetColumns::build(&pd.ds));
+                prop_assert_eq!(&pd.ds.bins, &DatasetColumns::build(&pd.ds.bins.to_bins()));
                 prop_assert_eq!(&pd.index, &DatasetIndex::build(&pd.ds));
             }
             Err(other) => panic!("kind {k}: untyped failure {other:?}"),
         }
         drop(r);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Any truncation or single-bit flip in the header or the directory
@@ -497,7 +480,6 @@ proptest! {
             (Err(PoolError::ChecksumMismatch { .. }), false, 12..) => {}
             (other, _, _) => panic!("damage at {at} (cut {truncate}): {:?}", other.map(|_| ())),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -515,7 +497,6 @@ fn rich_pool_roundtrips_intact() {
     let pd = PoolReader::open(&path).unwrap().decode_dataset(0).unwrap();
     let ds = rich_dataset();
     assert_eq!(pd.ds, ds);
-    assert_eq!(pd.cols, DatasetColumns::build(&ds));
+    assert_eq!(pd.ds.bins, ds.bins);
     assert_eq!(pd.index, DatasetIndex::build(&ds));
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,6 +4,9 @@
 //! leave the target pool untouched and readable — for raw payloads and
 //! for dataset streams written by the column encoder alike.
 
+mod common;
+
+use common::Scratch;
 use mobitrace_model::{
     ApEntry, ApRef, AppBin, AppCategory, Band, BinRecord, Bssid, CampaignMeta, Carrier, CellId,
     Channel, Dataset, DatasetColumns, DatasetIndex, Dbm, DeviceId, DeviceInfo, Essid, Os,
@@ -12,18 +15,12 @@ use mobitrace_model::{
 use mobitrace_pool::shim::{IoOp, PoolIoShim, Verdict};
 use mobitrace_pool::{kind, PoolError, PoolReader, PoolWriter};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "mtpool-faults-{}-{:?}-{tag}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
+fn scratch(tag: &str) -> Scratch {
+    Scratch::new("mtpool-faults", tag)
 }
 
 /// Fails the `at`-th operation matching `pred` with `make()`, once.
@@ -151,7 +148,7 @@ fn small_dataset() -> Dataset {
         aps: (0..2)
             .map(|i| ApEntry { bssid: Bssid::from_u64(40 + i), essid: Essid::new("cafe") })
             .collect(),
-        bins,
+        bins: DatasetColumns::build(&bins),
     }
 }
 
@@ -160,7 +157,7 @@ fn small_dataset() -> Dataset {
 fn build_dataset(path: &Path, shim: Option<Arc<dyn PoolIoShim>>) -> Result<(), PoolError> {
     let ds = small_dataset();
     let mut w = PoolWriter::replace_with(path, shim)?;
-    w.append_dataset(0, &ds, &DatasetIndex::build(&ds), &DatasetColumns::build(&ds))?;
+    w.append_dataset(0, &ds, &DatasetIndex::build(&ds))?;
     w.finish()
 }
 
@@ -226,7 +223,6 @@ fn fsync_error_propagates_from_every_sync_point() {
     let log = Arc::new(OpLog::default());
     let dir = scratch("fsync-log");
     build(&dir.join("p.mtpool"), Some(log.clone())).expect("clean build");
-    let _ = std::fs::remove_dir_all(&dir);
     let syncs: Vec<IoOp> = log.0.lock().unwrap().iter().copied().filter(IoOp::is_sync).collect();
     assert_eq!(syncs, vec![IoOp::SyncAll, IoOp::DirSync]);
     for at in 1..=2u64 {
@@ -241,7 +237,6 @@ fn fsync_error_propagates_from_every_sync_point() {
             build(&path, Some(shim.clone())).expect_err("injected fsync failure must propagate");
         assert!(matches!(err, PoolError::Io(_)), "sync point {at}: {err:?}");
         assert_eq!(shim.fired.load(Ordering::SeqCst), 1, "sync point {at} never reached");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -406,6 +401,5 @@ fn failure_at_every_replace_op_is_typed_and_leaves_no_temp() {
             }
             assert_eq!(strays(&dir, "t.mtpool"), Vec::<String>::new(), "{tag} {case}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

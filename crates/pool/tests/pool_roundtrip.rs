@@ -106,7 +106,7 @@ fn dataset(mut bins: Vec<BinRecord>) -> Dataset {
                 essid: Essid::new(if i == 2 { "ap-0".to_string() } else { format!("ap-{i}") }),
             })
             .collect(),
-        bins,
+        bins: DatasetColumns::build(&bins),
     }
 }
 
@@ -122,24 +122,23 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// Write `ds` to a fresh pool, mmap it back, and return the decoded
 /// parts. Asserts the raw parts are bit-equal to their in-memory twins.
-fn roundtrip(ds: &Dataset, tag: &str) -> (Dataset, DatasetIndex, DatasetColumns) {
+fn roundtrip(ds: &Dataset, tag: &str) -> (Dataset, DatasetIndex) {
     let dir = scratch(tag);
     let path = dir.join("rt.mtpool");
     let index = DatasetIndex::build(ds);
-    let cols = DatasetColumns::build(ds);
     {
         let mut w = PoolWriter::replace(&path).expect("replace pool");
-        w.append_dataset(0, ds, &index, &cols).expect("append");
+        w.append_dataset(0, ds, &index).expect("append");
         w.finish().expect("finish");
     }
     let r = PoolReader::open(&path).expect("open pool");
     let pd = r.decode_dataset(0).expect("decode");
-    assert_eq!(&pd.ds, ds, "materialized rows differ");
+    assert_eq!(&pd.ds, ds, "decoded dataset differs");
     assert_eq!(pd.index, index, "persisted index differs");
-    assert_eq!(pd.cols, cols, "decoded columns differ");
+    assert_eq!(pd.ds.bins, ds.bins, "decoded columns differ");
     drop(r);
     let _ = std::fs::remove_dir_all(&dir);
-    (pd.ds, pd.index, pd.cols)
+    (pd.ds, pd.index)
 }
 
 /// All twelve columnar passes, pool context vs in-memory context.
@@ -182,8 +181,8 @@ proptest! {
         bins in proptest::collection::vec(bin_strategy(), 0..160),
     ) {
         let ds = dataset(bins);
-        let (pds, pindex, pcols) = roundtrip(&ds, "prop");
-        let pool_ctx = AnalysisContext::from_parts(&pds, pindex, pcols);
+        let (pds, pindex) = roundtrip(&ds, "prop");
+        let pool_ctx = AnalysisContext::from_parts(&pds, pindex, pds.bins.clone());
         assert_passes_bit_equal(&ds, &pool_ctx);
     }
 }
@@ -217,10 +216,8 @@ fn multi_stream_append_and_reopen() {
     let path = dir.join("multi.mtpool");
     {
         let mut w = PoolWriter::replace(&path).expect("replace");
-        w.append_dataset(0, &a, &DatasetIndex::build(&a), &DatasetColumns::build(&a))
-            .expect("append 0");
-        w.append_dataset(1, &b, &DatasetIndex::build(&b), &DatasetColumns::build(&b))
-            .expect("append 1");
+        w.append_dataset(0, &a, &DatasetIndex::build(&a)).expect("append 0");
+        w.append_dataset(1, &b, &DatasetIndex::build(&b)).expect("append 1");
         w.finish().expect("finish");
     }
     let r = PoolReader::open(&path).expect("open");
@@ -233,11 +230,10 @@ fn multi_stream_append_and_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A columns-only dataset (identifier tables, empty `bins`) persists from
-/// its columns and decodes with its row table rebuilt; a row table that
-/// disagrees with the columns is still refused.
+/// A dataset persists from its bin columns and decodes back to them; an
+/// index that disagrees with the bins is refused.
 #[test]
-fn columns_only_dataset_persists_and_mismatched_rows_are_refused() {
+fn dataset_persists_and_mismatched_index_is_refused() {
     let mut bins = Vec::new();
     for d in 0..N_DEV {
         for (k, wifi) in [
@@ -270,24 +266,22 @@ fn columns_only_dataset_persists_and_mismatched_rows_are_refused() {
             });
         }
     }
+    let short = dataset(bins[..bins.len() - 1].to_vec());
     let full = dataset(bins);
-    let (index, cols) = (DatasetIndex::build(&full), DatasetColumns::build(&full));
-    let ids_only = Dataset { bins: vec![], ..full.clone() };
+    let index = DatasetIndex::build(&full);
     let dir = scratch("cols-only");
     let path = dir.join("cols.mtpool");
     {
         let mut w = PoolWriter::replace(&path).expect("replace");
-        w.append_dataset(0, &ids_only, &index, &cols).expect("columns-only append");
-        let mut short = full.clone();
-        short.bins.pop();
-        assert!(w.append_dataset(1, &short, &index, &cols).is_err(), "row mismatch accepted");
+        w.append_dataset(0, &full, &index).expect("append");
+        assert!(w.append_dataset(1, &short, &index).is_err(), "index mismatch accepted");
         w.finish().expect("finish");
     }
     let r = PoolReader::open(&path).expect("open");
     let pd = r.decode_dataset(0).expect("decode");
     assert_eq!(pd.ds, full);
     assert_eq!(pd.index, index);
-    assert_eq!(pd.cols, cols);
+    assert_eq!(pd.ds.bins, full.bins);
     drop(r);
     let _ = std::fs::remove_dir_all(&dir);
 }

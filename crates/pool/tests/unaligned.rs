@@ -74,7 +74,7 @@ fn tiny_dataset() -> Dataset {
         aps: (0..3)
             .map(|i| ApEntry { bssid: Bssid::from_u64(7 + i), essid: Essid::new("x") })
             .collect(),
-        bins,
+        bins: DatasetColumns::build(&bins),
     }
 }
 
@@ -121,10 +121,9 @@ fn pool_image_decodes_at_any_offset() {
     let path = dir.join("u.mtpool");
     let ds = tiny_dataset();
     let index = DatasetIndex::build(&ds);
-    let cols = DatasetColumns::build(&ds);
     {
         let mut w = PoolWriter::replace(&path).unwrap();
-        w.append_dataset(0, &ds, &index, &cols).unwrap();
+        w.append_dataset(0, &ds, &index).unwrap();
         w.finish().unwrap();
     }
     let image = std::fs::read(&path).unwrap();
@@ -140,7 +139,7 @@ fn pool_image_decodes_at_any_offset() {
         let r = PoolReader::open(&copy).unwrap();
         let pd = r.decode_dataset(0).unwrap();
         assert_eq!(pd.ds, ds);
-        assert_eq!(pd.cols, cols);
+        assert_eq!(pd.ds.bins, ds.bins);
         assert_eq!(pd.index, index);
     }
     let _ = std::fs::remove_dir_all(&dir);

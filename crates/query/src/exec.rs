@@ -177,7 +177,8 @@ impl QuerySet {
     /// Evaluate every registered query against one snapshot generation.
     /// The snapshot arrives as (dataset, index, columns) — exactly what a
     /// `LiveSnapshot`, a decoded pool generation, or a batch dataset
-    /// provides; `cols` are the rows and `ds.bins` may be empty — and
+    /// provides; `cols` are the rows and `ds.bins` is empty or equal to
+    /// them — and
     /// each query returns one [`ServeRecord`]. The passes read only the
     /// columns; `index` must describe the same rows.
     pub fn evaluate(
@@ -266,9 +267,8 @@ mod tests {
 
     fn empty_rssi() -> RssiAnalysis {
         let ds = empty_dataset();
-        let cols = DatasetColumns::build(&ds);
-        let cls = classify_cols(&ds, &cols);
-        mobitrace_core::quality::rssi_analysis(&cols, &cls)
+        let cls = classify_cols(&ds, &ds.bins);
+        mobitrace_core::quality::rssi_analysis(&ds.bins, &cls)
     }
 
     fn empty_dataset() -> Dataset {
@@ -282,7 +282,7 @@ mod tests {
             },
             devices: vec![],
             aps: vec![],
-            bins: vec![],
+            bins: DatasetColumns::default(),
         }
     }
 
@@ -292,7 +292,7 @@ mod tests {
         // building the context from scratch (the serve-gate invariant).
         let ds = crate::filter::tests::dataset();
         let index = DatasetIndex::build(&ds);
-        let cols = DatasetColumns::build(&ds);
+        let cols = ds.bins.clone();
         let set = QuerySet {
             queries: vec![Query::unfiltered("all"), Query::parse("q1", "wifi=assoc").unwrap()],
             opts: CompileOptions::default(),

@@ -15,10 +15,10 @@
 //! a filter copies no column. Row filtering narrows *observations*, never
 //! the identifier space, so `ApRef`/`DeviceId` indexes stay valid.
 //! [`materialize`] is for callers that want a self-contained
-//! [`FilteredDataset`]: it gathers the selected columns
-//! (`DatasetColumns::gather`, bit-identical to rebuilding from the
-//! filtered bins), rebuilds the index from them and the rows from those
-//! (`DatasetColumns::to_bins`).
+//! [`FilteredDataset`]: its bins are the gathered columns
+//! (`DatasetColumns::gather`, bit-identical to building them from the
+//! filtered rows), with the index rebuilt from their device/time
+//! columns. No row is rebuilt.
 
 use crate::expr::{CmpOp, FilterExpr, Predicate, WifiClass};
 use mobitrace_core::apclass::{classify_cols, ApClassification};
@@ -165,15 +165,12 @@ pub fn select_rows_with(
 }
 
 /// A filtered snapshot view: the selected bins as a self-consistent
-/// dataset plus its prebuilt index and columns, ready for
-/// `AnalysisContext::from_parts`.
+/// dataset plus its prebuilt index.
 pub struct FilteredDataset {
     /// The filtered dataset (full device/AP tables, selected bins only).
     pub ds: Dataset,
     /// Bin-range index over `ds.bins`.
     pub index: DatasetIndex,
-    /// Columnar view of `ds.bins`.
-    pub cols: DatasetColumns,
     /// The selection vector that produced this view (row indexes into the
     /// *source* snapshot).
     pub rows: Vec<u32>,
@@ -182,31 +179,29 @@ pub struct FilteredDataset {
 impl FilteredDataset {
     /// Build the analysis context over the filtered view without
     /// re-scanning or copying: the context borrows the prebuilt index and
-    /// columns, so the view can serve repeated evaluations.
+    /// the bins, so the view can serve repeated evaluations.
     pub fn context(&self) -> AnalysisContext<'_> {
         AnalysisContext::from_cow_parts(
             &self.ds,
             Cow::Borrowed(&self.index),
-            Cow::Borrowed(&self.cols),
+            Cow::Borrowed(&self.ds.bins),
         )
     }
 }
 
 /// Materialize a selection into a [`FilteredDataset`]: the gathered
-/// columns, the index rebuilt from their device/time columns (both
-/// bit-identical to building from the filtered bins; the property tests
-/// pin it) and the selected rows rebuilt from the gathered columns. Works
-/// on columns-only sources too.
+/// columns as its bins and the index rebuilt from their device/time
+/// columns (both bit-identical to building from the filtered rows; the
+/// property tests pin it). Works on columns-only sources too.
 pub fn materialize(ds: &Dataset, cols: &DatasetColumns, rows: &[u32]) -> FilteredDataset {
-    let fcols = cols.gather(rows);
-    let index = DatasetIndex::build_cols(&fcols, ds.devices.len());
     let fds = Dataset {
         meta: ds.meta.clone(),
         devices: ds.devices.clone(),
         aps: ds.aps.clone(),
-        bins: fcols.to_bins(),
+        bins: cols.gather(rows),
     };
-    FilteredDataset { ds: fds, index, cols: fcols, rows: rows.to_vec() }
+    let index = DatasetIndex::build(&fds);
+    FilteredDataset { ds: fds, index, rows: rows.to_vec() }
 }
 
 #[cfg(test)]
@@ -279,18 +274,18 @@ pub(crate) mod tests {
             aps: (0..3u64)
                 .map(|i| ApEntry { bssid: Bssid::from_u64(i), essid: Essid::new("x") })
                 .collect(),
-            bins,
+            bins: DatasetColumns::build(&bins),
         }
     }
 
     /// Reference implementation: per-bin row-record scan, no columns.
     fn naive_rows(expr_src: &str, ds: &Dataset) -> Vec<u32> {
-        let cols = DatasetColumns::build(ds);
+        let cols = &ds.bins;
         let expr = parse(expr_src).unwrap();
-        let aps = classify_cols(ds, &cols);
+        let aps = classify_cols(ds, cols);
         let opts = CompileOptions::default();
         let mut out = Vec::new();
-        for (i, b) in ds.bins.iter().enumerate() {
+        for (i, b) in ds.bins.to_bins().iter().enumerate() {
             let keep = eval_naive(&expr, b, ds, &aps, opts);
             if keep {
                 out.push(i as u32);
@@ -341,7 +336,7 @@ pub(crate) mod tests {
     #[test]
     fn select_rows_matches_naive_scan() {
         let ds = dataset();
-        let cols = DatasetColumns::build(&ds);
+        let cols = ds.bins.clone();
         let opts = CompileOptions::default();
         let exprs = [
             "device=1",
@@ -369,7 +364,7 @@ pub(crate) mod tests {
     fn cohort_covers_all_devices() {
         // Every row matches exactly one cohort bucket.
         let ds = dataset();
-        let cols = DatasetColumns::build(&ds);
+        let cols = ds.bins.clone();
         let opts = CompileOptions { n_cohorts: 4 };
         let mut total = 0;
         for c in 0..4 {
@@ -382,7 +377,7 @@ pub(crate) mod tests {
     #[test]
     fn materialized_view_is_self_consistent() {
         let ds = dataset();
-        let cols = DatasetColumns::build(&ds);
+        let cols = ds.bins.clone();
         let expr = parse("wifi=assoc || day=0").unwrap();
         let rows = select_rows(&expr, &ds, &cols, CompileOptions::default());
         assert!(!rows.is_empty());
@@ -390,8 +385,10 @@ pub(crate) mod tests {
         assert_eq!(f.ds.bins.len(), rows.len());
         // Gathered columns and rebuilt index must equal a from-scratch
         // build over the filtered bins.
-        assert_eq!(f.cols, DatasetColumns::build(&f.ds));
-        assert_eq!(f.index, DatasetIndex::build(&f.ds));
+        let src = ds.bins.to_bins();
+        let want: Vec<BinRecord> = rows.iter().map(|&r| src[r as usize].clone()).collect();
+        assert_eq!(f.ds.bins, DatasetColumns::build(&want));
+        assert_eq!(f.index, DatasetIndex::build_cols(&f.ds.bins, ds.devices.len()));
         // Identifier tables stay whole.
         assert_eq!(f.ds.devices.len(), ds.devices.len());
         assert_eq!(f.ds.aps.len(), ds.aps.len());
@@ -400,7 +397,7 @@ pub(crate) mod tests {
     #[test]
     fn empty_selection_materializes_cleanly() {
         let ds = dataset();
-        let cols = DatasetColumns::build(&ds);
+        let cols = ds.bins.clone();
         let expr = parse("device=99").unwrap();
         let rows = select_rows(&expr, &ds, &cols, CompileOptions::default());
         assert!(rows.is_empty());

@@ -118,7 +118,7 @@ fn make_dataset(n_devices: u32, raw: &[(u32, u32, u32, u8, u32, u64)]) -> Datase
                 essid: Essid::new(format!("net-{i}")),
             })
             .collect(),
-        bins,
+        bins: DatasetColumns::build(&bins),
     }
 }
 
@@ -144,7 +144,7 @@ proptest! {
     ) {
         let src = EXPRS[expr_idx];
         let ds = make_dataset(n_devices, &raw);
-        let cols = DatasetColumns::build(&ds);
+        let cols = ds.bins.clone();
         let expr = parse(src).unwrap();
         let opts = CompileOptions::default();
         let rows = select_rows(&expr, &ds, &cols, opts);
@@ -155,12 +155,7 @@ proptest! {
 
         // Eager path: clone the selected bins and run the batch pipeline
         // from scratch.
-        let eager_ds = Dataset {
-            meta: ds.meta.clone(),
-            devices: ds.devices.clone(),
-            aps: ds.aps.clone(),
-            bins: rows.iter().map(|&r| ds.bins[r as usize].clone()).collect(),
-        };
+        let eager_ds = eager_copy(&ds, &rows);
         let eager = AnalysisContext::new(&eager_ds);
 
         prop_assert_eq!(*lazy.ds, eager_ds);
@@ -178,11 +173,13 @@ proptest! {
 /// The eager reference for one selection: the selected bins cloned into a
 /// fresh dataset.
 fn eager_copy(ds: &Dataset, rows: &[u32]) -> Dataset {
+    let all = ds.bins.to_bins();
+    let picked: Vec<BinRecord> = rows.iter().map(|&r| all[r as usize].clone()).collect();
     Dataset {
         meta: ds.meta.clone(),
         devices: ds.devices.clone(),
         aps: ds.aps.clone(),
-        bins: rows.iter().map(|&r| ds.bins[r as usize].clone()).collect(),
+        bins: DatasetColumns::build(&picked),
     }
 }
 
@@ -203,7 +200,7 @@ proptest! {
         ),
     ) {
         let ds = make_dataset(n_devices, &raw);
-        let cols = DatasetColumns::build(&ds);
+        let cols = ds.bins.clone();
         let index = DatasetIndex::build(&ds);
         let opts = CompileOptions::default();
         let queries = EXPRS
@@ -212,7 +209,7 @@ proptest! {
             .map(|(i, src)| Query::parse(format!("q{i}"), src).unwrap())
             .collect();
         let set = QuerySet { queries, opts };
-        let columns_only = Dataset { bins: Vec::new(), ..ds.clone() };
+        let columns_only = Dataset { bins: DatasetColumns::default(), ..ds.clone() };
         for snapshot in [&ds, &columns_only] {
             let recs = set.evaluate(snapshot, &index, &cols, 1, None);
             prop_assert_eq!(recs.len(), EXPRS.len());
@@ -244,17 +241,12 @@ fn adversarial_shapes_pinned() {
         (3, "wifi=assoc"),
     ] {
         let ds = make_dataset(n_devices, &raw);
-        let cols = DatasetColumns::build(&ds);
+        let cols = ds.bins.clone();
         let expr = parse(src).unwrap();
         let rows = select_rows(&expr, &ds, &cols, CompileOptions::default());
         let view = materialize(&ds, &cols, &rows);
         let lazy = view.context();
-        let eager_ds = Dataset {
-            meta: ds.meta.clone(),
-            devices: ds.devices.clone(),
-            aps: ds.aps.clone(),
-            bins: rows.iter().map(|&r| ds.bins[r as usize].clone()).collect(),
-        };
+        let eager_ds = eager_copy(&ds, &rows);
         let eager = AnalysisContext::new(&eager_ds);
         assert_eq!(lazy.cols, eager.cols, "{src}");
         assert_eq!(lazy.index, eager.index, "{src}");

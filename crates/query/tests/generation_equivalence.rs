@@ -1,8 +1,8 @@
 //! Live generation ≡ batch rebuild, and columns-only serving ≡ serving
 //! with rows.
 //!
-//! `LiveTableBuilder` publishes mid-run generations that carry no row
-//! table: `cols` plus `index` are the rows, and `ds` holds only the
+//! `LiveTableBuilder` publishes mid-run generations whose `ds.bins` is
+//! empty: `cols` plus `index` are the rows, and `ds` holds only the
 //! identifier tables. This suite drives random interleaved appends,
 //! update-day tombstones and compactions (with a small compaction floor,
 //! so the 1/32 trigger fires often) and checks, after every compaction:
@@ -11,7 +11,7 @@
 //!   first-encounter AP table, `DatasetIndex::build` and
 //!   `DatasetColumns::build` over the surviving rows appended so far;
 //! * `QuerySet::evaluate` on the columns-only generation equals
-//!   `evaluate` on the same data with its row table, for venue, os, wifi,
+//!   `evaluate` on the same data with its bins filled, for venue, os, wifi,
 //!   day/hour, device/cohort and negated filters.
 //!
 //! Case count honours `PROPTEST_CASES`.
@@ -106,7 +106,7 @@ fn reference(n_devices: u32, rows: &[LiveRow]) -> Dataset {
     rows.sort_by_key(|r| (r.device, r.time));
     let mut aps: Vec<ApEntry> = Vec::new();
     let mut ids: HashMap<(u64, Essid), ApRef> = HashMap::new();
-    let bins = rows
+    let bins: Vec<BinRecord> = rows
         .into_iter()
         .map(|r| BinRecord {
             device: r.device,
@@ -139,7 +139,7 @@ fn reference(n_devices: u32, rows: &[LiveRow]) -> Dataset {
             os_version: r.os_version,
         })
         .collect();
-    Dataset { meta: meta(), devices: devices(n_devices), aps, bins }
+    Dataset { meta: meta(), devices: devices(n_devices), aps, bins: DatasetColumns::build(&bins) }
 }
 
 fn query_set() -> QuerySet {
@@ -158,7 +158,7 @@ fn check_generation(
     set: &QuerySet,
 ) -> Result<(), TestCaseError> {
     let want = reference(n_devices, live);
-    let (index, cols) = (DatasetIndex::build(&want), DatasetColumns::build(&want));
+    let (index, cols) = (DatasetIndex::build(&want), want.bins.clone());
     prop_assert!(snap.ds.bins.is_empty(), "mid-run generation carries rows");
     prop_assert_eq!(&snap.ds.meta, &want.meta);
     prop_assert_eq!(&snap.ds.devices, &want.devices);

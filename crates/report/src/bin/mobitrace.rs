@@ -974,9 +974,9 @@ fn serve_pool_follow(
                         let recs = set.evaluate(
                             &pd.ds,
                             &pd.index,
-                            &pd.cols,
+                            &pd.ds.bins,
                             generation,
-                            watermark_minute(&pd.cols),
+                            watermark_minute(&pd.ds.bins),
                         );
                         tally.generations.push(generation);
                         tally.latencies.extend(recs.iter().map(|r| r.elapsed_s));
@@ -1005,7 +1005,7 @@ fn serve_pool_follow(
 /// per campaign year, generation = campaign year. No cadence — this is the
 /// one-shot shape for piping query results into scripts.
 fn serve_batch(args: &Args, set: mobitrace_query::QuerySet, sink: ServeSink) {
-    use mobitrace_model::{DatasetColumns, DatasetIndex};
+    use mobitrace_model::DatasetIndex;
     use mobitrace_query::watermark_minute;
 
     let scale = if args.quick { args.scale.min(0.02) } else { args.scale };
@@ -1014,8 +1014,7 @@ fn serve_batch(args: &Args, set: mobitrace_query::QuerySet, sink: ServeSink) {
     let mut tally = ServeTally::default();
     for (ds, year) in campaigns.years.iter().zip([2013u64, 2014, 2015]) {
         let index = DatasetIndex::build(ds);
-        let cols = DatasetColumns::build(ds);
-        let recs = set.evaluate(ds, &index, &cols, year, watermark_minute(&cols));
+        let recs = set.evaluate(ds, &index, &ds.bins, year, watermark_minute(&ds.bins));
         tally.generations.push(year);
         tally.latencies.extend(recs.iter().map(|r| r.elapsed_s));
         emit_records(&sink, &recs);
@@ -1145,55 +1144,57 @@ fn run_pipeline_bench(args: &Args) {
     world_scan_breakdown(&mut metrics);
 
     // Per-pass timings on the 2015 campaign: each gated columnar kernel vs
-    // the retained row-scan reference it is property-tested against.
+    // the retained row-scan reference it is property-tested against. The
+    // references' rows are materialised once, outside the timed loops.
     let ds15 = set.year(Year::Y2015);
+    let rows15 = &ds15.bins.to_bins();
     let ctx15 = AnalysisContext::new(ds15);
     let (cols, aps) = (&ctx15.cols, &ctx15.aps);
     let t = std::time::Instant::now();
     let passes = [
         (
             "user_days",
-            time_pass(|| daily::user_days(ds15)),
+            time_pass(|| daily::user_days(rows15)),
             time_pass(|| daily::user_days_cols(cols)),
         ),
         (
             "apclass",
-            time_pass(|| apclass::classify(ds15)),
+            time_pass(|| apclass::classify_rows(ds15, rows15)),
             time_pass(|| apclass::classify_cols(ds15, cols)),
         ),
         (
             "overview",
-            time_pass(|| overview::overview_rows(ds15)),
+            time_pass(|| overview::overview_rows(ds15, rows15)),
             time_pass(|| overview::overview(ds15, cols)),
         ),
         (
             "aggregate_series",
-            time_pass(|| timeseries::aggregate_series_rows(ds15)),
+            time_pass(|| timeseries::aggregate_series_rows(ds15, rows15)),
             time_pass(|| timeseries::aggregate_series(ds15, cols)),
         ),
         (
             "venue_series",
-            time_pass(|| timeseries::venue_series_rows(ds15, aps)),
+            time_pass(|| timeseries::venue_series_rows(ds15, rows15, aps)),
             time_pass(|| timeseries::venue_series(ds15, cols, aps)),
         ),
         (
             "rssi",
-            time_pass(|| quality::rssi_analysis_rows(ds15, aps)),
+            time_pass(|| quality::rssi_analysis_rows(rows15, aps)),
             time_pass(|| quality::rssi_analysis(cols, aps)),
         ),
         (
             "channels",
-            time_pass(|| quality::channel_analysis_rows(ds15, aps)),
+            time_pass(|| quality::channel_analysis_rows(rows15, aps)),
             time_pass(|| quality::channel_analysis(cols, aps)),
         ),
         (
             "public_aps",
-            time_pass(|| availability::detected_public_aps_rows(ds15)),
+            time_pass(|| availability::detected_public_aps_rows(ds15, rows15)),
             time_pass(|| availability::detected_public_aps(ds15, cols)),
         ),
         (
             "offload",
-            time_pass(|| availability::offload_potential_rows(ds15)),
+            time_pass(|| availability::offload_potential_rows(rows15)),
             time_pass(|| availability::offload_potential(ds15, cols)),
         ),
     ];
@@ -1311,6 +1312,16 @@ fn gate_or_exit(args: &Args, entry: &benchhist::BenchEntry, command: &str) {
 /// works exactly as for `bench` (the lookback baseline composes fleet-only
 /// and bench-only entries). Exits non-zero if the per-record accounting
 /// fails to reconcile.
+/// A scratch directory, removed with everything in it when dropped (also
+/// when a panic unwinds past it).
+struct ScratchDir(std::path::PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn run_fleet_cmd(args: &Args) {
     use mobitrace_fleet::{ingest::resolve_workers, try_run_fleet, FaultSpec, FleetRunConfig};
 
@@ -1319,12 +1330,15 @@ fn run_fleet_cmd(args: &Args) {
     // `--resume DIR` restarts from DIR's checkpoints and (unless
     // `--checkpoint` redirects it) keeps checkpointing into the same
     // directory; `--faults` needs *some* checkpoint traffic for its pool
-    // faults to have I/O to fail, so it defaults to a scratch directory.
+    // faults to have I/O to fail, so it defaults to a scratch directory
+    // that goes when the run ends.
     let mut checkpoint_dir: Option<std::path::PathBuf> =
         args.checkpoint.clone().or_else(|| args.resume.clone()).map(std::path::PathBuf::from);
-    if args.faults && checkpoint_dir.is_none() {
-        checkpoint_dir =
-            Some(std::env::temp_dir().join(format!("mobitrace-faults-{}", std::process::id())));
+    let scratch = (args.faults && checkpoint_dir.is_none()).then(|| {
+        ScratchDir(std::env::temp_dir().join(format!("mobitrace-faults-{}", std::process::id())))
+    });
+    if let Some(s) = &scratch {
+        checkpoint_dir = Some(s.0.clone());
     }
     if let Some(dir) = &args.resume {
         let has_checkpoints = std::fs::read_dir(dir)
@@ -1368,7 +1382,9 @@ fn run_fleet_cmd(args: &Args) {
         if cfg.resume { ", resuming" } else { "" },
         cfg.seed,
     );
-    let report = match try_run_fleet(&cfg) {
+    let run = try_run_fleet(&cfg);
+    drop(scratch);
+    let report = match run {
         Ok(report) => report,
         Err(e) => {
             eprintln!("error: fleet run failed: {e}");

@@ -2,9 +2,10 @@
 
 use mobitrace_collector::{strip_update_days, CleanOptions};
 use mobitrace_core::AnalysisContext;
-use mobitrace_model::{Dataset, DatasetColumns, DatasetIndex, Year};
+use mobitrace_model::{Dataset, DatasetIndex, Year};
 use mobitrace_pool::{encode_dataset, PoolError, PoolReader, PoolWriter};
 use mobitrace_sim::{campaign::run_campaign_opts, CampaignConfig};
+use std::borrow::Cow;
 use std::path::Path;
 
 /// Pool stream id of each year's cleaned dataset (by year index); the
@@ -13,11 +14,11 @@ const YEAR_STREAMS: [u16; 3] = [0, 1, 2];
 /// Pool stream id of the update-retaining 2015 dataset.
 const UPDATE_STREAM: u16 = 3;
 
-/// The index + columnar views of the three years as decoded from a pool
-/// — ready to feed [`AnalysisContext::from_parts`] without any rebuild
+/// The indexes of the three years as decoded from a pool — with the
+/// decoded bins, what an [`AnalysisContext`] needs without any rebuild
 /// (see [`CampaignSet::contexts_with`]).
 pub struct PoolViews {
-    views: [(DatasetIndex, DatasetColumns); 3],
+    indexes: [DatasetIndex; 3],
 }
 
 /// The three simulated campaigns plus the 2015 variant that keeps the
@@ -72,20 +73,19 @@ impl CampaignSet {
 
     /// Persist the campaign set into a single `.mtpool` file: streams
     /// 0–2 carry the cleaned years, stream 3 the update-retaining 2015
-    /// variant, each with its columnar view and index so a later
-    /// [`load_pool`](Self::load_pool) skips the transpose and re-index
-    /// entirely. The pool is staged in a temp file and atomically
+    /// variant, each encoded straight from its bin columns, with its
+    /// index so a later [`load_pool`](Self::load_pool) skips the re-index
+    /// too. The pool is staged in a temp file and atomically
     /// renamed over `path`, so re-exporting over a pool another process
     /// is mmap-analyzing neither corrupts their view nor loses the old
     /// pool if this process dies mid-export.
     pub fn save_pool(&self, path: &Path) -> Result<(), PoolError> {
-        // Each stream's index + column build and its encode run on its
-        // own thread (as `load_pool`'s decodes do); the writer only
-        // appends the finished segments, in stream order, so the file
-        // bytes are the same whichever thread finishes first.
-        let encode = |stream: u16, ds: &Dataset| {
-            encode_dataset(stream, ds, &DatasetIndex::build(ds), &DatasetColumns::build(ds))
-        };
+        // Each stream's index build and its encode run on its own thread
+        // (as `load_pool`'s decodes do); the writer only appends the
+        // finished segments, in stream order, so the file bytes are the
+        // same whichever thread finishes first.
+        let encode =
+            |stream: u16, ds: &Dataset| encode_dataset(stream, ds, &DatasetIndex::build(ds));
         let [y0, y1, y2] = &self.years;
         std::thread::scope(|scope| {
             let h0 = scope.spawn(|| encode(YEAR_STREAMS[0], y0));
@@ -106,7 +106,7 @@ impl CampaignSet {
     /// [`save_pool`](Self::save_pool) through a filter: every stream
     /// (the three years and the update-retaining variant) is compiled
     /// against the expression and only the selected bins are written,
-    /// with the gathered columns and rebuilt index — the `mobitrace pool
+    /// gathered, with their rebuilt index — the `mobitrace pool
     /// export --where` path. A later [`load_pool`](Self::load_pool) of
     /// the result analyzes exactly as if the filter had been applied at
     /// query time, which the round-trip test pins.
@@ -119,10 +119,9 @@ impl CampaignSet {
         use mobitrace_query::{materialize, select_rows};
         let mut w = PoolWriter::replace(path)?;
         let mut write_filtered = |stream: u16, ds: &Dataset| -> Result<(), PoolError> {
-            let cols = DatasetColumns::build(ds);
-            let rows = select_rows(expr, ds, &cols, opts);
-            let view = materialize(ds, &cols, &rows);
-            w.append_dataset(stream, &view.ds, &view.index, &view.cols)
+            let rows = select_rows(expr, ds, &ds.bins, opts);
+            let view = materialize(ds, &ds.bins, &rows);
+            w.append_dataset(stream, &view.ds, &view.index)
         };
         for (i, ds) in self.years.iter().enumerate() {
             write_filtered(YEAR_STREAMS[i], ds)?;
@@ -133,10 +132,11 @@ impl CampaignSet {
     }
 
     /// Load a campaign set from a pool written by
-    /// [`save_pool`](Self::save_pool), returning the decoded index +
-    /// column views alongside so analysis can start via
+    /// [`save_pool`](Self::save_pool): each dataset's bins are the
+    /// decoded columns, no row is rebuilt, and the years' decoded indexes
+    /// come back alongside so analysis can start via
     /// [`contexts_with`](Self::contexts_with) with no rebuild scans.
-    /// The three years decode concurrently off the shared map.
+    /// The four streams decode concurrently off the shared map.
     pub fn load_pool(path: &Path) -> Result<(CampaignSet, PoolViews), PoolError> {
         let r = PoolReader::open(path)?;
         let ((d0, d1, d2), update) = std::thread::scope(|scope| {
@@ -151,21 +151,23 @@ impl CampaignSet {
         });
         let (d0, d1, d2, update) = (d0?, d1?, d2?, update?);
         let set = CampaignSet { years: [d0.ds, d1.ds, d2.ds], update_2015: update.ds };
-        let views =
-            PoolViews { views: [(d0.index, d0.cols), (d1.index, d1.cols), (d2.index, d2.cols)] };
-        Ok((set, views))
+        Ok((set, PoolViews { indexes: [d0.index, d1.index, d2.index] }))
     }
 
     /// Analysis contexts from pool-decoded views: the
-    /// [`contexts`](Self::contexts) twin that skips the index build and
-    /// columnar transpose because the pool already carried both. The
-    /// views must come from the same pool load as `self`.
+    /// [`contexts`](Self::contexts) twin that skips the index build
+    /// because the pool already carried it. The views must come from the
+    /// same pool load as `self`.
     pub fn contexts_with(&self, views: PoolViews) -> [AnalysisContext<'_>; 3] {
-        let [v0, v1, v2] = views.views;
+        let [i0, i1, i2] = views.indexes;
+        let ctx = |y: usize, index| {
+            let ds = &self.years[y];
+            AnalysisContext::from_cow_parts(ds, Cow::Owned(index), Cow::Borrowed(&ds.bins))
+        };
         std::thread::scope(|scope| {
-            let h0 = scope.spawn(|| AnalysisContext::from_parts(&self.years[0], v0.0, v0.1));
-            let h1 = scope.spawn(|| AnalysisContext::from_parts(&self.years[1], v1.0, v1.1));
-            let c2 = AnalysisContext::from_parts(&self.years[2], v2.0, v2.1);
+            let h0 = scope.spawn(|| ctx(0, i0));
+            let h1 = scope.spawn(|| ctx(1, i1));
+            let c2 = ctx(2, i2);
             [h0.join().expect("2013 context"), h1.join().expect("2014 context"), c2]
         })
     }

@@ -423,8 +423,9 @@ mod tests {
         assert_eq!(a.total_rx(), b.total_rx());
         assert_eq!(a.aps.len(), b.aps.len());
         // Spot-check full equality on a sample of bins.
-        for k in (0..a.bins.len()).step_by(101) {
-            assert_eq!(a.bins[k], b.bins[k]);
+        let (a, b) = (a.bins.to_bins(), b.bins.to_bins());
+        for k in (0..a.len()).step_by(101) {
+            assert_eq!(a[k], b[k]);
         }
     }
 
@@ -489,8 +490,8 @@ mod tests {
     #[test]
     fn wifi_and_cellular_both_present() {
         let (ds, _) = tiny(Year::Y2015, 4);
-        let wifi: u64 = ds.bins.iter().map(|b| b.rx_wifi).sum();
-        let cell: u64 = ds.bins.iter().map(|b| b.rx_cell()).sum();
+        let wifi: u64 = ds.bins.to_bins().iter().map(|b| b.rx_wifi).sum();
+        let cell: u64 = ds.bins.to_bins().iter().map(|b| b.rx_cell()).sum();
         assert!(wifi > 0 && cell > 0);
         // 2015: WiFi carries more than cellular in aggregate.
         assert!(wifi > cell, "wifi {wifi} vs cell {cell}");
@@ -500,7 +501,7 @@ mod tests {
     fn associations_reference_ap_table() {
         let (ds, _) = tiny(Year::Y2014, 5);
         let mut assoc_bins = 0;
-        for b in &ds.bins {
+        for b in &ds.bins.to_bins() {
             if let WifiBinState::Associated(a) = &b.wifi {
                 assert!(a.ap.index() < ds.aps.len());
                 assoc_bins += 1;

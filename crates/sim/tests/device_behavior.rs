@@ -99,12 +99,12 @@ fn run_device(p: Persona, days: u32, seed: u64) -> Dataset {
 fn always_off_user_never_touches_wifi() {
     let ds = run_device(persona(WifiAttitude::AlwaysOff, true, false), 4, 1);
     assert!(!ds.bins.is_empty());
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         assert_eq!(b.wifi, WifiBinState::Off, "at {}", b.time);
         assert_eq!(b.rx_wifi, 0);
     }
     // All traffic rides cellular.
-    assert!(ds.bins.iter().map(|b| b.rx_cell()).sum::<u64>() > 0);
+    assert!(ds.bins.to_bins().iter().map(|b| b.rx_cell()).sum::<u64>() > 0);
 }
 
 #[test]
@@ -112,7 +112,7 @@ fn toggles_off_user_is_off_away_and_on_at_home() {
     let ds = run_device(persona(WifiAttitude::TogglesOff, true, false), 6, 2);
     let mut on_bins = 0;
     let mut off_bins = 0;
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         match &b.wifi {
             WifiBinState::Off => off_bins += 1,
             _ => on_bins += 1,
@@ -121,11 +121,11 @@ fn toggles_off_user_is_off_away_and_on_at_home() {
     assert!(on_bins > 0, "never enabled WiFi at home");
     assert!(off_bins > 0, "never disabled WiFi away");
     // Associated bins happen (home AP exists and is known).
-    let assoc = ds.bins.iter().filter(|b| b.wifi.assoc().is_some()).count();
+    let assoc = ds.bins.to_bins().iter().filter(|b| b.wifi.assoc().is_some()).count();
     assert!(assoc > 20, "only {assoc} associated bins");
     // Work-hour weekday bins (Tue 11:00-16:00, day 3 of the Sat-started
     // campaign) must be Off: the user toggles off when leaving home.
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         if b.time.day() == 3 && (11..16).contains(&b.time.hour()) {
             assert_eq!(b.wifi, WifiBinState::Off, "at {}", b.time);
         }
@@ -135,7 +135,7 @@ fn toggles_off_user_is_off_away_and_on_at_home() {
 #[test]
 fn toggles_off_without_home_ap_is_always_off() {
     let ds = run_device(persona(WifiAttitude::TogglesOff, false, false), 3, 3);
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         assert_eq!(b.wifi, WifiBinState::Off);
     }
 }
@@ -144,10 +144,10 @@ fn toggles_off_without_home_ap_is_always_off() {
 fn averse_user_has_zero_cellular_off_wifi() {
     let ds = run_device(persona(WifiAttitude::AlwaysOn, true, true), 5, 4);
     // Mobile data is switched off: cellular is exactly zero everywhere.
-    let cell: u64 = ds.bins.iter().map(|b| b.rx_cell() + b.tx_cell()).sum();
+    let cell: u64 = ds.bins.to_bins().iter().map(|b| b.rx_cell() + b.tx_cell()).sum();
     assert_eq!(cell, 0, "averse user leaked {cell} cellular bytes");
     // WiFi still carries traffic at home.
-    assert!(ds.bins.iter().map(|b| b.rx_wifi).sum::<u64>() > 0);
+    assert!(ds.bins.to_bins().iter().map(|b| b.rx_wifi).sum::<u64>() > 0);
 }
 
 #[test]
@@ -156,7 +156,7 @@ fn always_on_user_associates_at_home_most_evenings() {
     // Count evenings (20:00-23:00) with at least one association.
     let mut evenings_assoc = 0;
     for day in 0..8 {
-        let any = ds.bins.iter().any(|b| {
+        let any = ds.bins.to_bins().iter().any(|b| {
             b.time.day() == day && (20..23).contains(&b.time.hour()) && b.wifi.assoc().is_some()
         });
         if any {
@@ -170,7 +170,7 @@ fn always_on_user_associates_at_home_most_evenings() {
 #[test]
 fn no_home_ap_always_on_user_stays_unassociated_at_home() {
     let ds = run_device(persona(WifiAttitude::AlwaysOn, false, false), 3, 6);
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         if let Some(a) = b.wifi.assoc() {
             // Any association must be non-home (no home AP exists, public
             // not configured) — with neither, none should occur at all.
@@ -178,6 +178,6 @@ fn no_home_ap_always_on_user_stays_unassociated_at_home() {
         }
     }
     // But the interface stays enabled: WiFi-available user.
-    let on = ds.bins.iter().filter(|b| b.wifi.is_on()).count();
+    let on = ds.bins.to_bins().iter().filter(|b| b.wifi.is_on()).count();
     assert!(on > ds.bins.len() / 2);
 }

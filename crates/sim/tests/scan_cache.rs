@@ -29,7 +29,7 @@ fn stats(ds: &Dataset) -> AssocStats {
     let mut weak = 0usize;
     let mut on_bins = 0usize;
     let mut n24_sum = 0u64;
-    for b in &ds.bins {
+    for b in &ds.bins.to_bins() {
         if b.wifi.is_on() {
             on_bins += 1;
             n24_sum += u64::from(b.scan.n24_all);

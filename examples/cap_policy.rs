@@ -9,7 +9,7 @@
 
 use mobitrace_cellular::CapPolicy;
 use mobitrace_core::cap::cap_analysis;
-use mobitrace_core::daily::user_days;
+use mobitrace_core::daily::user_days_cols;
 use mobitrace_core::stats::mean;
 use mobitrace_model::{ByteCount, DataRate, Year};
 use mobitrace_sim::{run_campaign, CampaignConfig};
@@ -33,7 +33,7 @@ fn main() {
         let mut cfg = CampaignConfig::scaled(Year::Y2014, 0.15).with_seed(33);
         cfg.cap_override = policy;
         let (ds, _) = run_campaign(&cfg);
-        let days = user_days(&ds);
+        let days = user_days_cols(&ds.bins);
         let a = cap_analysis(&days);
         let cell_mean_mb = mean(&days.iter().map(|d| d.rx_cell() as f64 / 1e6).collect::<Vec<_>>());
         println!("{label}:");

@@ -13,7 +13,7 @@
 
 use mobitrace_core::AnalysisContext;
 use mobitrace_fleet::CohortRouter;
-use mobitrace_model::{DatasetColumns, DatasetIndex, DeviceId, Year};
+use mobitrace_model::{DatasetIndex, DeviceId, Year};
 use mobitrace_query::{
     cohort_of, evaluate_payload, materialize, parse, select_rows, watermark_minute, CompileOptions,
     Query, QuerySet,
@@ -68,7 +68,7 @@ fn filtered_pool_export_round_trips() {
     let loaded_ctxs = loaded.contexts_with(views);
 
     for (i, ds) in set.years.iter().enumerate() {
-        let cols = DatasetColumns::build(ds);
+        let cols = ds.bins.clone();
         let rows = select_rows(&expr, ds, &cols, opts);
         let view = materialize(ds, &cols, &rows);
         // The exported dataset IS the filtered view...
@@ -82,7 +82,7 @@ fn filtered_pool_export_round_trips() {
         );
     }
     // The update-retaining 2015 stream is filtered too.
-    let cols = DatasetColumns::build(&set.update_2015);
+    let cols = set.update_2015.bins.clone();
     let rows = select_rows(&expr, &set.update_2015, &cols, opts);
     let view = materialize(&set.update_2015, &cols, &rows);
     assert_eq!(loaded.update_2015, view.ds);

@@ -1,23 +1,29 @@
 //! The cleaning pipeline: raw records → analysis-ready [`Dataset`].
 //!
-//! Reconstructs per-bin volumes from cumulative counter deltas (reboot
-//! epochs guard against negative deltas), interns (BSSID, ESSID) pairs into
-//! the dataset AP table, and applies the paper's two cleaning steps (§2):
-//! tethering records are removed, and for devices that installed iOS 8.2
-//! during the 2015 campaign, the update day and the following day are
-//! dropped from the main analysis dataset.
+//! One state machine, [`DeviceCleaner`], applies the paper's cleaning
+//! rules (§2) to a device's records in sequence order, for the batch
+//! pipeline ([`clean()`]) and the live engine alike. It reconstructs
+//! per-bin volumes from cumulative counter deltas (reboot epochs guard
+//! against negative deltas), counts sequence gaps, removes tethering
+//! records, and, for devices that installed iOS 8.2 during the 2015
+//! campaign, drops the update day and the following day from the main
+//! analysis dataset. The update shows only on the record that carries it,
+//! so the device's rows already kept on that day are cut through the
+//! [`BinSink`]: a truncate of the device's rows in batch, a tombstone in
+//! the live builder. Both sinks intern (BSSID, ESSID) pairs into
+//! append-time AP ids and renumber them to the canonical first-encounter
+//! order once the rows are final.
 
 use mobitrace_model::{
-    ApEntry, ApRef, AppBin, AppCategory, BinRecord, CampaignMeta, Dataset, DatasetColumns,
-    DeviceInfo, Essid, OsVersion, Record, TrafficCounters, WifiAssoc, WifiBinState, WifiState,
+    truncate_update_days, ApInterner, ApRef, AppBin, AppCategory, AppCounter, AssocInfo, BinRecord,
+    BinSink, CampaignMeta, CounterSnapshot, Dataset, DatasetColumns, DeviceId, DeviceInfo,
+    OsVersion, Record, SimTime, TrafficCounters, WifiBinState,
 };
-use std::collections::HashMap;
 
-/// Cleaning options.
+/// Cleaning options. Tethering records are always removed, as in the
+/// paper's analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CleanOptions {
-    /// Remove tethering records (the paper always does for its analysis).
-    pub remove_tethering: bool,
     /// Remove the iOS-update day and the next day per updated device
     /// (disabled when producing the dataset for the §3.7 update analysis).
     pub remove_update_days: bool,
@@ -25,7 +31,7 @@ pub struct CleanOptions {
 
 impl Default for CleanOptions {
     fn default() -> CleanOptions {
-        CleanOptions { remove_tethering: true, remove_update_days: true }
+        CleanOptions { remove_update_days: true }
     }
 }
 
@@ -51,63 +57,134 @@ pub struct CleanStats {
     pub missing_records: u64,
 }
 
-/// Run the pipeline. `records` must be sorted by (device, seq) — the
-/// order [`CollectionServer::into_records`](crate::CollectionServer::into_records)
-/// produces. Each kept bin is appended straight to the dataset's
-/// columns; app deltas go through one reused scratch buffer, so no bin
-/// allocates.
-pub fn clean(
-    meta: CampaignMeta,
-    devices: Vec<DeviceInfo>,
-    records: &[Record],
-    opts: CleanOptions,
-) -> (Dataset, CleanStats) {
-    let mut stats = CleanStats { records_in: records.len() as u64, ..CleanStats::default() };
-    let mut aps: Vec<ApEntry> = Vec::new();
-    // Keyed by the shared `Essid` (an `Arc` bump per lookup, hashed and
-    // compared by contents), not an owned copy of the name.
-    let mut ap_index: HashMap<(u64, Essid), ApRef> = HashMap::new();
-    let mut bins = DatasetColumns::with_capacity(records.len(), 0);
-    let mut apps: Vec<AppBin> = Vec::new();
+/// The iOS-update rule over one device's records (or bins) in time order:
+/// the update day is the day of the first record on iOS 8.2 or later that
+/// follows one below it, and that day and the next are dropped.
+#[derive(Debug, Default)]
+struct UpdateRule {
+    /// OS version of the previous record.
+    prev: Option<OsVersion>,
+    /// The update day, once seen.
+    day: Option<u32>,
+}
 
-    let mut i = 0;
-    while i < records.len() {
-        let device = records[i].device;
-        let mut j = i;
-        while j < records.len() && records[j].device == device {
-            j += 1;
+impl UpdateRule {
+    /// Step over the next record; returns the update day when this record
+    /// reveals it.
+    fn step(&mut self, os: OsVersion, time: SimTime) -> Option<u32> {
+        let update = self.day.is_none()
+            && self.prev.is_some_and(|p| p < OsVersion::IOS_8_2 && os >= OsVersion::IOS_8_2);
+        self.prev = Some(os);
+        if update {
+            self.day = Some(time.day());
         }
-        let dev_records = &records[i..j];
-        i = j;
+        self.day.filter(|_| update)
+    }
 
-        // Pass 1: find the iOS-update day, if any.
-        let update_day: Option<u32> = dev_records.windows(2).find_map(|w| {
-            (w[0].os_version < OsVersion::IOS_8_2 && w[1].os_version >= OsVersion::IOS_8_2)
-                .then(|| w[1].time.day())
-        });
+    /// Whether a record at `time` falls on the update day or the next.
+    fn shadows(&self, time: SimTime) -> bool {
+        self.day.is_some_and(|d| time.day() == d || time.day() == d + 1)
+    }
+}
 
-        // Pass 2: delta reconstruction. Sequence numbers are monotonic
-        // across reboots, so gap widths are exact loss counts whether or
-        // not the epoch changed in between.
-        if let Some(first) = dev_records.first() {
-            if first.seq > 0 {
-                stats.gaps += 1;
-                stats.missing_records += u64::from(first.seq);
+/// What a record leaves behind as the next record's delta base.
+#[derive(Debug)]
+struct Prev {
+    seq: u32,
+    boot_epoch: u16,
+    counters: CounterSnapshot,
+}
+
+/// The previous record's app counters by category; a category repeated
+/// in that record has its first entry as the base. Each entry carries the
+/// number of the record that set it, so moving to the next record clears
+/// nothing.
+#[derive(Debug, Default)]
+struct AppBase {
+    /// Records set so far: entries stamped with it are the previous
+    /// record's.
+    stamp: u64,
+    by_category: [(u64, TrafficCounters); AppCategory::ALL.len()],
+}
+
+impl AppBase {
+    /// Make one record's app counters the base.
+    fn set(&mut self, apps: &[AppCounter]) {
+        self.stamp += 1;
+        for app in apps {
+            let entry = &mut self.by_category[app.category.index()];
+            if entry.0 != self.stamp {
+                *entry = (self.stamp, app.counters);
             }
         }
-        let mut prev: Option<&Record> = None;
-        for r in dev_records {
-            if let Some(p) = prev {
-                if r.seq > p.seq + 1 {
-                    stats.gaps += 1;
-                    stats.missing_records += u64::from(r.seq - p.seq - 1);
-                }
+    }
+
+    /// The base of `category`: zero when the previous record had none.
+    fn get(&self, category: AppCategory) -> TrafficCounters {
+        let (stamp, counters) = self.by_category[category.index()];
+        if stamp == self.stamp {
+            counters
+        } else {
+            TrafficCounters::default()
+        }
+    }
+}
+
+/// One device's cleaning state: the previous record's seq, boot epoch,
+/// counters and per-category app base, plus the update day once it is
+/// seen. Every record of the device goes through [`fold`](Self::fold) in
+/// sequence order; the batch pipeline runs one cleaner per device run,
+/// the live engine one per device lane. A new (default) cleaner has seen
+/// none of its device's records.
+#[derive(Debug, Default)]
+pub struct DeviceCleaner {
+    /// `None` before the device's first record.
+    prev: Option<Prev>,
+    apps_base: AppBase,
+    update: UpdateRule,
+    /// App-delta buffer, moved into each kept bin and back out.
+    apps: Vec<AppBin>,
+}
+
+impl DeviceCleaner {
+    /// Run the device's next record through the cleaning rules: count it
+    /// and any sequence gap before it, detect a reboot and the iOS update,
+    /// drop it for tethering or the update shadow, or push its bin (counter
+    /// and app deltas against the previous record of the same boot epoch)
+    /// to `sink`. Records must come in sequence order.
+    pub fn fold(
+        &mut self,
+        r: &Record,
+        opts: CleanOptions,
+        sink: &mut impl BinSink,
+        stats: &mut CleanStats,
+    ) {
+        stats.records_in += 1;
+        // Sequence numbers are monotonic across reboots, so a gap's width
+        // is an exact loss count; before the first record, the seq is.
+        let expected = self.prev.as_ref().map_or(0, |p| p.seq + 1);
+        if r.seq > expected {
+            stats.gaps += 1;
+            stats.missing_records += u64::from(r.seq - expected);
+        }
+        // The delta base: the previous record of the same boot epoch.
+        // After a reboot the counters restarted from zero, so everything
+        // accumulated since boot belongs to this bin.
+        let base = self.prev.as_ref().filter(|p| p.boot_epoch == r.boot_epoch);
+        stats.reboots += u64::from(self.prev.is_some() && base.is_none());
+        if let Some(day) = self.update.step(r.os_version, r.time) {
+            if opts.remove_update_days {
+                let cut = sink.drop_update_days(r.device, day);
+                stats.update_days_removed += cut;
+                stats.bins_out -= cut;
             }
-            // The delta base: the previous record of the same boot epoch.
-            // After a reboot the counters restarted from zero, so
-            // everything accumulated since boot belongs to this bin.
-            let base = prev.filter(|p| p.boot_epoch == r.boot_epoch);
-            stats.reboots += u64::from(prev.is_some() && base.is_none());
+        }
+
+        if r.tethering {
+            stats.tethering_removed += 1;
+        } else if opts.remove_update_days && self.update.shadows(r.time) {
+            stats.update_days_removed += 1;
+        } else {
             let (d3g, dlte, dwifi) = match base {
                 Some(p) => (
                     delta(&r.counters.cell3g, &p.counters.cell3g),
@@ -116,45 +193,10 @@ pub fn clean(
                 ),
                 None => (r.counters.cell3g, r.counters.lte, r.counters.wifi),
             };
-            prev = Some(r);
-
-            if opts.remove_tethering && r.tethering {
-                stats.tethering_removed += 1;
-                continue;
-            }
-            if opts.remove_update_days {
-                if let Some(day) = update_day {
-                    if r.time.day() == day || r.time.day() == day + 1 {
-                        stats.update_days_removed += 1;
-                        continue;
-                    }
-                }
-            }
-
-            let wifi = match &r.wifi {
-                WifiState::Off => WifiBinState::Off,
-                WifiState::OnUnassociated => WifiBinState::OnUnassociated,
-                WifiState::Associated(a) => {
-                    let key = (a.bssid.as_u64(), a.essid.clone());
-                    let ap = *ap_index.entry(key).or_insert_with(|| {
-                        let r = ApRef(aps.len() as u32);
-                        aps.push(ApEntry { bssid: a.bssid, essid: a.essid.clone() });
-                        r
-                    });
-                    WifiBinState::Associated(WifiAssoc {
-                        ap,
-                        band: a.band,
-                        channel: a.channel,
-                        rssi: a.rssi,
-                    })
-                }
-            };
-
-            // The scratch buffer moves into the row and back out.
-            apps.clear();
-            app_deltas(r, base, &mut apps);
+            self.apps.clear();
+            app_deltas(&r.apps, base.map(|_| &self.apps_base), &mut self.apps);
             let bin = BinRecord {
-                device,
+                device: r.device,
                 time: r.time,
                 rx_3g: d3g.rx_bytes,
                 tx_3g: d3g.tx_bytes,
@@ -162,44 +204,95 @@ pub fn clean(
                 tx_lte: dlte.tx_bytes,
                 rx_wifi: dwifi.rx_bytes,
                 tx_wifi: dwifi.tx_bytes,
-                wifi,
+                wifi: WifiBinState::of(&r.wifi, |a| sink.intern(a)),
                 scan: r.scan,
-                apps: std::mem::take(&mut apps),
+                apps: std::mem::take(&mut self.apps),
                 geo: r.geo,
                 os_version: r.os_version,
             };
-            bins.push(&bin);
-            apps = bin.apps;
+            sink.push(&bin);
+            self.apps = bin.apps;
+            stats.bins_out += 1;
         }
-    }
 
-    stats.bins_out = bins.len() as u64;
-    (Dataset { meta, devices, aps, bins }, stats)
+        // Every record, kept or dropped, is the next one's base.
+        self.prev = Some(Prev { seq: r.seq, boot_epoch: r.boot_epoch, counters: r.counters });
+        self.apps_base.set(&r.apps);
+    }
 }
 
-/// Re-apply the iOS-update-day exclusion to an already-cleaned dataset:
-/// per device, the first day reporting ≥ iOS 8.2 after an older version —
-/// and the following day — are dropped. Returns the filtered dataset (a
-/// gather of the kept rows) and the number of removed bins. Lets one
-/// simulation serve both the main analyses (update days removed) and the
-/// §3.7 update analysis (retained).
+/// The batch sink: every device's kept bins in one set of columns, the
+/// device being cleaned owning the rows from `device_start` on.
+struct ColumnSink {
+    bins: DatasetColumns,
+    aps: ApInterner,
+    device_start: usize,
+}
+
+impl BinSink for ColumnSink {
+    fn intern(&mut self, a: &AssocInfo) -> ApRef {
+        self.aps.intern(a)
+    }
+
+    fn push(&mut self, bin: &BinRecord) {
+        self.bins.push(bin);
+    }
+
+    fn drop_update_days(&mut self, _: DeviceId, day: u32) -> u64 {
+        truncate_update_days(&mut self.bins, self.device_start, day) as u64
+    }
+}
+
+/// Run the pipeline. `records` must be sorted by (device, seq) — the
+/// order [`CollectionServer::into_records`](crate::CollectionServer::into_records)
+/// produces. One [`DeviceCleaner`] per device run appends each kept bin
+/// straight to the dataset's columns; app deltas go through the cleaner's
+/// reused buffer, so no bin allocates.
+pub fn clean(
+    meta: CampaignMeta,
+    devices: Vec<DeviceInfo>,
+    records: &[Record],
+    opts: CleanOptions,
+) -> (Dataset, CleanStats) {
+    let mut stats = CleanStats::default();
+    let mut sink = ColumnSink {
+        bins: DatasetColumns::with_capacity(records.len(), 0),
+        aps: ApInterner::default(),
+        device_start: 0,
+    };
+    for run in records.chunk_by(|a, b| a.device == b.device) {
+        sink.device_start = sink.bins.len();
+        let mut cleaner = DeviceCleaner::default();
+        for r in run {
+            cleaner.fold(r, opts, &mut sink, &mut stats);
+        }
+    }
+    let (aps, _) = sink.aps.renumber(&mut sink.bins);
+    (Dataset { meta, devices, aps, bins: sink.bins }, stats)
+}
+
+/// Re-apply the iOS-update-day exclusion to an already-cleaned dataset
+/// with the cleaner's update rule: per device, the first day reporting
+/// ≥ iOS 8.2 after an older version — and the following day — are
+/// dropped. Returns the filtered dataset (a gather of the kept rows) and
+/// the number of removed bins. Lets one simulation serve both the main
+/// analyses (update days removed) and the §3.7 update analysis (retained).
 pub fn strip_update_days(ds: &Dataset) -> (Dataset, u64) {
     // Bins are sorted by (device, time), so each device is one contiguous
-    // run and its first pre-8.2 → ≥ 8.2 step is a window of that run.
+    // run, stepped through the rule in time order.
     let c = &ds.bins;
     let mut keep: Vec<u32> = Vec::with_capacity(c.len());
     let mut start = 0;
     for run in c.device.chunk_by(|a, b| a == b) {
         let rows = start..start + run.len();
         start = rows.end;
-        let update_day = c.os_version[rows.clone()]
-            .windows(2)
-            .position(|w| w[0] < OsVersion::IOS_8_2 && w[1] >= OsVersion::IOS_8_2)
-            .map(|k| c.time[rows.start + k + 1].day());
-        keep.extend(
-            rows.filter(|&i| update_day.is_none_or(|d| !(d..=d + 1).contains(&c.time[i].day())))
-                .map(|i| i as u32),
-        );
+        let mut rule = UpdateRule::default();
+        for i in rows.clone() {
+            if rule.step(c.os_version[i], c.time[i]).is_some() {
+                break;
+            }
+        }
+        keep.extend(rows.filter(|&i| !rule.shadows(c.time[i])).map(|i| i as u32));
     }
     let removed = (c.len() - keep.len()) as u64;
     let out = Dataset {
@@ -218,21 +311,14 @@ fn delta(now: &TrafficCounters, before: &TrafficCounters) -> TrafficCounters {
     now.delta_since(before).unwrap_or_default()
 }
 
-/// Append to `out` the per-app byte deltas of `r` against `prev`, the
-/// device's previous record in the same boot epoch (`None` after a reboot
-/// or for a first record: everything counted so far belongs to this bin).
-/// Apps without new bytes are dropped. When a category repeats in `prev`,
-/// its first entry is the base. The live engine folds records with this
-/// same function, so batch and streaming app volumes cannot drift apart.
-pub fn app_deltas(r: &Record, prev: Option<&Record>, out: &mut Vec<AppBin>) {
-    let mut base = [None::<TrafficCounters>; AppCategory::ALL.len()];
-    if let Some(p) = prev {
-        for app in &p.apps {
-            base[app.category.index()].get_or_insert(app.counters);
-        }
-    }
-    out.extend(r.apps.iter().filter_map(|app| {
-        let d = delta(&app.counters, &base[app.category.index()].unwrap_or_default());
+/// Append to `out` the per-app byte deltas of a record's app counters
+/// against `base`, the app base of the device's previous record in the
+/// same boot epoch (`None` after a reboot or for a first record: everything
+/// counted so far belongs to this bin). Apps without new bytes are dropped.
+/// Only [`DeviceCleaner::fold`] calls this, for batch and live alike.
+fn app_deltas(apps: &[AppCounter], base: Option<&AppBase>, out: &mut Vec<AppBin>) {
+    out.extend(apps.iter().filter_map(|app| {
+        let d = base.map_or(app.counters, |b| delta(&app.counters, &b.get(app.category)));
         (d.rx_bytes > 0 || d.tx_bytes > 0).then_some(AppBin {
             category: app.category,
             rx_bytes: d.rx_bytes,
@@ -400,7 +486,7 @@ mod tests {
             meta(4),
             device_info(1, Os::Ios),
             &records,
-            CleanOptions { remove_update_days: false, ..CleanOptions::default() },
+            CleanOptions { remove_update_days: false },
         );
         assert_eq!(ds2.bins.len(), 12);
         drop(server2);

@@ -16,9 +16,10 @@
 //! - [`server`]: the collection server — decodes frames, verifies
 //!   checksums, deduplicates, tolerates out-of-order delivery, and
 //!   survives simulated crashes by setting its store aside until recovery;
-//! - [`clean`](mod@clean): the cleaning pipeline — counter-delta reconstruction
-//!   (reboot-safe), tethering removal, iOS-update-day exclusion — producing
-//!   the analysis-ready dataset;
+//! - [`clean`](mod@clean): the cleaning pipeline — one per-device state
+//!   machine, [`DeviceCleaner`], shared with the live engine: counter-delta
+//!   reconstruction (reboot-safe), tethering removal, iOS-update-day
+//!   exclusion — producing the analysis-ready dataset;
 //! - [`chaos`]: the fault-convergence harness proving the cleaned dataset
 //!   under any chaos schedule equals the reliable-channel dataset minus
 //!   exactly the losses the cleaner accounts for.
@@ -35,7 +36,7 @@ pub mod transport;
 
 pub use agent::{DeviceAgent, Observation, DEFAULT_CACHE_CAP};
 pub use chaos::{run_convergence, ChaosRunConfig, ConvergenceReport};
-pub use clean::{app_deltas, clean, strip_update_days, CleanOptions, CleanStats};
+pub use clean::{clean, strip_update_days, CleanOptions, CleanStats, DeviceCleaner};
 pub use codec::{
     decode_batch_into, decode_frame, decode_frame_from, decode_frame_from_with, decode_frame_with,
     encode_batch, encode_frame, encode_frame_dict_into, encode_frame_into, CodecError, EssidDict,

@@ -152,7 +152,7 @@ fn run_live_campaign_inner(
                     metrics.push(SnapshotMetric {
                         compactions: s.compactions,
                         bins: snap.len(),
-                        folded: s.folded,
+                        folded: s.clean.records_in,
                         batches: s.batches,
                         fold_nanos: s.fold_nanos,
                         compact_nanos: s.compact_nanos,
@@ -185,7 +185,7 @@ fn run_live_campaign_inner(
     snapshots.push(SnapshotMetric {
         compactions: finished.stats.compactions,
         bins: finished.snapshot.len(),
-        folded: finished.stats.folded,
+        folded: finished.stats.clean.records_in,
         batches: finished.stats.batches,
         fold_nanos: finished.stats.fold_nanos,
         compact_nanos: finished.stats.compact_nanos,
@@ -225,7 +225,7 @@ mod tests {
         assert!(report.converged(), "diverged: {:?}", report.divergence);
         let stats = report.batch_stats.unwrap();
         assert!(stats.bins_out > 0);
-        assert_eq!(report.finished.stats.bins_out, stats.bins_out);
+        assert_eq!(report.finished.stats.clean.bins_out, stats.bins_out);
         // The tap saw every record the server retained, exactly once (no
         // crashes in this campaign, so no replays).
         assert_eq!(report.tap_published, report.raw.records.len() as u64);
@@ -257,6 +257,6 @@ mod tests {
         assert_eq!(a.finished.snapshot.ds, b.finished.snapshot.ds);
         assert_eq!(a.finished.snapshot.index, b.finished.snapshot.index);
         assert_eq!(a.finished.snapshot.cols, b.finished.snapshot.cols);
-        assert_eq!(a.finished.stats.as_clean_stats(), b.finished.stats.as_clean_stats());
+        assert_eq!(a.finished.stats.clean, b.finished.stats.clean);
     }
 }

@@ -3,11 +3,14 @@
 //! [`LiveEngine`] consumes [`TapBatch`]es from a
 //! [`CollectionServer`](mobitrace_collector::CollectionServer) ingest tap
 //! and maintains, online, exactly what the batch pipeline
-//! ([`mobitrace_collector::clean()`]) would produce over the same records:
-//! counter-delta reconstruction (reboot-safe), tethering removal, the
-//! retroactive iOS-update-day exclusion, and the canonical AP table — plus
-//! the bin-range index and columnar transpose, via
-//! [`LiveTableBuilder`].
+//! ([`mobitrace_collector::clean()`]) would produce over the same records.
+//! It cleans with the batch pipeline's own state machine: each device
+//! lane holds a [`DeviceCleaner`], and the [`LiveTableBuilder`] is its
+//! sink, so counter-delta reconstruction (reboot-safe), tethering removal
+//! and the iOS-update-day exclusion run the same code on both paths. The
+//! builder adds the retroactive side of the update rule (a tombstone on
+//! rows already appended), the canonical AP table, the bin-range index and
+//! the columns.
 //!
 //! # Watermarks and lateness
 //!
@@ -37,10 +40,10 @@
 //! `dup_dropped`, which is what makes crash replay safe: a replayed batch
 //! re-offers everything, the engine keeps only what it has never seen.
 
-use mobitrace_collector::{app_deltas, clean, CleanOptions, CleanStats, TapBatch};
+use mobitrace_collector::{clean, CleanOptions, CleanStats, DeviceCleaner, TapBatch};
 use mobitrace_model::{
-    CampaignMeta, Carrier, Dataset, DatasetIndex, DeviceId, DeviceInfo, LiveRow, LiveSnapshot,
-    LiveTableBuilder, Os, OsVersion, Record, SimTime, TrafficCounters,
+    CampaignMeta, Carrier, Dataset, DatasetIndex, DeviceId, DeviceInfo, LiveSnapshot,
+    LiveTableBuilder, Os, Record, SimTime,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -79,8 +82,10 @@ impl Default for LiveOptions {
 pub struct LiveStats {
     /// Records offered (tap publishes, replays included).
     pub records_seen: u64,
-    /// Records folded through the cleaning rules.
-    pub folded: u64,
+    /// The cleaning counters over the folded records, in batch form:
+    /// `records_in` counts folds, and `bins_out` the rows currently live
+    /// (appended minus retroactively removed).
+    pub clean: CleanStats,
     /// Records dropped for arriving behind their device's watermark.
     pub late_dropped: u64,
     /// Records dropped as duplicates (redeliveries and crash replays).
@@ -89,19 +94,6 @@ pub struct LiveStats {
     pub batches: u64,
     /// Tap batches that were crash-recovery replays.
     pub replay_batches: u64,
-    /// Folded records removed for tethering.
-    pub tethering_removed: u64,
-    /// Folded records removed around iOS updates (including rows removed
-    /// retroactively when the update was detected after they landed).
-    pub update_days_removed: u64,
-    /// Reboots detected (counter resets).
-    pub reboots: u64,
-    /// Sequence gaps detected.
-    pub gaps: u64,
-    /// Records the gaps prove were lost.
-    pub missing_records: u64,
-    /// Bin rows currently live (appended minus retroactively removed).
-    pub bins_out: u64,
     /// Compactions performed.
     pub compactions: u64,
     /// Nanoseconds spent offering and folding records (incremental work,
@@ -111,22 +103,6 @@ pub struct LiveStats {
     pub compact_nanos: u64,
 }
 
-impl LiveStats {
-    /// The engine's cleaning counters in batch [`CleanStats`] form, for
-    /// direct comparison with a batch clean over the same records.
-    pub fn as_clean_stats(&self) -> CleanStats {
-        CleanStats {
-            records_in: self.folded,
-            bins_out: self.bins_out,
-            tethering_removed: self.tethering_removed,
-            update_days_removed: self.update_days_removed,
-            reboots: self.reboots,
-            gaps: self.gaps,
-            missing_records: self.missing_records,
-        }
-    }
-}
-
 /// Per-device streaming state.
 #[derive(Debug, Default)]
 struct Lane {
@@ -134,13 +110,11 @@ struct Lane {
     pending: BTreeMap<u32, Record>,
     /// Newest sample time seen (drives the watermark).
     max_time: Option<SimTime>,
-    /// Last folded record (delta base), advancing exactly as the batch
-    /// cleaner's `prev` does — including over filtered records.
-    prev: Option<Record>,
+    /// The device's cleaning state, fed the folded records in sequence
+    /// order as the batch pipeline feeds it the device's run.
+    cleaner: DeviceCleaner,
     /// Folded sequence numbers, ascending (duplicate detection).
     folded_seqs: Vec<u32>,
-    /// iOS-update day, once the version transition folds past.
-    update_day: Option<u32>,
     /// Whether this lane is in the engine's touched scratch list.
     dirty: bool,
 }
@@ -261,9 +235,9 @@ impl LiveEngine {
     }
 
     /// End of stream: fold everything still pending (no more arrivals, so
-    /// the watermark is moot), run the final compaction, copy the final
-    /// snapshot's columns into its dataset's bins, and hand back the
-    /// snapshot, the counters and the late-key set.
+    /// the watermark is moot), run the final compaction, and hand back the
+    /// final snapshot (its rows in `cols`, like every generation's), the
+    /// counters and the late-key set.
     pub fn finish(mut self) -> FinishedLive {
         let t0 = Instant::now();
         for d in 0..self.lanes.len() {
@@ -271,12 +245,8 @@ impl LiveEngine {
         }
         self.stats.fold_nanos += t0.elapsed().as_nanos() as u64;
         self.compact();
-        let LiveEngine { builder, snapshot, stats, late, .. } = self;
-        // The builder holds the other reference to the final snapshot.
-        drop(builder);
-        let mut snap = Arc::unwrap_or_clone(snapshot);
-        snap.ds.bins = snap.cols.clone();
-        FinishedLive { snapshot: Arc::new(snap), stats, late }
+        let LiveEngine { snapshot, stats, late, .. } = self;
+        FinishedLive { snapshot, stats, late }
     }
 
     /// Classify one arrival: duplicate, late, or pending.
@@ -324,103 +294,13 @@ impl LiveEngine {
                 _ => break,
             }
             let (_, r) = lane.pending.pop_first().expect("peeked entry");
-            Self::fold_record(lane, &mut self.builder, &mut self.stats, &self.opts, r);
+            debug_assert!(
+                lane.folded_seqs.last().is_none_or(|&s| s < r.seq),
+                "folds must advance in sequence order"
+            );
+            lane.folded_seqs.push(r.seq);
+            lane.cleaner.fold(&r, self.opts.clean, &mut self.builder, &mut self.stats.clean);
         }
-    }
-
-    /// Run one record through the cleaning rules — a faithful streaming
-    /// replica of one iteration of the batch cleaner's per-device loop
-    /// (`crates/collector/src/clean.rs`), plus the retroactive update-day
-    /// tombstone the batch cleaner gets for free from its lookahead pass.
-    fn fold_record(
-        lane: &mut Lane,
-        builder: &mut LiveTableBuilder,
-        stats: &mut LiveStats,
-        opts: &LiveOptions,
-        r: Record,
-    ) {
-        // Gap accounting: a leading gap on the first fold, exact widths
-        // after that (seqs are monotonic across reboots).
-        match &lane.prev {
-            None => {
-                if r.seq > 0 {
-                    stats.gaps += 1;
-                    stats.missing_records += u64::from(r.seq);
-                }
-            }
-            Some(p) => {
-                if r.seq > p.seq + 1 {
-                    stats.gaps += 1;
-                    stats.missing_records += u64::from(r.seq - p.seq - 1);
-                }
-            }
-        }
-
-        // Delta reconstruction against the previous folded record.
-        let base = lane.prev.as_ref().filter(|p| p.boot_epoch == r.boot_epoch);
-        stats.reboots += u64::from(lane.prev.is_some() && base.is_none());
-        let (d3g, dlte, dwifi) = match base {
-            Some(p) => (
-                delta(&r.counters.cell3g, &p.counters.cell3g),
-                delta(&r.counters.lte, &p.counters.lte),
-                delta(&r.counters.wifi, &p.counters.wifi),
-            ),
-            None => (r.counters.cell3g, r.counters.lte, r.counters.wifi),
-        };
-        let mut dapps = Vec::new();
-        app_deltas(&r, base, &mut dapps);
-
-        // iOS-update detection: the first version transition across
-        // consecutive folded records. The batch cleaner finds it with a
-        // lookahead pass; online it surfaces only *now*, so rows already
-        // appended on the update day (and day + 1) are tombstoned
-        // retroactively and recounted as update-day removals.
-        if lane.update_day.is_none() {
-            if let Some(p) = &lane.prev {
-                if p.os_version < OsVersion::IOS_8_2 && r.os_version >= OsVersion::IOS_8_2 {
-                    let day = r.time.day();
-                    lane.update_day = Some(day);
-                    if opts.clean.remove_update_days {
-                        let killed = builder.tombstone_update_day(r.device, day);
-                        stats.update_days_removed += killed;
-                        stats.bins_out -= killed;
-                    }
-                }
-            }
-        }
-
-        debug_assert!(
-            lane.folded_seqs.last().is_none_or(|&s| s < r.seq),
-            "folds must advance in sequence order"
-        );
-        lane.folded_seqs.push(r.seq);
-        stats.folded += 1;
-        let update_day = lane.update_day.filter(|_| opts.clean.remove_update_days);
-        if opts.clean.remove_tethering && r.tethering {
-            stats.tethering_removed += 1;
-        } else if update_day.is_some_and(|day| r.time.day() == day || r.time.day() == day + 1) {
-            stats.update_days_removed += 1;
-        } else {
-            builder.append(LiveRow {
-                device: r.device,
-                time: r.time,
-                rx_3g: d3g.rx_bytes,
-                tx_3g: d3g.tx_bytes,
-                rx_lte: dlte.rx_bytes,
-                tx_lte: dlte.tx_bytes,
-                rx_wifi: dwifi.rx_bytes,
-                tx_wifi: dwifi.tx_bytes,
-                wifi: r.wifi.clone(),
-                scan: r.scan,
-                apps: dapps,
-                geo: r.geo,
-                os_version: r.os_version,
-            });
-            stats.bins_out += 1;
-        }
-        // `prev` advances over *every* folded record, filtered or not,
-        // exactly as the batch cleaner's does.
-        lane.prev = Some(r);
     }
 
     fn compact(&mut self) {
@@ -429,11 +309,6 @@ impl LiveEngine {
         self.stats.compact_nanos += t0.elapsed().as_nanos() as u64;
         self.stats.compactions = self.builder.compactions();
     }
-}
-
-/// Counter delta clamped at zero, exactly as the batch cleaner computes it.
-fn delta(now: &TrafficCounters, before: &TrafficCounters) -> TrafficCounters {
-    now.delta_since(before).unwrap_or_default()
 }
 
 /// The convergence reference: a batch clean over `records` minus the late
@@ -454,10 +329,10 @@ pub fn batch_reference(
 }
 
 /// Assert bit-identity between a finished live run and the batch pipeline
-/// over the same records: dataset (bins, AP table, devices, meta), derived
-/// index and columns, and the cleaning counters. Returns the batch
-/// [`CleanStats`] on success and a description of the first divergence
-/// otherwise.
+/// over the same records: the snapshot's columns against the batch bins,
+/// its AP table, devices and meta, the derived index, and the cleaning
+/// counters. Returns the batch [`CleanStats`] on success and a description
+/// of the first divergence otherwise.
 pub fn check_convergence(
     fin: &FinishedLive,
     records: &[Record],
@@ -466,16 +341,19 @@ pub fn check_convergence(
     let live = &fin.snapshot;
     let (ds, stats) =
         batch_reference(live.ds.meta.clone(), live.ds.devices.clone(), records, &fin.late, opts);
-    if live.ds.bins.len() != ds.bins.len() {
+    if !live.ds.bins.is_empty() {
+        return Err("finished snapshot holds its rows outside `cols`".into());
+    }
+    if live.cols.len() != ds.bins.len() {
         return Err(format!(
             "bin count diverged: live {} vs batch {}",
-            live.ds.bins.len(),
+            live.cols.len(),
             ds.bins.len()
         ));
     }
-    if live.ds.bins != ds.bins {
+    if live.cols != ds.bins {
         // Rows only to name the first divergent bin.
-        let (live_rows, batch_rows) = (live.ds.bins.to_bins(), ds.bins.to_bins());
+        let (live_rows, batch_rows) = (live.cols.to_bins(), ds.bins.to_bins());
         return Err(match (0..batch_rows.len()).find(|&i| live_rows[i] != batch_rows[i]) {
             Some(i) => {
                 format!("bin {i} diverged: live {:?} vs batch {:?}", live_rows[i], batch_rows[i])
@@ -490,17 +368,13 @@ pub fn check_convergence(
             ds.aps.len()
         ));
     }
-    if live.ds != ds {
+    if live.ds.meta != ds.meta || live.ds.devices != ds.devices {
         return Err("dataset metadata diverged".into());
     }
-    let index = DatasetIndex::build(&ds);
-    if live.index != index {
+    if live.index != DatasetIndex::build(&ds) {
         return Err("bin-range index diverged".into());
     }
-    if live.cols != ds.bins {
-        return Err("columnar view diverged".into());
-    }
-    let live_stats = fin.stats.as_clean_stats();
+    let live_stats = fin.stats.clean;
     if live_stats != stats {
         return Err(format!("clean stats diverged: live {live_stats:?} vs batch {stats:?}"));
     }
@@ -510,7 +384,9 @@ pub fn check_convergence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobitrace_model::{CellId, CounterSnapshot, ScanSummary, WifiState, Year};
+    use mobitrace_model::{
+        CellId, CounterSnapshot, OsVersion, ScanSummary, TrafficCounters, WifiState, Year,
+    };
 
     fn meta(days: u32) -> CampaignMeta {
         CampaignMeta { year: Year::Y2015, start: Year::Y2015.campaign_start(), days, seed: 0 }
@@ -641,9 +517,9 @@ mod tests {
         assert_eq!(stats.missing_records, 4);
         assert_eq!(stats.reboots, 1);
         // Reboot bin carries the whole since-boot volume.
-        assert_eq!(fin.snapshot.ds.bins.rx_wifi[2], 700);
+        assert_eq!(fin.snapshot.cols.rx_wifi[2], 700);
         // Gap bin folds the lost record's volume into its delta.
-        assert_eq!(fin.snapshot.ds.bins.rx_wifi[1], 2_000);
+        assert_eq!(fin.snapshot.cols.rx_wifi[1], 2_000);
     }
 
     #[test]
@@ -673,14 +549,14 @@ mod tests {
         // Days 1 and 2 removed entirely: 288 records.
         assert_eq!(stats.update_days_removed, 288);
         let days: std::collections::HashSet<u32> =
-            fin.snapshot.ds.bins.time.iter().map(|t| t.day()).collect();
+            fin.snapshot.cols.time.iter().map(|t| t.day()).collect();
         assert_eq!(days, [0u32, 3].into_iter().collect());
     }
 
     #[test]
     fn update_days_kept_when_option_disabled() {
         let opts = LiveOptions {
-            clean: CleanOptions { remove_update_days: false, ..CleanOptions::default() },
+            clean: CleanOptions { remove_update_days: false },
             ..LiveOptions::default()
         };
         let mut engine = LiveEngine::new(meta(2), 1, opts);
@@ -696,7 +572,7 @@ mod tests {
         engine.ingest_batch(&batch(records.clone()));
         let (fin, stats) = finish_and_check(engine, &records);
         assert_eq!(stats.update_days_removed, 0);
-        assert_eq!(fin.snapshot.ds.bins.len(), 288);
+        assert_eq!(fin.snapshot.cols.len(), 288);
     }
 
     #[test]
@@ -745,7 +621,7 @@ mod tests {
         records.extend([r4, r5]);
         engine.ingest_batch(&batch(records.clone()));
         let (fin, _) = finish_and_check(engine, &records);
-        let bins = &fin.snapshot.ds.bins.to_bins();
+        let bins = &fin.snapshot.cols.to_bins();
         // Seq 0 has zero app delta → no AppBin; the rest carry 5 kB each.
         assert!(bins[0].apps.is_empty());
         assert_eq!(bins[1].apps[0].rx_bytes, 5_000);

@@ -16,7 +16,7 @@ use mobitrace_core::AnalysisContext;
 use mobitrace_live::{batch_reference, check_convergence, LiveEngine, LiveOptions};
 use mobitrace_model::{
     AppCategory, AppCounter, AssocInfo, Band, Bssid, CampaignMeta, CellId, Channel,
-    CounterSnapshot, Dbm, DeviceId, Essid, Os, OsVersion, Record, ScanSummary, SimTime,
+    CounterSnapshot, Dataset, Dbm, DeviceId, Essid, Os, OsVersion, Record, ScanSummary, SimTime,
     TrafficCounters, WifiState, Year,
 };
 use proptest::prelude::*;
@@ -216,8 +216,10 @@ fn live_context_equals_batch_context() {
         &fin.late,
         CleanOptions::default(),
     );
+    // The finished snapshot keeps its rows in `cols` alone.
+    let live_ds = Dataset { bins: fin.snapshot.cols.clone(), ..fin.snapshot.ds.clone() };
     let live = AnalysisContext::from_parts(
-        &fin.snapshot.ds,
+        &live_ds,
         fin.snapshot.index.clone(),
         fin.snapshot.cols.clone(),
     );

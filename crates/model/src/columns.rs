@@ -272,38 +272,39 @@ impl DatasetColumns {
         self.os_version.push(b.os_version);
     }
 
-    /// Drop every row, keeping the allocations (the live builder reuses
-    /// its per-device tails across compactions).
-    pub(crate) fn clear(&mut self) {
-        self.device.clear();
-        self.time.clear();
-        self.rx_3g.clear();
-        self.tx_3g.clear();
-        self.rx_lte.clear();
-        self.tx_lte.clear();
-        self.rx_wifi.clear();
-        self.tx_wifi.clear();
-        self.wifi_tag.clear();
-        self.assoc_ap.clear();
-        self.assoc_band.clear();
-        self.assoc_channel.clear();
-        self.assoc_rssi.clear();
+    /// Keep the first `len` rows and drop the rest, keeping the
+    /// allocations (the live builder reuses its per-device tails across
+    /// compactions; the cleaners cut a device's update-day rows).
+    pub fn truncate(&mut self, len: usize) {
+        self.device.truncate(len);
+        self.time.truncate(len);
+        self.rx_3g.truncate(len);
+        self.tx_3g.truncate(len);
+        self.rx_lte.truncate(len);
+        self.tx_lte.truncate(len);
+        self.rx_wifi.truncate(len);
+        self.tx_wifi.truncate(len);
+        self.wifi_tag.truncate(len);
+        self.assoc_ap.truncate(len);
+        self.assoc_band.truncate(len);
+        self.assoc_channel.truncate(len);
+        self.assoc_rssi.truncate(len);
         let s = &mut self.scan;
-        s.n24_all.clear();
-        s.n24_strong.clear();
-        s.n5_all.clear();
-        s.n5_strong.clear();
-        s.n24_public_all.clear();
-        s.n24_public_strong.clear();
-        s.n5_public_all.clear();
-        s.n5_public_strong.clear();
-        self.app_offsets.clear();
-        self.app_offsets.push(0);
-        self.apps.clear();
-        self.geo.clear();
-        self.os_version.clear();
-        self.sel_associated.clear();
-        self.sel_available.clear();
+        s.n24_all.truncate(len);
+        s.n24_strong.truncate(len);
+        s.n5_all.truncate(len);
+        s.n5_strong.truncate(len);
+        s.n24_public_all.truncate(len);
+        s.n24_public_strong.truncate(len);
+        s.n5_public_all.truncate(len);
+        s.n5_public_strong.truncate(len);
+        self.app_offsets.truncate(len + 1);
+        self.apps.truncate(self.app_offsets[self.app_offsets.len() - 1] as usize);
+        self.geo.truncate(len);
+        self.os_version.truncate(len);
+        for sel in [&mut self.sel_associated, &mut self.sel_available] {
+            sel.truncate(sel.partition_point(|&r| (r as usize) < len));
+        }
     }
 
     /// Append the contiguous row range `rows` of `src`: every column is a
@@ -840,8 +841,31 @@ mod tests {
                 want.push(&b);
             }
             assert_eq!(c, want, "ranges {ranges:?}");
-            c.clear();
+            c.truncate(0);
             assert_eq!(c, DatasetColumns::with_capacity(0, 0));
+        }
+    }
+
+    /// Truncating to any length leaves the columns (CSR offsets and
+    /// selection vectors included) a build over that prefix gives.
+    #[test]
+    fn truncate_matches_build_over_prefix() {
+        let ds = dataset(vec![
+            bin(0, 0, assoc(), vec![app(AppCategory::Social, 10)]),
+            bin(0, 10, WifiBinState::OnUnassociated, vec![app(AppCategory::Video, 20)]),
+            bin(0, 20, assoc(), vec![]),
+            bin(
+                1,
+                0,
+                WifiBinState::Off,
+                vec![app(AppCategory::Game, 5), app(AppCategory::Video, 1)],
+            ),
+            bin(1, 10, WifiBinState::OnUnassociated, vec![]),
+        ]);
+        for k in 0..=ds.len() {
+            let mut c = DatasetColumns::build(&ds);
+            c.truncate(k);
+            assert_eq!(c, DatasetColumns::build(&ds[..k]), "prefix {k}");
         }
     }
 

@@ -14,7 +14,7 @@
 use crate::apps::AppCategory;
 use crate::columns::{DatasetColumns, WifiTag};
 use crate::ids::{Bssid, CellId, DeviceId, Essid};
-use crate::net::{Band, Channel};
+use crate::net::{AssocInfo, Band, Channel, WifiState};
 use crate::record::{Os, OsVersion};
 use crate::time::{CivilDate, SimTime, Year, BINS_PER_DAY};
 use crate::units::{ByteCount, Dbm};
@@ -153,6 +153,21 @@ pub enum WifiBinState {
 }
 
 impl WifiBinState {
+    /// The bin state of a raw WiFi state; an association is stored under
+    /// the AP reference `ap` gives its (BSSID, ESSID) pair.
+    pub fn of(wifi: &WifiState, ap: impl FnOnce(&AssocInfo) -> ApRef) -> WifiBinState {
+        match wifi {
+            WifiState::Off => WifiBinState::Off,
+            WifiState::OnUnassociated => WifiBinState::OnUnassociated,
+            WifiState::Associated(a) => WifiBinState::Associated(WifiAssoc {
+                ap: ap(a),
+                band: a.band,
+                channel: a.channel,
+                rssi: a.rssi,
+            }),
+        }
+    }
+
     /// Association, if any.
     pub fn assoc(&self) -> Option<&WifiAssoc> {
         match self {

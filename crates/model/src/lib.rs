@@ -43,7 +43,7 @@ pub use dataset::{
 pub use error::ModelError;
 pub use ids::{Bssid, CellId, DeviceId, Essid};
 pub use index::{DatasetIndex, IndexColumns};
-pub use live::{LiveRow, LiveSnapshot, LiveTableBuilder};
+pub use live::{truncate_update_days, ApInterner, BinSink, LiveSnapshot, LiveTableBuilder};
 pub use net::{AssocInfo, Band, CellTech, Channel, NetKind, WifiState};
 pub use record::{AppCounter, CounterSnapshot, Os, OsVersion, Record, ScanEntry, TrafficCounters};
 pub use time::{CivilDate, SimTime, Weekday, Year, BINS_PER_DAY, BIN_MINUTES};

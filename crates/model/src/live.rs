@@ -6,29 +6,31 @@
 //! consumer cannot afford either full scan per update, so this
 //! module keeps the dataset in LSM style instead, entirely in columns:
 //!
-//! * appends land in per-device *tail* column runs. The association is
-//!   stored under an **append-time AP id**: each new (BSSID, ESSID) pair
-//!   is interned once, the first time it is seen (its `Essid` is cloned
-//!   only then), because the canonical AP numbering is a whole-dataset
-//!   property that only compaction can decide;
+//! * the cleaner pushes each kept bin through [`BinSink`] into a
+//!   per-device *tail* column run. The association is stored under an
+//!   **append-time AP id** from an [`ApInterner`]: each new (BSSID, ESSID)
+//!   pair is interned once, the first time it is seen (its `Essid` is
+//!   cloned only then), because the canonical AP numbering is a
+//!   whole-dataset property that only compaction can decide;
 //! * retroactive removals (the iOS-update-day rule discovers its victim
 //!   days *after* their bins were appended) are recorded as per-device day
-//!   **tombstones** and only counted logically;
+//!   **tombstones** and only counted logically in the merged run; a
+//!   tail's dead rows are its last rows and are truncated at once, as the
+//!   batch cleaner truncates its columns;
 //! * a periodic **compaction** builds the next merged run — a
 //!   [`DatasetColumns`] in (device, time) order with per-device ranges —
 //!   by slice copies: each device's previous merged slice minus its
 //!   tombstoned days (one contiguous span, since a device's rows are
 //!   time-sorted), then that device's tail. One pass over the associated
 //!   rows then **renumbers** every AP to the canonical first-encounter
-//!   [`ApRef`] and emits the AP table, and the index is rebuilt from the
-//!   device/time columns.
+//!   [`ApRef`] and emits the AP table (the pass batch `clean` ends with
+//!   too), and the index is rebuilt from the device/time columns.
 //!
 //! The merged run *is* the published [`LiveSnapshot`]'s columns: the
 //! builder keeps an `Arc` of the snapshot it last published, so each
-//! compaction makes exactly one copy of the live rows. Mid-run snapshots
-//! leave `ds.bins` empty — `cols` plus `index` are the rows; the live
-//! engine copies `cols` into `ds.bins` once, when it finishes, so the
-//! finished dataset is whole. No path rebuilds rows. A snapshot taken between
+//! compaction makes exactly one copy of the live rows. Every snapshot,
+//! mid-run or finished, leaves `ds.bins` empty: `cols` plus `index` are
+//! the rows, held once. No path rebuilds rows. A snapshot taken between
 //! compactions is a pointer clone, never a rebuild, and after the final
 //! compaction the snapshot is bit-identical to what the batch pipeline
 //! produces from the same cleaned records, which the live engine's
@@ -60,14 +62,10 @@
 //! that and spills about as much.
 
 use crate::columns::DatasetColumns;
-use crate::dataset::{
-    ApEntry, ApRef, AppBin, BinRecord, CampaignMeta, Dataset, DeviceInfo, ScanSummary, WifiAssoc,
-    WifiBinState,
-};
-use crate::ids::{CellId, DeviceId, Essid};
+use crate::dataset::{ApEntry, ApRef, BinRecord, CampaignMeta, Dataset, DeviceInfo};
+use crate::ids::{DeviceId, Essid};
 use crate::index::DatasetIndex;
-use crate::net::WifiState;
-use crate::record::OsVersion;
+use crate::net::AssocInfo;
 use crate::time::SimTime;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -87,38 +85,17 @@ const COMPACT_MIN_TAIL: usize = 1024;
 /// their columns (see the cadence table in the module docs).
 const COMPACT_RATIO: usize = 32;
 
-/// One cleaned bin to append. Identical to [`BinRecord`] except that the
-/// WiFi association still carries the raw (BSSID, ESSID) identity: AP
-/// references are only assigned at compaction time, where the canonical
-/// first-encounter order over the *surviving* rows is known.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LiveRow {
-    /// Device.
-    pub device: DeviceId,
-    /// Bin start time.
-    pub time: SimTime,
-    /// 3G downlink bytes in the bin.
-    pub rx_3g: u64,
-    /// 3G uplink bytes in the bin.
-    pub tx_3g: u64,
-    /// LTE downlink bytes in the bin.
-    pub rx_lte: u64,
-    /// LTE uplink bytes in the bin.
-    pub tx_lte: u64,
-    /// WiFi downlink bytes in the bin.
-    pub rx_wifi: u64,
-    /// WiFi uplink bytes in the bin.
-    pub tx_wifi: u64,
-    /// Raw WiFi state (association not yet interned).
-    pub wifi: WifiState,
-    /// Scan summary.
-    pub scan: ScanSummary,
-    /// Per-app volumes.
-    pub apps: Vec<AppBin>,
-    /// Coarse geolocation.
-    pub geo: CellId,
-    /// OS version at sample time.
-    pub os_version: OsVersion,
+/// Where a cleaner puts the bins it keeps: the live builder here, or the
+/// batch pipeline's dataset columns.
+pub trait BinSink {
+    /// The AP reference an association is stored under.
+    fn intern(&mut self, a: &AssocInfo) -> ApRef;
+    /// Append one kept bin, its AP under its [`intern`](Self::intern)
+    /// reference.
+    fn push(&mut self, bin: &BinRecord);
+    /// The device's update day was just detected: cut its rows already
+    /// pushed on `day` and `day + 1`, and return how many.
+    fn drop_update_days(&mut self, device: DeviceId, day: u32) -> u64;
 }
 
 /// One published state of the live dataset: the identifier tables plus the
@@ -128,8 +105,8 @@ pub struct LiveRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LiveSnapshot {
     /// Campaign metadata, device table and canonical AP table. `bins` is
-    /// empty in mid-run generations (`cols` holds the rows); the finished
-    /// snapshot fills it.
+    /// always empty: `cols` holds the rows, in mid-run generations and in
+    /// the finished snapshot alike.
     pub ds: Dataset,
     /// Per-device / per-day row ranges over `cols`.
     pub index: DatasetIndex,
@@ -174,10 +151,8 @@ pub struct LiveTableBuilder {
     tails: Vec<DatasetColumns>,
     /// Rows across all tails.
     tail_rows: usize,
-    /// Append-time AP table: id → entry.
-    interned: Vec<ApEntry>,
-    /// Append-time AP ids by (BSSID, ESSID).
-    intern_ids: HashMap<(u64, Essid), u32>,
+    /// Append-time AP ids.
+    aps: ApInterner,
     /// Update day per device: bins on `d` and `d + 1` are dead. Applied
     /// logically on registration, physically at the next compaction.
     tombs: Vec<Option<u32>>,
@@ -193,6 +168,63 @@ pub struct LiveTableBuilder {
 /// contiguous span.
 fn dead_span(time: &[SimTime], day: u32) -> Range<usize> {
     time.partition_point(|t| t.day() < day)..time.partition_point(|t| t.day() <= day + 1)
+}
+
+/// Cut the rows of `cols[from..]`, one device's time-sorted rows, that
+/// fall on update day `day` or the day after, and return how many went.
+/// The cleaner detects the update on the device's first record on `day`,
+/// before any later one, so those rows are the last rows of `cols`.
+pub fn truncate_update_days(cols: &mut DatasetColumns, from: usize, day: u32) -> usize {
+    let dead = dead_span(&cols.time[from..], day);
+    if dead.is_empty() {
+        return 0;
+    }
+    debug_assert_eq!(from + dead.end, cols.len(), "update-day rows must be the last rows");
+    cols.truncate(from + dead.start);
+    dead.len()
+}
+
+/// Append-time AP ids: each (BSSID, ESSID) pair gets the next id the first
+/// time it is seen, and its `Essid` is cloned only then. The batch cleaner
+/// and the live builder both store associations under these ids and
+/// [`renumber`](ApInterner::renumber) them once the rows are final, so the
+/// two paths share one AP numbering.
+#[derive(Debug, Default)]
+pub struct ApInterner {
+    entries: Vec<ApEntry>,
+    ids: HashMap<(u64, Essid), u32>,
+}
+
+impl ApInterner {
+    /// The append-time id of an association's AP.
+    pub fn intern(&mut self, a: &AssocInfo) -> ApRef {
+        let entries = &mut self.entries;
+        let key = (a.bssid.as_u64(), a.essid.clone());
+        ApRef(*self.ids.entry(key).or_insert_with_key(|(_, essid)| {
+            entries.push(ApEntry { bssid: a.bssid, essid: essid.clone() });
+            (entries.len() - 1) as u32
+        }))
+    }
+
+    /// Renumber the associated rows of `cols` from append-time ids to the
+    /// canonical order, first encounter over `cols`' rows. Returns the
+    /// canonical AP table and each canonical id's append-time id. An AP
+    /// that no row of `cols` references (its rows were cut) gets no entry.
+    pub fn renumber(&self, cols: &mut DatasetColumns) -> (Vec<ApEntry>, Vec<u32>) {
+        let mut canon = vec![u32::MAX; self.entries.len()];
+        let (mut aps, mut canon_to_intern) = (Vec::new(), Vec::new());
+        for &r in &cols.sel_associated {
+            let ap = &mut cols.assoc_ap[r as usize];
+            let id = ap.index();
+            if canon[id] == u32::MAX {
+                canon[id] = aps.len() as u32;
+                aps.push(self.entries[id].clone());
+                canon_to_intern.push(id as u32);
+            }
+            *ap = ApRef(canon[id]);
+        }
+        (aps, canon_to_intern)
+    }
 }
 
 impl LiveTableBuilder {
@@ -220,8 +252,7 @@ impl LiveTableBuilder {
             canon_to_intern: Vec::new(),
             tails: (0..n).map(|_| DatasetColumns::with_capacity(0, 0)).collect(),
             tail_rows: 0,
-            interned: Vec::new(),
-            intern_ids: HashMap::new(),
+            aps: ApInterner::default(),
             tombs: vec![None; n],
             dead_merged: 0,
             compactions: 0,
@@ -271,50 +302,6 @@ impl LiveTableBuilder {
         Arc::clone(&self.merged)
     }
 
-    /// Append one cleaned row to its device tail.
-    pub fn append(&mut self, row: LiveRow) {
-        let tail = &mut self.tails[row.device.index()];
-        debug_assert!(
-            tail.time.last().is_none_or(|&t| t < row.time),
-            "tail appends must be in ascending time order"
-        );
-        let wifi = match row.wifi {
-            WifiState::Off => WifiBinState::Off,
-            WifiState::OnUnassociated => WifiBinState::OnUnassociated,
-            WifiState::Associated(a) => {
-                let interned = &mut self.interned;
-                let id = *self.intern_ids.entry((a.bssid.as_u64(), a.essid)).or_insert_with_key(
-                    |(_, essid)| {
-                        interned.push(ApEntry { bssid: a.bssid, essid: essid.clone() });
-                        (interned.len() - 1) as u32
-                    },
-                );
-                WifiBinState::Associated(WifiAssoc {
-                    ap: ApRef(id),
-                    band: a.band,
-                    channel: a.channel,
-                    rssi: a.rssi,
-                })
-            }
-        };
-        tail.push(&BinRecord {
-            device: row.device,
-            time: row.time,
-            rx_3g: row.rx_3g,
-            tx_3g: row.tx_3g,
-            rx_lte: row.rx_lte,
-            tx_lte: row.tx_lte,
-            rx_wifi: row.rx_wifi,
-            tx_wifi: row.tx_wifi,
-            wifi,
-            scan: row.scan,
-            apps: row.apps,
-            geo: row.geo,
-            os_version: row.os_version,
-        });
-        self.tail_rows += 1;
-    }
-
     /// Register a device's iOS-update day: rows on `day` and `day + 1` are
     /// logically removed now and physically dropped at the next compaction.
     /// Returns how many already-appended rows the tombstone killed.
@@ -326,16 +313,9 @@ impl LiveTableBuilder {
         self.dead_merged += in_merged;
         // Dead tail rows are cut now; every later append is filtered by the
         // engine's cleaner.
-        let tail = &mut self.tails[d];
-        let dead = dead_span(&tail.time, day);
-        if !dead.is_empty() {
-            let cap = (tail.len(), tail.apps.len());
-            let old = std::mem::replace(tail, DatasetColumns::with_capacity(cap.0, cap.1));
-            tail.extend_from_range(&old, 0..dead.start);
-            tail.extend_from_range(&old, dead.end..old.len());
-            self.tail_rows -= dead.len();
-        }
-        (in_merged + dead.len()) as u64
+        let in_tail = truncate_update_days(&mut self.tails[d], 0, day);
+        self.tail_rows -= in_tail;
+        (in_merged + in_tail) as u64
     }
 
     /// Whether enough tail rows have piled up to amortise a compaction.
@@ -372,25 +352,14 @@ impl LiveTableBuilder {
             }
             let tail = &mut self.tails[d];
             cols.extend_from_range(tail, 0..tail.len());
-            tail.clear();
+            tail.truncate(0);
             self.merged_ranges[d] = start..cols.len();
         }
         debug_assert_eq!(cols.len(), self.len());
 
         // Canonical renumbering: first encounter in (device, time) order.
-        let mut canon = vec![u32::MAX; self.interned.len()];
-        let mut aps = Vec::new();
-        self.canon_to_intern.clear();
-        for &r in &cols.sel_associated {
-            let ap = &mut cols.assoc_ap[r as usize];
-            let id = ap.index();
-            if canon[id] == u32::MAX {
-                canon[id] = aps.len() as u32;
-                aps.push(self.interned[id].clone());
-                self.canon_to_intern.push(id as u32);
-            }
-            *ap = ApRef(canon[id]);
-        }
+        let (aps, canon_to_intern) = self.aps.renumber(&mut cols);
+        self.canon_to_intern = canon_to_intern;
 
         self.tail_rows = 0;
         self.dead_merged = 0;
@@ -410,13 +379,35 @@ impl LiveTableBuilder {
     }
 }
 
+/// Bins go to their device's tail under append-time AP ids; a detected
+/// update day becomes the device's tombstone.
+impl BinSink for LiveTableBuilder {
+    fn intern(&mut self, a: &AssocInfo) -> ApRef {
+        self.aps.intern(a)
+    }
+
+    fn push(&mut self, bin: &BinRecord) {
+        let tail = &mut self.tails[bin.device.index()];
+        debug_assert!(
+            tail.time.last().is_none_or(|&t| t < bin.time),
+            "tail appends must be in ascending time order"
+        );
+        tail.push(bin);
+        self.tail_rows += 1;
+    }
+
+    fn drop_update_days(&mut self, device: DeviceId, day: u32) -> u64 {
+        self.tombstone_update_day(device, day)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Carrier;
-    use crate::ids::{Bssid, Essid};
-    use crate::net::{AssocInfo, Band, Channel};
-    use crate::record::Os;
+    use crate::dataset::{Carrier, ScanSummary, WifiAssoc, WifiBinState};
+    use crate::ids::{Bssid, CellId};
+    use crate::net::{Band, Channel, WifiState};
+    use crate::record::{Os, OsVersion};
     use crate::time::Year;
     use crate::units::Dbm;
 
@@ -437,8 +428,11 @@ mod tests {
             .collect()
     }
 
-    fn row(dev: u32, day: u32, bin: u32, wifi: WifiState) -> LiveRow {
-        LiveRow {
+    /// A cleaned bin and its raw WiFi state, before its AP is interned.
+    type Row = (BinRecord, WifiState);
+
+    fn row(dev: u32, day: u32, bin: u32, wifi: WifiState) -> Row {
+        let bin = BinRecord {
             device: DeviceId(dev),
             time: SimTime::from_day_bin(day, bin),
             rx_3g: 1,
@@ -447,12 +441,19 @@ mod tests {
             tx_lte: 4,
             rx_wifi: u64::from(dev * 100 + day * 10 + bin),
             tx_wifi: 6,
-            wifi,
+            wifi: WifiBinState::Off,
             scan: ScanSummary::default(),
             apps: vec![],
             geo: CellId::new(1, 1),
             os_version: OsVersion::new(8, 1),
-        }
+        };
+        (bin, wifi)
+    }
+
+    /// Intern the row's AP and push it, as the cleaner does.
+    fn append(b: &mut LiveTableBuilder, (bin, wifi): &Row) {
+        let wifi = WifiBinState::of(wifi, |a| b.intern(a));
+        b.push(&BinRecord { wifi, ..bin.clone() });
     }
 
     fn assoc(name: &str, mac: u64) -> WifiState {
@@ -472,27 +473,15 @@ mod tests {
 
     /// The reference: what the snapshot must equal, computed the batch way
     /// (direct Dataset + batch index/column builds over the same rows).
-    fn batch_reference(
-        meta: CampaignMeta,
-        devs: Vec<DeviceInfo>,
-        rows: &[LiveRow],
-    ) -> LiveSnapshot {
-        let mut rows: Vec<LiveRow> = rows.to_vec();
-        rows.sort_by_key(|r| (r.device, r.time));
+    fn batch_reference(meta: CampaignMeta, devs: Vec<DeviceInfo>, rows: &[Row]) -> LiveSnapshot {
+        let mut rows: Vec<Row> = rows.to_vec();
+        rows.sort_by_key(|(r, _)| (r.device, r.time));
         let mut aps: Vec<ApEntry> = Vec::new();
         let mut ap_index: HashMap<(u64, String), ApRef> = HashMap::new();
         let bins: Vec<BinRecord> = rows
             .iter()
-            .map(|r| BinRecord {
-                device: r.device,
-                time: r.time,
-                rx_3g: r.rx_3g,
-                tx_3g: r.tx_3g,
-                rx_lte: r.rx_lte,
-                tx_lte: r.tx_lte,
-                rx_wifi: r.rx_wifi,
-                tx_wifi: r.tx_wifi,
-                wifi: match &r.wifi {
+            .map(|(r, wifi)| BinRecord {
+                wifi: match wifi {
                     WifiState::Off => WifiBinState::Off,
                     WifiState::OnUnassociated => WifiBinState::OnUnassociated,
                     WifiState::Associated(a) => {
@@ -510,10 +499,7 @@ mod tests {
                         })
                     }
                 },
-                scan: r.scan,
-                apps: r.apps.clone(),
-                geo: r.geo,
-                os_version: r.os_version,
+                ..r.clone()
             })
             .collect();
         let ds = Dataset { meta, devices: devs, aps, bins: DatasetColumns::build(&bins) };
@@ -538,7 +524,7 @@ mod tests {
             row(0, 1, 1, WifiState::OnUnassociated),
         ];
         for (k, r) in rows.iter().enumerate() {
-            b.append(r.clone());
+            append(&mut b, r);
             if b.should_compact() {
                 b.compact();
             }
@@ -562,10 +548,10 @@ mod tests {
     fn ap_order_is_device_time_not_arrival() {
         let mut b = LiveTableBuilder::new(meta(3), devices(2)).with_compact_min_tail(1);
         // Device 1's "late" AP arrives first.
-        b.append(row(1, 0, 0, assoc("late", 9)));
+        append(&mut b, &row(1, 0, 0, assoc("late", 9)));
         let first = b.compact();
         assert_eq!(first.ds.aps.len(), 1);
-        b.append(row(0, 0, 0, assoc("early", 5)));
+        append(&mut b, &row(0, 0, 0, assoc("early", 5)));
         let snap = b.compact();
         assert_eq!(snap.ds.aps[0].essid.as_str(), "early");
         assert_eq!(snap.ds.aps[1].essid.as_str(), "late");
@@ -581,11 +567,11 @@ mod tests {
     fn tombstone_removes_update_days_logically_and_physically() {
         let mut b = LiveTableBuilder::new(meta(5), devices(2)).with_compact_min_tail(1);
         for day in 0..4u32 {
-            b.append(row(0, day, 0, WifiState::Off));
-            b.append(row(1, day, 0, WifiState::Off));
+            append(&mut b, &row(0, day, 0, WifiState::Off));
+            append(&mut b, &row(1, day, 0, WifiState::Off));
         }
         b.compact();
-        b.append(row(0, 4, 0, WifiState::Off));
+        append(&mut b, &row(0, 4, 0, WifiState::Off));
         assert_eq!(b.len(), 9);
         // Device 0 updated on day 1: days 1 and 2 die — two in the merged
         // run, none in the tail.
@@ -594,10 +580,10 @@ mod tests {
         assert_eq!(b.len(), 7, "logical removal is immediate");
         let snap = b.compact();
         assert_eq!(snap.len(), 7);
-        let want_rows: Vec<LiveRow> = (0..4u32)
+        let want_rows: Vec<Row> = (0..4u32)
             .flat_map(|day| [row(0, day, 0, WifiState::Off), row(1, day, 0, WifiState::Off)])
             .chain([row(0, 4, 0, WifiState::Off)])
-            .filter(|r| !(r.device == DeviceId(0) && (r.time.day() == 1 || r.time.day() == 2)))
+            .filter(|(r, _)| !(r.device == DeviceId(0) && (r.time.day() == 1 || r.time.day() == 2)))
             .collect();
         let want = batch_reference(meta(5), devices(2), &want_rows);
         assert_eq!(with_rows(&snap), want.ds);
@@ -609,7 +595,7 @@ mod tests {
     fn tombstone_filters_tail_rows_too() {
         let mut b = LiveTableBuilder::new(meta(4), devices(1)).with_compact_min_tail(100);
         for day in 0..4u32 {
-            b.append(row(0, day, 0, WifiState::Off));
+            append(&mut b, &row(0, day, 0, WifiState::Off));
         }
         // All four rows still in the tail; update day 2 kills days 2 and 3.
         let killed = b.tombstone_update_day(DeviceId(0), 2);
@@ -629,7 +615,7 @@ mod tests {
         let mut b = LiveTableBuilder::new(meta(30), devices(2)).with_compact_min_tail(8);
         let mut copied = 0usize;
         for k in 0..n as u32 {
-            b.append(row(k % 2, k / 288, (k / 2) % 144, WifiState::Off));
+            append(&mut b, &row(k % 2, k / 288, (k / 2) % 144, WifiState::Off));
             if b.should_compact() {
                 copied += b.compact().len();
             }

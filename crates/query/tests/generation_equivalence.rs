@@ -17,9 +17,9 @@
 //! Case count honours `PROPTEST_CASES`.
 
 use mobitrace_model::{
-    ApEntry, ApRef, AppBin, AppCategory, AssocInfo, Band, BinRecord, Bssid, CampaignMeta, Carrier,
-    CellId, Channel, Dataset, DatasetColumns, DatasetIndex, Dbm, DeviceId, DeviceInfo, Essid,
-    LiveRow, LiveSnapshot, LiveTableBuilder, Os, OsVersion, ScanSummary, SimTime, WifiAssoc,
+    ApEntry, ApRef, AppBin, AppCategory, AssocInfo, Band, BinRecord, BinSink, Bssid, CampaignMeta,
+    Carrier, CellId, Channel, Dataset, DatasetColumns, DatasetIndex, Dbm, DeviceId, DeviceInfo,
+    Essid, LiveSnapshot, LiveTableBuilder, Os, OsVersion, ScanSummary, SimTime, WifiAssoc,
     WifiBinState, WifiState, Year,
 };
 use mobitrace_query::{CompileOptions, Query, QuerySet};
@@ -61,6 +61,9 @@ fn devices(n: u32) -> Vec<DeviceInfo> {
         .collect()
 }
 
+/// A cleaned bin and its raw WiFi state, before its AP is interned.
+type LiveRow = (BinRecord, WifiState);
+
 fn live_row(dev: u32, minute: u32, wifi_kind: u8, ap: usize, vol: u64, n_apps: usize) -> LiveRow {
     let wifi = match wifi_kind {
         0 => WifiState::Off,
@@ -76,7 +79,7 @@ fn live_row(dev: u32, minute: u32, wifi_kind: u8, ap: usize, vol: u64, n_apps: u
             })
         }
     };
-    LiveRow {
+    let bin = BinRecord {
         device: DeviceId(dev),
         time: SimTime::from_minutes(minute),
         rx_3g: vol / 7,
@@ -85,7 +88,7 @@ fn live_row(dev: u32, minute: u32, wifi_kind: u8, ap: usize, vol: u64, n_apps: u
         tx_lte: vol / 4,
         rx_wifi: vol * 2,
         tx_wifi: vol / 2,
-        wifi,
+        wifi: WifiBinState::Off,
         scan: ScanSummary { n24_all: (vol % 5) as u16, ..ScanSummary::default() },
         apps: (0..n_apps)
             .map(|k| AppBin {
@@ -96,28 +99,27 @@ fn live_row(dev: u32, minute: u32, wifi_kind: u8, ap: usize, vol: u64, n_apps: u
             .collect(),
         geo: CellId::new((dev % 3) as i16, (minute / 1440 % 2) as i16),
         os_version: OsVersion::new(8, 1),
-    }
+    };
+    (bin, wifi)
+}
+
+/// Intern the row's AP and push it, as the cleaner does.
+fn append(b: &mut LiveTableBuilder, (bin, wifi): &LiveRow) {
+    let wifi = WifiBinState::of(wifi, |a| b.intern(a));
+    b.push(&BinRecord { wifi, ..bin.clone() });
 }
 
 /// The batch way: sort the surviving rows, intern APs in first-encounter
 /// order, build a full dataset with rows.
 fn reference(n_devices: u32, rows: &[LiveRow]) -> Dataset {
     let mut rows = rows.to_vec();
-    rows.sort_by_key(|r| (r.device, r.time));
+    rows.sort_by_key(|(r, _)| (r.device, r.time));
     let mut aps: Vec<ApEntry> = Vec::new();
     let mut ids: HashMap<(u64, Essid), ApRef> = HashMap::new();
     let bins: Vec<BinRecord> = rows
         .into_iter()
-        .map(|r| BinRecord {
-            device: r.device,
-            time: r.time,
-            rx_3g: r.rx_3g,
-            tx_3g: r.tx_3g,
-            rx_lte: r.rx_lte,
-            tx_lte: r.tx_lte,
-            rx_wifi: r.rx_wifi,
-            tx_wifi: r.tx_wifi,
-            wifi: match r.wifi {
+        .map(|(r, wifi)| BinRecord {
+            wifi: match wifi {
                 WifiState::Off => WifiBinState::Off,
                 WifiState::OnUnassociated => WifiBinState::OnUnassociated,
                 WifiState::Associated(a) => {
@@ -133,10 +135,7 @@ fn reference(n_devices: u32, rows: &[LiveRow]) -> Dataset {
                     })
                 }
             },
-            scan: r.scan,
-            apps: r.apps,
-            geo: r.geo,
-            os_version: r.os_version,
+            ..r
         })
         .collect();
     Dataset { meta: meta(), devices: devices(n_devices), aps, bins: DatasetColumns::build(&bins) }
@@ -213,8 +212,8 @@ proptest! {
                         continue;
                     }
                     let row = live_row(d as u32, minute, wifi_kind, ap, vol, n_apps);
-                    live.push(row.clone());
-                    b.append(row);
+                    append(&mut b, &row);
+                    live.push(row);
                 }
                 7 => {
                     if tomb[d].is_some() {
@@ -223,7 +222,7 @@ proptest! {
                     let day = next_bin[d] * 10 / 1440;
                     tomb[d] = Some(day);
                     let before = live.len();
-                    live.retain(|r| {
+                    live.retain(|(r, _)| {
                         !(r.device.index() == d && (r.time.day() == day || r.time.day() == day + 1))
                     });
                     let killed = b.tombstone_update_day(DeviceId(d as u32), day);

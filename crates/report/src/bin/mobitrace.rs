@@ -428,6 +428,18 @@ fn run_chaos(args: &Args) {
     }
 }
 
+/// A live snapshot's analysis context derived from scratch, from a fresh
+/// index over its columns: the cross-check for a context served from the
+/// snapshot's prebuilt index.
+fn fresh_context(snap: &mobitrace_model::LiveSnapshot) -> mobitrace_core::AnalysisContext<'_> {
+    let index = mobitrace_model::DatasetIndex::build_cols(&snap.cols, snap.ds.devices.len());
+    mobitrace_core::AnalysisContext::from_cow_parts(
+        &snap.ds,
+        Cow::Owned(index),
+        Cow::Borrowed(&snap.cols),
+    )
+}
+
 /// `mobitrace live`: run a simulated campaign through the streaming
 /// analysis engine — the server's ingest tap feeding the incremental
 /// cleaner while devices are still uploading — print the periodic snapshot
@@ -472,7 +484,7 @@ fn run_live(args: &Args) {
         "stream: {} records seen, {} folded, {} late, {} duplicates, \
          {} batches ({} replays)",
         stats.records_seen,
-        stats.folded,
+        stats.clean.records_in,
         stats.late_dropped,
         stats.dup_dropped,
         stats.batches,
@@ -481,12 +493,12 @@ fn run_live(args: &Args) {
     println!(
         "clean (live): {} bins, {} tethering removed, {} update-day removed, \
          {} reboots, {} gaps ({} records missing)",
-        stats.bins_out,
-        stats.tethering_removed,
-        stats.update_days_removed,
-        stats.reboots,
-        stats.gaps,
-        stats.missing_records
+        stats.clean.bins_out,
+        stats.clean.tethering_removed,
+        stats.clean.update_days_removed,
+        stats.clean.reboots,
+        stats.clean.gaps,
+        stats.clean.missing_records
     );
     println!(
         "tap: {} records published, {} past the 64-batch backlog",
@@ -506,7 +518,7 @@ fn run_live(args: &Args) {
         Cow::Borrowed(&snap.index),
         Cow::Borrowed(&snap.cols),
     );
-    let batch_ctx = AnalysisContext::new(&snap.ds);
+    let batch_ctx = fresh_context(snap);
     if live_ctx.days != batch_ctx.days
         || live_ctx.classes != batch_ctx.classes
         || live_ctx.thresholds != batch_ctx.thresholds
@@ -519,7 +531,7 @@ fn run_live(args: &Args) {
     println!(
         "converged: live snapshot is bit-identical to the batch pipeline \
          ({} bins, {} compactions; context passes agree) in {:.1}s",
-        snap.ds.bins.len(),
+        snap.len(),
         stats.compactions,
         report.wall_s
     );
@@ -861,7 +873,6 @@ fn run_serve(args: &Args) {
 /// the engine's drain thread, concurrent with ingest). Generation numbers
 /// are the engine's compaction counter.
 fn serve_live(args: &Args, set: mobitrace_query::QuerySet, sink: ServeSink) {
-    use mobitrace_core::AnalysisContext;
     use mobitrace_live::{run_live_campaign_observed, LiveOptions, SnapshotObserver};
     use mobitrace_query::{evaluate_payload, watermark_minute};
     use mobitrace_sim::CampaignConfig;
@@ -915,7 +926,7 @@ fn serve_live(args: &Args, set: mobitrace_query::QuerySet, sink: ServeSink) {
     let snap = &report.finished.snapshot;
     let t = tally.lock().expect("serve tally lock");
     let served = t.last.iter().find(|r| r.filter.is_empty()).map(|r| &r.metrics);
-    if served != Some(&evaluate_payload(&AnalysisContext::new(&snap.ds))) {
+    if served != Some(&evaluate_payload(&fresh_context(snap))) {
         eprintln!("error: final unfiltered query payload diverged from the batch pipeline");
         std::process::exit(1);
     }
@@ -923,7 +934,7 @@ fn serve_live(args: &Args, set: mobitrace_query::QuerySet, sink: ServeSink) {
     eprintln!(
         "serve: converged — final unfiltered payload bit-identical to batch \
          ({} bins, {} compactions) in {:.1}s",
-        snap.ds.bins.len(),
+        snap.len(),
         report.finished.stats.compactions,
         report.wall_s
     );

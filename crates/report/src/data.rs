@@ -41,8 +41,7 @@ impl CampaignSet {
     pub fn simulate(scale: f64, seed: u64) -> CampaignSet {
         let sim_year = |year: Year| -> Dataset {
             let cfg = CampaignConfig::scaled(year, scale).with_seed(seed);
-            let keep_updates =
-                CleanOptions { remove_update_days: false, ..CleanOptions::default() };
+            let keep_updates = CleanOptions { remove_update_days: false };
             run_campaign_opts(&cfg, keep_updates).0
         };
         let (y2013, y2014, with_updates) = std::thread::scope(|scope| {

@@ -21,7 +21,7 @@ fn main() {
     );
     // Keep the update days in the dataset — that's what this analysis is
     // about (the paper *removes* them from every other analysis).
-    let opts = CleanOptions { remove_update_days: false, ..CleanOptions::default() };
+    let opts = CleanOptions { remove_update_days: false };
     let (ds, _) = run_campaign_opts(&cfg, opts);
 
     let cls = apclass::classify(&ds);

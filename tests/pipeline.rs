@@ -49,7 +49,7 @@ fn update_day_stripping_matches_inline_cleaning() {
     let mut cfg = CampaignConfig::scaled(Year::Y2015, 0.03).with_seed(5);
     cfg.days = 25;
     // Run once keeping update days, then strip post-hoc...
-    let keep = CleanOptions { remove_update_days: false, ..CleanOptions::default() };
+    let keep = CleanOptions { remove_update_days: false };
     let (with_updates, _) = run_campaign_opts(&cfg, keep);
     let (stripped, removed) = mobitrace_collector::strip_update_days(&with_updates);
     // ...and once cleaning inline: the two must agree.

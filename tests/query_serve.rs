@@ -13,7 +13,7 @@
 
 use mobitrace_core::AnalysisContext;
 use mobitrace_fleet::CohortRouter;
-use mobitrace_model::{DatasetIndex, DeviceId, Year};
+use mobitrace_model::{Dataset, DatasetIndex, DeviceId, Year};
 use mobitrace_query::{
     cohort_of, evaluate_payload, materialize, parse, select_rows, watermark_minute, CompileOptions,
     Query, QuerySet,
@@ -134,7 +134,9 @@ fn live_serve_final_generation_matches_batch() {
     // The final observed snapshot is the finished campaign: its unfiltered
     // payload equals the batch pipeline's, its filtered payload equals an
     // eagerly filtered batch copy's.
-    let ds = &report.finished.snapshot.ds;
+    // The finished snapshot keeps its rows in `cols` alone.
+    let snap = &report.finished.snapshot;
+    let ds = &Dataset { bins: snap.cols.clone(), ..snap.ds.clone() };
     let batch = AnalysisContext::new(ds);
     assert_eq!(last[0].metrics, evaluate_payload(&batch));
     assert_eq!(last[0].rows, ds.bins.len());

@@ -9,7 +9,7 @@
 //! under an exponential-backoff-with-jitter policy instead of hammering a
 //! dead link on every tick.
 
-use crate::codec::encode_frame_into;
+use crate::codec::write_frame;
 use crate::transport::LossyTransport;
 use bytes::{Bytes, BytesMut};
 use mobitrace_model::{
@@ -73,9 +73,9 @@ pub struct DeviceAgent {
     app_counters: Vec<TrafficCounters>,
     battery_pct: f64,
     queue: VecDeque<Bytes>,
-    /// Encode scratch: frames are encoded into this buffer and split off,
-    /// so one block allocation serves many records instead of one each.
-    scratch: BytesMut,
+    /// Encode scratch: each frame is written here, then copied out at its
+    /// exact size; the buffer keeps its capacity from record to record.
+    scratch: Vec<u8>,
     /// Upload-cache bound in frames (oldest evicted first when full).
     cache_cap: usize,
     /// No upload attempts before this instant (backoff window).
@@ -109,7 +109,7 @@ impl DeviceAgent {
             app_counters: vec![TrafficCounters::default(); AppCategory::ALL.len()],
             battery_pct: 90.0,
             queue: VecDeque::new(),
-            scratch: BytesMut::new(),
+            scratch: Vec::new(),
             cache_cap: DEFAULT_CACHE_CAP,
             backoff_until: None,
             failure_streak: 0,
@@ -205,14 +205,12 @@ impl DeviceAgent {
         };
         self.seq += 1;
         self.records_made += 1;
-        // Top the scratch block up in 4 KiB steps (~16 frames each); the
-        // split-off frame keeps a refcounted view of the block, so frames
-        // stay cheap to clone into the transport's in-flight heap.
-        if self.scratch.capacity() < 256 {
-            self.scratch.reserve(4096);
-        }
-        encode_frame_into(&record, &mut self.scratch);
-        self.queue.push_back(self.scratch.split().freeze());
+        // One exact-size allocation per frame; the queued `Bytes` is
+        // refcounted, so frames stay cheap to clone into the transport's
+        // in-flight heap.
+        self.scratch.clear();
+        write_frame(&record, &mut self.scratch, None);
+        self.queue.push_back(Bytes::copy_from_slice(&self.scratch));
         // Bounded cache: a real handset cannot buffer forever, so the
         // oldest frames go first — the deterministic policy the cleaner's
         // gap accounting expects (losses are a prefix of the backlog).

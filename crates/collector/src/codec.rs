@@ -15,6 +15,10 @@
 //! server rejects frames whose checksum fails (the transport may corrupt
 //! bytes in flight).
 //!
+//! Encoding goes through one private frame writer that pushes each field
+//! onto a plain `Vec<u8>`: [`encode_frame`], [`encode_frame_into`] and
+//! [`encode_batch`] all call it, a caller's `BytesMut` lending its storage.
+//!
 //! Decoding parses the borrowed byte slice in place through one private
 //! bounds-checked cursor: the payload is a sub-slice of the upload, an
 //! ESSID is read as `&str` and allocated only the first time a stream's
@@ -43,7 +47,7 @@
 //! (tag 0), so they stay self-contained under lossy frame-at-a-time
 //! delivery, and version-1 frames (no tag at all) still decode.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use mobitrace_model::{
     AppCategory, AppCounter, AssocInfo, Band, Bssid, CellId, Channel, CounterSnapshot, Dbm,
     DeviceId, Essid, Os, OsVersion, Record, ScanSummary, SimTime, TrafficCounters, WifiState,
@@ -62,11 +66,12 @@ pub const MIN_VERSION: u8 = 1;
 /// index-for-index aligned; strings past the cap are simply inlined.
 const ESSID_DICT_CAP: usize = 4096;
 
-/// Encoder half of the per-stream ESSID dictionary: string → index of its
-/// first (inline) occurrence in the stream.
+/// Encoder half of the per-stream ESSID dictionary: ESSID → index of its
+/// first (inline) occurrence in the stream. A key shares the record's
+/// `Arc<str>` (a reference-count bump, never a new string).
 #[derive(Debug, Default)]
 pub struct EssidDict {
-    indices: HashMap<String, u32>,
+    indices: HashMap<Essid, u32>,
 }
 
 /// Decoder half of the per-stream ESSID dictionary. `table` mirrors the
@@ -250,30 +255,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-fn put_string(buf: &mut BytesMut, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_counters(buf: &mut BytesMut, c: &TrafficCounters) {
-    put_varint(buf, c.rx_bytes);
-    put_varint(buf, c.tx_bytes);
-    put_varint(buf, c.rx_pkts);
-    put_varint(buf, c.tx_pkts);
-}
-
 /// Zig-zag encode a signed value.
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -283,43 +264,67 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn encode_payload(r: &Record, payload: &mut BytesMut, mut dict: Option<&mut EssidDict>) {
-    put_varint(payload, u64::from(r.device.0));
-    payload.put_u8(match r.os {
+/// Append `v` as a LEB128 varint (seven bits per byte, low group first).
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+fn put_counters(buf: &mut Vec<u8>, c: &TrafficCounters) {
+    for v in [c.rx_bytes, c.tx_bytes, c.rx_pkts, c.tx_pkts] {
+        put_varint(buf, v);
+    }
+}
+
+/// The crate's one encoder: append the frame of `r` to `buf`. The
+/// payload-length slot is reserved as two bytes (the varint width of a
+/// 128..16384 B payload) and the payload written behind it, so only a
+/// shorter or longer payload moves, once, to close or widen the slot.
+pub(crate) fn write_frame(r: &Record, buf: &mut Vec<u8>, mut dict: Option<&mut EssidDict>) {
+    buf.extend_from_slice(&MAGIC);
+    buf.push(VERSION);
+    buf.extend_from_slice(&[0, 0]);
+    let start = buf.len();
+    put_varint(buf, u64::from(r.device.0));
+    buf.push(match r.os {
         Os::Android => 0,
         Os::Ios => 1,
     });
-    put_varint(payload, u64::from(r.seq));
-    put_varint(payload, u64::from(r.time.minute));
-    put_varint(payload, u64::from(r.boot_epoch));
-    put_counters(payload, &r.counters.cell3g);
-    put_counters(payload, &r.counters.lte);
-    put_counters(payload, &r.counters.wifi);
+    put_varint(buf, u64::from(r.seq));
+    put_varint(buf, u64::from(r.time.minute));
+    put_varint(buf, u64::from(r.boot_epoch));
+    put_counters(buf, &r.counters.cell3g);
+    put_counters(buf, &r.counters.lte);
+    put_counters(buf, &r.counters.wifi);
     match &r.wifi {
-        WifiState::Off => payload.put_u8(0),
-        WifiState::OnUnassociated => payload.put_u8(1),
+        WifiState::Off => buf.push(0),
+        WifiState::OnUnassociated => buf.push(1),
         WifiState::Associated(a) => {
-            payload.put_u8(2);
-            payload.put_slice(&a.bssid.0);
+            buf.push(2);
+            buf.extend_from_slice(&a.bssid.0);
             match dict.as_deref_mut().and_then(|d| d.indices.get(a.essid.as_str()).copied()) {
-                Some(idx) => put_varint(payload, u64::from(idx) + 1),
+                Some(idx) => put_varint(buf, u64::from(idx) + 1),
                 None => {
-                    put_varint(payload, 0);
-                    put_string(payload, a.essid.as_str());
+                    buf.push(0); // tag 0: the string follows inline
+                    put_varint(buf, a.essid.as_str().len() as u64);
+                    buf.extend_from_slice(a.essid.as_str().as_bytes());
                     if let Some(d) = dict {
                         if d.indices.len() < ESSID_DICT_CAP {
                             let idx = d.indices.len() as u32;
-                            d.indices.insert(a.essid.as_str().to_owned(), idx);
+                            d.indices.insert(a.essid.clone(), idx);
                         }
                     }
                 }
             }
-            payload.put_u8(match a.band {
+            buf.push(match a.band {
                 Band::Ghz24 => 0,
                 Band::Ghz5 => 1,
             });
-            payload.put_u8(a.channel.0);
-            put_varint(payload, zigzag(i64::from((a.rssi.as_f64() * 10.0) as i32)));
+            buf.push(a.channel.0);
+            put_varint(buf, zigzag(i64::from((a.rssi.as_f64() * 10.0) as i32)));
         }
     }
     for n in [
@@ -332,29 +337,47 @@ fn encode_payload(r: &Record, payload: &mut BytesMut, mut dict: Option<&mut Essi
         r.scan.n5_public_all,
         r.scan.n5_public_strong,
     ] {
-        put_varint(payload, u64::from(n));
+        put_varint(buf, u64::from(n));
     }
-    put_varint(payload, r.apps.len() as u64);
+    put_varint(buf, r.apps.len() as u64);
     for app in &r.apps {
-        payload.put_u8(app.category.index() as u8);
-        put_counters(payload, &app.counters);
+        buf.push(app.category.index() as u8);
+        put_counters(buf, &app.counters);
     }
-    put_varint(payload, zigzag(i64::from(r.geo.x)));
-    put_varint(payload, zigzag(i64::from(r.geo.y)));
-    payload.put_u8(r.battery_pct);
-    payload.put_u8(u8::from(r.tethering));
-    payload.put_u8(r.os_version.major);
-    payload.put_u8(r.os_version.minor);
+    put_varint(buf, zigzag(i64::from(r.geo.x)));
+    put_varint(buf, zigzag(i64::from(r.geo.y)));
+    buf.extend_from_slice(&[
+        r.battery_pct,
+        u8::from(r.tethering),
+        r.os_version.major,
+        r.os_version.minor,
+    ]);
+
+    let len = buf.len() - start;
+    let crc = crc32(&buf[start..]);
+    match len {
+        0..=0x7F => {
+            buf.remove(start - 1);
+            buf[start - 2] = len as u8;
+        }
+        0x80..=0x3FFF => {
+            buf[start - 2] = len as u8 | 0x80;
+            buf[start - 1] = (len >> 7) as u8;
+        }
+        _ => {
+            let mut slot = Vec::with_capacity(5);
+            put_varint(&mut slot, len as u64);
+            buf.splice(start - 2..start, slot);
+        }
+    }
+    buf.extend_from_slice(&crc.to_be_bytes());
 }
 
-/// Append one framed record to `out`, reusing the buffer's spare capacity.
-///
-/// The payload is encoded straight into the tail of `out` and then shifted
-/// right to make room for the (varint-sized) header — a sub-200-byte
-/// `memmove` instead of the per-record buffer allocation the standalone
-/// [`encode_frame`] pays. Callers that frame many records (the agent's
-/// upload queue, batch benchmarks) keep one scratch `BytesMut` alive and
-/// carve frames out of it with `split().freeze()`.
+/// Append one framed record to `out`. The frame writer appends straight
+/// to `out`'s storage, with no intermediate buffer, so a caller framing
+/// many records into one buffer reuses its capacity. Carve a frame out
+/// with `Bytes::copy_from_slice` and `clear()`: the vendored
+/// `BytesMut::split` hands over the whole allocation.
 pub fn encode_frame_into(r: &Record, out: &mut BytesMut) {
     encode_frame_dict_into(r, out, None);
 }
@@ -366,39 +389,16 @@ pub fn encode_frame_into(r: &Record, out: &mut BytesMut) {
 /// [`EssidTable`] — use `None` (always inline) for frames delivered
 /// individually over a lossy transport.
 pub fn encode_frame_dict_into(r: &Record, out: &mut BytesMut, dict: Option<&mut EssidDict>) {
-    let mark = out.len();
-    encode_payload(r, out, dict);
-    let payload_len = out.len() - mark;
-    let crc = crc32(&out[mark..]);
-    // Header: magic (4) + version (1) + payload-length varint (≤5 for any
-    // sane payload; 12 covers the theoretical maximum comfortably).
-    let mut hdr = [0u8; 12];
-    hdr[..4].copy_from_slice(&MAGIC);
-    hdr[4] = VERSION;
-    let mut hdr_len = 5;
-    let mut v = payload_len as u64;
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            hdr[hdr_len] = byte;
-            hdr_len += 1;
-            break;
-        }
-        hdr[hdr_len] = byte | 0x80;
-        hdr_len += 1;
-    }
-    out.resize(mark + hdr_len + payload_len, 0);
-    out.copy_within(mark..mark + payload_len, mark + hdr_len);
-    out[mark..mark + hdr_len].copy_from_slice(&hdr[..hdr_len]);
-    out.put_u32(crc);
+    let mut buf = Vec::from(std::mem::take(out));
+    write_frame(r, &mut buf, dict);
+    *out = BytesMut::from(buf);
 }
 
 /// Encode one record into a framed byte buffer.
 pub fn encode_frame(r: &Record) -> Bytes {
-    let mut out = BytesMut::with_capacity(208);
-    encode_frame_into(r, &mut out);
-    out.freeze()
+    let mut buf = Vec::with_capacity(208);
+    write_frame(r, &mut buf, None);
+    Bytes::from(buf)
 }
 
 /// Encode many records back-to-back into `out`, returning the number of
@@ -411,11 +411,13 @@ pub fn encode_batch<'a>(
     out: &mut BytesMut,
 ) -> usize {
     let mut dict = EssidDict::default();
+    let mut buf = Vec::from(std::mem::take(out));
     let mut n = 0;
     for r in records {
-        encode_frame_dict_into(r, out, Some(&mut dict));
+        write_frame(r, &mut buf, Some(&mut dict));
         n += 1;
     }
+    *out = BytesMut::from(buf);
     n
 }
 
@@ -693,8 +695,7 @@ mod tests {
         // bytes as the allocating encoder, at the append position.
         let r = sample_record(9);
         let standalone = encode_frame(&r);
-        let mut out = BytesMut::new();
-        out.put_slice(b"prefix");
+        let mut out = BytesMut::from(b"prefix".to_vec());
         encode_frame_into(&r, &mut out);
         assert_eq!(&out[..6], b"prefix");
         assert_eq!(&out[6..], &standalone[..]);
@@ -749,9 +750,9 @@ mod tests {
     /// Encode one record as a version-1 frame (no ESSID tag byte) — the
     /// historical format the decoder must keep accepting.
     fn encode_frame_v1(r: &Record) -> Bytes {
-        let mut payload = BytesMut::new();
+        let mut payload = Vec::new();
         put_varint(&mut payload, u64::from(r.device.0));
-        payload.put_u8(match r.os {
+        payload.push(match r.os {
             Os::Android => 0,
             Os::Ios => 1,
         });
@@ -762,17 +763,18 @@ mod tests {
         put_counters(&mut payload, &r.counters.lte);
         put_counters(&mut payload, &r.counters.wifi);
         match &r.wifi {
-            WifiState::Off => payload.put_u8(0),
-            WifiState::OnUnassociated => payload.put_u8(1),
+            WifiState::Off => payload.push(0),
+            WifiState::OnUnassociated => payload.push(1),
             WifiState::Associated(a) => {
-                payload.put_u8(2);
-                payload.put_slice(&a.bssid.0);
-                put_string(&mut payload, a.essid.as_str());
-                payload.put_u8(match a.band {
+                payload.push(2);
+                payload.extend_from_slice(&a.bssid.0);
+                put_varint(&mut payload, a.essid.as_str().len() as u64);
+                payload.extend_from_slice(a.essid.as_str().as_bytes());
+                payload.push(match a.band {
                     Band::Ghz24 => 0,
                     Band::Ghz5 => 1,
                 });
-                payload.put_u8(a.channel.0);
+                payload.push(a.channel.0);
                 put_varint(&mut payload, zigzag(i64::from((a.rssi.as_f64() * 10.0) as i32)));
             }
         }
@@ -790,15 +792,17 @@ mod tests {
         }
         put_varint(&mut payload, r.apps.len() as u64);
         for app in &r.apps {
-            payload.put_u8(app.category.index() as u8);
+            payload.push(app.category.index() as u8);
             put_counters(&mut payload, &app.counters);
         }
         put_varint(&mut payload, zigzag(i64::from(r.geo.x)));
         put_varint(&mut payload, zigzag(i64::from(r.geo.y)));
-        payload.put_u8(r.battery_pct);
-        payload.put_u8(u8::from(r.tethering));
-        payload.put_u8(r.os_version.major);
-        payload.put_u8(r.os_version.minor);
+        payload.extend_from_slice(&[
+            r.battery_pct,
+            u8::from(r.tethering),
+            r.os_version.major,
+            r.os_version.minor,
+        ]);
 
         frame_of(1, &payload)
     }
@@ -806,13 +810,12 @@ mod tests {
     /// Frame an arbitrary payload under `version` with a correct length
     /// and checksum, so the payload parser itself is what gets tested.
     fn frame_of(version: u8, payload: &[u8]) -> Bytes {
-        let mut out = BytesMut::new();
-        out.put_slice(&MAGIC);
-        out.put_u8(version);
+        let mut out = MAGIC.to_vec();
+        out.push(version);
         put_varint(&mut out, payload.len() as u64);
-        out.put_slice(payload);
-        out.put_u32(crc32(payload));
-        out.freeze()
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&crc32(payload).to_be_bytes());
+        Bytes::from(out)
     }
 
     #[test]
@@ -918,7 +921,7 @@ mod tests {
     proptest! {
         #[test]
         fn varint_roundtrip(v in any::<u64>()) {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_varint(&mut buf, v);
             let mut c = Cursor(&buf);
             prop_assert_eq!(c.varint().unwrap(), v);
@@ -1104,16 +1107,16 @@ mod tests {
     /// can put a value the encoder would never emit into any field.
     fn raw_payload(head: [u64; 4], scan: [u64; 8], geo: [u64; 2]) -> Vec<u8> {
         let [device, seq, minute, boot_epoch] = head;
-        let mut p = BytesMut::new();
+        let mut p = Vec::new();
         put_varint(&mut p, device);
-        p.put_u8(0); // Android
+        p.push(0); // Android
         for v in [seq, minute, boot_epoch] {
             put_varint(&mut p, v);
         }
         for _ in 0..12 {
             put_varint(&mut p, 0); // three zero counter blocks
         }
-        p.put_u8(0); // WiFi off
+        p.push(0); // WiFi off
         for v in scan {
             put_varint(&mut p, v);
         }
@@ -1121,8 +1124,8 @@ mod tests {
         for v in geo {
             put_varint(&mut p, v);
         }
-        p.put_slice(&[50, 0, 4, 4]); // battery, tethering, OS version
-        p.to_vec()
+        p.extend_from_slice(&[50, 0, 4, 4]); // battery, tethering, OS version
+        p
     }
 
     #[test]

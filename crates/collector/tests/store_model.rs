@@ -278,6 +278,7 @@ static CASE: AtomicUsize = AtomicUsize::new(0);
 proptest! {
     #![proptest_config(ProptestConfig { cases: proptest_cases(), ..ProptestConfig::default() })]
 
+    #[test]
     fn server_matches_reference_model(
         tapped in any::<bool>(),
         ops in prop::collection::vec(op(), 1..40),

@@ -511,4 +511,145 @@ mod tests {
         let r = decode_frame(&a.queue.pop_front().unwrap()).unwrap();
         assert_eq!(r.os_version, OsVersion::IOS_8_2);
     }
+
+    fn associated(essid: &str) -> WifiState {
+        WifiState::Associated(mobitrace_model::AssocInfo {
+            bssid: mobitrace_model::Bssid::from_u64(0xC0FFEE),
+            essid: mobitrace_model::Essid::new(essid),
+            band: mobitrace_model::Band::Ghz5,
+            channel: mobitrace_model::Channel(36),
+            rssi: mobitrace_model::Dbm::new(-61),
+        })
+    }
+
+    #[test]
+    fn queued_frames_are_standalone_encodings() {
+        let mut a = DeviceAgent::new(DeviceId(11), Os::Android, OsVersion::new(5, 0));
+        // A long frame, then a short one: the kept scratch buffer must not
+        // leak the longer frame's tail into the next.
+        let mut long = obs(0, 900);
+        long.wifi = associated(&"n".repeat(600));
+        a.observe(&long);
+        a.observe(&obs(10, 100));
+        let mut off = obs(20, 0);
+        off.wifi = WifiState::Off;
+        a.observe(&off);
+        assert_eq!(a.pending(), 3);
+        for frame in &a.queue {
+            let r = decode_frame(frame).unwrap();
+            assert_eq!(frame, &crate::codec::encode_frame(&r), "seq {}", r.seq);
+        }
+        assert!(a.queue[0].len() > a.queue[1].len() + 600);
+    }
+
+    #[test]
+    fn android_reports_only_categories_with_traffic() {
+        let mut a = DeviceAgent::new(DeviceId(12), Os::Android, OsVersion::new(4, 4));
+        let mut o = obs(0, 0);
+        o.apps = vec![
+            AppBin { category: AppCategory::Video, rx_bytes: 300, tx_bytes: 0 },
+            AppBin { category: AppCategory::Browser, rx_bytes: 0, tx_bytes: 40 },
+            AppBin { category: AppCategory::Game, rx_bytes: 0, tx_bytes: 0 },
+        ];
+        a.observe(&o);
+        let mut o = obs(10, 0);
+        o.apps = vec![AppBin { category: AppCategory::Video, rx_bytes: 200, tx_bytes: 7 }];
+        a.observe(&o);
+        let records: Vec<Record> = a.queue.iter().map(|f| decode_frame(f).unwrap()).collect();
+        let listed = |r: &Record| -> Vec<(AppCategory, u64, u64)> {
+            r.apps.iter().map(|c| (c.category, c.counters.rx_bytes, c.counters.tx_bytes)).collect()
+        };
+        // Listed in category order, whatever order the bin held them in.
+        let expect = vec![(AppCategory::Browser, 0, 40), (AppCategory::Video, 300, 0)];
+        assert_eq!(listed(&records[0]), expect, "zero categories are omitted");
+        // Counters stay cumulative; a category idle this bin is still listed.
+        let expect = vec![(AppCategory::Browser, 0, 40), (AppCategory::Video, 500, 7)];
+        assert_eq!(listed(&records[1]), expect);
+    }
+
+    #[test]
+    fn battery_stays_between_one_and_a_hundred_percent() {
+        let mut a = DeviceAgent::new(DeviceId(13), Os::Android, OsVersion::new(4, 4));
+        for k in 0..30 {
+            a.observe(&obs(k * 10, 500_000_000)); // 0.5 GB per bin
+        }
+        let mut charging = obs(300, 0);
+        charging.charging = true;
+        for k in 0..30 {
+            charging.time = SimTime::from_minutes(300 + k * 10);
+            a.observe(&charging);
+        }
+        let levels: Vec<u8> =
+            a.queue.iter().map(|f| decode_frame(f).unwrap().battery_pct).collect();
+        assert_eq!(levels[29], 1, "a drained battery floors at 1%");
+        assert_eq!(levels[59], 100, "a charged battery caps at 100%");
+        assert!(levels.iter().all(|&p| (1..=100).contains(&p)));
+    }
+
+    #[test]
+    fn cache_cap_is_at_least_one_frame() {
+        let mut a = DeviceAgent::new(DeviceId(14), Os::Android, OsVersion::new(4, 4));
+        assert_eq!(a.cache_cap(), DEFAULT_CACHE_CAP);
+        a = a.with_cache_cap(0);
+        assert_eq!(a.cache_cap(), 1);
+        for k in 0..3 {
+            a.observe(&obs(k * 10, 100));
+        }
+        assert_eq!(a.pending(), 1);
+        assert_eq!(a.dropped_records, 2);
+        assert_eq!(decode_frame(&a.queue[0]).unwrap().seq, 2, "the newest frame is kept");
+    }
+
+    #[test]
+    fn take_stream_into_appends_the_cache_in_order() {
+        let mut a = DeviceAgent::new(DeviceId(15), Os::Android, OsVersion::new(4, 4));
+        let mut out = BytesMut::from(b"head".to_vec());
+        assert_eq!(a.take_stream_into(SimTime::ZERO, &mut out), 0, "nothing cached");
+        for k in 0..4 {
+            a.observe(&obs(k * 10, 100));
+        }
+        let expect: Vec<u8> = a.queue.iter().flat_map(|f| f.iter().copied()).collect();
+        assert_eq!(a.take_stream_into(SimTime::from_minutes(40), &mut out), 4);
+        assert_eq!(a.pending(), 0);
+        assert_eq!(&out[..4], b"head");
+        assert_eq!(&out[4..], &expect[..]);
+        let mut stream = Bytes::copy_from_slice(&out[4..]);
+        let mut back = Vec::new();
+        assert_eq!(crate::codec::decode_batch_into(&mut stream, &mut back), Ok(4));
+        assert_eq!(back.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn take_stream_into_waits_out_a_backoff_window_then_closes_it() {
+        let mut a = DeviceAgent::new(DeviceId(16), Os::Android, OsVersion::new(4, 4));
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        a.observe(&obs(0, 100));
+        a.note_server_reject(&mut rng, SimTime::ZERO);
+        let mut out = BytesMut::new();
+        assert_eq!(a.take_stream_into(SimTime::from_minutes(5), &mut out), 0);
+        assert!(out.is_empty());
+        assert_eq!(a.backoff_skips, 1);
+        assert_eq!(a.pending(), 1);
+
+        assert_eq!(a.take_stream_into(SimTime::from_minutes(300), &mut out), 1);
+        assert!(!a.in_backoff(SimTime::from_minutes(300)));
+        // The streak was reset: the next reject opens a first-step window
+        // (10 minutes plus at most 5 of jitter), not a doubled one.
+        a.observe(&obs(310, 100));
+        a.note_server_reject(&mut rng, SimTime::from_minutes(310));
+        let width = a.backoff_until.unwrap().minute - 310;
+        assert!((10..=15).contains(&width), "width {width}");
+    }
+
+    #[test]
+    fn server_reject_with_an_empty_cache_is_ignored() {
+        let mut a = DeviceAgent::new(DeviceId(17), Os::Android, OsVersion::new(4, 4));
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        a.note_server_reject(&mut rng, SimTime::ZERO);
+        assert_eq!(a.server_rejects, 0);
+        assert!(!a.in_backoff(SimTime::ZERO));
+        let mut t = LossyTransport::new(FaultPlan::reliable());
+        a.try_upload(&mut rng, SimTime::ZERO, &mut t);
+        assert_eq!((t.sent, a.backoff_skips), (0, 0), "an empty cache sends nothing");
+    }
 }

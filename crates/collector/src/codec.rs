@@ -1155,4 +1155,248 @@ mod tests {
             assert_eq!(decode_frame(&frame), Err(CodecError::Malformed(what)));
         }
     }
+
+    /// Split one current-version frame into the width of its
+    /// payload-length varint and its payload, checking that the declared
+    /// length, the payload and the trailing checksum agree.
+    fn frame_parts(frame: &[u8]) -> (usize, &[u8]) {
+        assert_eq!(frame[..4], MAGIC);
+        assert_eq!(frame[4], VERSION);
+        let mut c = Cursor(&frame[5..]);
+        let len = usize::try_from(c.varint().unwrap()).unwrap();
+        let width = frame.len() - 5 - c.0.len();
+        let payload = c.take(len).unwrap();
+        assert_eq!(c.0, crc32(payload).to_be_bytes(), "the checksum closes the frame");
+        (width, payload)
+    }
+
+    /// `n` app entries whose counters all take the widest varint.
+    fn wide_apps(n: usize) -> Vec<AppCounter> {
+        let max = TrafficCounters {
+            rx_bytes: u64::MAX,
+            tx_bytes: u64::MAX,
+            rx_pkts: u64::MAX,
+            tx_pkts: u64::MAX,
+        };
+        (0..n).map(|i| AppCounter { category: AppCategory::ALL[i % 26], counters: max }).collect()
+    }
+
+    fn with_essid(mut r: Record, essid: Essid) -> Record {
+        if let WifiState::Associated(a) = &mut r.wifi {
+            a.essid = essid;
+        }
+        r
+    }
+
+    /// Write `r` behind a three-byte prefix, check the prefix survives,
+    /// and return the frame's header width and payload length.
+    fn written_behind_prefix(r: &Record) -> (usize, usize, Vec<u8>) {
+        let mut buf = vec![0xA5; 3];
+        write_frame(r, &mut buf, None);
+        assert_eq!(buf[..3], [0xA5; 3], "bytes before the frame are untouched");
+        let frame = buf.split_off(3);
+        let (width, payload) = frame_parts(&frame);
+        (width, payload.len(), frame)
+    }
+
+    #[test]
+    fn short_payload_closes_the_header_slot() {
+        let r = sample_record(1);
+        let (width, len, frame) = written_behind_prefix(&r);
+        assert!(len < 0x80, "payload {len} B");
+        assert_eq!(width, 1);
+        assert_eq!(frame.len(), 5 + 1 + len + 4);
+        assert_eq!(decode_frame(&Bytes::from(frame)).unwrap(), r);
+    }
+
+    #[test]
+    fn two_byte_payload_fills_the_header_slot_in_place() {
+        let r = with_essid(sample_record(2), Essid::new("x".repeat(300)));
+        let (width, len, frame) = written_behind_prefix(&r);
+        assert!((0x80..=0x3FFF).contains(&len), "payload {len} B");
+        assert_eq!(width, 2);
+        assert_eq!(frame.len(), 5 + 2 + len + 4);
+        assert_eq!(decode_frame(&Bytes::from(frame)).unwrap(), r);
+    }
+
+    #[test]
+    fn long_payload_widens_the_header_slot() {
+        let mut r = sample_record(3);
+        r.apps = wide_apps(400);
+        let (width, len, frame) = written_behind_prefix(&r);
+        assert!(len > 0x3FFF, "payload {len} B");
+        assert_eq!(width, 3);
+        assert_eq!(frame.len(), 5 + 3 + len + 4);
+        // The encoder frames any app count; the decoder bounds it.
+        assert_eq!(
+            decode_frame(&Bytes::from(frame)),
+            Err(CodecError::Malformed("too many app entries"))
+        );
+    }
+
+    #[test]
+    fn app_entry_count_is_bounded_at_64() {
+        let mut r = sample_record(4);
+        r.apps = wide_apps(64);
+        assert_eq!(decode_frame(&encode_frame(&r)).unwrap(), r);
+        r.apps = wide_apps(65);
+        assert_eq!(
+            decode_frame(&encode_frame(&r)),
+            Err(CodecError::Malformed("too many app entries"))
+        );
+    }
+
+    #[test]
+    fn dictionary_stops_growing_at_its_cap() {
+        let mut dict = EssidDict::default();
+        let mut stream = Vec::new();
+        for k in 0..=ESSID_DICT_CAP {
+            let r = with_essid(sample_record(0), Essid::new(format!("ap-{k}")));
+            write_frame(&r, &mut stream, Some(&mut dict));
+        }
+        assert_eq!(dict.indices.len(), ESSID_DICT_CAP);
+
+        let frame = |r: &Record, dict: Option<&mut EssidDict>| {
+            let mut buf = Vec::new();
+            write_frame(r, &mut buf, dict);
+            buf
+        };
+        // An indexed ESSID is referenced, so its frame is shorter than
+        // the inline one ...
+        let first = with_essid(sample_record(0), Essid::new("ap-0"));
+        assert!(frame(&first, Some(&mut dict)).len() < frame(&first, None).len());
+        // ... while the one past the cap is inlined every time.
+        let past = with_essid(sample_record(0), Essid::new(format!("ap-{ESSID_DICT_CAP}")));
+        for _ in 0..2 {
+            assert_eq!(frame(&past, Some(&mut dict)), frame(&past, None));
+        }
+        assert_eq!(dict.indices.len(), ESSID_DICT_CAP);
+    }
+
+    #[test]
+    fn each_batch_starts_its_own_dictionary() {
+        let records: Vec<Record> = (0..3).map(sample_record).collect();
+        let mut out = BytesMut::new();
+        encode_batch(&records, &mut out);
+        let first = out.len();
+        encode_batch(&records, &mut out);
+        // The second batch inlines the ESSID again rather than referencing
+        // the first batch's table, so it decodes on its own.
+        assert_eq!(&out[..first], &out[first..]);
+        let mut second = Bytes::copy_from_slice(&out[first..]);
+        let mut back = Vec::new();
+        assert_eq!(decode_batch_into(&mut second, &mut back), Ok(3));
+        assert_eq!(back, records);
+    }
+
+    #[test]
+    fn encode_frame_into_reuses_the_callers_capacity() {
+        let r = sample_record(5);
+        let mut out = BytesMut::with_capacity(4096);
+        let cap = out.capacity();
+        for _ in 0..8 {
+            out.clear();
+            encode_frame_into(&r, &mut out);
+            assert_eq!(out.capacity(), cap, "no reallocation for a frame that fits");
+            assert_eq!(&out[..], &encode_frame(&r)[..]);
+        }
+        out.clear();
+        encode_batch(&[r.clone(), r], &mut out);
+        assert_eq!(out.capacity(), cap);
+    }
+
+    #[test]
+    fn decode_frame_with_shares_one_essid_allocation() {
+        let frames: Vec<Bytes> = (0..3).map(|k| encode_frame(&sample_record(k))).collect();
+        let essid = |r: &Record| r.wifi.assoc().unwrap().essid.clone();
+        let mut table = EssidTable::default();
+        let shared: Vec<Essid> =
+            frames.iter().map(|f| essid(&decode_frame_with(f, &mut table).unwrap())).collect();
+        assert!(shared[1..].iter().all(|e| Essid::ptr_eq(&shared[0], e)));
+        // Without a table every frame allocates its own string.
+        let a = essid(&decode_frame(&frames[0]).unwrap());
+        let b = essid(&decode_frame(&frames[1]).unwrap());
+        assert_eq!(a, b);
+        assert!(!Essid::ptr_eq(&a, &b));
+    }
+
+    /// The payload of `r`'s standalone frame, to be patched and re-framed.
+    fn payload_of(r: &Record) -> Vec<u8> {
+        frame_parts(&encode_frame(r)).1.to_vec()
+    }
+
+    #[test]
+    fn bad_enum_tags_rejected() {
+        let r = sample_record(6);
+        let payload = payload_of(&r);
+        let essid = b"aterm-12ab34";
+        let essid_at = payload.windows(essid.len()).position(|w| w == essid).unwrap();
+        let mut app = Vec::new();
+        put_counters(&mut app, &r.apps[0].counters);
+        // Device 42 is one varint byte, so the OS tag is byte 1; the band
+        // follows the ESSID; the app category precedes its counters, which
+        // precede the two geo bytes and four trailing bytes.
+        let os_at = 1;
+        let wifi_at = essid_at - 6 - 1 - 1 - 1;
+        let band_at = essid_at + essid.len();
+        let category_at = payload.len() - 6 - app.len() - 1;
+        assert_eq!(payload[wifi_at], 2, "associated WiFi tag");
+        assert_eq!(payload[category_at], AppCategory::Video.index() as u8);
+        let cases = [
+            (os_at, 2, "os tag"),
+            (wifi_at, 3, "wifi tag"),
+            (band_at, 2, "band tag"),
+            (category_at, AppCategory::ALL.len() as u8, "app category"),
+        ];
+        for (at, value, what) in cases {
+            let mut p = payload.clone();
+            p[at] = value;
+            assert_eq!(decode_frame(&frame_of(VERSION, &p)), Err(CodecError::Malformed(what)));
+        }
+        assert_eq!(decode_frame(&frame_of(VERSION, &payload)).unwrap(), r);
+    }
+
+    #[test]
+    fn essid_length_and_encoding_are_checked() {
+        let longest = with_essid(sample_record(7), Essid::new("e".repeat(1024)));
+        assert_eq!(decode_frame(&encode_frame(&longest)).unwrap(), longest);
+        let too_long = with_essid(sample_record(7), Essid::new("e".repeat(1025)));
+        assert_eq!(
+            decode_frame(&encode_frame(&too_long)),
+            Err(CodecError::Malformed("string too long"))
+        );
+        let mut p = payload_of(&sample_record(7));
+        let at = p.windows(5).position(|w| w == b"aterm").unwrap();
+        p[at] = 0xFF;
+        assert_eq!(
+            decode_frame(&frame_of(VERSION, &p)),
+            Err(CodecError::Malformed("invalid utf-8"))
+        );
+    }
+
+    #[test]
+    fn rssi_tenths_survive_the_wire() {
+        let mut r = sample_record(8);
+        for tenths in -1500..=300 {
+            if let WifiState::Associated(a) = &mut r.wifi {
+                a.rssi = Dbm::from_tenths(tenths);
+            }
+            let back = decode_frame(&encode_frame(&r)).unwrap();
+            assert_eq!(back.wifi.assoc().unwrap().rssi.to_tenths(), tenths);
+        }
+    }
+
+    #[test]
+    fn codec_errors_display_their_cause() {
+        let cases = [
+            (CodecError::BadMagic, "bad frame magic"),
+            (CodecError::BadVersion(9), "unsupported version 9"),
+            (CodecError::Truncated, "truncated frame"),
+            (CodecError::BadChecksum, "checksum mismatch"),
+            (CodecError::Malformed("band tag"), "malformed payload: band tag"),
+        ];
+        for (err, text) in cases {
+            assert_eq!(err.to_string(), text);
+        }
+    }
 }

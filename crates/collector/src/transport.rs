@@ -727,4 +727,118 @@ mod tests {
         assert_eq!(t.failed, u64::from(down_minutes));
         assert_eq!(t.chaos_failed, t.failed, "reliable plan: every failure is chaos");
     }
+
+    fn episode(start: u32, end: u32, kind: EpisodeKind) -> Episode {
+        Episode { start: SimTime::from_minutes(start), end: SimTime::from_minutes(end), kind }
+    }
+
+    #[test]
+    fn episode_window_is_half_open() {
+        let ep = episode(100, 130, EpisodeKind::LinkDown);
+        assert!(!ep.contains(SimTime::from_minutes(99)));
+        assert!(ep.contains(SimTime::from_minutes(100)));
+        assert!(ep.contains(SimTime::from_minutes(129)));
+        assert!(!ep.contains(SimTime::from_minutes(130)));
+    }
+
+    #[test]
+    fn effect_folds_every_active_episode() {
+        let congestion = |fail, extra_delay_min| EpisodeKind::Congestion { fail, extra_delay_min };
+        let chaos = ChaosSchedule::from_episodes(vec![
+            episode(0, 100, congestion(0.3, 90)),
+            episode(50, 150, congestion(0.7, 20)),
+            episode(60, 70, EpisodeKind::LinkDown),
+            episode(80, 90, EpisodeKind::ServerOutage),
+        ]);
+        let at = |m| chaos.effect_at(SimTime::from_minutes(m));
+        assert_eq!(at(200), ChaosEffect::default(), "no episode, no effect");
+        assert_eq!(
+            at(10),
+            ChaosEffect { fail_floor: 0.3, extra_delay_min: 90, ..ChaosEffect::default() }
+        );
+        // Overlapping congestion takes the highest floor and the longest
+        // delay, even when they come from different episodes.
+        let both = at(65);
+        assert_eq!((both.fail_floor, both.extra_delay_min), (0.7, 90));
+        assert!(both.link_down && !both.server_down);
+        let outage = at(85);
+        assert!(outage.server_down && !outage.link_down);
+        assert_eq!(at(120).fail_floor, 0.7);
+    }
+
+    #[test]
+    fn only_outages_take_the_server_down() {
+        let link = ChaosSchedule::from_episodes(vec![
+            episode(0, 50, EpisodeKind::LinkDown),
+            episode(0, 50, EpisodeKind::Congestion { fail: 1.0, extra_delay_min: 10 }),
+        ]);
+        let server = ChaosSchedule::from_episodes(vec![episode(40, 60, EpisodeKind::ServerOutage)]);
+        let merged = link.merged_with(&server);
+        assert_eq!(merged.episodes()[..2], link.episodes()[..]);
+        assert_eq!(merged.episodes()[2..], server.episodes()[..]);
+        let down: Vec<u32> =
+            (0..70).filter(|&m| merged.server_down_at(SimTime::from_minutes(m))).collect();
+        assert_eq!(down, (40..60).collect::<Vec<_>>());
+        assert!(!link.server_down_at(SimTime::from_minutes(10)));
+    }
+
+    #[test]
+    fn zero_or_invalid_rates_schedule_nothing() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let profile = ChaosProfile {
+                link_down_per_day: rate,
+                congestion_per_day: rate,
+                server_outages: rate,
+                ..ChaosProfile::hostile()
+            };
+            assert!(ChaosSchedule::device_schedule(&profile, 30, &mut rng).episodes().is_empty());
+            assert!(ChaosSchedule::server_schedule(&profile, 30, &mut rng).episodes().is_empty());
+        }
+        let hostile = ChaosProfile::hostile();
+        assert!(ChaosSchedule::server_schedule(&hostile, 0, &mut rng).episodes().is_empty());
+        assert!(ChaosSchedule::device_schedule(&hostile, 0, &mut rng).episodes().is_empty());
+    }
+
+    #[test]
+    fn sampled_episodes_respect_their_day_and_duration() {
+        let profile = ChaosProfile::flaky();
+        let day = mobitrace_model::BINS_PER_DAY * mobitrace_model::BIN_MINUTES;
+        let chaos = ChaosSchedule::device_schedule(&profile, 40, &mut ChaCha8Rng::seed_from_u64(8));
+        // Whole rates: exactly two link-down and two congestion episodes a day.
+        assert_eq!(chaos.episodes().len(), 40 * 4);
+        for (i, ep) in chaos.episodes().iter().enumerate() {
+            let d = (i / 4) as u32;
+            assert!((d * day..(d + 1) * day).contains(&ep.start.minute), "episode {i}: {ep:?}");
+            let (lo, hi) = match ep.kind {
+                EpisodeKind::LinkDown => profile.link_down_minutes,
+                EpisodeKind::Congestion { .. } => profile.congestion_minutes,
+                EpisodeKind::ServerOutage => panic!("device schedules hold no outages"),
+            };
+            assert!((lo..=hi).contains(&(ep.end.minute - ep.start.minute)), "episode {i}: {ep:?}");
+        }
+    }
+
+    #[test]
+    fn fractional_rates_average_out() {
+        // Calm: half a link-down and half a congestion episode per day.
+        let profile = ChaosProfile::calm();
+        let days = 4000;
+        let chaos =
+            ChaosSchedule::device_schedule(&profile, days, &mut ChaCha8Rng::seed_from_u64(9));
+        let links =
+            chaos.episodes().iter().filter(|e| matches!(e.kind, EpisodeKind::LinkDown)).count();
+        let congested = chaos.episodes().len() - links;
+        for n in [links, congested] {
+            // Binomial(4000, 0.5): sd ≈ 32, so ±150 is beyond 4.5 sd.
+            assert!((1850..=2150).contains(&n), "{n} episodes over {days} days");
+        }
+    }
+
+    #[test]
+    fn presets_are_already_sanitized() {
+        for plan in [FaultPlan::reliable(), FaultPlan::mobile(), FaultPlan::hostile()] {
+            assert_eq!(plan.sanitized(), plan);
+        }
+    }
 }

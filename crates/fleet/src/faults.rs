@@ -371,4 +371,90 @@ mod tests {
         assert!(matches!(inj.check(IoOp::DirSync), Verdict::Proceed));
         assert_eq!(inj.stats().pool_faults_fired, 2);
     }
+
+    #[test]
+    fn quick_schedule_keeps_its_guarantees() {
+        assert!(FaultSpec::none().is_empty());
+        let quick = FaultSpec::quick();
+        assert!(!quick.is_empty());
+        assert!(quick.worker_kills.iter().filter(|k| k.worker == 0).count() >= 2);
+        assert!(quick.pool_faults.iter().any(|f| f.kind == PoolFaultKind::Enospc && f.at_op <= 4));
+        assert_eq!(quick.server_crashes.len(), 1);
+    }
+
+    #[test]
+    fn seeded_schedules_stay_inside_the_fleet() {
+        for seed in 0..64u64 {
+            let spec = FaultSpec::seeded(seed, 3, 5);
+            assert!(spec.worker_kills.iter().all(|k| k.worker < 3), "seed {seed}");
+            assert!(spec.server_crashes.iter().all(|c| c.cohort < 5), "seed {seed}");
+            // A fleet reported as empty is treated as one worker, one cohort.
+            let spec = FaultSpec::seeded(seed, 0, 0);
+            assert!(spec.worker_kills.iter().all(|k| k.worker == 0), "seed {seed}");
+            assert!(spec.server_crashes.iter().all(|c| c.cohort == 0), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn worker_kill_fires_once_at_its_own_ordinal() {
+        let inj = FaultInjector::new(FaultSpec {
+            worker_kills: vec![WorkerKill { worker: 1, at_batch: 3 }],
+            ..FaultSpec::default()
+        });
+        let batch = |worker| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| inj.on_batch(worker, &[])))
+        };
+        // Worker 0's deliveries do not advance worker 1's ordinal.
+        for _ in 0..5 {
+            assert!(batch(0).is_ok());
+        }
+        assert!(batch(1).is_ok());
+        assert!(batch(1).is_ok());
+        let msg = batch(1).expect_err("the third delivery is killed");
+        assert!(msg.downcast_ref::<String>().unwrap().contains(KILL_MARKER));
+        assert!(batch(1).is_ok(), "a kill fires once");
+        assert_eq!(inj.stats().kills_fired, 1);
+    }
+
+    #[test]
+    fn server_crash_recovers_after_its_window() {
+        let servers = [Arc::new(CollectionServer::new())];
+        let inj = FaultInjector::new(FaultSpec {
+            server_crashes: vec![
+                ServerCrash { cohort: 0, at_batch: 2, down_for: 3 },
+                ServerCrash { cohort: 7, at_batch: 1, down_for: 1 },
+            ],
+            ..FaultSpec::default()
+        });
+        let crashed: Vec<bool> = (0..8)
+            .map(|_| {
+                inj.on_batch(0, &servers);
+                servers[0].is_crashed()
+            })
+            .collect();
+        assert_eq!(crashed, [false, true, true, true, false, false, false, false]);
+        let stats = inj.stats();
+        // The crash aimed at a cohort that does not exist never fires.
+        assert_eq!((stats.crashes_fired, stats.recoveries_fired), (1, 1));
+    }
+
+    #[test]
+    fn write_faults_shape_their_errors() {
+        let inj = FaultInjector::new(FaultSpec {
+            pool_faults: vec![
+                PoolFault { at_op: 1, kind: PoolFaultKind::ShortWrite },
+                PoolFault { at_op: 2, kind: PoolFaultKind::Transient },
+            ],
+            ..FaultSpec::default()
+        });
+        // A sync is not eligible for write-shaped faults; it only advances
+        // the ordinal.
+        assert!(matches!(inj.check(IoOp::SyncAll), Verdict::Proceed));
+        assert!(matches!(inj.check(IoOp::Write { off: 0, len: 100 }), Verdict::ShortWrite(50)));
+        match inj.check(IoOp::Write { off: 0, len: 100 }) {
+            Verdict::Fail(e) => assert_eq!(e.kind(), std::io::ErrorKind::Interrupted),
+            v => panic!("expected a transient blip, got {v:?}"),
+        }
+        assert!(matches!(inj.check(IoOp::Write { off: 0, len: 100 }), Verdict::Proceed));
+    }
 }

@@ -73,4 +73,25 @@ mod tests {
             assert!((9_500..=10_500).contains(&n), "cohort {c} skewed: {n}");
         }
     }
+
+    #[test]
+    fn splitmix64_matches_the_reference_sequence() {
+        // The first two outputs of the reference splitmix64 generator
+        // seeded with 0: its state steps by the golden-ratio increment.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(0x9E37_79B9_7F4A_7C15), 0x6E78_9E6A_A1B9_65F4);
+    }
+
+    #[test]
+    fn one_cohort_takes_every_device() {
+        let router = CohortRouter::new(1);
+        assert_eq!(router.n_cohorts(), 1);
+        assert!([0, 1, 77, u32::MAX].into_iter().all(|d| router.cohort_of(DeviceId(d)) == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one cohort")]
+    fn zero_cohorts_rejected() {
+        CohortRouter::new(0);
+    }
 }

@@ -51,4 +51,13 @@ mod tests {
         assert!(e.to_string().contains("seq 7"));
         assert!(ModelError::Inconsistent("x".into()).to_string().contains("x"));
     }
+
+    #[test]
+    fn device_errors_name_the_device() {
+        assert_eq!(ModelError::UnknownDevice(DeviceId(12)).to_string(), "unknown device dev00012");
+        assert_eq!(
+            ModelError::OutOfOrder { device: DeviceId(5) }.to_string(),
+            "records out of order for dev00005"
+        );
+    }
 }
